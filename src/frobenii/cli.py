@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON object
 {command, inputs, status, results, residuals} to stdout and exits with
-0 (pass/success), 1 (a check failed) or 2 (usage or input error).
+0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
+error: a step-size underflow, colliding eigenvalues, a failed frame check).
 `--csv PATH` additionally writes tabular data where available.
 """
 
@@ -299,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .ode import StepUnderflowError
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -306,7 +308,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, OSError, ArithmeticError,
+            StepUnderflowError) as exc:
         print(json.dumps({"command": args.command, "status": "ERROR",
                           "error": str(exc)}))
         return 2

@@ -369,11 +369,3 @@ def poly_diff(p: ExpPolynomial, var: int) -> ExpPolynomial:
     if not 0 <= var < p.nvars:
         raise ValueError("variable index out of range")
     return p.diff(var)
-
-
-def hessian_entry(F: ExpPolynomial, i: int, j: int) -> ExpPolynomial:
-    return F.diff(i).diff(j)
-
-
-def third_derivative(F: ExpPolynomial, i: int, j: int, k: int) -> ExpPolynomial:
-    return F.diff(i).diff(j).diff(k)

@@ -1,16 +1,16 @@
 """Small dense linear algebra: exact over Q(sqrt m), numeric over C.
 
 Exact routines run plain Gaussian elimination with nonzero pivoting (every
-QuadScalar is invertible, so no growth control is needed at desk scale) and
-Faddeev-LeVerrier for characteristic polynomials.  The numeric eigensolver
-follows the characteristic-polynomial route: closed-form roots up to quartic,
-companion-matrix iteration beyond, eigenvectors from an SVD null space.
+QuadScalar is invertible, so no growth control is needed at desk scale),
+Faddeev-LeVerrier for characteristic polynomials and Yun's square-free
+decomposition for their roots with exact multiplicities.  The numeric
+eigensolver is LAPACK (np.linalg.eig) with a residual check; its canonical
+(Re, Im) order treats real parts equal up to rounding as equal, so a
+conjugate pair always comes out ordered by Im.
 """
 
 from __future__ import annotations
 
-import cmath
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -151,9 +151,75 @@ class ExactMatrix:
         return coeffs
 
 
+# Polynomials below are coefficient lists over one quadratic field, low to
+# high, without trailing zeros.
+
+def _trim(p: Row) -> Row:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_sub(p: Row, q: Row) -> Row:
+    zero = QuadScalar(0)
+    return _trim([(p[k] if k < len(p) else zero) - (q[k] if k < len(q) else zero)
+                  for k in range(max(len(p), len(q)))])
+
+
+def _poly_divmod(p: Row, d: Row) -> Tuple[Row, Row]:
+    rem = list(p)
+    inv = d[-1].inverse()
+    quo = [QuadScalar(0)] * max(len(p) - len(d) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        f = rem[k + len(d) - 1] * inv
+        quo[k] = f
+        for j, c in enumerate(d):
+            rem[k + j] = rem[k + j] - f * c
+    return quo, _trim(rem[:len(d) - 1])
+
+
+def _poly_gcd(p: Row, q: Row) -> Row:
+    """Monic gcd; p must be nonzero."""
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    inv = p[-1].inverse()
+    return [c * inv for c in p]
+
+
+def _square_free_factors(f: Row) -> List[Tuple[Row, int]]:
+    """Yun's decomposition f = lc * prod a_i^i with the a_i monic,
+    square-free and pairwise coprime; returns the (a_i, i) with deg a_i > 0."""
+    deriv = lambda p: [c * k for k, c in enumerate(p)][1:]
+    df = deriv(f)
+    a = _poly_gcd(f, df)
+    b = _poly_divmod(f, a)[0]
+    d = _poly_sub(_poly_divmod(df, a)[0], deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _poly_divmod(b, a)[0]
+        d = _poly_sub(_poly_divmod(d, a)[0], deriv(b))
+        i += 1
+    return out
+
+
+def polynomial_roots(coeffs: Sequence[ScalarLike]) -> List[complex]:
+    """Roots of a nonzero exact polynomial (coefficients low to high), each
+    repeated by its exact multiplicity: np.roots of each square-free factor,
+    whose roots are simple and so accurate to rounding even where the
+    polynomial itself has repeated roots."""
+    roots: List[complex] = []
+    for a, mult in _square_free_factors(_trim([QuadScalar.coerce(c) for c in coeffs])):
+        simple = np.roots([complex(c) for c in reversed(a)])
+        roots += [complex(z) for z in simple for _ in range(mult)]
+    return roots
+
+
 def _eliminate(aug: List[List[QuadScalar]], n: int):
     """In-place Gauss-Jordan on an n x m augmented system, m >= n."""
-    m = len(aug[0])
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -166,7 +232,6 @@ def _eliminate(aug: List[List[QuadScalar]], n: int):
                 continue
             f = aug[r][col]
             aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    _ = m
 
 
 def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
@@ -183,155 +248,56 @@ def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
 
 
 # ---------------------------------------------------------------------------
-# numeric eigenproblem (characteristic-polynomial route)
+# numeric eigenproblem
 # ---------------------------------------------------------------------------
 
-def _charpoly_complex(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest power first."""
-    n = M.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Mk = np.zeros_like(M)
-    I = np.eye(n, dtype=complex)
-    c = 1.0 + 0j
-    for k in range(1, n + 1):
-        Mk = M @ (Mk + c * I)
-        c = -np.trace(Mk) / k
-        coeffs[k] = c
-    return coeffs
+# Real parts closer than this fraction of the largest modulus count as equal
+# in the canonical order: rounding alone must not swap a conjugate pair.
+_REAL_TIE = 1e-12
 
 
-def _roots_closed_form(coeffs: Sequence[complex]) -> List[complex]:
-    """Roots of a monic polynomial of degree <= 4 by radicals."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return [-coeffs[1]]
-    if deg == 2:
-        _, b, c = coeffs
-        disc = cmath.sqrt(b * b - 4 * c)
-        return [(-b + disc) / 2, (-b - disc) / 2]
-    if deg == 3:
-        _, a, b, c = coeffs
-        # depressed cubic y^3 + p y + q, x = y - a/3
-        p = b - a * a / 3
-        q = 2 * a ** 3 / 27 - a * b / 3 + c
-        shift = -a / 3
-        if abs(p) < 1e-300:
-            r = (-q) ** (1 / 3) if q != 0 else 0j
-            w = cmath.exp(2j * cmath.pi / 3)
-            return [shift + r, shift + r * w, shift + r * w * w]
-        disc = cmath.sqrt((q / 2) ** 2 + (p / 3) ** 3)
-        u3 = -q / 2 + disc
-        if abs(u3) < 1e-300:
-            u3 = -q / 2 - disc
-        u = u3 ** (1 / 3)
-        w = cmath.exp(2j * cmath.pi / 3)
-        roots = []
-        for j in range(3):
-            uj = u * w ** j
-            roots.append(shift + uj - p / (3 * uj))
-        return roots
-    if deg == 4:
-        _, a, b, c, d = coeffs
-        # depressed quartic y^4 + p y^2 + q y + r, x = y - a/4
-        p = b - 3 * a * a / 8
-        q = c - a * b / 2 + a ** 3 / 8
-        r = d - a * c / 4 + a * a * b / 16 - 3 * a ** 4 / 256
-        shift = -a / 4
-        if abs(q) < 1e-14 * (1 + abs(p) + abs(r)):
-            # biquadratic
-            z1, z2 = _roots_closed_form([1, p, r])
-            out = []
-            for z in (z1, z2):
-                s = cmath.sqrt(z)
-                out.extend([shift + s, shift - s])
-            return out
-        # resolvent cubic for Ferrari: z^3 - p z^2 - 4 r z + (4 p r - q^2) = 0
-        res = _roots_closed_form([1, -p, -4 * r, 4 * p * r - q * q])
-        z = max(res, key=lambda zz: abs(2 * zz - 2 * p))
-        s = cmath.sqrt(z - p)
-        if abs(s) < 1e-300:
-            z = res[1]
-            s = cmath.sqrt(z - p)
-        out = []
-        for sign in (1, -1):
-            # factor y^2 + sign*s*y + (z/2 - sign*q/(2s))
-            const = z / 2 - sign * q / (2 * s)
-            disc = cmath.sqrt(s * s - 4 * const)
-            out.append(shift + (-sign * s + disc) / 2)
-            out.append(shift + (-sign * s - disc) / 2)
-        return out
-    raise ValueError("closed form only up to quartic")
-
-
-def _polish_roots(coeffs: np.ndarray, roots: List[complex], rounds: int = 8) -> List[complex]:
-    """Multiplicity-aware Newton polish: for a root of multiplicity m the
-    corrected step m f/f' (with m estimated from f f''/f'^2) restores
-    quadratic convergence, which plain Newton loses on repeated roots."""
-    der = np.polyder(coeffs)
-    der2 = np.polyder(der)
-    out = []
-    for r in roots:
-        z = r
-        for _ in range(rounds):
-            f = np.polyval(coeffs, z)
-            if f == 0:
-                break
-            fp = np.polyval(der, z)
-            if fp == 0:
-                break
-            fpp = np.polyval(der2, z)
-            denom = fp * fp - f * fpp
-            if denom != 0:
-                m = (fp * fp / denom).real
-                m = min(float(len(coeffs) - 1), max(1.0, round(m)))
-            else:
-                m = 1.0
-            step = m * f / fp
-            if not np.isfinite(step):
-                break
-            z = z - step
-        out.append(complex(z))
-    return out
+def _spectrum_order(values: Sequence[complex]) -> List[int]:
+    """Indices putting values in (Re, Im) order, real parts within the
+    rounding bound _REAL_TIE * max |z| taken as equal."""
+    z = [complex(v) for v in values]
+    tie = _REAL_TIE * max((abs(v) for v in z), default=0.0)
+    by_im = lambda k: (z[k].imag, z[k].real)
+    order: List[int] = []
+    group: List[int] = []
+    for k in sorted(range(len(z)), key=lambda k: z[k].real):
+        if group and z[k].real - z[group[-1]].real > tie:
+            order += sorted(group, key=by_im)
+            group = []
+        group.append(k)
+    return order + sorted(group, key=by_im)
 
 
 def sort_spectrum(values: Sequence[complex]) -> List[complex]:
-    """Canonical eigenvalue order: lexicographic by (Re, Im)."""
-    return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    """Canonical eigenvalue order: lexicographic by (Re, Im), with real parts
+    equal up to rounding (see _REAL_TIE) ordered by Im."""
+    z = [complex(v) for v in values]
+    return [z[k] for k in _spectrum_order(z)]
 
 
-def eigen_small(M: np.ndarray, tol: float = 1e-9, max_n: int = 16
-                ) -> Tuple[List[complex], np.ndarray]:
+def eigen_small(M: np.ndarray, tol: float = 1e-9) -> Tuple[List[complex], np.ndarray]:
     """Eigenvalues and eigenvectors of a small complex matrix.
 
-    Roots of the characteristic polynomial (closed form for n <= 4,
-    companion-matrix iteration above) followed by Newton polish; each
-    eigenvector is the SVD null vector of M - lambda I.  Returns eigenvalues
-    sorted by (Re, Im) and the matching eigenvectors as columns.  Raises if a
-    residual ||Mv - lambda v|| exceeds tol * scale.
+    LAPACK (np.linalg.eig); returns the eigenvalues in the order of
+    sort_spectrum and the matching unit eigenvectors as columns.  Raises if a
+    residual ||Mv - lambda v|| exceeds tol * max(1, max |M_ij|).
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n > max_n:
-        raise ValueError(f"eigen_small is limited to n <= {max_n}")
-    coeffs = _charpoly_complex(M)
-    if n <= 4:
-        roots = _roots_closed_form(list(coeffs))
-    else:
-        roots = list(np.roots(coeffs))
-    roots = _polish_roots(coeffs, roots)
-    lam = sort_spectrum(roots)
+    lam, vecs = np.linalg.eig(M)
+    order = _spectrum_order(lam)
+    lam = [complex(lam[k]) for k in order]
+    vecs = vecs[:, order]
     scale = max(1.0, float(np.abs(M).max()))
-    vecs = np.zeros((n, n), dtype=complex)
-    for i, l in enumerate(lam):
-        A = M - l * np.eye(n)
-        _, _, vh = np.linalg.svd(A)
-        v = vh[-1].conj()
-        resid = np.linalg.norm(M @ v - l * v)
-        if resid > tol * scale:
+    resid = np.linalg.norm(M @ vecs - vecs * np.array(lam), axis=0)
+    for l, r in zip(lam, resid):
+        if r > tol * scale:
             raise ArithmeticError(
-                f"eigenpair residual {resid:.3e} exceeds tolerance for lambda={l}")
-        vecs[:, i] = v
+                f"eigenpair residual {r:.3e} exceeds tolerance for lambda={l}")
     return lam, vecs

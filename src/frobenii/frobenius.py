@@ -187,7 +187,6 @@ def check_quasihomogeneity(P: FrobeniusPotential):
     A = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
     C = Fraction(0)
-    extra = ExpPolynomial.zero(n)
     if ok:
         for (pows, exps), coeff in rem.terms.items():
             if any(exps) or sum(pows) > 2:
@@ -223,7 +222,7 @@ def check_quasihomogeneity(P: FrobeniusPotential):
         if C and P.d != 3:
             C = Fraction(0)
     report = ResidualReport(ok, "quasihomogeneity",
-                            {(0,): extra} if not ok else {},
+                            {(0,): rem} if not ok else {},
                             details="" if ok else f"remainder {rem} is not quadratic")
     return report, A, B, C
 
@@ -785,6 +784,7 @@ def potential_to_dict(P: FrobeniusPotential) -> dict:
         "d": str(P.d),
         "q": [str(x) for x in P.q],
         "r": [str(x) for x in P.r],
+        "unity_index": P.unity_index,
         "discriminant": m,
         "terms": terms,
     }
@@ -807,6 +807,7 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
         n=n, F=F, d=Fraction(data["d"]),
         q=tuple(Fraction(x) for x in data["q"]),
         r=tuple(Fraction(x) for x in data["r"]),
+        unity_index=int(data.get("unity_index", 0)),
         name=data.get("name", ""),
         exp_truncation=tuple(trunc) if trunc else None)
 

@@ -12,6 +12,7 @@ closed (d log tau).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
@@ -19,8 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .exact.linalg import eigen_small, sort_spectrum
-from .frobenius import FrobeniusPotential, euler_multiplication_symbolic, \
-    metric_eta, structure_constants
+from .frobenius import FrobeniusPotential, structure_constants
 from .ode import IntegrationStats, integrate
 
 DEFAULT_COLLISION_MARGIN = 1e-6
@@ -34,27 +34,34 @@ class CoalescingEigenvaluesError(ArithmeticError):
 # pointwise data
 # ---------------------------------------------------------------------------
 
-def _structure_tensor_numeric(P: FrobeniusPotential, t: Sequence[complex]
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-    """(c_{ab}^g, c_{abg}) evaluated at t (raised index last on the first)."""
+def _numeric_tensors(P: FrobeniusPotential, t: Sequence[complex]
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c_{ab}^g, c_{abg}, eta) at t from one structure_constants call, the
+    raised index last on the first."""
     n = P.n
-    c_low, c_up, _, _ = structure_constants(P)
-    up = np.zeros((n, n, n), dtype=complex)
-    low = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                up[a, b, g] = c_up[a][b][g].eval_complex(t)
-                low[a, b, g] = c_low[a][b][g].eval_complex(t)
-    return up, low
+    c_sym, _, eta, eta_inv = structure_constants(P)
+    num = lambda m: np.array([[complex(m[a, b]) for b in range(n)]
+                              for a in range(n)])
+    c_low = np.empty((n, n, n), dtype=complex)
+    for a, b, g in itertools.combinations_with_replacement(range(n), 3):
+        val = c_sym[a][b][g].eval_complex(t)
+        for i, j, k in itertools.permutations((a, b, g)):
+            c_low[i, j, k] = val
+    c_up = np.einsum("ge,eab->abg", num(eta_inv), c_low)
+    return c_up, c_low, num(eta)
+
+
+def _euler_matrix(P: FrobeniusPotential, t: Sequence[complex],
+                  c_up: np.ndarray) -> np.ndarray:
+    """U^a_b = E^e(t) c_{eb}^a with E^e(t) = (1 - q_e) t_e + r_e."""
+    E = np.array([(1 - float(q)) * complex(x) + float(r)
+                  for q, r, x in zip(P.q, P.r, t)])
+    return np.einsum("e,eba->ab", E, c_up)
 
 
 def euler_multiplication(P: FrobeniusPotential, t: Sequence[complex]) -> np.ndarray:
     """U^a_b(t) = E^e(t) c_{e b}^a, numerically."""
-    n = P.n
-    U = euler_multiplication_symbolic(P)
-    return np.array([[U[a][b].eval_complex(t) for b in range(n)] for a in range(n)],
-                    dtype=complex)
+    return _euler_matrix(P, t, _numeric_tensors(P, t)[0])
 
 
 @dataclass
@@ -78,18 +85,14 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     tie at -pi/2 flipped.  Verifies Psi^T Psi = eta and the reconstruction
     c_{abg} = sum_i psi_{ia} psi_{ib} psi_{ig} / psi_{i1} within tol."""
     n = P.n
-    U = euler_multiplication(P, t)
-    lam, vecs = eigen_small(U, tol=tol)
-    u = sort_spectrum(lam)
+    c_up, c_low, eta = _numeric_tensors(P, t)
+    u, vecs = eigen_small(_euler_matrix(P, t, c_up), tol=tol)
     scale = max(1.0, max(abs(x) for x in u))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(u[i] - u[j]) <= collision_margin * scale:
                 raise CoalescingEigenvaluesError(
                     f"u_{i + 1} and u_{j + 1} within margin at this point")
-    c_up, c_low = _structure_tensor_numeric(P, t)
-    eta = np.array([[complex(metric_eta(P)[a, b]) for b in range(n)]
-                    for a in range(n)])
     rows = []
     for i in range(n):
         v = vecs[:, i]

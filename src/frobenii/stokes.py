@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from .exact.linalg import ExactMatrix, eigen_small, sort_spectrum
+from .exact.linalg import ExactMatrix, polynomial_roots, sort_spectrum
 from .exact.scalars import QuadScalar, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -328,13 +326,11 @@ def unipotency_charpoly(S: StokesMatrix) -> List[QuadScalar]:
     return M.charpoly()
 
 
-def unipotency_spectrum(S: StokesMatrix, tol: float = 1e-9) -> List[complex]:
-    """Eigenvalues of S^T S^{-1}: exact characteristic polynomial, numeric
-    roots."""
-    M = S.mat.transpose() @ S.mat.inverse()
-    num = np.array([[complex(M[i, j]) for j in range(S.n)] for i in range(S.n)])
-    lam, _ = eigen_small(num, tol=tol)
-    return sort_spectrum(lam)
+def unipotency_spectrum(S: StokesMatrix) -> List[complex]:
+    """Eigenvalues of S^T S^{-1}: numeric roots of the exact characteristic
+    polynomial, with exact multiplicities (S^T S^{-1} is often defective,
+    where an eigensolver is only accurate to about eps^(1/3))."""
+    return sort_spectrum(polynomial_roots(unipotency_charpoly(S)))
 
 
 def tensor(S1: StokesMatrix, S2: StokesMatrix) -> StokesMatrix:

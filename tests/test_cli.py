@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from frobenii.cli import main
@@ -106,6 +107,30 @@ def test_pvi_integrate(capsys):
                          "--s0", "3/4", "--s1", "9/10", "--tol", "1e-11")
     assert code == 0
     assert data["residuals"]["endpoint_error"] < 1e-6
+
+
+def test_pvi_integrate_step_underflow_is_an_error_report(capsys):
+    # the segment runs into a singular value of the A3 solution
+    code, data = run_cli(capsys, "pvi", "integrate", "A3",
+                         "--s0", "1/2", "--s1", "9/10")
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert "underflow" in data["error"]
+
+
+def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):
+    from frobenii.semisimple import IsoState, state_to_dict
+    W = np.arange(9.0).reshape(3, 3)
+    st = IsoState(u=[0j, 0j, 1 + 0j], V=W - W.T)
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps(state_to_dict(st)), encoding="utf-8")
+    ppath.write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]]),
+                     encoding="utf-8")
+    code, data = run_cli(capsys, "iso", "integrate", "--state", str(spath),
+                         "--path", str(ppath))
+    assert code == 2
+    assert data["status"] == "ERROR"
 
 
 def test_iso_integrate(capsys, tmp_path):

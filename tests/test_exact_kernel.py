@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from frobenii.exact import (
     DiscriminantMismatch, ExactMatrix, ExpPolynomial, GWSeries, QuadScalar,
     SingularMatrixError, eigen_small, exact_solve, parse_quad, poly_arith,
-    poly_diff,
+    poly_diff, sort_spectrum,
 )
+from frobenii.exact.linalg import polynomial_roots
 
 # ---------------------------------------------------------------------------
 # QuadScalar
@@ -247,3 +248,56 @@ def test_quartic_closed_form_against_numpy():
         lam, _ = eigen_small(M, tol=1e-8)
         ref = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(lam, ref)) < 1e-9
+
+
+def test_eigen_symmetric_triple_eigenvalue():
+    # Q diag(1,1,1,2,3) Q^T: a triple eigenvalue with a full eigenspace
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        M = Q @ np.diag([1.0, 1.0, 1.0, 2.0, 3.0]) @ Q.T
+        lam, vecs = eigen_small(M)
+        assert max(abs(a - b) for a, b in zip(lam, [1, 1, 1, 2, 3])) < 1e-12
+        assert np.linalg.norm(M @ vecs - vecs * np.array(lam)) < 1e-12
+
+
+def test_sort_spectrum_rounding_tie_orders_by_imag():
+    # real parts one ulp (2.2e-16) apart count as equal: order by Im
+    x = -1.5
+    upper, lower = complex(x, 2.6), complex(np.nextafter(x, 0), -2.6)
+    assert sort_spectrum([upper, lower]) == [lower, upper]
+    assert sort_spectrum([lower, upper]) == [lower, upper]
+    # a real gap well above rounding still decides
+    assert sort_spectrum([complex(x + 1e-9, -2.6), upper]) == [upper, complex(x + 1e-9, -2.6)]
+
+
+def test_eigen_small_uses_canonical_order():
+    # the CP2 pair 3 e^{+-2 pi i/3} has equal real parts in exact arithmetic
+    M = np.array([[0, 0, 3.0], [3.0, 0, 0], [0, 3.0, 0]], dtype=complex)
+    lam, vecs = eigen_small(M)
+    assert lam == sort_spectrum(lam)
+    assert lam[0].imag < 0 < lam[1].imag
+
+
+def test_polynomial_roots_exact_multiplicities():
+    # (x - 1)^3 (x + 2)^2 (x - sqrt2)^2 (x + sqrt2) over Q(sqrt 2)
+    r2 = QuadScalar(0, 1, 2)
+
+    def linear(root):
+        return [-QuadScalar.coerce(root), QuadScalar(1)]
+
+    def mul(p, q):
+        out = [QuadScalar(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    f = [QuadScalar(1)]
+    for root in [1, 1, 1, -2, -2, r2, r2, -r2]:
+        f = mul(f, linear(root))
+    roots = sort_spectrum(polynomial_roots(f))
+    s2 = np.sqrt(2)
+    want = [-2, -2, -s2, 1, 1, 1, s2, s2]
+    assert len(roots) == len(want)
+    assert max(abs(a - b) for a, b in zip(roots, want)) < 1e-14

@@ -133,6 +133,15 @@ def test_perturbed_a3_fails():
     assert rep.max_nonzero() > 0
 
 
+def test_quasihomogeneity_failure_reports_remainder():
+    from dataclasses import replace
+    P = catalog("A3")
+    Q = replace(P, F=P.F + ExpPolynomial.monomial(3, 1, (0, 0, 4)))
+    qrep, *_ = check_quasihomogeneity(Q)
+    assert not qrep.passed
+    assert qrep.residuals[(0,)] == ExpPolynomial.monomial(3, F(-1, 2), (0, 0, 4))
+
+
 def test_wrong_charge_fails_quasihomogeneity():
     P = catalog("A3")
     Q = FrobeniusPotential(3, P.F, F(1), (F(0), F(1, 2), F(1)), (F(0),) * 3)
@@ -388,6 +397,23 @@ def test_legendre_on_cubic():
     assert Q.unity_index == 1
     assert check_wdvv1(Q).passed
     assert metric_eta(Q) == metric_eta(P)
+
+
+def test_unity_index_survives_json_roundtrip():
+    t1, t2, t3 = (ExpPolynomial.variable(3, i) for i in range(3))
+    F_ = (t1 ** 3 + t2 ** 3 + t3 ** 3).scale(F(1, 6)) + t1 * t2 * t3
+    P = FrobeniusPotential(3, F_, F(0), (F(0), F(0), F(0)), (F(0),) * 3)
+    Q = apply_symmetry(P, "permutation_type1", kappa=1)
+    R = potential_from_json(potential_to_json(Q))
+    assert R.unity_index == Q.unity_index == 1
+    assert metric_eta(R) == metric_eta(Q)
+
+
+def test_potential_json_without_unity_index_defaults_to_first():
+    import json
+    data = json.loads(potential_to_json(catalog("A3")))
+    del data["unity_index"]
+    assert potential_from_json(json.dumps(data)).unity_index == 0
 
 
 # ---------------------------------------------------------------------------

@@ -247,3 +247,59 @@ def test_psi_orthogonality_across_catalog():
         fr = canonical_coordinates(P, t, tol=1e-8)
         assert np.abs(fr.Psi.T @ fr.Psi - fr.eta).max() < 1e-9
         assert fr.c_residual < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# numeric tensors against the exact oracle
+# ---------------------------------------------------------------------------
+
+def test_numeric_u_matches_symbolic_on_catalog():
+    from frobenii.frobenius import CATALOG_NAMES, euler_multiplication_symbolic
+    rng = np.random.default_rng(5)
+    for name in CATALOG_NAMES:
+        P = catalog(name)
+        U_sym = euler_multiplication_symbolic(P)
+        for _ in range(3):
+            t = list(0.5 * (rng.uniform(-1, 1, P.n) + 1j * rng.uniform(-1, 1, P.n)))
+            want = np.array([[U_sym[a][b].eval_complex(t) for b in range(P.n)]
+                             for a in range(P.n)])
+            got = euler_multiplication(P, t)
+            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max()), name
+
+
+def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
+    from frobenii import frobenius, semisimple
+    calls = {"structure_constants": 0, "metric_eta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(semisimple, "structure_constants",
+                        counted("structure_constants", semisimple.structure_constants))
+    monkeypatch.setattr(frobenius, "metric_eta",
+                        counted("metric_eta", frobenius.metric_eta))
+    canonical_coordinates(catalog("H4"), [1.1 + 0.3j, 0.5 - 0.7j, 0.9 + 0.9j, 1.3 - 0.4j])
+    assert calls == {"structure_constants": 1, "metric_eta": 1}
+
+
+@pytest.mark.parametrize("name, t", [
+    ("H3", [0.8878215328541739 - 0.27980493446782795j,
+            -0.510679808614733 + 0.39464668901116795j,
+            0.28156371900386157 - 0.8261677997044932j]),
+    ("H4", [-0.33110070941570235 + 0.5491159634985685j,
+            -0.5674546344021512 + 0.2440668600889746j,
+            -0.4475669602114465 - 0.7604389539213423j,
+            -0.4756310053677928 + 0.2519681024249185j]),
+    ("H4", [-0.46978083789761205 + 0.4397494565471709j,
+            0.9229574411742563 - 0.15574677071798182j,
+            -0.770624235884994 + 0.9072735539022676j,
+            -0.4840413392674796 + 0.4834871166643291j]),
+])
+def test_frame_checks_hold_where_the_charpoly_route_failed(name, t):
+    # generic points off the caustic: every frame check holds at its tol
+    fr = canonical_coordinates(catalog(name), t)
+    assert np.abs(fr.Psi.T @ fr.Psi - fr.eta).max() < 1e-9
+    assert fr.c_residual < 1e-9
