@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .scalars import QuadScalar, ScalarLike
+from .scalars import ONE, ZERO, QuadScalar, ScalarLike
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -58,7 +58,7 @@ class ExpPolynomial:
     @staticmethod
     def variable(nvars: int, i: int) -> "ExpPolynomial":
         pows = tuple(1 if j == i else 0 for j in range(nvars))
-        return ExpPolynomial(nvars, {(pows, (0,) * nvars): QuadScalar(1)})
+        return ExpPolynomial(nvars, {(pows, (0,) * nvars): ONE})
 
     @staticmethod
     def monomial(nvars: int, coeff: ScalarLike, pows: Sequence[int],
@@ -80,7 +80,7 @@ class ExpPolynomial:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, QuadScalar(0)) + c
+            s = out.get(k, ZERO) + c
             if s:
                 out[k] = s
             else:
@@ -109,7 +109,7 @@ class ExpPolynomial:
             for (p2, e2), c2 in other.terms.items():
                 key = (tuple(a + b for a, b in zip(p1, p2)),
                        tuple(a + b for a, b in zip(e1, e2)))
-                s = out.get(key, QuadScalar(0)) + c1 * c2
+                s = out.get(key, ZERO) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -156,14 +156,14 @@ class ExpPolynomial:
                 p2 = list(pows)
                 p2[var] -= 1
                 key = (tuple(p2), exps)
-                s = acc.get(key, QuadScalar(0)) + c * a
+                s = acc.get(key, ZERO) + c * a
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
             if k != 0:
                 key = (pows, exps)
-                s = acc.get(key, QuadScalar(0)) + c * k
+                s = acc.get(key, ZERO) + c * k
                 if s:
                     acc[key] = s
                 else:
@@ -181,7 +181,7 @@ class ExpPolynomial:
         acc: Dict[Key, QuadScalar] = {}
 
         def add(key: Key, c: QuadScalar):
-            s = acc.get(key, QuadScalar(0)) + c
+            s = acc.get(key, ZERO) + c
             if s:
                 acc[key] = s
             else:
@@ -231,7 +231,7 @@ class ExpPolynomial:
 
     def constant_term(self) -> QuadScalar:
         z = (0,) * self.nvars
-        return self.terms.get((z, z), QuadScalar(0))
+        return self.terms.get((z, z), ZERO)
 
     def has_exp(self) -> bool:
         return any(any(e) for (_, e) in self.terms)
@@ -255,7 +255,7 @@ class ExpPolynomial:
 
     def coefficient(self, pows: Sequence[int], exps: Sequence[int] | None = None) -> QuadScalar:
         exps = tuple(exps) if exps is not None else (0,) * self.nvars
-        return self.terms.get((tuple(pows), exps), QuadScalar(0))
+        return self.terms.get((tuple(pows), exps), ZERO)
 
     # -- evaluation and substitution ---------------------------------------
     def eval_complex(self, point: Sequence[complex]) -> complex:
@@ -278,7 +278,7 @@ class ExpPolynomial:
     def eval_exact(self, point: Sequence[ScalarLike]) -> QuadScalar:
         """Exact evaluation; exp factors must vanish (weight 0 or argument 0)."""
         pt = [QuadScalar.coerce(x) for x in point]
-        total = QuadScalar(0)
+        total = ZERO
         for (pows, exps), c in self.terms.items():
             for x, k in zip(pt, exps):
                 if k and x:

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import QuadScalar, ScalarLike
+from .scalars import ONE, ZERO, QuadScalar, ScalarLike
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -38,6 +38,14 @@ class ExactMatrix:
 
     # -- constructors ----------------------------------------------------
     @staticmethod
+    def _wrap(rows: List[Row]) -> "ExactMatrix":
+        """Matrix on rows of QuadScalars, taken as they are (no coercion)."""
+        M = object.__new__(ExactMatrix)
+        M.n = len(rows)
+        M.rows = rows
+        return M
+
+    @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -46,7 +54,7 @@ class ExactMatrix:
         return ExactMatrix([[0] * n for _ in range(n)])
 
     def copy(self) -> "ExactMatrix":
-        return ExactMatrix([list(r) for r in self.rows])
+        return ExactMatrix._wrap([list(r) for r in self.rows])
 
     def __getitem__(self, ij: Tuple[int, int]) -> QuadScalar:
         return self.rows[ij[0]][ij[1]]
@@ -56,23 +64,23 @@ class ExactMatrix:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return ExactMatrix._wrap([[a + b for a, b in zip(r1, r2)]
+                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return ExactMatrix._wrap([[a - b for a, b in zip(r1, r2)]
+                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self.rows])
+        return ExactMatrix._wrap([[-a for a in r] for r in self.rows])
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
         c = QuadScalar.coerce(c)
-        return ExactMatrix([[a * c for a in r] for r in self.rows])
+        return ExactMatrix._wrap([[a * c for a in r] for r in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         n = self.n
-        out = [[QuadScalar(0)] * n for _ in range(n)]
+        out = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             ri = self.rows[i]
             for k in range(n):
@@ -84,17 +92,17 @@ class ExactMatrix:
                 for j in range(n):
                     if rk[j]:
                         oi[j] = oi[j] + a * rk[j]
-        return ExactMatrix(out)
+        return ExactMatrix._wrap(out)
 
     def matvec(self, v: Sequence[ScalarLike]) -> List[QuadScalar]:
         vv = [QuadScalar.coerce(x) for x in v]
-        return [sum((a * x for a, x in zip(r, vv)), QuadScalar(0)) for r in self.rows]
+        return [sum((a * x for a, x in zip(r, vv)), ZERO) for r in self.rows]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return ExactMatrix._wrap([list(col) for col in zip(*self.rows)])
 
     def trace(self) -> QuadScalar:
-        return sum((self.rows[i][i] for i in range(self.n)), QuadScalar(0))
+        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -117,11 +125,11 @@ class ExactMatrix:
     def det(self) -> QuadScalar:
         n = self.n
         a = [list(r) for r in self.rows]
-        det = QuadScalar(1)
+        det = ONE
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
-                return QuadScalar(0)
+                return ZERO
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 det = -det
@@ -142,8 +150,8 @@ class ExactMatrix:
         """
         n = self.n
         M = ExactMatrix.zeros(n)
-        coeffs = [QuadScalar(0)] * (n + 1)
-        coeffs[n] = QuadScalar(1)
+        coeffs = [ZERO] * (n + 1)
+        coeffs[n] = ONE
         I = ExactMatrix.identity(n)
         for k in range(1, n + 1):
             M = self @ (M + I.scale(coeffs[n - k + 1]))
@@ -161,15 +169,14 @@ def _trim(p: Row) -> Row:
 
 
 def _poly_sub(p: Row, q: Row) -> Row:
-    zero = QuadScalar(0)
-    return _trim([(p[k] if k < len(p) else zero) - (q[k] if k < len(q) else zero)
+    return _trim([(p[k] if k < len(p) else ZERO) - (q[k] if k < len(q) else ZERO)
                   for k in range(max(len(p), len(q)))])
 
 
 def _poly_divmod(p: Row, d: Row) -> Tuple[Row, Row]:
     rem = list(p)
     inv = d[-1].inverse()
-    quo = [QuadScalar(0)] * max(len(p) - len(d) + 1, 0)
+    quo = [ZERO] * max(len(p) - len(d) + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
         f = rem[k + len(d) - 1] * inv
         quo[k] = f

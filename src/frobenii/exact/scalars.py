@@ -1,18 +1,32 @@
 """Exact scalars: rationals and elements of a real quadratic field Q(sqrt(m)).
 
 All exact coefficients in the package are either plain `fractions.Fraction`
-or :class:`QuadScalar` values a + b*sqrt(m) with a, b rational and m a
-square-free integer.  A QuadScalar with b == 0 is normalized to m == 1, so
-pure rationals always compare and hash consistently.  Values from different
-quadratic fields never mix: arithmetic between sqrt(2)- and sqrt(5)-valued
-scalars raises :class:`DiscriminantMismatch` instead of silently lifting to
-a composite field.
+or :class:`QuadScalar` values.  A QuadScalar stores (p + q*sqrt(m))/d as
+four Python ints p, q, d, m in a unique normal form:
+
+* d > 0 and gcd(p, q, d) == 1;
+* m is a square-free integer, and q == 0 forces m == 1, so pure rationals
+  always compare and hash consistently (and hash like the equal `Fraction`
+  or `int`).
+
+Ring operations run in integer arithmetic and skip the gcd when the
+denominator is 1, which is the case on the algebraic integers of Z[sqrt m]
+met by the braid action; elements of Z[(1+sqrt m)/2] carry d == 2.  Results
+are built by a private constructor without validation.  The public
+constructor ``QuadScalar(a, b, m)`` takes a rational a and b, checks that m is
+square-free and enforces the re-wrap rule.  ``a`` and ``b`` are read-only
+`Fraction` views of the rational and irrational parts.
+
+Values from different quadratic fields never mix: arithmetic between
+sqrt(2)- and sqrt(5)-valued scalars raises :class:`DiscriminantMismatch`
+instead of silently lifting to a composite field.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rational = Fraction
@@ -37,18 +51,17 @@ def _square_free(m: int) -> bool:
 
 
 class QuadScalar:
-    """a + b*sqrt(m) with a, b in Q and m a square-free integer.
+    """(p + q*sqrt(m))/d with integers p, q, d > 0, gcd(p, q, d) == 1 and m a
+    square-free integer; m == 1 encodes a pure rational (q is then 0)."""
 
-    m == 1 encodes a pure rational (b is forced to 0).
-    """
-
-    __slots__ = ("a", "b", "m")
+    __slots__ = ("p", "q", "d", "m")
 
     def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0, m: int = 1):
         if isinstance(a, QuadScalar):
             if b != 0 or (m != 1 and m != a.m):
                 raise ValueError("cannot re-wrap a QuadScalar with extra parts")
-            a, b, m = a.a, a.b, a.m
+            self.p, self.q, self.d, self.m = a.p, a.q, a.d, a.m
+            return
         a = Fraction(a)
         b = Fraction(b)
         m = int(m)
@@ -56,62 +69,105 @@ class QuadScalar:
             m = 1
         elif m == 1:
             a, b = a + b, Fraction(0)
-            m = 1
         if not _square_free(m):
             raise ValueError(f"discriminant {m} is not square-free")
-        self.a, self.b, self.m = a, b, m
+        # over the lcm of the two denominators gcd(p, q, d) is already 1
+        d = lcm(a.denominator, b.denominator)
+        self.p = a.numerator * (d // a.denominator)
+        self.q = b.numerator * (d // b.denominator)
+        self.d = d
+        self.m = m
 
     # -- helpers -------------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        """Rational part p/d."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient q/d of sqrt(m)."""
+        return Fraction(self.q, self.d)
+
     @staticmethod
     def coerce(x: ScalarLike) -> "QuadScalar":
-        if isinstance(x, QuadScalar):
+        t = type(x)
+        if t is QuadScalar:
             return x
-        return QuadScalar(Fraction(x))
+        if t is int:
+            return _make(x, 0, 1, 1)
+        if t is Fraction:
+            return _make(x.numerator, 0, x.denominator, 1)
+        return QuadScalar(x)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def _join(self, other: "QuadScalar") -> int:
         """Common discriminant, or raise."""
         if self.m == other.m:
             return self.m
-        if self.is_rational():
+        if self.q == 0:
             return other.m
-        if other.is_rational():
+        if other.q == 0:
             return self.m
         raise DiscriminantMismatch(f"sqrt({self.m}) vs sqrt({other.m})")
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other):
-        other = QuadScalar.coerce(other)
-        m = self._join(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, m)
+        if type(other) is not QuadScalar:
+            other = QuadScalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        d, od = self.d, other.d
+        if d == od:
+            p, q = self.p + other.p, self.q + other.q
+            if d == 1:
+                return _make(p, q, 1, m if q else 1)
+        else:
+            p, q, d = self.p * od + other.p * d, self.q * od + other.q * d, d * od
+        return _norm(p, q, d, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.m)
+        return _make(-self.p, -self.q, self.d, self.m)
 
     def __sub__(self, other):
-        return self + (-QuadScalar.coerce(other))
+        if type(other) is not QuadScalar:
+            other = QuadScalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        d, od = self.d, other.d
+        if d == od:
+            p, q = self.p - other.p, self.q - other.q
+            if d == 1:
+                return _make(p, q, 1, m if q else 1)
+        else:
+            p, q, d = self.p * od - other.p * d, self.q * od - other.q * d, d * od
+        return _norm(p, q, d, m)
 
     def __rsub__(self, other):
-        return QuadScalar.coerce(other) + (-self)
+        return QuadScalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = QuadScalar.coerce(other)
-        m = self._join(other)
-        a = self.a * other.a + self.b * other.b * m
-        b = self.a * other.b + self.b * other.a
-        return QuadScalar(a, b, m)
+        if type(other) is not QuadScalar:
+            other = QuadScalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        sp, sq, op, oq = self.p, self.q, other.p, other.q
+        p = sp * op + sq * oq * m
+        q = sp * oq + sq * op
+        d = self.d * other.d
+        if d == 1:
+            return _make(p, q, 1, m if q else 1)
+        return _norm(p, q, d, m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadScalar":
-        n = self.a * self.a - self.b * self.b * self.m
+        p, q, d, m = self.p, self.q, self.d, self.m
+        n = p * p - q * q * m
         if n == 0:
             raise ZeroDivisionError("QuadScalar is zero or a zero divisor")
-        return QuadScalar(self.a / n, -self.b / n, self.m)
+        return _norm(d * p, -d * q, n, m)
 
     def __truediv__(self, other):
         return self * QuadScalar.coerce(other).inverse()
@@ -122,7 +178,7 @@ class QuadScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadScalar(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -133,51 +189,80 @@ class QuadScalar:
 
     # -- predicates ------------------------------------------------------
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     def __eq__(self, other):
-        try:
-            other = QuadScalar.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if self.is_rational() and other.is_rational():
-            return self.a == other.a
-        return self.a == other.a and self.b == other.b and self.m == other.m
+        if type(other) is not QuadScalar:
+            try:
+                other = QuadScalar.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return (self.p == other.p and self.q == other.q and self.d == other.d
+                and self.m == other.m)
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
+        if self.q == 0:
+            return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        return hash((self.p, self.q, self.d, self.m))
 
     def lex_nonneg(self) -> bool:
         """(a, b) >= (0, 0) lexicographically; sign-quotient normal forms use this."""
-        if self.a != 0:
-            return self.a > 0
-        return self.b >= 0
+        if self.p:
+            return self.p > 0
+        return self.q >= 0
 
     # -- conversions -----------------------------------------------------
     def __float__(self):
         if self.m < 0:
             raise ValueError("negative discriminant has no real value")
-        return float(self.a) + float(self.b) * float(abs(self.m)) ** 0.5
+        return self.p / self.d + (self.q / self.d) * float(self.m) ** 0.5
 
     def __complex__(self):
+        if self.q == 0:
+            return complex(self.p / self.d)
         root = complex(abs(self.m)) ** 0.5
         if self.m < 0:
             root = root * 1j
-        return complex(self.a) + complex(self.b) * root
+        return complex(self.p / self.d) + complex(self.q / self.d) * root
 
     def __repr__(self):
         return f"QuadScalar({self})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        s = "" if self.a == 0 else str(self.a)
-        bpart = f"{self.b}√{self.m}"
-        if self.b > 0 and s:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        s = "" if a == 0 else str(a)
+        bpart = f"{b}√{self.m}"
+        if b > 0 and s:
             return f"{s}+{bpart}"
         return f"{s}{bpart}"
+
+
+_new = object.__new__
+
+
+def _make(p: int, q: int, d: int, m: int) -> QuadScalar:
+    """QuadScalar from fields already in normal form (no checks)."""
+    x = _new(QuadScalar)
+    x.p = p
+    x.q = q
+    x.d = d
+    x.m = m
+    return x
+
+
+def _norm(p: int, q: int, d: int, m: int) -> QuadScalar:
+    """QuadScalar (p + q*sqrt(m))/d, d != 0, brought to normal form."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    if q == 0:
+        m = 1
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    return _make(p, q, d, m)
 
 
 _ROOT_RE = re.compile(r"(?:√|sqrt)\s*\(?\s*(-?\d+)\s*\)?\s*$")
@@ -207,5 +292,5 @@ def parse_quad(text: str) -> QuadScalar:
     return QuadScalar(a, b, m)
 
 
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
+ZERO = _make(0, 0, 1, 1)
+ONE = _make(1, 0, 1, 1)

@@ -30,6 +30,19 @@ class CoalescingEigenvaluesError(ArithmeticError):
     pass
 
 
+class IllConditionedFrameError(ArithmeticError):
+    """A frame check (Psi^T Psi = eta or the c reconstruction) missed its
+    tolerance; the message and attributes give the smallest gap |u_i - u_j|
+    and the condition number of the eigenvectors, which bound how well
+    double precision can resolve the frame there."""
+
+    def __init__(self, message: str, gap: float, condition: float):
+        super().__init__(f"{message} (smallest gap |u_i - u_j| = {gap:.3e}, "
+                         f"eigenvector condition number {condition:.3g})")
+        self.gap = gap
+        self.condition = condition
+
+
 # ---------------------------------------------------------------------------
 # pointwise data
 # ---------------------------------------------------------------------------
@@ -62,6 +75,13 @@ def _euler_matrix(P: FrobeniusPotential, t: Sequence[complex],
 def euler_multiplication(P: FrobeniusPotential, t: Sequence[complex]) -> np.ndarray:
     """U^a_b(t) = E^e(t) c_{e b}^a, numerically."""
     return _euler_matrix(P, t, _numeric_tensors(P, t)[0])
+
+
+def _ill_conditioned(message: str, u: Sequence[complex],
+                     vecs: np.ndarray) -> IllConditionedFrameError:
+    gap = min((abs(x - y) for x, y in itertools.combinations(u, 2)),
+              default=float("inf"))
+    return IllConditionedFrameError(message, gap, float(np.linalg.cond(vecs)))
 
 
 @dataclass
@@ -118,13 +138,13 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     Psi = np.array(rows)
     ortho = np.abs(Psi.T @ Psi - eta).max()
     if ortho > tol * max(1.0, np.abs(eta).max()):
-        raise ArithmeticError(f"Psi^T Psi differs from eta by {ortho:.3e}")
+        raise _ill_conditioned(f"Psi^T Psi differs from eta by {ortho:.3e}", u, vecs)
     # c reconstruction (3.17): c_{abg} = sum_i psi_ia psi_ib psi_ig / psi_i1
     crec = np.einsum("ia,ib,ig,i->abg", Psi, Psi, Psi,
                      1.0 / Psi[:, P.unity_index])
     cres = float(np.abs(crec - c_low).max())
     if cres > tol * max(1.0, float(np.abs(c_low).max())):
-        raise ArithmeticError(f"c reconstruction residual {cres:.3e}")
+        raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", u, vecs)
     return CanonicalFrame(u=u, Psi=Psi, mu=P.mu(), eta=eta, c_residual=cres)
 
 

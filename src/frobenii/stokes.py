@@ -12,14 +12,31 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import ExactMatrix, polynomial_roots, sort_spectrum
-from .exact.scalars import QuadScalar, parse_quad
+from .exact.scalars import ONE, ZERO, QuadScalar, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
+
+Upper = Sequence[QuadScalar]   # upper entries s_ij, i < j, row-major
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def _key(upper: Upper) -> Tuple[int, ...]:
+    """The integer fields (p, q, d, m) of every entry, flattened."""
+    out: List[int] = []
+    for c in upper:
+        out += (c.p, c.q, c.d, c.m)
+    return tuple(out)
 
 
 class StokesMatrix:
@@ -34,7 +51,7 @@ class StokesMatrix:
             mat = ExactMatrix(entries)
         self.n = mat.n
         for i in range(self.n):
-            if mat[i, i] != QuadScalar(1):
+            if mat[i, i] != ONE:
                 raise ValueError("diagonal entries must equal 1")
             for j in range(i):
                 if mat[i, j]:
@@ -42,9 +59,20 @@ class StokesMatrix:
         self.mat = mat
 
     @staticmethod
+    def _from_flat(n: int, upper: Upper) -> "StokesMatrix":
+        """From row-major upper entries (QuadScalars), without checks."""
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(_upper_pairs(n), upper):
+            rows[i][j] = v
+        S = object.__new__(StokesMatrix)
+        S.n = n
+        S.mat = ExactMatrix._wrap(rows)
+        return S
+
+    @staticmethod
     def from_upper(n: int, upper: Dict[Tuple[int, int], QuadScalar | Fraction | int]
                    ) -> "StokesMatrix":
-        rows = [[QuadScalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         for (i, j), v in upper.items():
             if not i < j:
                 raise ValueError("upper entries need i < j")
@@ -61,6 +89,11 @@ class StokesMatrix:
             raise ValueError("triple() needs n = 3")
         return self.mat[0, 1], self.mat[0, 2], self.mat[1, 2]
 
+    def upper(self) -> Tuple[QuadScalar, ...]:
+        """The entries above the diagonal, row-major."""
+        rows = self.mat.rows
+        return tuple(rows[i][j] for i, j in _upper_pairs(self.n))
+
     def __getitem__(self, ij):
         return self.mat[ij]
 
@@ -70,13 +103,9 @@ class StokesMatrix:
     def __hash__(self):
         return hash(self.key())
 
-    def key(self) -> Tuple:
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                c = self.mat[i, j]
-                out.append((c.a, c.b, c.m))
-        return tuple(out)
+    def key(self) -> Tuple[int, ...]:
+        """Flat tuple of ints (p, q, d, m) of each upper entry, row-major."""
+        return _key(self.upper())
 
     def __repr__(self):
         return f"StokesMatrix({self.mat!r})"
@@ -104,36 +133,46 @@ class BraidWord:
         return BraidWord(tuple(int(tok) for tok in text.replace(",", " ").split()))
 
 
-def _elementary(S: StokesMatrix, i: int) -> ExactMatrix:
-    """K^{(i)}(S): identity outside the (i, i+1) block [[0, 1], [1, -s]]."""
-    n = S.n
-    K = ExactMatrix.identity(n)
-    s = S.mat[i, i + 1]
-    K[i, i] = 0
-    K[i, i + 1] = 1
-    K[i + 1, i] = 1
-    K[i + 1, i + 1] = -s
-    return K
+@lru_cache(maxsize=None)
+def _block_plan(n: int, letter: int):
+    """Where S -> K S K changes the row-major upper entries of S.
+
+    K is the identity outside the (i, i+1) block, which is [[0, 1], [1, -s]]
+    for sigma_i and [[-s, 1], [1, 0]] for its inverse, s = S[i, i+1].  Only
+    rows i, i+1 right of the block and columns i, i+1 above it change: the
+    block entry becomes -s, each `moves` pair (dst, src) copies entry src
+    and each `updates` triple (dst, x, y) becomes entry x - s * entry y."""
+    i = abs(letter) - 1
+    if not 0 <= i < n - 1:
+        raise ValueError(f"generator {letter} out of range for n = {n}")
+    at = {ij: k for k, ij in enumerate(_upper_pairs(n))}
+    moves, updates = [], []
+    # (entry in row/column i, its partner in row/column i+1)
+    for u, v in ([((i, b), (i + 1, b)) for b in range(i + 2, n)]
+                 + [((a, i), (a, i + 1)) for a in range(i)]):
+        if letter < 0:
+            u, v = v, u
+        moves.append((at[u], at[v]))
+        updates.append((at[v], at[u], at[v]))
+    return at[(i, i + 1)], tuple(moves), tuple(updates)
 
 
-def _elementary_inv(S: StokesMatrix, i: int) -> ExactMatrix:
-    """Ktilde for the inverse generator: block [[-s, 1], [1, 0]]."""
-    n = S.n
-    K = ExactMatrix.identity(n)
-    s = S.mat[i, i + 1]
-    K[i, i] = -s
-    K[i, i + 1] = 1
-    K[i + 1, i] = 1
-    K[i + 1, i + 1] = 0
-    return K
+def _block_step(t: Upper, plan) -> List[QuadScalar]:
+    """Apply a `_block_plan` to flat upper entries."""
+    s_at, moves, updates = plan
+    s = t[s_at]
+    out = list(t)
+    out[s_at] = -s
+    for dst, src in moves:
+        out[dst] = t[src]
+    for dst, x, y in updates:
+        out[dst] = t[x] - s * t[y]
+    return out
 
 
 def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
-    i = abs(letter) - 1
-    if not 0 <= i < S.n - 1:
-        raise ValueError(f"generator {letter} out of range for n = {S.n}")
-    K = _elementary(S, i) if letter > 0 else _elementary_inv(S, i)
-    return StokesMatrix(K @ S.mat @ K)
+    """K S K for sigma_letter (a negative letter is the inverse)."""
+    return StokesMatrix._from_flat(S.n, _block_step(S.upper(), _block_plan(S.n, letter)))
 
 
 def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> StokesMatrix:
@@ -146,39 +185,34 @@ def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> Stoke
     return out
 
 
-def _greedy_signs(n: int, entries: Dict[Tuple[int, int], QuadScalar]) -> List[int]:
-    """Sign vector of the row-major greedy normalization (eps of the first
-    touched index of each component is +1; each first adjustable nonzero
-    entry is made lex-nonnegative)."""
-    eps: List[Optional[int]] = [None] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = entries.get((i, j))
-            if not v:
-                continue
-            if eps[i] is None and eps[j] is None:
-                eps[i] = 1
-                eps[j] = 1 if v.lex_nonneg() else -1
-            elif eps[j] is None:
-                w = v if eps[i] == 1 else -v
-                eps[j] = 1 if w.lex_nonneg() else -1
-            elif eps[i] is None:
-                w = v if eps[j] == 1 else -v
-                eps[i] = 1 if w.lex_nonneg() else -1
-            # both fixed: the entry is no longer adjustable
-    return [1 if e is None else e for e in eps]
+def _canonical_upper(n: int, upper: Upper) -> Tuple[QuadScalar, ...]:
+    """Row-major greedy sign normalization of the upper entries: the first
+    touched index of each component gets eps = +1, and each first
+    sign-adjustable nonzero entry is made lex-nonnegative by eps_j."""
+    eps = [0] * n
+    for (i, j), v in zip(_upper_pairs(n), upper):
+        if not v:
+            continue
+        ei, ej = eps[i], eps[j]
+        if ei and ej:
+            continue        # both fixed: the entry is no longer adjustable
+        if not ei and not ej:
+            eps[i] = ei = 1
+        if ei:
+            eps[j] = ei if v.lex_nonneg() else -ei
+        else:
+            eps[i] = ej if v.lex_nonneg() else -ej
+    if -1 not in eps:
+        return tuple(upper)
+    return tuple([-v if eps[i] * eps[j] < 0 else v
+                  for (i, j), v in zip(_upper_pairs(n), upper)])
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
     """Representative of {J S J : J = diag(+-1)}: scanning the upper entries
     row-major, greedily pick signs eps_j so each first sign-adjustable
     nonzero entry becomes lex-nonnegative."""
-    n = S.n
-    entries = {(i, j): S.mat[i, j] for i in range(n) for j in range(i + 1, n)}
-    signs = _greedy_signs(n, entries)
-    rows = [[S.mat[i, j] * (signs[i] * signs[j]) if j > i else S.mat[i, j]
-             for j in range(n)] for i in range(n)]
-    return StokesMatrix(rows)
+    return StokesMatrix._from_flat(S.n, _canonical_upper(S.n, S.upper()))
 
 
 @dataclass
@@ -187,11 +221,15 @@ class OrbitResult:
     size: int
     representatives: List[StokesMatrix]
     frontier: int = 0
+    levels: List[int] = field(default_factory=list)   # nodes first reached per BFS level
+    max_bits: Dict[str, int] = field(default_factory=dict)   # of |p|, |q|, d seen
+    elapsed_s: float = 0.0
 
 
-def _triple_step(x, y, z, letter: int):
+def _triple_step(t: Upper, letter: int):
     """Closed-form n = 3 braid action on (s12, s13, s23); agrees with the
-    matrix route (tested against it)."""
+    block update (tested against it)."""
+    x, y, z = t
     if letter == 1:
         return -x, z, y - x * z
     if letter == 2:
@@ -203,72 +241,59 @@ def _triple_step(x, y, z, letter: int):
     raise ValueError("n = 3 letters are +-1, +-2")
 
 
-def _canonical_triple(x, y, z):
-    signs = _greedy_signs(3, {(0, 1): x, (0, 2): y, (1, 2): z})
-    return (x * (signs[0] * signs[1]), y * (signs[0] * signs[2]),
-            z * (signs[1] * signs[2]))
-
-
 def orbit(S: StokesMatrix, max_size: int | None = None,
           keep_representatives: int = 16) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
-    For n = 3 the closed-form triple action is used for speed; it is the
-    same action as the elementary-matrix route."""
+    Nodes are flat tuples of the upper entries, deduplicated on their
+    integer key.  n = 3 steps by the closed form `_triple_step`, which beats
+    the generic block update there; other n by `_block_step`."""
     if max_size is None:
         max_size = int(os.environ.get("FROBENII_MAX_ORBIT", DEFAULT_ORBIT_CAP))
-    if S.n == 3:
-        return _orbit_triples(S, max_size, keep_representatives)
-    start = canonical_form(S)
-    seen: Set[Tuple] = {start.key()}
+    t0 = time.perf_counter()
+    n = S.n
+    letters = [g * e for g in range(1, n) for e in (1, -1)]
+    if n == 3:
+        steps = [(_triple_step, letter) for letter in letters]
+    else:
+        steps = [(_block_step, _block_plan(n, letter)) for letter in letters]
+    start = _canonical_upper(n, S.upper())
+    k0 = _key(start)
+    seen = {k0}
     keep = [start]
     frontier = [start]
-    gens = [i for i in range(1, S.n)]
+    levels = [1]
+    top = [max(map(abs, k0[f::4]), default=0) for f in range(3)]   # |p|, |q|, d
+
+    def result(finite: bool, frontier_size: int = 0) -> OrbitResult:
+        reps = [StokesMatrix._from_flat(n, t) for t in keep]
+        return OrbitResult(finite, len(seen), reps, frontier_size, levels,
+                           dict(zip("pqd", (v.bit_length() for v in top))),
+                           time.perf_counter() - t0)
+
     while frontier:
         nxt = []
-        for M in frontier:
-            for g in gens:
-                for letter in (g, -g):
-                    img = canonical_form(braid_generator(M, letter))
-                    k = img.key()
-                    if k not in seen:
-                        seen.add(k)
-                        if len(keep) < keep_representatives:
-                            keep.append(img)
-                        nxt.append(img)
-                        if len(seen) > max_size:
-                            return OrbitResult(finite=False, size=len(seen),
-                                               representatives=keep,
-                                               frontier=len(nxt))
+        for t in frontier:
+            for step, arg in steps:
+                img = _canonical_upper(n, step(t, arg))
+                k = _key(img)
+                if k in seen:
+                    continue
+                seen.add(k)
+                for f in range(3):
+                    v = max(map(abs, k[f::4]))
+                    if v > top[f]:
+                        top[f] = v
+                if len(keep) < keep_representatives:
+                    keep.append(img)
+                nxt.append(img)
+                if len(seen) > max_size:
+                    levels.append(len(nxt))
+                    return result(False, len(nxt))
+        if nxt:
+            levels.append(len(nxt))
         frontier = nxt
-    return OrbitResult(finite=True, size=len(seen), representatives=keep)
-
-
-def _orbit_triples(S: StokesMatrix, max_size: int, keep_representatives: int
-                   ) -> OrbitResult:
-    x0, y0, z0 = (canonical_form(S)).triple()
-    start = (x0, y0, z0)
-    seen = {start}
-    keep = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for trip in frontier:
-            for letter in (1, -1, 2, -2):
-                img = _canonical_triple(*_triple_step(*trip, letter))
-                if img not in seen:
-                    seen.add(img)
-                    if len(keep) < keep_representatives:
-                        keep.append(img)
-                    nxt.append(img)
-                    if len(seen) > max_size:
-                        reps = [StokesMatrix.from_triple(*t) for t in keep]
-                        return OrbitResult(finite=False, size=len(seen),
-                                           representatives=reps,
-                                           frontier=len(nxt))
-        frontier = nxt
-    reps = [StokesMatrix.from_triple(*t) for t in keep]
-    return OrbitResult(finite=True, size=len(seen), representatives=reps)
+    return result(True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +313,9 @@ def is_markoff_times3(x, y, z) -> bool:
     vals = []
     for v in (x, y, z):
         v = QuadScalar.coerce(v)
-        if not v.is_rational() or v.a.denominator != 1 or v.a % 3 != 0:
+        if v.q or v.d != 1 or v.p % 3:
             return False
-        vals.append(int(v.a) // 3)
+        vals.append(v.p // 3)
     x1, y1, z1 = vals
     return x1 * x1 + y1 * y1 + z1 * z1 == 3 * x1 * y1 * z1
 
@@ -527,4 +552,6 @@ def orbit_report(result: OrbitResult, cap: int) -> dict:
         out["visited"] = result.size
         out["frontier"] = result.frontier
     out["representatives"] = [stokes_to_dict(S) for S in result.representatives[:8]]
+    out["metrics"] = {"bfs_s": result.elapsed_s, "levels": result.levels,
+                      "max_bits": result.max_bits}
     return out

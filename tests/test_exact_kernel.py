@@ -52,6 +52,141 @@ def test_lex_nonneg_tie_break():
     assert QuadScalar(0).lex_nonneg()
 
 
+# Reference model: (a, b, m) with Fraction a, b stands for a + b*sqrt(m);
+# m == 1 carries b == 0.
+
+def _ref_mul(x, y):
+    (a1, b1, m), (a2, b2, _) = x, y
+    return a1 * a2 + b1 * b2 * m, a1 * b2 + a2 * b1, m
+
+
+def _ref_inverse(x):
+    a, b, m = x
+    n = a * a - b * b * m
+    return a / n, -b / n, m
+
+
+def _ref_pow(x, k):
+    out = (F(1), F(0), x[2])
+    for _ in range(abs(k)):
+        out = _ref_mul(out, x)
+    return _ref_inverse(out) if k < 0 else out
+
+
+def _matches(q, ref):
+    a, b, m = ref
+    return q.a == a and q.b == b and q.m == (m if b else 1)
+
+
+_small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def quad_pairs(draw):
+    """Two values of one field Q, Q(sqrt 2) or Q(sqrt 5), with their models."""
+    m = draw(st.sampled_from([1, 2, 5]))
+    out = []
+    for _ in range(2):
+        a = draw(_small_fractions)
+        b = F(0) if m == 1 else draw(_small_fractions)
+        out.append((QuadScalar(a, b, m), (a, b, m)))
+    return out
+
+
+def _normal_form(q):
+    from math import gcd
+    return q.d > 0 and gcd(q.p, q.q, q.d) == 1 and (q.q != 0 or q.m == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quad_pairs(), st.integers(-4, 4))
+def test_quad_ring_ops_match_fraction_model(pair, k):
+    (x, rx), (y, ry) = pair
+    m = rx[2]
+    results = [
+        (x + y, (rx[0] + ry[0], rx[1] + ry[1], m)),
+        (x - y, (rx[0] - ry[0], rx[1] - ry[1], m)),
+        (x * y, _ref_mul(rx, ry)),
+        (-x, (-rx[0], -rx[1], m)),
+        (x + 3, (rx[0] + 3, rx[1], m)),
+        (F(1, 3) - x, (F(1, 3) - rx[0], -rx[1], m)),
+    ]
+    if x:
+        results += [(x.inverse(), _ref_inverse(rx)), (x ** k, _ref_pow(rx, k)),
+                    (y / x, _ref_mul(ry, _ref_inverse(rx)))]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    for q, ref in results:
+        assert _matches(q, ref)
+        assert _normal_form(q)
+        assert parse_quad(str(q)) == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_fractions, _small_fractions, st.sampled_from([1, 2, 5]))
+def test_quad_normal_form_is_unique(a, b, m):
+    q = QuadScalar(a, b, m)
+    assert _normal_form(q)
+    assert (q.a, q.b) == ((a, b) if m != 1 else (a + b, 0))
+    # the same value reached through arithmetic has the same fields
+    r = QuadScalar(a) + QuadScalar(0, b, m) if m != 1 else QuadScalar(a + b)
+    assert (r.p, r.q, r.d, r.m) == (q.p, q.q, q.d, q.m)
+    assert q == r and hash(q) == hash(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=1000), _small_fractions, _small_fractions)
+def test_quad_rational_hash_and_eq_agree_with_fraction(r, a, b):
+    assert QuadScalar(r) == r and hash(QuadScalar(r)) == hash(r)
+    if r.denominator == 1:
+        assert QuadScalar(r) == int(r) and hash(QuadScalar(r)) == hash(int(r))
+    # a rational reached from Q(sqrt 5) (a norm) hashes like its Fraction
+    x = QuadScalar(a, b, 5)
+    conj = QuadScalar(a, -b, 5)
+    norm = x * conj
+    assert norm.is_rational() and norm.m == 1
+    assert norm == a * a - 5 * b * b and hash(norm) == hash(a * a - 5 * b * b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_fractions, _small_fractions, st.sampled_from([1, 2, 5]))
+def test_quad_lex_nonneg_matches_model(a, b, m):
+    q = QuadScalar(a, b, m)
+    assert q.lex_nonneg() == ((q.a, q.b) >= (0, 0))
+    if q:
+        assert (-q).lex_nonneg() != q.lex_nonneg()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_fractions, st.fractions(min_value=-6, max_value=6, max_denominator=6)
+       .filter(bool), _small_fractions, st.fractions(min_value=-6, max_value=6,
+                                                       max_denominator=6).filter(bool))
+def test_quad_discriminant_mismatch_sqrt2_sqrt5(a2, b2, a5, b5):
+    x, y = QuadScalar(a2, b2, 2), QuadScalar(a5, b5, 5)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u / v):
+        with pytest.raises(DiscriminantMismatch):
+            op(x, y)
+        with pytest.raises(DiscriminantMismatch):
+            op(y, x)
+    # a rational of either field mixes with both
+    assert (x * QuadScalar(b5)).m == 2 and (y + QuadScalar(a2)).m == 5
+
+
+def test_quad_public_constructor_keeps_its_checks():
+    for m in (0, 4, 8, 12, -4, 18):
+        with pytest.raises(ValueError, match="square-free"):
+            QuadScalar(1, 1, m)
+    with pytest.raises(ValueError, match="re-wrap"):
+        QuadScalar(QuadScalar(0, 1, 2), 1)
+    with pytest.raises(ValueError, match="re-wrap"):
+        QuadScalar(QuadScalar(0, 1, 2), 0, 5)
+    assert QuadScalar(QuadScalar(0, 1, 2), 0, 2) == QuadScalar(0, 1, 2)
+    assert QuadScalar(3, 2, 1) == 5 and QuadScalar(1, 0, 4) == 1
+    assert QuadScalar.coerce(F(6, 4)).d == 2 and QuadScalar.coerce(7) == 7
+
+
 # ---------------------------------------------------------------------------
 # ExpPolynomial
 # ---------------------------------------------------------------------------

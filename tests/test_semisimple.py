@@ -9,7 +9,8 @@ import pytest
 from frobenii.frobenius import catalog
 from frobenii.gwcp2 import truncated_potential
 from frobenii.semisimple import (
-    CoalescingEigenvaluesError, IsoState, canonical_coordinates,
+    CoalescingEigenvaluesError, IllConditionedFrameError, IsoState,
+    canonical_coordinates,
     euler_multiplication, hamiltonians, integrate_isomonodromic,
     poisson_commutation_check, state_from_dict, state_to_dict, tau_increment,
     v_components, v_matrices,
@@ -303,3 +304,27 @@ def test_frame_checks_hold_where_the_charpoly_route_failed(name, t):
     fr = canonical_coordinates(catalog(name), t)
     assert np.abs(fr.Psi.T @ fr.Psi - fr.eta).max() < 1e-9
     assert fr.c_residual < 1e-9
+
+
+@pytest.mark.parametrize("t", [
+    # near-caustic H4 points of the chart benchmark, seeds 6 and 16
+    [0.1301896791032322 + 0.3575601806387261j,
+     -0.6846975361843186 + 0.6246103523465698j,
+     0.9831340019546919 - 0.012512860128303549j,
+     0.1844394896514474 - 0.5040027283037205j],
+    [0.3058779534451075 + 0.03630228617827713j,
+     -0.0006823445513182147 + 0.1522417294197531j,
+     -0.19813823315644763 - 0.10647764089711287j,
+     0.24828725119206285 - 0.05925292937463955j],
+])
+def test_ill_conditioned_frame_is_a_typed_error(t):
+    # the gaps clear the collision margin, yet Psi^T Psi misses eta by more
+    # than the absolute 1e-9: the error says how ill-conditioned the frame is
+    with pytest.raises(IllConditionedFrameError) as info:
+        canonical_coordinates(catalog("H4"), t)
+    err = info.value
+    assert isinstance(err, ArithmeticError)
+    assert not isinstance(err, CoalescingEigenvaluesError)
+    assert 1e-6 < err.gap < 1e-3
+    assert err.condition > 100
+    assert "smallest gap" in str(err) and "condition number" in str(err)

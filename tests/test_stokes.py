@@ -11,7 +11,7 @@ from frobenii.exact import ExactMatrix, QuadScalar
 from frobenii.stokes import (
     BraidWord, StokesMatrix, braid_apply, braid_generator, canonical_form,
     coxeter_stokes, cp2_modular_check, gram_and_reflections, is_markoff_times3,
-    is_reducible, markoff_form, orbit, stokes_catalog, stokes_from_json,
+    is_reducible, markoff_form, orbit, orbit_report, stokes_catalog, stokes_from_json,
     stokes_to_json, tensor, unipotency_charpoly, unipotency_spectrum,
 )
 
@@ -48,6 +48,41 @@ def test_matrix_route_matches_n3_closed_form():
         assert s1 == (-x, z, y - x * z)
         s2 = braid_generator(S, 2).triple()
         assert s2 == (y, x - y * z, -z)
+
+
+def _kSk(S, letter):
+    """The full product K S K of sigma_letter, K the elementary matrix."""
+    i = abs(letter) - 1
+    s = S.mat[i, i + 1]
+    K = ExactMatrix.identity(S.n)
+    block = [[0, 1], [1, -s]] if letter > 0 else [[-s, 1], [1, 0]]
+    for a in range(2):
+        for b in range(2):
+            K[i + a, i + b] = block[a][b]
+    return K @ S.mat @ K
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z[sqrt2]", "Z[phi]"])
+def test_block_update_matches_full_product(ring):
+    rng = random.Random(11)
+    rt2 = QuadScalar(0, 1, 2)
+    phi = QuadScalar(F(1, 2), F(1, 2), 5)
+    unit = {"Z": QuadScalar(0), "Z[sqrt2]": rt2, "Z[phi]": phi}[ring]
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            S = StokesMatrix.from_upper(n, {
+                (i, j): rng.randint(-3, 3) + rng.randint(-2, 2) * unit
+                for i in range(n) for j in range(i + 1, n)})
+            for g in range(1, n):
+                for letter in (g, -g):
+                    assert braid_generator(S, letter).mat == _kSk(S, letter)
+
+
+def test_braid_letter_out_of_range():
+    S = stokes_catalog("D4-nonstd")
+    for letter in (0, 4, -4):
+        with pytest.raises(ValueError):
+            braid_generator(S, letter)
 
 
 def test_empty_word_and_group_property():
@@ -162,6 +197,22 @@ def test_markoff_orbit_exceeds_cap():
     assert res.size > 10 ** 4
 
 
+def test_orbit_metrics_levels_and_bits():
+    res = orbit(stokes_catalog("H4-nonstd-1"), max_size=10 ** 6)
+    assert res.levels[0] == 1 and sum(res.levels) == res.size == 90
+    assert res.max_bits == {"p": 1, "q": 1, "d": 2}     # entries 0, ±1, (±1±√5)/2
+    capped = orbit(stokes_catalog("CP2"), max_size=500)
+    assert sum(capped.levels) == capped.size == 501
+    assert capped.levels[-1] == capped.frontier
+    assert capped.max_bits["q"] == 0 and capped.max_bits["d"] == 1
+    assert capped.max_bits["p"] >= 16    # Markoff entries grow fast
+    report = orbit_report(capped, 500)
+    assert {"cap", "exceeded", "visited", "frontier", "representatives"} <= set(report)
+    assert report["metrics"]["levels"] == capped.levels
+    assert report["metrics"]["max_bits"] == capped.max_bits
+    assert report["metrics"]["bfs_s"] == capped.elapsed_s > 0
+
+
 def test_markoff_entries_grow_monotonically():
     # sigma_1^2 is a hyperbolic move on the Markoff tree: entries blow up
     S = stokes_catalog("CP2")
@@ -181,7 +232,6 @@ def test_identity_orbit_is_singleton():
 def test_triple_route_matches_matrix_route_orbit():
     # n = 4 uses the generic matrix BFS; n = 3 the closed form. Compare the
     # two on an n = 3 example by faking the generic path through n = 3
-    from frobenii.stokes import _orbit_triples
     S = stokes_catalog("B3-graph")
     fast = orbit(S, max_size=10 ** 5)
     # generic BFS, bypassing the fast path
