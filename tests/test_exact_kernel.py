@@ -1,6 +1,7 @@
 """Kernel: scalars, exp-polynomials, series, exact/numeric linear algebra."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -94,7 +95,6 @@ def quad_pairs(draw):
 
 
 def _normal_form(q):
-    from math import gcd
     return q.d > 0 and gcd(q.p, q.q, q.d) == 1 and (q.q != 0 or q.m == 1)
 
 
@@ -159,9 +159,8 @@ def test_quad_lex_nonneg_matches_model(a, b, m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_small_fractions, st.fractions(min_value=-6, max_value=6, max_denominator=6)
-       .filter(bool), _small_fractions, st.fractions(min_value=-6, max_value=6,
-                                                       max_denominator=6).filter(bool))
+@given(_small_fractions, _small_fractions.filter(bool), _small_fractions,
+       _small_fractions.filter(bool))
 def test_quad_discriminant_mismatch_sqrt2_sqrt5(a2, b2, a5, b5):
     x, y = QuadScalar(a2, b2, 2), QuadScalar(a5, b5, 5)
     for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
