@@ -226,37 +226,18 @@ class OrbitResult:
     elapsed_s: float = 0.0
 
 
-def _triple_step(t: Upper, letter: int):
-    """Closed-form n = 3 braid action on (s12, s13, s23); agrees with the
-    block update (tested against it)."""
-    x, y, z = t
-    if letter == 1:
-        return -x, z, y - x * z
-    if letter == 2:
-        return y, x - y * z, -z
-    if letter == -1:
-        return -x, z - x * y, y
-    if letter == -2:
-        return y - x * z, x, -z
-    raise ValueError("n = 3 letters are +-1, +-2")
-
-
 def orbit(S: StokesMatrix, max_size: int | None = None,
           keep_representatives: int = 16) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
     Nodes are flat tuples of the upper entries, deduplicated on their
-    integer key.  n = 3 steps by the closed form `_triple_step`, which beats
-    the generic block update there; other n by `_block_step`."""
+    integer key, and every step is the block update `_block_step`."""
     if max_size is None:
         max_size = int(os.environ.get("FROBENII_MAX_ORBIT", DEFAULT_ORBIT_CAP))
     t0 = time.perf_counter()
     n = S.n
     letters = [g * e for g in range(1, n) for e in (1, -1)]
-    if n == 3:
-        steps = [(_triple_step, letter) for letter in letters]
-    else:
-        steps = [(_block_step, _block_plan(n, letter)) for letter in letters]
+    plans = [_block_plan(n, letter) for letter in letters]
     start = _canonical_upper(n, S.upper())
     k0 = _key(start)
     seen = {k0}
@@ -274,8 +255,8 @@ def orbit(S: StokesMatrix, max_size: int | None = None,
     while frontier:
         nxt = []
         for t in frontier:
-            for step, arg in steps:
-                img = _canonical_upper(n, step(t, arg))
+            for plan in plans:
+                img = _canonical_upper(n, _block_step(t, plan))
                 k = _key(img)
                 if k in seen:
                     continue

@@ -230,11 +230,10 @@ def test_identity_orbit_is_singleton():
 
 
 def test_triple_route_matches_matrix_route_orbit():
-    # n = 4 uses the generic matrix BFS; n = 3 the closed form. Compare the
-    # two on an n = 3 example by faking the generic path through n = 3
+    # orbit() steps on flat tuples of upper entries; compare it with a BFS
+    # over StokesMatrix values through braid_generator and canonical_form
     S = stokes_catalog("B3-graph")
     fast = orbit(S, max_size=10 ** 5)
-    # generic BFS, bypassing the fast path
     start = canonical_form(S)
     seen = {start.key()}
     frontier = [start]
