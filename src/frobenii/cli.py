@@ -4,30 +4,36 @@ Every subcommand prints one JSON object
 {command, inputs, status, results, residuals} to stdout and exits with
 0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
 error: a step-size underflow, colliding eigenvalues, a failed frame check).
+An input or numerical error prints the same object with status ERROR, the
+parsed arguments as inputs, empty results and residuals, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-
+_EXIT_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
 
 
 def _report(command: str, inputs: dict, status: str, results: dict,
-            residuals: dict | None = None) -> int:
-    print(json.dumps({
+            residuals: dict | None = None, error: str | None = None) -> int:
+    report = {
         "command": command,
         "inputs": inputs,
         "status": status,
         "results": results,
         "residuals": residuals or {},
-    }, indent=2, default=str))
-    return 0 if status == "PASS" else 1
+    }
+    if error is not None:
+        report["error"] = error
+    print(json.dumps(report, indent=2, default=str))
+    return _EXIT_CODES[status]
 
 
 def _load_potential(token: str):
@@ -227,7 +233,9 @@ def cmd_sing(args) -> int:
     })
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     ap = argparse.ArgumentParser(prog="frobenii",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -310,9 +318,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KeyError, ValueError, OSError, ArithmeticError,
             StepUnderflowError) as exc:
-        print(json.dumps({"command": args.command, "status": "ERROR",
-                          "error": str(exc)}))
-        return 2
+        inputs = {key: val for key, val in vars(args).items()
+                  if key not in ("command", "action", "func")}
+        return _report(f"{args.command} {args.action}", inputs, "ERROR", {},
+                       error=str(exc))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 from .scalars import DiscriminantMismatch, QuadScalar, Rational, parse_quad
-from .exppoly import ExpPolynomial, NotClosedFormError, poly_arith, poly_diff
-from .series import GWSeries, series_arith
+from .exppoly import ExpPolynomial, NotClosedFormError, poly_diff
+from .series import GWSeries
 from .linalg import (
     ExactMatrix,
     SingularMatrixError,
@@ -16,10 +16,8 @@ __all__ = [
     "parse_quad",
     "ExpPolynomial",
     "NotClosedFormError",
-    "poly_arith",
     "poly_diff",
     "GWSeries",
-    "series_arith",
     "ExactMatrix",
     "SingularMatrixError",
     "eigen_small",

@@ -354,17 +354,6 @@ class ExpPolynomial:
         return " + ".join(bits)
 
 
-def poly_arith(p: ExpPolynomial, q: ExpPolynomial | ScalarLike, kind: str) -> ExpPolynomial:
-    """Spec-level dispatcher: kind in {"add", "mul", "scale"}."""
-    if kind == "add":
-        return p + q
-    if kind == "mul":
-        return p * q
-    if kind == "scale":
-        return p.scale(q)  # type: ignore[arg-type]
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def poly_diff(p: ExpPolynomial, var: int) -> ExpPolynomial:
     if not 0 <= var < p.nvars:
         raise ValueError("variable index out of range")

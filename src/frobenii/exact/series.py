@@ -134,15 +134,3 @@ class GWSeries:
         bits += [f"{a}*e^{k}x" for k, a in enumerate(self.coeffs, 1) if a != 0]
         return "GWSeries(" + (" + ".join(bits) or "0") + f"; K={self.order})"
 
-
-def series_arith(f: GWSeries, g: GWSeries | None, kind: str) -> GWSeries:
-    """Spec-level dispatcher: kind in {"add", "mul", "diff"}."""
-    if kind == "diff":
-        return f.diff()
-    if g is None:
-        raise ValueError("binary operation needs two series")
-    if kind == "add":
-        return f + g
-    if kind == "mul":
-        return f * g
-    raise ValueError(f"unknown kind {kind!r}")

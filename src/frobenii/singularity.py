@@ -5,21 +5,23 @@ reconstruction of the Frobenius potential.
 The versal family is f_s(x) = x^{n+1} + s_1 + s_2 x + ... + s_n x^{n-1}.
 The metric is eta_ij(s) = -(n+1) res_{x=inf} p_i p_j / f_s'(x) dx with
 p_i = x^{i-1}, normalized so that eta_{1,n} = 1 (for n = 3 this is the
-printed "-4 res" matrix [[0,0,1],[0,1,0],[1,0,-s3/2]]).  Flat coordinates
-are found by a quasihomogeneous ansatz, and the potential from
-c_abc = -(n+1) res_inf d_a P d_b P d_c P / d_x P.
+printed "-4 res" matrix [[0,0,1],[0,1,0],[1,0,-s3/2]]).  The flat
+coordinates come from the residue formula
+t_a = -(n+1)/(n+1-a) res_inf f_s^{(n+1-a)/(n+1)} dx, and the potential from
+c_abc = -(n+1) res_inf d_a P d_b P d_c P / d_x P.  Every construction is
+exact and desk-scale: 1 <= n <= MAX_AN.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _iproduct
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact.exppoly import ExpPolynomial, NotClosedFormError
-from .exact.linalg import ExactMatrix
 from .exact.scalars import QuadScalar
 from .frobenius import FrobeniusPotential, _potential_from_gradient
+
+MAX_AN = 8  # largest n of the A_n constructions (metric, flat coordinates, potential)
 
 # univariate polynomials over the multivariate coefficient ring: lists of
 # ExpPolynomial coefficients, index = power of x
@@ -121,9 +123,9 @@ def _versal(n: int) -> Tuple[List[ExpPolynomial], List[ExpPolynomial]]:
 
 def a_n_metric(n: int) -> List[List[ExpPolynomial]]:
     """eta_ij(s) = -(n+1) res_inf [x^{i-1} x^{j-1} / f_s'] symbolically in
-    s_1..s_n (desk scale n <= 6)."""
-    if not 1 <= n <= 6:
-        raise ValueError("a_n_metric is desk-scale: 1 <= n <= 6")
+    s_1..s_n (desk scale n <= MAX_AN)."""
+    if not 1 <= n <= MAX_AN:
+        raise ValueError(f"a_n_metric is desk-scale: 1 <= n <= {MAX_AN}")
     _, fp = _versal(n)
     zero = ExpPolynomial.zero(n)
     eta = [[zero for _ in range(n)] for _ in range(n)]
@@ -140,145 +142,35 @@ def a_n_metric(n: int) -> List[List[ExpPolynomial]]:
 def flat_coordinates(n: int) -> List[ExpPolynomial]:
     """Substitution s_i(t) making the residue metric constant.
 
-    Quasihomogeneous ansatz (deg x = 1, deg s_i = deg t_i = n + 2 - i):
-    s_i = t_i + corrections with unknown rational coefficients, solved
-    exactly; the solution with no t_i-linear corrections is returned."""
-    if not 1 <= n <= 4:
-        raise ValueError("flat_coordinates is desk-scale: 1 <= n <= 4")
-    eta = a_n_metric(n)
-    degrees = [n + 2 - (i + 1) for i in range(n)]  # of t_1..t_n
-
-    # candidate correction monomials for each s_i: products of t_2..t_n with
-    # matching weighted degree, at least quadratic
-    def monomials(target: int) -> List[Tuple[int, ...]]:
-        out = []
-
-        def rec(var: int, left: int, stack: List[int]):
-            if left == 0:
-                if sum(stack) >= 2:
-                    pows = [0] * n
-                    for v in stack:
-                        pows[v] += 1
-                    out.append(tuple(pows))
-                return
-            if var >= n:
-                return
-            dmax = left // degrees[var]
-            for cnt in range(dmax + 1):
-                rec(var + 1, left - cnt * degrees[var], stack + [var] * cnt)
-
-        rec(1, target, [])
-        return sorted(set(out))
-
-    candidates = [monomials(degrees[i]) for i in range(n)]
-    unknown_count = sum(len(c) for c in candidates)
-    if unknown_count == 0:
-        return [ExpPolynomial.variable(n, i) for i in range(n)]
-
-    # the defect eta(s(t)) - const is affine in the unknown correction
-    # coefficients for this ansatz (the s-dependent metric entries pair only
-    # with unit Jacobian blocks at the relevant weights), so probing each
-    # unknown yields an exact linear system; solve it and verify
-    from fractions import Fraction as Fr
-    unknown_index = {}
-    k = 0
+    The flat coordinates are t_a = -(n+1)/(n+1-a) res_inf f_s^{p} dx with
+    p = (n+1-a)/(n+1).  With y = 1/x and u = sum_i s_i y^{n+2-i},
+    f_s^p = x^{n+1-a} (1+u)^p, so t_a is (n+1)/(n+1-a) times the y^{n+2-a}
+    coefficient of sum_k binom(p, k) u^k, i.e. t_a = s_a + (a polynomial in
+    s_{a+1}..s_n).  This triangular map is inverted from a = n down to 1."""
+    if not 1 <= n <= MAX_AN:
+        raise ValueError(f"flat_coordinates is desk-scale: 1 <= n <= {MAX_AN}")
+    top = n + 2  # y-series are truncated below y^{n+2}
+    zero = ExpPolynomial.zero(n)
+    u = [zero] * top
     for i in range(n):
-        for mono in candidates[i]:
-            unknown_index[(i, mono)] = k
-            k += 1
-
-    def build_subs(vals: Sequence[Fr]) -> List[ExpPolynomial]:
-        subs = []
-        for i in range(n):
-            s = ExpPolynomial.variable(n, i)
-            for mono in candidates[i]:
-                coeff = vals[unknown_index[(i, mono)]]
-                if coeff:
-                    s = s + ExpPolynomial.monomial(n, coeff, mono)
-            subs.append(s)
-        return subs
-
-    def defect(vals: Sequence[Fr]) -> Dict[Tuple, Fr]:
-        subs = build_subs(vals)
-        jac = [[subs[i].diff(a) for a in range(n)] for i in range(n)]
-        out: Dict[Tuple, Fr] = {}
-        for a in range(n):
-            for b in range(a, n):
-                acc = ExpPolynomial.zero(n)
-                for i in range(n):
-                    for j in range(n):
-                        term = jac[i][a] * jac[j][b]
-                        if term.is_zero():
-                            continue
-                        acc = acc + eta[i][j].substitute(subs) * term
-                for (pows, exps), coeff in acc.terms.items():
-                    if sum(pows) == 0:
-                        continue
-                    if not coeff.is_rational():
-                        raise NotClosedFormError("unexpected irrational entry")
-                    out[(a, b, pows)] = out.get((a, b, pows), Fr(0)) + coeff.a
-        return {key: v for key, v in out.items() if v}
-
-    zero_vals = [Fr(0)] * unknown_count
-    r0 = defect(zero_vals)
-    columns = []
-    keys = set(r0)
-    for idx in range(unknown_count):
-        probe = list(zero_vals)
-        probe[idx] = Fr(1)
-        ri = defect(probe)
-        keys |= set(ri)
-        columns.append(ri)
-    keys = sorted(keys)
-    # rows: sum_idx (ri - r0)[key] x_idx = -r0[key]
-    rows = []
-    rhs = []
-    for key in keys:
-        rows.append([columns[idx].get(key, Fr(0)) - r0.get(key, Fr(0))
-                     for idx in range(unknown_count)])
-        rhs.append(-r0.get(key, Fr(0)))
-    solution = _solve_rectangular(rows, rhs)
-    if solution is None:
-        raise NotClosedFormError("flat-coordinate ansatz degree exhausted")
-    if defect(solution):
-        raise NotClosedFormError("flat-coordinate system is not affine; "
-                                 "ansatz insufficient")
-    return build_subs(solution)
-
-
-def _solve_rectangular(rows: List[List[Fraction]], rhs: List[Fraction]
-                       ) -> List[Fraction] | None:
-    """Exact solve of an overdetermined consistent linear system; None if
-    inconsistent.  Free variables are set to zero."""
-    m = len(rows)
-    if m == 0:
-        return []
-    k = len(rows[0])
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    out = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        out[c] = aug[i][k]
-    return out
+        u[n + 1 - i] = ExpPolynomial.variable(n, i)
+    # powers u^k, k >= 2, while they still reach below y^{n+2}
+    powers = []
+    uk = _upoly_mul(u, u)[:top]
+    while not all(c.is_zero() for c in uk):
+        powers.append(uk)
+        uk = _upoly_mul(uk, u)[:top]
+    subs = [ExpPolynomial.variable(n, i) for i in range(n)]
+    for a in range(n, 0, -1):
+        p = Fraction(n + 1 - a, n + 1)
+        binom = p
+        nonlinear = zero
+        for k, uk in enumerate(powers, start=2):
+            binom = binom * (p - k + 1) / k
+            nonlinear = nonlinear + uk[n + 2 - a].scale(binom)
+        # t_a = s_a + (n+1)/(n+1-a) nonlinear(s_{a+1..n})
+        subs[a - 1] = subs[a - 1] - nonlinear.scale(1 / p).substitute(subs)
+    return subs
 
 
 def a_n_structure(n: int) -> Tuple[List[List[List[ExpPolynomial]]], FrobeniusPotential]:

@@ -161,6 +161,27 @@ def test_usage_error_exit_code(capsys):
     assert main(["catalog", "show", "E8"]) == 2
 
 
+def test_error_report_has_the_full_schema(capsys):
+    code, data = run_cli(capsys, "sing", "an", "--n", "9")
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert data["command"] == "sing an"
+    assert data["inputs"] == {"n": 9}
+    assert {"command", "inputs", "status", "results", "residuals",
+            "error"} <= set(data)
+    assert "n <= 8" in data["error"]
+
+
+def test_parser_is_built_once(capsys):
+    from frobenii import cli
+    cli.build_parser.cache_clear()
+    code1, d1 = run_cli(capsys, "catalog", "show", "A3")
+    code2, d2 = run_cli(capsys, "catalog", "show", "A3")
+    assert cli.build_parser.cache_info().misses == 1
+    assert code1 == code2 == 0
+    assert d1 == d2
+
+
 def test_deterministic_output(capsys):
     code1, d1 = run_cli(capsys, "wdvv", "check", "B3")
     code2, d2 = run_cli(capsys, "wdvv", "check", "B3")

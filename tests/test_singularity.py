@@ -59,6 +59,21 @@ def test_flat_coordinates_a2_identity():
     assert subs[1] == ExpPolynomial.variable(2, 1)
 
 
+def test_flat_coordinates_a4_substitution():
+    subs = flat_coordinates(4)
+    t1, t2, t3, t4 = (ExpPolynomial.variable(4, i) for i in range(4))
+    assert subs[0] == t1 + (t3 * t4).scale(F(1, 5))
+    assert subs[1] == t2 + (t4 * t4).scale(F(1, 5))
+    assert subs[2] == t3
+    assert subs[3] == t4
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_flat_coordinates_out_of_range(n):
+    with pytest.raises(ValueError):
+        flat_coordinates(n)
+
+
 def test_a3_reconstruction_is_1_22():
     c_low, pot = a_n_structure(3)
     assert pot.F == catalog("A3").F
@@ -71,12 +86,12 @@ def test_a3_reconstruction_is_1_22():
     assert c_low[2][2][2] == (t3 * t3).scale(F(1, 16))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_reconstructed_potentials_pass_all_checks(n):
     c_low, pot = a_n_structure(n)
     assert pot.d == F(n - 1, n + 1)
     assert pot.q == tuple(F(a, n + 1) for a in range(n))
-    assert check_wdvv1(pot).passed
+    assert check_wdvv1(pot).passed  # every residual is exactly zero
     qrep, *_ = check_quasihomogeneity(pot)
     assert qrep.passed
     assert check_grading_eta(pot)
@@ -87,7 +102,7 @@ def test_reconstructed_potentials_pass_all_checks(n):
                 assert c_low[a][b][g] == c_low[b][a][g] == c_low[g][b][a]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_metric_routes_agree(n):
     """eta from the residue pairing (in flat coordinates) equals
     d1 da db F of the reconstructed potential."""
