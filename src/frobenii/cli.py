@@ -125,9 +125,7 @@ def cmd_stokes(args) -> int:
     from . import stokes
     if args.action == "orbit":
         S = _load_stokes(args.target)
-        cap = args.max_size
-        if cap is None:
-            cap = int(os.environ.get("FROBENII_MAX_ORBIT", stokes.DEFAULT_ORBIT_CAP))
+        cap = stokes.DEFAULT_ORBIT_CAP if args.max_size is None else args.max_size
         res = stokes.orbit(S, max_size=cap)
         status = "PASS"
         return _report("stokes orbit", {"target": args.target, "max_size": cap},

@@ -116,11 +116,6 @@ class GWSeries:
     def __truediv__(self, other):
         return self.divide_triangular(other)
 
-    def truncate(self, order: int) -> "GWSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return GWSeries(order, self.coeffs[:order], self.c0)
-
     def is_zero(self) -> bool:
         return self.c0 == 0 and all(a == 0 for a in self.coeffs)
 

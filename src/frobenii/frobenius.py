@@ -5,7 +5,8 @@ t1..tn), the charge d, grading degrees q_alpha, shifts r_alpha and the unity
 coordinate.  Everything downstream -- the constant metric eta, structure
 constants, WDVV residuals, intersection form, monodromy data at the origin,
 deformed flat coordinates, inversion symmetry, tensor locus -- is computed
-exactly in the coefficient field.
+exactly in the coefficient field.  eta, eta^{-1} and the structure constants
+are derived once per potential and cached on it as ``P.tensors``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact.exppoly import ExpPolynomial, NotClosedFormError
 from .exact.linalg import ExactMatrix, SingularMatrixError
@@ -52,19 +54,28 @@ class FrobeniusPotential:
             if ra != 0 and qa != 1:
                 raise ValueError("r_alpha may be nonzero only where q_alpha = 1")
 
-    # Euler vector field E = sum [(1-q_a) t^a + r_a] d_a
-    def euler_coefficients(self) -> List[Tuple[Fraction, Fraction]]:
-        return [(1 - qa, ra) for qa, ra in zip(self.q, self.r)]
+    @cached_property
+    def tensors(self) -> Tensors:
+        """eta, eta^{-1}, c_abg and c_ab^g, derived once and shared."""
+        return structure_constants(self)
+
+    @cached_property
+    def euler(self) -> Tuple[ExpPolynomial, ...]:
+        """Components E^a = (1-q_a) t^a + r_a of the Euler vector field."""
+        return tuple(ExpPolynomial.variable(self.n, a).scale(1 - qa)
+                     + ExpPolynomial.constant(self.n, ra)
+                     for a, (qa, ra) in enumerate(zip(self.q, self.r)))
+
+    def contract_euler(self, fields: Sequence[ExpPolynomial]) -> ExpPolynomial:
+        """sum_e E^e fields[e]."""
+        out = ExpPolynomial.zero(self.n)
+        for E, f in zip(self.euler, fields):
+            if not E.is_zero():
+                out = out + E * f
+        return out
 
     def lie_euler(self, f: ExpPolynomial) -> ExpPolynomial:
-        out = ExpPolynomial.zero(self.n)
-        for a, (lin, shift) in enumerate(self.euler_coefficients()):
-            df = f.diff(a)
-            if lin:
-                out = out + ExpPolynomial.variable(self.n, a) * df.scale(lin)
-            if shift:
-                out = out + df.scale(shift)
-        return out
+        return self.contract_euler([f.diff(a) for a in range(self.n)])
 
     def mu(self) -> List[Fraction]:
         return [qa - self.d / 2 for qa in self.q]
@@ -91,6 +102,15 @@ class ResidualReport:
 # basic tensors
 # ---------------------------------------------------------------------------
 
+class Tensors(NamedTuple):
+    """c_low[a][b][g] = c_abg = d_a d_b d_g F, c_up[a][b][g] = c_ab^g =
+    eta^{ge} c_eab (nested tuples), eta and its inverse."""
+    c_low: Tuple[Tuple[Tuple[ExpPolynomial, ...], ...], ...]
+    c_up: Tuple[Tuple[Tuple[ExpPolynomial, ...], ...], ...]
+    eta: ExactMatrix
+    eta_inv: ExactMatrix
+
+
 def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
     """eta_ab = d_1 d_a d_b F; must be a constant nondegenerate matrix."""
     n = P.n
@@ -112,9 +132,19 @@ def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
     return eta
 
 
-def structure_constants(P: FrobeniusPotential):
-    """Returns (c_low, c_up, eta, eta_inv) with c_low[a][b][g] = d3 F and
-    c_up[a][b][g] = c_{ab}^g = eta^{g e} c_{e a b}."""
+def _lincomb(n: int, coefs: Sequence[QuadScalar],
+             polys: Sequence[ExpPolynomial]) -> ExpPolynomial:
+    """sum_i coefs[i] polys[i], skipping zero coefficients."""
+    acc = ExpPolynomial.zero(n)
+    for coef, p in zip(coefs, polys):
+        if coef:
+            acc = acc + p.scale(coef)
+    return acc
+
+
+def structure_constants(P: FrobeniusPotential) -> Tensors:
+    """Builds the tensors of P from scratch; callers read the cached
+    ``P.tensors`` instead."""
     n = P.n
     eta = metric_eta(P)
     eta_inv = eta.inverse()
@@ -128,17 +158,13 @@ def structure_constants(P: FrobeniusPotential):
                 for i, j, k in {(a, b, g), (a, g, b), (b, a, g),
                                 (b, g, a), (g, a, b), (g, b, a)}:
                     c_low[i][j][k] = val
-    c_up = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                acc = ExpPolynomial.zero(n)
-                for e in range(n):
-                    coef = eta_inv[g, e]
-                    if coef:
-                        acc = acc + c_low[e][a][b].scale(coef)
-                c_up[a][b][g] = acc
-    return c_low, c_up, eta, eta_inv
+    c_low = tuple(tuple(map(tuple, plane)) for plane in c_low)
+
+    def raised(a: int, b: int) -> Tuple[ExpPolynomial, ...]:
+        c_ab = [c[a][b] for c in c_low]  # c_{e a b} over e
+        return tuple(_lincomb(n, eta_inv.rows[g], c_ab) for g in range(n))
+    c_up = tuple(tuple(raised(a, b) for b in range(n)) for a in range(n))
+    return Tensors(c_low, c_up, eta, eta_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +176,7 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
     c_{ab l} eta^{lm} c_{m g d} - (a <-> d), all index tuples."""
     n = P.n
     try:
-        c_low, _, _, eta_inv = structure_constants(P)
+        c_low, _, _, eta_inv = P.tensors
     except (NonConstantMetricError, DegenerateMetricError) as exc:
         return ResidualReport(False, "wdvv1", details=str(exc))
 
@@ -229,7 +255,7 @@ def check_quasihomogeneity(P: FrobeniusPotential):
 
 def check_grading_eta(P: FrobeniusPotential) -> bool:
     """(q_a + q_b - d) eta_ab = 0 for all a, b."""
-    eta = metric_eta(P)
+    eta = P.tensors.eta
     for a in range(P.n):
         for b in range(P.n):
             if eta[a, b] and P.q[a] + P.q[b] - P.d != 0:
@@ -245,59 +271,24 @@ def intersection_form(P: FrobeniusPotential):
     """g^{ab}(t) = E^e c_e^{ab}(t) and the contravariant Christoffels
     Gamma_g^{ab} = ((d+1)/2 - q_b) c^{ab}_g."""
     n = P.n
-    c_low, c_up, eta, eta_inv = structure_constants(P)
-    # c_e^{ab} = eta^{a l} eta^{b m} c_{l m e}
-    g = [[ExpPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = ExpPolynomial.zero(n)
-            for e in range(n):
-                lin, shift = 1 - P.q[e], P.r[e]
-                if lin == 0 and shift == 0:
-                    continue
-                # c_e^{ab}
-                ce = ExpPolynomial.zero(n)
-                for l in range(n):
-                    for m in range(n):
-                        coef = eta_inv[a, l] * eta_inv[b, m]
-                        if coef:
-                            ce = ce + c_low[l][m][e].scale(coef)
-                if lin:
-                    acc = acc + ExpPolynomial.variable(n, e) * ce.scale(lin)
-                if shift:
-                    acc = acc + ce.scale(shift)
-            g[a][b] = P._truncate(acc)
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for gg in range(n):
-        for a in range(n):
-            for b in range(n):
-                coef = Fraction(P.d + 1, 2) - P.q[b]
-                # c^{ab}_g = eta^{a e} c_{e g}^{b}
-                ce = ExpPolynomial.zero(n)
-                for e in range(n):
-                    if eta_inv[a, e]:
-                        ce = ce + c_up[e][gg][b].scale(eta_inv[a, e])
-                gamma[gg][a][b] = ce.scale(coef)
+    _, c_up, _, eta_inv = P.tensors
+    # c_e^{ab} = eta^{a l} c_{l e}^b = eta^{a l} eta^{b m} c_{l m e}, one
+    # tensor for both g and Gamma
+    c_raised = [[[_lincomb(n, eta_inv.rows[a], [c[e][b] for c in c_up])
+                  for b in range(n)] for a in range(n)] for e in range(n)]
+    g = [[P._truncate(P.contract_euler([c[a][b] for c in c_raised]))
+          for b in range(n)] for a in range(n)]
+    gamma = [[[c_raised[gg][a][b].scale(Fraction(P.d + 1, 2) - P.q[b])
+               for b in range(n)] for a in range(n)] for gg in range(n)]
     return g, gamma
 
 
 def euler_multiplication_symbolic(P: FrobeniusPotential) -> List[List[ExpPolynomial]]:
     """U^a_b(t) = E^e c_{e b}^a as exact exp-polynomials."""
     n = P.n
-    _, c_up, _, _ = structure_constants(P)
-    U = [[ExpPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = ExpPolynomial.zero(n)
-            for e in range(n):
-                lin, shift = 1 - P.q[e], P.r[e]
-                cc = c_up[e][b][a]
-                if lin:
-                    acc = acc + ExpPolynomial.variable(n, e) * cc.scale(lin)
-                if shift:
-                    acc = acc + cc.scale(shift)
-            U[a][b] = P._truncate(acc)
-    return U
+    c_up = P.tensors.c_up
+    return [[P._truncate(P.contract_euler([c[b][a] for c in c_up]))
+             for b in range(n)] for a in range(n)]
 
 
 @dataclass
@@ -313,7 +304,7 @@ def origin_monodromy(P: FrobeniusPotential) -> OriginMonodromy:
     cubic = FrobeniusPotential(
         n=n, F=P.F.polynomial_part(), d=P.d, q=P.q, r=P.r,
         unity_index=P.unity_index)
-    _, c_up, _, _ = structure_constants(cubic)
+    c_up = cubic.tensors.c_up
     rows = []
     for a in range(n):
         row = []
@@ -379,19 +370,12 @@ def deformed_flat_coords(P: FrobeniusPotential, depth: int) -> List[List[ExpPoly
     h[p][alpha] are scalars; gradients are h[p][alpha].diff(beta).
     """
     n = P.n
-    _, c_up, eta, _ = structure_constants(P)
+    _, c_up, eta, _ = P.tensors
     mono = origin_monodromy(P)
     mu = mono.mu
-    levels: List[List[ExpPolynomial]] = []
     # h_{alpha,0} = t_alpha = eta_{alpha e} t^e
-    lvl0 = []
-    for a in range(n):
-        acc = ExpPolynomial.zero(n)
-        for e in range(n):
-            if eta[a, e]:
-                acc = acc + ExpPolynomial.variable(n, e).scale(eta[a, e])
-        lvl0.append(acc)
-    levels.append(lvl0)
+    t = [ExpPolynomial.variable(n, e) for e in range(n)]
+    levels: List[List[ExpPolynomial]] = [[_lincomb(n, eta.rows[a], t) for a in range(n)]]
     for p in range(depth):
         prev = levels[-1]
         grads = [[prev[a].diff(e) for e in range(n)] for a in range(n)]
@@ -424,11 +408,7 @@ def _normalize_level(P: FrobeniusPotential, h: ExpPolynomial, a: int, level: int
     non-resonant directions; resonant ones (mu-gap = level) stay zero."""
     n = P.n
     deg = Fraction(level + 1) - P.d / 2 + mu[a]
-    rterm = ExpPolynomial.zero(n)
-    for e in range(n):
-        coef = R1[e, a]
-        if coef:
-            rterm = rterm + levels[level - 1][e].scale(coef)
+    rterm = _lincomb(n, [R1[e, a] for e in range(n)], levels[level - 1])
     D = P._truncate(P.lie_euler(h) - h.scale(deg) - rterm)
     if D.has_exp() or D.total_degree() > 1:
         raise NotClosedFormError(
@@ -454,12 +434,11 @@ def _normalize_level(P: FrobeniusPotential, h: ExpPolynomial, a: int, level: int
     return h
 
 
-def gradient_pairing(P: FrobeniusPotential, f: ExpPolynomial, g: ExpPolynomial,
-                     eta_inv: ExactMatrix | None = None) -> ExpPolynomial:
+def gradient_pairing(P: FrobeniusPotential, f: ExpPolynomial, g: ExpPolynomial
+                     ) -> ExpPolynomial:
     """<grad f, grad g> = eta^{ab} d_a f d_b g."""
     n = P.n
-    if eta_inv is None:
-        eta_inv = metric_eta(P).inverse()
+    eta_inv = P.tensors.eta_inv
     acc = ExpPolynomial.zero(n)
     df = [f.diff(a) for a in range(n)]
     dg = [g.diff(b) for b in range(n)]
@@ -504,8 +483,7 @@ def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
     n = P.n
     if P.F.has_exp():
         raise NotClosedFormError("inversion of exp-potentials is not closed-form")
-    eta = metric_eta(P)
-    _check_antidiagonal(eta)
+    _check_antidiagonal(P.tensors.eta)
     last = n - 1
     that_n_inv = ExpPolynomial.monomial(n, -1, [0] * (n - 1) + [-1])  # t^n = -1/that^n
     mapping = []
@@ -551,7 +529,7 @@ def _legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
         return P
     if any(P.r):
         raise NotClosedFormError("type-1 symmetry with r-shifts is not implemented")
-    eta = metric_eta(P)
+    eta_inv = P.tensors.eta_inv
     Fk = P.F.diff(kappa)
     hess_k = [[Fk.diff(a).diff(b) for b in range(n)] for a in range(n)]
     if any(not hess_k[a][b].is_constant() for a in range(n) for b in range(n)):
@@ -560,7 +538,6 @@ def _legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
     M = ExactMatrix([[hess_k[a][b].constant_term() for b in range(n)] for a in range(n)])
     v = [Fk.diff(a).coefficient([0] * n) for a in range(n)]
     # that^a = eta^{ab} that_b: that = L t + shift_up
-    eta_inv = eta.inverse()
     L = eta_inv @ M
     try:
         L_inv = L.inverse()
@@ -620,8 +597,8 @@ def tensor_locus(P1: FrobeniusPotential, P2: FrobeniusPotential) -> TensorLocus:
     (1 - q'_a - q''_b) coefficients and r-shifts on the two axes."""
     n1, n2 = P1.n, P2.n
     N = n1 * n2
-    _, c1up, eta1, _ = structure_constants(P1)
-    _, c2up, eta2, _ = structure_constants(P2)
+    _, c1up, eta1, _ = P1.tensors
+    _, c2up, eta2, _ = P2.tensors
     eta = ExactMatrix([[eta1[a1, b1] * eta2[a2, b2]
                         for b1 in range(n1) for b2 in range(n2)]
                        for a1 in range(n1) for a2 in range(n2)])

@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .exact.linalg import eigen_small, sort_spectrum
-from .frobenius import FrobeniusPotential, structure_constants
+from .frobenius import FrobeniusPotential
 from .ode import IntegrationStats, integrate
 
 DEFAULT_COLLISION_MARGIN = 1e-6
@@ -49,10 +49,10 @@ class IllConditionedFrameError(ArithmeticError):
 
 def _numeric_tensors(P: FrobeniusPotential, t: Sequence[complex]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_{ab}^g, c_{abg}, eta) at t from one structure_constants call, the
+    """(c_{ab}^g, c_{abg}, eta) at t from the cached ``P.tensors``, the
     raised index last on the first."""
     n = P.n
-    c_sym, _, eta, eta_inv = structure_constants(P)
+    c_sym, _, eta, eta_inv = P.tensors
     num = lambda m: np.array([[complex(m[a, b]) for b in range(n)]
                               for a in range(n)])
     c_low = np.empty((n, n, n), dtype=complex)

@@ -15,6 +15,7 @@ exact and desk-scale: 1 <= n <= MAX_AN.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .exact.exppoly import ExpPolynomial, NotClosedFormError
@@ -139,14 +140,16 @@ def a_n_metric(n: int) -> List[List[ExpPolynomial]]:
     return eta
 
 
-def flat_coordinates(n: int) -> List[ExpPolynomial]:
+@lru_cache(maxsize=None)
+def flat_coordinates(n: int) -> Tuple[ExpPolynomial, ...]:
     """Substitution s_i(t) making the residue metric constant.
 
     The flat coordinates are t_a = -(n+1)/(n+1-a) res_inf f_s^{p} dx with
     p = (n+1-a)/(n+1).  With y = 1/x and u = sum_i s_i y^{n+2-i},
     f_s^p = x^{n+1-a} (1+u)^p, so t_a is (n+1)/(n+1-a) times the y^{n+2-a}
     coefficient of sum_k binom(p, k) u^k, i.e. t_a = s_a + (a polynomial in
-    s_{a+1}..s_n).  This triangular map is inverted from a = n down to 1."""
+    s_{a+1}..s_n).  This triangular map is inverted from a = n down to 1.
+    Memoized on n; the shared result is a tuple."""
     if not 1 <= n <= MAX_AN:
         raise ValueError(f"flat_coordinates is desk-scale: 1 <= n <= {MAX_AN}")
     top = n + 2  # y-series are truncated below y^{n+2}
@@ -170,7 +173,7 @@ def flat_coordinates(n: int) -> List[ExpPolynomial]:
             nonlinear = nonlinear + uk[n + 2 - a].scale(binom)
         # t_a = s_a + (n+1)/(n+1-a) nonlinear(s_{a+1..n})
         subs[a - 1] = subs[a - 1] - nonlinear.scale(1 / p).substitute(subs)
-    return subs
+    return tuple(subs)
 
 
 def a_n_structure(n: int) -> Tuple[List[List[List[ExpPolynomial]]], FrobeniusPotential]:

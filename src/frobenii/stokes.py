@@ -11,7 +11,6 @@ matrices are identified modulo S ~ J S J, J = diag(+-1).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -226,14 +225,12 @@ class OrbitResult:
     elapsed_s: float = 0.0
 
 
-def orbit(S: StokesMatrix, max_size: int | None = None,
+def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP,
           keep_representatives: int = 16) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
     Nodes are flat tuples of the upper entries, deduplicated on their
     integer key, and every step is the block update `_block_step`."""
-    if max_size is None:
-        max_size = int(os.environ.get("FROBENII_MAX_ORBIT", DEFAULT_ORBIT_CAP))
     t0 = time.perf_counter()
     n = S.n
     letters = [g * e for g in range(1, n) for e in (1, -1)]

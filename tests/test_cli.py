@@ -77,9 +77,12 @@ def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
     code, data = run_cli(capsys, "stokes", "orbit", "CP2", "--max-size", "200")
     assert code == 0
     assert data["results"]["exceeded"] is True
-    monkeypatch.setenv("FROBENII_MAX_ORBIT", "150")
-    code, data = run_cli(capsys, "stokes", "orbit", "CP2")
-    assert data["inputs"]["max_size"] == 150
+    # the cap is --max-size or the stated default; the environment is ignored
+    monkeypatch.setenv("FROBENII_MAX_ORBIT", "3")
+    code, data = run_cli(capsys, "stokes", "orbit", "A3-graph")
+    assert code == 0
+    assert data["inputs"]["max_size"] == 10 ** 6
+    assert data["results"]["size"] == 4
 
 
 def test_stokes_orbit_finite(capsys):
@@ -180,6 +183,15 @@ def test_parser_is_built_once(capsys):
     assert cli.build_parser.cache_info().misses == 1
     assert code1 == code2 == 0
     assert d1 == d2
+
+
+def test_sing_an_derives_flat_coordinates_once(capsys):
+    from frobenii.singularity import flat_coordinates
+    flat_coordinates.cache_clear()
+    code, data = run_cli(capsys, "sing", "an", "--n", "4")
+    assert code == 0
+    assert flat_coordinates.cache_info().misses == 1
+    assert data["results"]["flat_substitution"][1] == "1/5*t4^2 + 1*t2"
 
 
 def test_deterministic_output(capsys):

@@ -11,7 +11,7 @@ from frobenii.frobenius import (
     catalog, check_grading_eta, check_quasihomogeneity, check_wdvv1,
     deformed_flat_coords, euler_multiplication_symbolic, gradient_pairing,
     intersection_form, metric_eta, origin_monodromy, potential_from_json,
-    potential_to_json, structure_constants, tensor_locus,
+    potential_to_dict, potential_to_json, structure_constants, tensor_locus,
 )
 
 ALL_NAMES = ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
@@ -270,6 +270,56 @@ def test_christoffel_coefficients():
     assert gamma[2][0][1] == want.scale(coef)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_intersection_form_matches_double_contraction(name):
+    # oracle: c_e^{ab} = eta^{al} eta^{bm} c_{lme} contracted from c_low,
+    # then g^{ab} = E^e c_e^{ab} and Gamma_e^{ab} = ((d+1)/2 - q_b) c_e^{ab}
+    P = catalog(name)
+    n = P.n
+    c_low, _, _, eta_inv = structure_constants(P)
+    ce = [[[ExpPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
+          for _ in range(n)]
+    for e in range(n):
+        for a in range(n):
+            for b in range(n):
+                for l in range(n):
+                    for m in range(n):
+                        coef = eta_inv[a, l] * eta_inv[b, m]
+                        if coef:
+                            ce[e][a][b] = ce[e][a][b] + c_low[l][m][e].scale(coef)
+    g, gamma = intersection_form(P)
+    for a in range(n):
+        for b in range(n):
+            want = ExpPolynomial.zero(n)
+            for e in range(n):
+                lin, shift = 1 - P.q[e], P.r[e]
+                want = want + ExpPolynomial.variable(n, e) * ce[e][a][b].scale(lin)
+                want = want + ce[e][a][b].scale(shift)
+            assert g[a][b] == P._truncate(want)
+            for e in range(n):
+                assert gamma[e][a][b] == ce[e][a][b].scale(F(P.d + 1, 2) - P.q[b])
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cached_tensors_leave_equality_and_json_unchanged(name):
+    P = catalog(name)
+    before = potential_to_dict(P)
+    Q = potential_from_json(potential_to_json(P))
+    assert P.tensors == structure_constants(Q)
+    assert "tensors" in vars(P) and "tensors" not in vars(Q)
+    assert P == Q and hash(P) == hash(Q)
+    assert potential_to_dict(P) == before
+
+
+def test_cached_tensors_are_immutable():
+    P = catalog("A3")
+    with pytest.raises(TypeError):
+        P.tensors.c_low[0][0] = ExpPolynomial.zero(3)
+    with pytest.raises(TypeError):
+        P.tensors.c_up[0][0][0] = ExpPolynomial.zero(3)
+    assert P.tensors is P.tensors
+
+
 # ---------------------------------------------------------------------------
 # deformed flat coordinates
 # ---------------------------------------------------------------------------
@@ -284,10 +334,9 @@ def test_deformed_level0_is_lowered_coordinates():
 
 def test_identity_2_35():
     P = catalog("A3")
-    eta_inv = metric_eta(P).inverse()
     h = deformed_flat_coords(P, 1)
     for a in range(3):
-        assert gradient_pairing(P, h[0][a], h[1][0], eta_inv) == h[0][a]
+        assert gradient_pairing(P, h[0][a], h[1][0]) == h[0][a]
 
 
 def test_identity_2_36_reconstructs_F():
@@ -299,11 +348,11 @@ def test_identity_2_36_reconstructs_F():
         for b in range(3):
             coef = eta_inv[a, b]
             if coef:
-                acc = acc + (gradient_pairing(P, h[1][a], h[1][0], eta_inv)
-                             * gradient_pairing(P, h[0][b], h[1][0], eta_inv)
+                acc = acc + (gradient_pairing(P, h[1][a], h[1][0])
+                             * gradient_pairing(P, h[0][b], h[1][0])
                              ).scale(coef)
-    acc = acc - gradient_pairing(P, h[1][0], h[2][0], eta_inv)
-    acc = acc - gradient_pairing(P, h[3][0], h[0][0], eta_inv)
+    acc = acc - gradient_pairing(P, h[1][0], h[2][0])
+    acc = acc - gradient_pairing(P, h[3][0], h[0][0])
     diff = acc.scale(F(1, 2)) - P.F
     assert all(sum(key[0]) <= 2 for key in diff.terms)  # equal mod quadratics
     assert diff.is_zero()  # with our normalization, exactly equal
@@ -337,7 +386,7 @@ def test_exercise_2_8(name, depth):
                 for q in range(depth + 1):
                     if p + q > depth or (p == 0 and q == 0):
                         continue
-                    lhs_scal = gradient_pairing(P, h[p][a], h[q][b], eta_inv)
+                    lhs_scal = gradient_pairing(P, h[p][a], h[q][b])
                     for gam in range(n):
                         rhs = ExpPolynomial.zero(n)
                         if p >= 1:
@@ -354,7 +403,7 @@ def test_exercise_2_8(name, depth):
                     q = k - p
                     if p > depth or q > depth:
                         continue
-                    term = gradient_pairing(P, h[p][a], h[q][b], eta_inv)
+                    term = gradient_pairing(P, h[p][a], h[q][b])
                     acc = acc + (term if q % 2 == 0 else -term)
                 assert acc.is_constant()
 

@@ -269,7 +269,9 @@ def test_numeric_u_matches_symbolic_on_catalog():
 
 
 def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
-    from frobenii import frobenius, semisimple
+    # every derived-tensor consumer reads the cached P.tensors, so one
+    # potential builds eta and c once whatever is called on it
+    from frobenii import frobenius
     calls = {"structure_constants": 0, "metric_eta": 0}
 
     def counted(name, fn):
@@ -278,11 +280,18 @@ def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(semisimple, "structure_constants",
-                        counted("structure_constants", semisimple.structure_constants))
+    monkeypatch.setattr(frobenius, "structure_constants",
+                        counted("structure_constants", frobenius.structure_constants))
     monkeypatch.setattr(frobenius, "metric_eta",
                         counted("metric_eta", frobenius.metric_eta))
-    canonical_coordinates(catalog("H4"), [1.1 + 0.3j, 0.5 - 0.7j, 0.9 + 0.9j, 1.3 - 0.4j])
+    P = catalog("H4")
+    canonical_coordinates(P, [1.1 + 0.3j, 0.5 - 0.7j, 0.9 + 0.9j, 1.3 - 0.4j])
+    canonical_coordinates(P, [0.7 - 0.2j, -0.4 + 0.6j, 0.3 + 0.8j, -0.9 - 0.5j])
+    euler_multiplication(P, [0.2j, 0.3, -0.1 + 0.4j, 0.5])
+    assert frobenius.check_wdvv1(P).passed
+    assert frobenius.check_grading_eta(P)
+    frobenius.intersection_form(P)
+    frobenius.gradient_pairing(P, P.F, P.F)
     assert calls == {"structure_constants": 1, "metric_eta": 1}
 
 
