@@ -89,34 +89,22 @@ def cmd_wdvv_check(args) -> int:
 
 def cmd_gw(args) -> int:
     from . import gwcp2
+    table = None
     if args.action == "nk":
-        rows = gwcp2.genus0_invariants(args.max)
-        pde = gwcp2.genus0_coefficients_pde(min(args.max, 20))
-        agree = all(r.A == pde[r.k - 1] for r in rows[:len(pde)])
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(gwcp2.table_csv(args.max))
-        return _report("gw nk", {"max": args.max}, "PASS" if agree else "FAIL",
-                       {"N": {r.k: r.N for r in rows},
-                        "ode_pde_agree": agree})
-    if args.action == "elliptic":
-        rows = gwcp2.elliptic_invariants(args.max)
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(gwcp2.table_csv(args.max))
-        return _report("gw elliptic", {"max": args.max}, "PASS",
-                       {"N1": {r.k: r.N1 for r in rows},
-                        "psi_constant_term": "-1/8"})
-    if args.action == "fit":
-        a_hat, b_hat, r_hat = gwcp2.asymptotic_fit(args.max)
-        ratio = gwcp2.ratio_tail(args.max)
-        bound = gwcp2.convergence_bound_check(args.max)
-        return _report("gw fit", {"max": args.max},
-                       "PASS" if bound else "FAIL",
-                       {"a_hat": a_hat, "b_hat": b_hat, "R_hat": r_hat,
-                        "tail_ratio": ratio,
-                        "ratio_test_at_log65": bound})
-    raise SystemExit(2)
+        results, table = gwcp2.nk_report(args.max)
+        status = "PASS" if results["ode_pde_agree"] else "FAIL"
+    elif args.action == "elliptic":
+        results, table = gwcp2.elliptic_report(args.max)
+        status = "PASS"
+    elif args.action == "fit":
+        results = gwcp2.fit_report(args.max)
+        status = "PASS" if results["ratio_test_at_log65"] else "FAIL"
+    else:
+        raise SystemExit(2)
+    if args.csv and table:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(gwcp2.rows_csv(table))
+    return _report(f"gw {args.action}", {"max": args.max}, status, results)
 
 
 # -- stokes -------------------------------------------------------------------

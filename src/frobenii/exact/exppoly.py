@@ -45,6 +45,15 @@ class ExpPolynomial:
                     raise ValueError("term arity does not match nvars")
                 self.terms[(pows, exps)] = c
 
+    @staticmethod
+    def _wrap(nvars: int, terms: Dict[Key, QuadScalar]) -> "ExpPolynomial":
+        """Polynomial on normalized terms (QuadScalar, nonzero, int tuples of
+        length nvars), taken as they are (no coercion or arity check)."""
+        p = object.__new__(ExpPolynomial)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(nvars: int) -> "ExpPolynomial":
@@ -85,12 +94,12 @@ class ExpPolynomial:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return ExpPolynomial(self.nvars, out)
+        return ExpPolynomial._wrap(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPolynomial(self.nvars, {k: -c for k, c in self.terms.items()})
+        return ExpPolynomial._wrap(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ExpPolynomial):
@@ -114,7 +123,7 @@ class ExpPolynomial:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return ExpPolynomial(self.nvars, out)
+        return ExpPolynomial._wrap(self.nvars, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -123,7 +132,7 @@ class ExpPolynomial:
         c = QuadScalar.coerce(c)
         if not c:
             return ExpPolynomial.zero(self.nvars)
-        return ExpPolynomial(self.nvars, {k: v * c for k, v in self.terms.items()})
+        return ExpPolynomial._wrap(self.nvars, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -148,7 +157,6 @@ class ExpPolynomial:
     # -- calculus ---------------------------------------------------------
     def diff(self, var: int) -> "ExpPolynomial":
         """d/dt_var; exp factors obey d(t^a e^{kt}) = (a t^{a-1} + k t^a) e^{kt}."""
-        out = ExpPolynomial.zero(self.nvars)
         acc: Dict[Key, QuadScalar] = {}
         for (pows, exps), c in self.terms.items():
             a, k = pows[var], exps[var]
@@ -168,8 +176,7 @@ class ExpPolynomial:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        out.terms = {k: v for k, v in acc.items() if v}
-        return out
+        return ExpPolynomial._wrap(self.nvars, acc)
 
     def integrate(self, var: int) -> "ExpPolynomial":
         """Definite integral from t_var = 0, staying in the ring.
@@ -215,9 +222,7 @@ class ExpPolynomial:
                     e0[var] = 0
                     add((tuple(p0), tuple(e0)), -coeff)
                 fact *= j if j > 0 else 1
-        out = ExpPolynomial.zero(self.nvars)
-        out.terms = {k: v for k, v in acc.items() if v}
-        return out
+        return ExpPolynomial._wrap(self.nvars, acc)
 
     # -- structure queries -------------------------------------------------
     def is_zero(self) -> bool:

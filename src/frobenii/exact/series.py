@@ -1,42 +1,100 @@
 """Truncated exponential series c0 + sum_{k=1..K} a_k e^{kx} with exact
-rational coefficients.
+rational coefficients, stored as integers over one common denominator.
 
 These carry the CP2 free-energy building blocks (phi, psi and friends).
-Multiplication truncates beyond e^{Kx}; division is implemented twice, by a
+A series is held in canonical form: integer numerators of a_1..a_K and of
+c0 over one positive denominator, with gcd 1 across all of them, so equal
+series have equal fields.  Products are integer convolutions reduced by one
+gcd chain and truncate beyond e^{Kx}.  Division is implemented twice, by a
 triangular solve and by a Neumann-series reciprocal, so the two routes can
 cross-check each other.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence
 
 
-class GWSeries:
-    __slots__ = ("order", "coeffs", "c0")
+def _first_nonzero(v: List[int]) -> int:
+    """Index of the first nonzero entry of v, len(v) if there is none."""
+    for i, x in enumerate(v):
+        if x:
+            return i
+    return len(v)
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction], c0: Fraction | int = 0):
+
+class GWSeries:
+    __slots__ = ("order", "_num", "_c0", "_den")
+
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int], c0: Fraction | int = 0):
         if order < 1:
             raise ValueError("order must be positive")
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("length of coeffs must equal order")
+        c0 = Fraction(c0)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = math.lcm(c0.denominator, *(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs: List[Fraction] = coeffs
-        self.c0 = Fraction(c0)
+        self._num = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._c0 = c0.numerator * (den // c0.denominator)
+        self._den = den
+
+    @classmethod
+    def _wrap(cls, order: int, num: List[int], c0: int, den: int) -> "GWSeries":
+        """Series on fields already in canonical form, taken as they are."""
+        s = object.__new__(cls)
+        s.order = order
+        s._num = num
+        s._c0 = c0
+        s._den = den
+        return s
+
+    @classmethod
+    def _make(cls, order: int, num: List[int], c0: int, den: int) -> "GWSeries":
+        """Series num/den, c0/den (den != 0) brought to canonical form by one
+        gcd chain over the denominator, c0 and the numerators."""
+        if den < 0:
+            num, c0, den = [-x for x in num], -c0, -den
+        g = math.gcd(den, c0)
+        for x in num:
+            if g == 1:
+                break
+            g = math.gcd(g, x)
+        if g > 1:
+            num, c0, den = [x // g for x in num], c0 // g, den // g
+        return cls._wrap(order, num, c0, den)
 
     @staticmethod
     def zero(order: int) -> "GWSeries":
-        return GWSeries(order, [Fraction(0)] * order)
+        return GWSeries._wrap(order, [0] * order, 0, 1)
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self._c0, self._den)
+
+    @property
+    def coeffs(self) -> List[Fraction]:
+        """a_1..a_K as reduced Fractions (a new list on every access)."""
+        d = self._den
+        return [Fraction(x, d) for x in self._num]
 
     def __getitem__(self, k: int) -> Fraction:
         """Coefficient of e^{kx}; k = 0 gives the constant term."""
         if k == 0:
             return self.c0
         if 1 <= k <= self.order:
-            return self.coeffs[k - 1]
+            return Fraction(self._num[k - 1], self._den)
         return Fraction(0)
+
+    def bit_height(self) -> int:
+        """Bit length of the largest of |numerators|, |c0 numerator| and the
+        denominator: the size of the integers the series carries."""
+        return max(self._den.bit_length(), abs(self._c0).bit_length(),
+                   max((abs(x).bit_length() for x in self._num), default=0))
 
     def _check(self, other: "GWSeries"):
         if self.order != other.order:
@@ -44,20 +102,37 @@ class GWSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GWSeries(self.order, self.coeffs, self.c0 + other)
+            q = Fraction(other)
+            if q.denominator == 1:
+                # c0 + p*den keeps the gcd with den and the numerators at 1
+                return self._wrap(self.order, self._num,
+                                  self._c0 + q.numerator * self._den, self._den)
+            p, r = q.numerator, q.denominator
+            return self._make(self.order, [x * r for x in self._num],
+                              self._c0 * r + p * self._den, self._den * r)
+        if not isinstance(other, GWSeries):
+            return NotImplemented
         self._check(other)
-        return GWSeries(self.order,
-                        [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                        self.c0 + other.c0)
+        da, db = self._den, other._den
+        if da == db:
+            return self._make(self.order, [a + b for a, b in zip(self._num, other._num)],
+                              self._c0 + other._c0, da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return self._make(self.order,
+                          [a * fa + b * fb for a, b in zip(self._num, other._num)],
+                          self._c0 * fa + other._c0 * fb, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GWSeries(self.order, [-a for a in self.coeffs], -self.c0)
+        return self._wrap(self.order, [-a for a in self._num], -self._c0, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             return self + (-Fraction(other))
+        if not isinstance(other, GWSeries):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -66,66 +141,95 @@ class GWSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return GWSeries(self.order, [a * q for a in self.coeffs], self.c0 * q)
+            p, r = q.numerator, q.denominator
+            if p == 0:
+                return GWSeries.zero(self.order)
+            return self._make(self.order, [a * p for a in self._num],
+                              self._c0 * p, self._den * r)
+        if not isinstance(other, GWSeries):
+            return NotImplemented
         self._check(other)
         K = self.order
-        out = [Fraction(0)] * K
+        a, b = self._num, other._num
+        a0, b0 = self._c0, other._c0
+        rb = b[::-1]
+        la, lb = _first_nonzero(a), _first_nonzero(b)
+        out = [0] * K
         for k in range(1, K + 1):
-            s = self.c0 * other[k] + other.c0 * self[k]
-            for i in range(1, k):
-                s += self[i] * other[k - i]
+            # sum_{i=1}^{k-1} a_i b_{k-i}, over the nonzero stretches only
+            hi = k - 1 - lb
+            s = sum(map(mul, a[la:hi], rb[K - k + 1 + la:K - lb])) if hi > la else 0
+            if a0:
+                s += a0 * b[k - 1]
+            if b0:
+                s += b0 * a[k - 1]
             out[k - 1] = s
-        return GWSeries(K, out, self.c0 * other.c0)
+        return self._make(K, out, a0 * b0, self._den * other._den)
 
     __rmul__ = __mul__
 
     def diff(self) -> "GWSeries":
         """d/dx: sum a_k e^{kx} -> sum k a_k e^{kx}."""
-        return GWSeries(self.order, [k * a for k, a in enumerate(self.coeffs, start=1)])
+        return self._make(self.order, [k * a for k, a in enumerate(self._num, start=1)],
+                          0, self._den)
 
     def divide_triangular(self, den: "GWSeries") -> "GWSeries":
-        """self / den by solving the triangular convolution system."""
+        """self / den by solving the triangular convolution system.
+
+        With self = S/s and den = D/d on integer vectors, self/den =
+        (d/s) S/D.  The quotient R = S/D is solved for k = 0..K over one
+        running common denominator E of R_0..R_k, enlarged only by the new
+        factor of each step, so no power of D_0 is carried."""
         self._check(den)
-        if den.c0 == 0:
+        if den._c0 == 0:
             raise ZeroDivisionError("denominator has zero constant term")
         K = self.order
-        q0 = self.c0 / den.c0
-        out = [Fraction(0)] * K
-        for k in range(1, K + 1):
-            s = self[k] - q0 * den[k]
-            for i in range(1, k):
-                s -= out[i - 1] * den[k - i]
-            out[k - 1] = s / den.c0
-        return GWSeries(K, out, q0)
+        S = [self._c0] + self._num
+        D = [den._c0] + den._num
+        d0 = D[0]
+        m = abs(d0)
+        rd = D[:0:-1]                       # D_K..D_1
+        y: List[int] = []                   # y_i = R_i * E
+        E = 1
+        for k in range(K + 1):
+            t = S[k] * E - sum(map(mul, y, rd[K - k:]))
+            h = E * m // math.gcd(t, E * m)         # denominator of R_k
+            f = h // math.gcd(E, h)                  # lcm(E, h) / E
+            if f != 1:
+                y = [v * f for v in y]
+                E *= f
+            y.append(t * f // d0)
+        return self._make(K, [v * den._den for v in y[1:]], y[0] * den._den,
+                          E * self._den)
 
     def divide_neumann(self, den: "GWSeries") -> "GWSeries":
         """self / den via den^{-1} = (1/c0) sum_m (-(den-c0)/c0)^m (finite sum)."""
         self._check(den)
-        if den.c0 == 0:
+        if den._c0 == 0:
             raise ZeroDivisionError("denominator has zero constant term")
         K = self.order
-        tail = GWSeries(K, den.coeffs)            # den - c0, no constant term
-        inv = GWSeries(K, [Fraction(0)] * K, Fraction(1, 1) / den.c0)
-        power = GWSeries(K, [Fraction(0)] * K, 1)  # (-(tail)/c0)^m
-        step = tail * Fraction(-1, 1) * (Fraction(1) / den.c0)
+        c0 = den.c0
+        step = self._make(K, den._num, 0, den._den) * (-1 / c0)  # -(den - c0)/c0
+        power = GWSeries.zero(K) + 1                              # step^m
+        acc = power
         for _ in range(K):
             power = power * step
-            inv = inv + power * (Fraction(1) / den.c0)
-        return self * inv
+            acc = acc + power
+        return self * (acc * (1 / c0))
 
     def __truediv__(self, other):
         return self.divide_triangular(other)
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and all(a == 0 for a in self.coeffs)
+        return self._c0 == 0 and not any(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, GWSeries):
             return NotImplemented
-        return self.order == other.order and self.c0 == other.c0 and self.coeffs == other.coeffs
+        return (self.order == other.order and self._den == other._den
+                and self._c0 == other._c0 and self._num == other._num)
 
     def __repr__(self):
-        bits = [] if self.c0 == 0 else [str(self.c0)]
+        bits = [] if self._c0 == 0 else [str(self.c0)]
         bits += [f"{a}*e^{k}x" for k, a in enumerate(self.coeffs, 1) if a != 0]
         return "GWSeries(" + (" + ".join(bits) or "0") + f"; K={self.order})"
-

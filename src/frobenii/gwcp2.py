@@ -4,9 +4,12 @@ Genus zero: the coefficients A_k of phi = sum A_k e^{kx} solve the third
 order ODE phi'''(27 + 2 phi' - 3 phi'') - (phi'')^2 - 54 phi'' + 33 phi'
 - 6 phi = 0 (the r = 3 reduction of the n = 3 quasihomogeneous WDVV system);
 N_k = (3k-1)! A_k counts rational curves of degree k through 3k-1 points.
-An independent route expands the full PDE f_xxy^2 = f_yyy + f_xxx f_xyy and
-must reproduce the same numbers.  Genus one comes from the series
-psi = (phi''' - 27) / (8 (27 + 2 phi' - 3 phi'')).
+Rescaled by (3k-1)!, the ODE recursion runs on the integers N_k, and each
+step ends in an exact division whose remainder must vanish.  An
+independent route, the full PDE f_xxy^2 = f_yyy + f_xxx f_xyy rescaled the
+same way, is Kontsevich's recursion and must reproduce the same numbers.
+Genus one comes from the series psi = (phi''' - 27) / (8 (27 + 2 phi' -
+3 phi'')), divided by two routes that cross-check each other.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact.exppoly import ExpPolynomial
 from .exact.scalars import QuadScalar
@@ -29,41 +33,79 @@ class IntegralityError(ArithmeticError):
     pass
 
 
-def _factorial(n: int) -> int:
-    return math.factorial(n)
+def _ode_next(N: Sequence[int]) -> int:
+    """N_k from N_1..N_{k-1} by the ODE recursion rescaled by (3k-1)!:
+    N_k = -sum_{i+j=k} i^2 j (2i - 3ij - j) C(3k-2, 3i-1) N_i N_j
+    / (3 (k-1) (3k-2)).  The terms (i, j) and (j, i) share N_i N_j and the
+    binomial, so they are summed as one.  A nonzero remainder of the
+    division, or N_k <= 0, raises IntegralityError.  Each term's integer
+    weight is itself divisible (checked for k <= 300), so on integer input
+    the remainder check guards the weights and binomials, not the N_i;
+    Kontsevich's recursion is the check on the numbers."""
+    k = len(N) + 1
+    s = 0
+    for i in range(1, k // 2 + 1):
+        j = k - i
+        w = i * j * (2 * (i * i + j * j - i * j) - 3 * i * j * k)
+        if i == j:
+            w //= 2
+        s += w * math.comb(3 * k - 2, 3 * i - 1) * (N[i - 1] * N[j - 1])
+    d = 3 * (k - 1) * (3 * k - 2)
+    q, r = divmod(-s, d)
+    if r:
+        raise IntegralityError(f"N_{k} = {Fraction(-s, d)} is not an integer")
+    if q <= 0:
+        raise IntegralityError(f"N_{k} = {q} is not a positive integer")
+    return q
+
+
+def genus0_numbers(K: int) -> List[int]:
+    """N_1..N_K from the ODE route in integers (N_1 = 1)."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    N = [1]
+    for _ in range(2, K + 1):
+        N.append(_ode_next(N))
+    return N
+
+
+def kontsevich_numbers(K: int) -> List[int]:
+    """N_1..N_K from Kontsevich's recursion, the WDVV PDE rescaled by
+    (3k-1)!: N_d = sum_{a+b=d} N_a N_b [a^2 b^2 C(3d-4, 3a-2)
+    - a^3 b C(3d-4, 3a-1)]."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    N = [1]
+    for d in range(2, K + 1):
+        s = 0
+        for a in range(1, d):
+            b = d - a
+            s += N[a - 1] * N[b - 1] * (a * a * b * b * math.comb(3 * d - 4, 3 * a - 2)
+                                        - a ** 3 * b * math.comb(3 * d - 4, 3 * a - 1))
+        N.append(s)
+    return N
+
+
+def _coefficients(N: Sequence[int]) -> List[Fraction]:
+    """A_k = N_k / (3k-1)!."""
+    out = []
+    f = 2                                   # (3k-1)! at k = 1
+    for k, n in enumerate(N, start=1):
+        out.append(Fraction(n, f))
+        f *= 3 * k * (3 * k + 1) * (3 * k + 2)
+    return out
 
 
 def genus0_coefficients(K: int) -> List[Fraction]:
     """A_1..A_K from the ODE route (A_1 = 1/2)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    A = [Fraction(0)] * (K + 1)
-    A[1] = Fraction(1, 2)
-    for k in range(2, K + 1):
-        s = Fraction(0)
-        for i in range(1, k):
-            j = k - i
-            s += Fraction(i * i * j * (2 * i - 3 * i * j - j)) * A[i] * A[j]
-        A[k] = -s / (3 * (k - 1) * (3 * k - 1) * (3 * k - 2))
-    return A[1:]
+    return _coefficients(genus0_numbers(K))
 
 
 def genus0_coefficients_pde(K: int) -> List[Fraction]:
-    """Independent oracle: match coefficients of the PDE
-    f_xxy^2 = f_yyy + f_xxx f_xyy with f = sum c_k y^{3k-1} e^{kx}."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    c = [Fraction(0)] * (K + 1)
-    c[1] = Fraction(1, 2)
-    for k in range(2, K + 1):
-        s = Fraction(0)
-        for i in range(1, k):
-            j = k - i
-            lhs = i * i * j * j * (3 * i - 1) * (3 * j - 1)
-            rhs = i ** 3 * j * (3 * j - 1) * (3 * j - 2)
-            s += Fraction(lhs - rhs) * c[i] * c[j]
-        c[k] = s / ((3 * k - 1) * (3 * k - 2) * (3 * k - 3))
-    return c[1:]
+    """Independent oracle: A_1..A_K from Kontsevich's recursion, which is
+    the PDE f_xxy^2 = f_yyy + f_xxx f_xyy with f = sum A_k y^{3k-1} e^{kx}
+    rescaled by (3k-1)!."""
+    return _coefficients(kontsevich_numbers(K))
 
 
 @dataclass
@@ -73,36 +115,36 @@ class Genus0Row:
     A: Fraction
 
 
+def _genus0_rows(N: Sequence[int]) -> List[Genus0Row]:
+    return [Genus0Row(k=k, N=n, A=a)
+            for k, (n, a) in enumerate(zip(N, _coefficients(N)), start=1)]
+
+
 def genus0_invariants(K: int) -> List[Genus0Row]:
-    """Table of (k, N_k, A_k); raises IntegralityError if some N_k is not a
-    positive integer (which would signal an implementation bug)."""
-    A = genus0_coefficients(K)
-    rows = []
-    for k, a in enumerate(A, start=1):
-        N = a * _factorial(3 * k - 1)
-        if N.denominator != 1 or N <= 0:
-            raise IntegralityError(f"N_{k} = {N} is not a positive integer")
-        rows.append(Genus0Row(k=k, N=int(N), A=a))
-    return rows
+    """Table of (k, N_k, A_k) from the ODE route; raises IntegralityError if
+    some N_k is not a positive integer (which would signal an
+    implementation bug)."""
+    return _genus0_rows(genus0_numbers(K))
 
 
 def phi_series(K: int) -> GWSeries:
     return GWSeries(K, genus0_coefficients(K))
 
 
+def _psi_parts(A: Sequence[Fraction]) -> Tuple[GWSeries, GWSeries]:
+    """Numerator phi''' - 27 and denominator 8 (27 + 2 phi' - 3 phi'') of psi
+    for phi = sum A_k e^{kx}, truncated at K = len(A)."""
+    d1 = GWSeries(len(A), A).diff()
+    d2 = d1.diff()
+    return d2.diff() - 27, (2 * d1 - 3 * d2 + 27) * 8
+
+
 def elliptic_series(K: int, route: str = "triangular") -> GWSeries:
     """psi = (phi''' - 27) / (8 (27 + 2 phi' - 3 phi'')) truncated at K."""
-    phi = phi_series(K)
-    d1 = phi.diff()
-    d2 = d1.diff()
-    d3 = d2.diff()
-    num = d3 - 27
-    den = (GWSeries(K, [Fraction(0)] * K, 27) + 2 * d1 - 3 * d2) * 8
-    if route == "triangular":
-        return num.divide_triangular(den)
-    if route == "neumann":
-        return num.divide_neumann(den)
-    raise ValueError("route must be 'triangular' or 'neumann'")
+    if route not in ("triangular", "neumann"):
+        raise ValueError("route must be 'triangular' or 'neumann'")
+    num, den = _psi_parts(genus0_coefficients(K))
+    return num.divide_triangular(den) if route == "triangular" else num.divide_neumann(den)
 
 
 @dataclass
@@ -111,31 +153,46 @@ class EllipticRow:
     N1: int
 
 
-def elliptic_invariants(K: int) -> List[EllipticRow]:
-    """Elliptic GW numbers N_k^{(1)} from
-    psi = -1/8 + sum k N_k^{(1)} / (3k)! e^{kx}; integrality enforced and the
-    two series-division routes cross-checked."""
-    psi_a = elliptic_series(K, "triangular")
-    psi_b = elliptic_series(K, "neumann")
+def _timed(metrics: Dict[str, float], key: str, fn, *args):
+    """fn(*args), its seconds stored as metrics[key]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    metrics[key] = time.perf_counter() - t0
+    return out
+
+
+def _elliptic_rows(A: Sequence[Fraction], metrics: Dict[str, float]) -> List[EllipticRow]:
+    """N^(1)_1..N^(1)_K from the genus-0 coefficients A: psi by both division
+    routes on one numerator and denominator, cross-checked; the seconds of
+    each route and the bit height of psi go into metrics."""
+    num, den = _psi_parts(A)
+    psi_a = _timed(metrics, "triangular_s", num.divide_triangular, den)
+    psi_b = _timed(metrics, "neumann_s", num.divide_neumann, den)
     if psi_a != psi_b:
         raise ArithmeticError("the two series-division routes disagree")
     if psi_a.c0 != Fraction(-1, 8):
         raise ArithmeticError(f"constant term of psi is {psi_a.c0}, not -1/8")
+    metrics["max_bits"] = psi_a.bit_height()
     rows = []
-    for k in range(1, K + 1):
-        val = psi_a[k] * _factorial(3 * k) / k
+    f = 1                                   # (3k)!
+    for k in range(1, len(A) + 1):
+        f *= (3 * k - 2) * (3 * k - 1) * 3 * k
+        val = psi_a[k] * f / k
         if val.denominator != 1:
             raise IntegralityError(f"N^(1)_{k} = {val} is not an integer")
         rows.append(EllipticRow(k=k, N1=int(val)))
     return rows
 
 
-def asymptotic_fit(K: int) -> Tuple[float, float, float]:
-    """Fit A_k ~ a^k b k^{-7/2} by least squares on log A_k over k in
-    [K/2, K]; returns (a_hat, b_hat, R_hat) with R_hat = -log a_hat."""
-    if K < 20:
-        raise ValueError("asymptotic fit needs K >= 20")
-    A = genus0_coefficients(K)
+def elliptic_invariants(K: int) -> List[EllipticRow]:
+    """Elliptic GW numbers N_k^{(1)} from
+    psi = -1/8 + sum k N_k^{(1)} / (3k)! e^{kx}; integrality enforced and the
+    two series-division routes cross-checked."""
+    return _elliptic_rows(genus0_coefficients(K), {})
+
+
+def _fit(A: Sequence[Fraction]) -> Tuple[float, float, float]:
+    K = len(A)
     ks = list(range(K // 2, K + 1))
     # log A_k + 3.5 log k = k log a + log b
     xs, ys = [], []
@@ -154,10 +211,32 @@ def asymptotic_fit(K: int) -> Tuple[float, float, float]:
     return a_hat, b_hat, -slope
 
 
+def asymptotic_fit(K: int) -> Tuple[float, float, float]:
+    """Fit A_k ~ a^k b k^{-7/2} by least squares on log A_k over k in
+    [K/2, K]; returns (a_hat, b_hat, R_hat) with R_hat = -log a_hat."""
+    if K < 20:
+        raise ValueError("asymptotic fit needs K >= 20")
+    return _fit(genus0_coefficients(K))
+
+
+def _tail_ratio(A: Sequence[Fraction]) -> float:
+    return float(A[-1] / A[-2])
+
+
 def ratio_tail(K: int) -> float:
     """A_K / A_{K-1} as a float (approaches the DI constant a ~ 0.138)."""
-    A = genus0_coefficients(K)
-    return float(A[-1] / A[-2])
+    return _tail_ratio(genus0_coefficients(K))
+
+
+def _ratio_test(A: Sequence[Fraction], x: float | None) -> bool:
+    if x is None:
+        x = math.log(6 / 5) - 0.01
+    ex = math.exp(x)
+    K = len(A)
+    for k in range(K // 2, K):
+        if float(A[k] / A[k - 1]) * ex >= 1.0:
+            return False
+    return True
 
 
 def convergence_bound_check(K: int, x: float | None = None) -> bool:
@@ -166,14 +245,7 @@ def convergence_bound_check(K: int, x: float | None = None) -> bool:
     the recursion-based estimate of the convergence domain."""
     if K < 5:
         raise ValueError("K must be >= 5")
-    if x is None:
-        x = math.log(6 / 5) - 0.01
-    A = genus0_coefficients(K)
-    ex = math.exp(x)
-    for k in range(K // 2, K):
-        if float(A[k] / A[k - 1]) * ex >= 1.0:
-            return False
-    return True
+    return _ratio_test(genus0_coefficients(K), x)
 
 
 def truncated_potential(K: int) -> FrobeniusPotential:
@@ -196,34 +268,88 @@ def truncated_potential(K: int) -> FrobeniusPotential:
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# reports and emitters
 # ---------------------------------------------------------------------------
 
-def table_rows(K: int) -> List[dict]:
-    g0 = genus0_invariants(K)
-    g1 = {row.k: row.N1 for row in elliptic_invariants(K)}
+def _genus0_table(rows: Sequence[Genus0Row]) -> List[dict]:
     out = []
     prev = None
-    for row in g0:
-        ratio = "" if prev is None else f"{float(row.A / prev):.9f}"
+    for row in rows:
         out.append({
             "k": row.k,
             "N_k": row.N,
-            "N1_k": g1[row.k],
             "A_k": f"{float(row.A):.12e}",
-            "ratio": ratio,
+            "ratio": "" if prev is None else f"{float(row.A / prev):.9f}",
         })
         prev = row.A
     return out
 
 
-def table_csv(K: int) -> str:
-    rows = table_rows(K)
+def nk_report(K: int) -> Tuple[dict, List[dict]]:
+    """Results of `gw nk` (N_k by the ODE route, every k checked against
+    Kontsevich's recursion, seconds per route, bit length of the largest
+    N_k) and the genus-0 table rows (k, N_k, A_k, ratio)."""
+    metrics: Dict[str, float] = {}
+    N = _timed(metrics, "ode_s", genus0_numbers, K)
+    M = _timed(metrics, "kontsevich_s", kontsevich_numbers, K)
+    metrics["max_bits"] = max(n.bit_length() for n in N)
+    rows = _genus0_rows(N)
+    return {"N": {r.k: r.N for r in rows},
+            "ode_pde_agree": N == M,
+            "checked_range": [1, K],
+            "metrics": metrics}, _genus0_table(rows)
+
+
+def elliptic_report(K: int) -> Tuple[dict, List[dict]]:
+    """Results of `gw elliptic` (N^(1)_k, seconds of the genus-0 route and of
+    both division routes, bit height of psi) and the rows (k, N1_k)."""
+    metrics: Dict[str, float] = {}
+    A = _timed(metrics, "ode_s", genus0_coefficients, K)
+    rows = _elliptic_rows(A, metrics)
+    return {"N1": {r.k: r.N1 for r in rows},
+            "psi_constant_term": "-1/8",
+            "metrics": metrics}, [{"k": r.k, "N1_k": r.N1} for r in rows]
+
+
+def fit_report(K: int) -> dict:
+    """Results of `gw fit`: asymptotic fit, tail ratio and ratio test on one
+    computation of A_1..A_K, with the seconds of the genus-0 route and of
+    the fit and the bit length of the largest N_k."""
+    if K < 20:
+        raise ValueError("asymptotic fit needs K >= 20")
+    metrics: Dict[str, float] = {}
+    N = _timed(metrics, "ode_s", genus0_numbers, K)
+    t0 = time.perf_counter()
+    A = _coefficients(N)
+    a_hat, b_hat, r_hat = _fit(A)
+    ratio = _tail_ratio(A)
+    bound = _ratio_test(A, None)
+    metrics["fit_s"] = time.perf_counter() - t0
+    metrics["max_bits"] = max(n.bit_length() for n in N)
+    return {"a_hat": a_hat, "b_hat": b_hat, "R_hat": r_hat,
+            "tail_ratio": ratio, "ratio_test_at_log65": bound,
+            "metrics": metrics}
+
+
+def rows_csv(rows: Sequence[dict]) -> str:
+    """CSV text of table rows, with the keys of the first row as header."""
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=["k", "N_k", "N1_k", "A_k", "ratio"])
+    w = csv.DictWriter(buf, fieldnames=list(rows[0]))
     w.writeheader()
     w.writerows(rows)
     return buf.getvalue()
+
+
+def table_rows(K: int) -> List[dict]:
+    """Genus-0 and elliptic numbers side by side, genus 0 computed once."""
+    g0 = _genus0_rows(genus0_numbers(K))
+    g1 = _elliptic_rows([row.A for row in g0], {})
+    return [{"k": r["k"], "N_k": r["N_k"], "N1_k": e.N1, "A_k": r["A_k"],
+             "ratio": r["ratio"]} for r, e in zip(_genus0_table(g0), g1)]
+
+
+def table_csv(K: int) -> str:
+    return rows_csv(table_rows(K))
 
 
 def table_json(K: int) -> str:

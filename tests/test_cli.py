@@ -61,6 +61,47 @@ def test_gw_nk_with_csv(capsys, tmp_path):
     assert len(lines) == 5
 
 
+def test_gw_nk_checks_every_k(capsys, monkeypatch):
+    from frobenii import gwcp2
+    code, data = run_cli(capsys, "gw", "nk", "--max", "30")
+    assert code == 0 and data["results"]["ode_pde_agree"] is True
+    assert data["results"]["checked_range"] == [1, 30]
+    real = gwcp2.kontsevich_numbers
+    monkeypatch.setattr(gwcp2, "kontsevich_numbers",
+                        lambda K: real(K)[:-1] + [real(K)[-1] + 1])
+    code, data = run_cli(capsys, "gw", "nk", "--max", "30")
+    assert code == 1 and data["status"] == "FAIL"
+    assert data["results"]["ode_pde_agree"] is False
+
+
+@pytest.mark.parametrize("action, keys", [
+    ("nk", {"ode_s", "kontsevich_s", "max_bits"}),
+    ("elliptic", {"ode_s", "triangular_s", "neumann_s", "max_bits"}),
+    ("fit", {"ode_s", "fit_s", "max_bits"}),
+])
+def test_gw_reports_carry_metrics(capsys, action, keys):
+    from frobenii import gwcp2
+    code, data = run_cli(capsys, "gw", action, "--max", "24")
+    assert code == 0
+    m = data["results"]["metrics"]
+    assert set(m) == keys
+    assert all(m[k] >= 0 for k in keys if k.endswith("_s"))
+    if action == "elliptic":
+        assert m["max_bits"] == gwcp2.elliptic_series(24).bit_height()
+    else:
+        assert m["max_bits"] == gwcp2.genus0_numbers(24)[-1].bit_length()
+
+
+def test_gw_csv_writes_the_rows_of_the_command(capsys, tmp_path):
+    nk, el = tmp_path / "nk.csv", tmp_path / "el.csv"
+    run_cli(capsys, "gw", "nk", "--max", "4", "--csv", str(nk))
+    lines = nk.read_text().splitlines()
+    assert lines[0] == "k,N_k,A_k,ratio" and len(lines) == 5
+    assert lines[3].startswith("3,12,")
+    run_cli(capsys, "gw", "elliptic", "--max", "4", "--csv", str(el))
+    assert el.read_text().splitlines() == ["k,N1_k", "1,0", "2,0", "3,1", "4,225"]
+
+
 def test_gw_fit(capsys):
     code, data = run_cli(capsys, "gw", "fit", "--max", "24")
     assert code == 0

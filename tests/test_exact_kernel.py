@@ -224,6 +224,31 @@ def test_diff_examples():
     assert p.diff(1) == want
 
 
+def test_exppoly_op_results_hold_no_zero_coefficients():
+    t1, t2 = _t(0, 2), _t(1, 2)
+    e = ExpPolynomial.monomial(2, 1, (0, 0), (1, 0))          # e^{t1}
+    p, q = t1 + t2, t2 - t1
+    results = [p + q, -p, p * q, (t1 + t2) * (t1 - t2), p.scale(0), p.scale(F(-3, 2)),
+               ((t1 - 1) * e).diff(0),                      # e^{t1} terms cancel
+               p - p]
+    for r in results:
+        assert all(c for c in r.terms.values())
+        assert all(len(pw) == 2 and len(ex) == 2 for pw, ex in r.terms)
+        assert ExpPolynomial(2, r.terms) == r
+    assert ((t1 - 1) * e).diff(0) == t1 * e
+    assert (p - p).is_zero() and p.scale(0).is_zero()
+
+
+def test_exppoly_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        ExpPolynomial(2, {((1,), (0,)): 1})
+    with pytest.raises(ValueError):
+        ExpPolynomial(2, {((1, 0), (0, 0, 1)): 1})
+    p = ExpPolynomial(2, {((1, 0), (0, 0)): 0, ((F(2), 0), (0, 1)): F(3, 6)})
+    assert p.terms == {((2, 0), (0, 1)): QuadScalar(F(1, 2))}
+    assert all(type(x) is int for x in next(iter(p.terms))[0])
+
+
 @st.composite
 def exp_polys(draw):
     terms = {}
@@ -300,6 +325,91 @@ def test_two_division_routes_agree(num, den, c_num, c_den):
     assert f.divide_triangular(g) == f.divide_neumann(g)
     # and both invert multiplication
     assert (f.divide_triangular(g)) * g == f
+
+
+def _series_ref_mul(a0, a, b0, b):
+    """Plain Fraction convolution of c0 + sum a_k e^{kx} by b, truncated."""
+    K = len(a)
+    out = []
+    for k in range(1, K + 1):
+        s = a0 * b[k - 1] + b0 * a[k - 1]
+        for i in range(1, k):
+            s += a[i - 1] * b[k - i - 1]
+        out.append(s)
+    return a0 * b0, out
+
+
+def _series_ref_div(a0, a, b0, b):
+    """Plain Fraction triangular solve of (a0, a) / (b0, b)."""
+    q0 = a0 / b0
+    out = []
+    for k in range(1, len(a) + 1):
+        s = a[k - 1] - q0 * b[k - 1]
+        for i in range(1, k):
+            s -= out[i - 1] * b[k - i - 1]
+        out.append(s / b0)
+    return q0, out
+
+
+def _canonical(s):
+    """Integer fields over a positive denominator with gcd 1."""
+    return s._den > 0 and gcd(s._den, s._c0, *s._num) == 1
+
+
+_mixed = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_mixed, min_size=5, max_size=5), _mixed,
+       st.lists(_mixed, min_size=5, max_size=5),
+       _mixed.filter(lambda x: x != 0))
+def test_series_ops_match_fraction_reference(a, a0, b, b0):
+    f, g = GWSeries(5, a, a0), GWSeries(5, b, b0)
+    prod = f * g
+    assert (prod.c0, prod.coeffs) == _series_ref_mul(a0, a, b0, b)
+    want = _series_ref_div(a0, a, b0, b)
+    for q in (f.divide_triangular(g), f.divide_neumann(g), f / g):
+        assert (q.c0, q.coeffs) == want
+        assert _canonical(q)
+    total = f + g
+    assert (total.c0, total.coeffs) == (a0 + b0, [x + y for x, y in zip(a, b)])
+    assert f - g == f + (-g)
+    assert (f - g).coeffs == [x - y for x, y in zip(a, b)]
+    assert all(_canonical(s) for s in (prod, total, f - g, -f, f.diff()))
+    assert [f[k] for k in range(7)] == [a0] + a + [F(0)]
+
+
+def test_series_canonical_form():
+    assert GWSeries(3, [F(2, 4), 0, 0]) == GWSeries(3, [F(1, 2), 0, 0])
+    # a common factor left by a sum or product is divided out
+    s = GWSeries(2, [F(1, 2), F(1, 2)]) + GWSeries(2, [F(1, 2), F(-1, 2)])
+    assert s == GWSeries(2, [1, 0]) and s._den == 1
+    t = GWSeries(3, [F(1, 6), F(-5, 4), 0], F(-7, 3))
+    assert (t * 6) * F(1, 6) == t and _canonical((t * 6) * F(1, 6))
+    assert t != GWSeries(3, [F(1, 6), F(-5, 4), 0], F(7, 3))
+    assert t.c0 == F(-7, 3) and t.coeffs == [F(1, 6), F(-5, 4), F(0)]
+    assert GWSeries.zero(3) == GWSeries(3, [0, 0, 0]) and (t * 0).is_zero()
+
+
+def test_series_scalar_ops_int_and_fraction():
+    t = GWSeries(3, [F(1, 6), F(-5, 4), 2], F(-7, 3))
+    cs = [F(1, 6), F(-5, 4), F(2)]
+    for c in (3, -2, F(3, 4), F(-5, 6)):
+        assert (t * c).coeffs == [x * c for x in cs] and (t * c).c0 == F(-7, 3) * c
+        assert c * t == t * c
+        assert (t + c).coeffs == cs and (t + c).c0 == F(-7, 3) + c
+        assert c + t == t + c
+        assert (t - c).c0 == F(-7, 3) - c and (c - t).c0 == c - F(-7, 3)
+        assert (c - t).coeffs == [-x for x in cs]
+        assert all(_canonical(s) for s in (t * c, t + c, t - c, c - t))
+
+
+def test_series_zero_constant_denominator_raises():
+    f = GWSeries(3, [F(1, 2), 1, F(-1, 3)], F(-1, 4))
+    g = GWSeries(3, [F(1, 3), 0, 2])
+    for divide in (f.divide_triangular, f.divide_neumann, f.__truediv__):
+        with pytest.raises(ZeroDivisionError):
+            divide(g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 
 from frobenii.exact import QuadScalar
 from frobenii.frobenius import check_wdvv1, origin_monodromy
+from frobenii import gwcp2
 from frobenii.gwcp2 import (
-    convergence_bound_check, elliptic_invariants, elliptic_series,
-    genus0_coefficients, genus0_coefficients_pde, genus0_invariants,
-    phi_series, ratio_tail, asymptotic_fit, table_csv, truncated_potential,
+    IntegralityError, _ode_next, convergence_bound_check, elliptic_invariants,
+    elliptic_series, genus0_coefficients, genus0_coefficients_pde,
+    genus0_invariants, genus0_numbers, kontsevich_numbers, phi_series,
+    ratio_tail, asymptotic_fit, table_csv, truncated_potential,
 )
 
 KNOWN_N = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
@@ -25,6 +27,60 @@ def test_first_numbers():
 
 def test_ode_and_pde_routes_agree_to_20():
     assert genus0_coefficients(20) == genus0_coefficients_pde(20)
+
+
+def _fraction_ode(K):
+    """The ODE recursion on Fractions, unscaled: the reference the integer
+    routes must reproduce."""
+    A = [F(0)] * (K + 1)
+    A[1] = F(1, 2)
+    for k in range(2, K + 1):
+        s = F(0)
+        for i in range(1, k):
+            j = k - i
+            s += F(i * i * j * (2 * i - 3 * i * j - j)) * A[i] * A[j]
+        A[k] = -s / (3 * (k - 1) * (3 * k - 1) * (3 * k - 2))
+    return A[1:]
+
+
+def test_integer_routes_match_fraction_ode_to_150():
+    ref = _fraction_ode(150)
+    N = genus0_numbers(150)
+    assert N == kontsevich_numbers(150)
+    assert genus0_coefficients(150) == ref
+    assert genus0_coefficients_pde(150) == ref
+    assert all(F(n, math.factorial(3 * k - 1)) == a
+               for k, (n, a) in enumerate(zip(N, ref), start=1))
+
+
+def test_exact_division_rejects_a_non_integral_input():
+    N = genus0_numbers(4)
+    assert _ode_next(N[:3]) == N[3]
+    with pytest.raises(IntegralityError, match="not an integer"):
+        _ode_next([1, 1, F(25, 2)])             # N_3 = 12 moved off the integers
+
+
+def test_exact_division_rejects_a_perturbed_binomial(monkeypatch):
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(IntegralityError, match="not an integer"):
+        genus0_numbers(6)
+
+
+def test_ode_route_rejects_a_non_positive_number():
+    with pytest.raises(IntegralityError, match="positive"):
+        _ode_next([0])
+
+
+def test_genus0_built_once_per_call(monkeypatch):
+    calls = []
+    real = gwcp2.genus0_numbers
+    monkeypatch.setattr(gwcp2, "genus0_numbers", lambda K: calls.append(K) or real(K))
+    for build in (gwcp2.elliptic_invariants, gwcp2.table_rows, gwcp2.fit_report,
+                  gwcp2.nk_report, gwcp2.elliptic_report):
+        calls.clear()
+        build(24)
+        assert calls == [24], build.__name__
 
 
 def test_integrality_to_40():
