@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 _EXIT_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
@@ -190,7 +191,9 @@ def cmd_iso(args) -> int:
         state = semisimple.state_from_dict(json.load(fh))
     with open(args.path, "r", encoding="utf-8") as fh:
         path = semisimple.path_from_json(fh.read())
+    t0 = time.perf_counter()
     final, diag = semisimple.integrate_isomonodromic(state, path, tol=args.tol)
+    integrate_s = time.perf_counter() - t0
     status = "PASS" if (diag.spectral_drift < 1e-8 and diag.skewness_drift < 1e-8) \
         else "FAIL"
     return _report("iso integrate",
@@ -199,7 +202,11 @@ def cmd_iso(args) -> int:
                    {"final": semisimple.state_to_dict(final),
                     "steps": diag.stats.steps,
                     "rejected": diag.stats.rejected,
-                    "dlog_tau": [diag.dlog_tau.real, diag.dlog_tau.imag]},
+                    "dlog_tau": [diag.dlog_tau.real, diag.dlog_tau.imag],
+                    "metrics": {"segments": diag.segments,
+                                "steps": diag.stats.steps,
+                                "rejected": diag.stats.rejected,
+                                "integrate_s": integrate_s}},
                    {"spectral_drift": diag.spectral_drift,
                     "skewness_drift": diag.skewness_drift})
 

@@ -6,7 +6,9 @@ coordinate.  Everything downstream -- the constant metric eta, structure
 constants, WDVV residuals, intersection form, monodromy data at the origin,
 deformed flat coordinates, inversion symmetry, tensor locus -- is computed
 exactly in the coefficient field.  eta, eta^{-1} and the structure constants
-are derived once per potential and cached on it as ``P.tensors``.
+are derived once per potential and cached on it as ``P.tensors``; their
+constant numeric lowering (eta and eta^{-1} as read-only complex arrays, mu)
+is cached as ``P.numeric``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .exact.exppoly import ExpPolynomial, NotClosedFormError
 from .exact.linalg import ExactMatrix, SingularMatrixError
@@ -58,6 +62,16 @@ class FrobeniusPotential:
     def tensors(self) -> Tensors:
         """eta, eta^{-1}, c_abg and c_ab^g, derived once and shared."""
         return structure_constants(self)
+
+    @cached_property
+    def numeric(self) -> Numeric:
+        """eta and eta^{-1} lowered once to read-only complex arrays, and mu."""
+        def lowered(m: ExactMatrix) -> np.ndarray:
+            arr = np.array([[complex(x) for x in row] for row in m.rows])
+            arr.flags.writeable = False
+            return arr
+        _, _, eta, eta_inv = self.tensors
+        return Numeric(lowered(eta), lowered(eta_inv), tuple(self.mu()))
 
     @cached_property
     def euler(self) -> Tuple[ExpPolynomial, ...]:
@@ -109,6 +123,14 @@ class Tensors(NamedTuple):
     c_up: Tuple[Tuple[Tuple[ExpPolynomial, ...], ...], ...]
     eta: ExactMatrix
     eta_inv: ExactMatrix
+
+
+class Numeric(NamedTuple):
+    """The constant tensors of a potential in floating point: eta and
+    eta^{-1} as read-only complex arrays; mu_a = q_a - d/2 stays exact."""
+    eta: np.ndarray
+    eta_inv: np.ndarray
+    mu: Tuple[Fraction, ...]
 
 
 def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
@@ -299,27 +321,29 @@ class OriginMonodromy:
 
 def origin_monodromy(P: FrobeniusPotential) -> OriginMonodromy:
     """mu_a = q_a - d/2 and (R1)^a_b = sum_e r_e c_{e b}^a computed with the
-    structure constants of the cubic (classical-limit) part of F."""
+    structure constants of the cubic (classical-limit) part of F.
+
+    Only the slices c_{e b}^a with r_e != 0 are built; when every r_e
+    vanishes R1 = 0 and the cubic part is not touched."""
     n = P.n
-    cubic = FrobeniusPotential(
-        n=n, F=P.F.polynomial_part(), d=P.d, q=P.q, r=P.r,
-        unity_index=P.unity_index)
-    c_up = cubic.tensors.c_up
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            acc = QuadScalar(0)
-            for e in range(n):
-                if P.r[e]:
-                    val = c_up[e][b][a]
+    shifts = [e for e in range(n) if P.r[e]]
+    R1 = ExactMatrix.zeros(n)
+    if shifts:
+        cubic = FrobeniusPotential(
+            n=n, F=P.F.polynomial_part(), d=P.d, q=P.q, r=P.r,
+            unity_index=P.unity_index)
+        eta_inv = metric_eta(cubic).inverse()
+        for e in shifts:
+            r_e = QuadScalar(P.r[e])
+            Fe = cubic.F.diff(e)
+            for b in range(n):
+                c_eb = [Fe.diff(b).diff(g) for g in range(n)]  # c_{g e b} over g
+                for a in range(n):
+                    val = _lincomb(n, eta_inv.rows[a], c_eb)
                     if not val.is_constant():
                         raise NotClosedFormError(
                             "cubic part has non-constant structure constants")
-                    acc = acc + val.constant_term() * QuadScalar(P.r[e])
-            row.append(acc)
-        rows.append(row)
-    R1 = ExactMatrix(rows)
+                    R1[a, b] = R1[a, b] + val.constant_term() * r_e
     mu = P.mu()
     for a in range(n):
         for b in range(n):

@@ -1,9 +1,12 @@
 """Adaptive embedded Runge-Kutta (Cash-Karp 5(4)) for complex vector fields.
 
 Shared by the isomonodromic integrator and the Painleve-VI integrator.  The
-state is a flat complex numpy array; a guard callback can reject steps that
-enter a forbidden region (singularity margins), which triggers step-size
-reduction and ultimately a StepUnderflowError.
+state is a flat complex numpy array.  The six stages of a step are the rows
+of one (6, m) array K: stage i evaluates f at y + h (A_i @ K[:i]), and the
+fifth-order solution and the error estimate are y + h (B5 @ K) and
+h ((B5 - B4) @ K).  A guard callback can reject steps that enter a
+forbidden region (singularity margins), which triggers step-size reduction
+and ultimately a StepUnderflowError.
 """
 
 from __future__ import annotations
@@ -13,17 +16,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Cash-Karp tableau
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [3 / 10, -9 / 10, 6 / 5],
-    [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+# Cash-Karp tableau: row i of _A holds a_ij for j < i
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [3 / 10, -9 / 10, 6 / 5, 0, 0],
+    [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0],
     [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
-]
-_B5 = [37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771]
-_B4 = [2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
+])
+_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
+_E = _B5 - _B4
 _C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
 
 
@@ -61,25 +65,22 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     h = abs(span) / 16 if h0 is None else abs(h0)
     stats = IntegrationStats()
     scale0 = max(1.0, float(np.abs(y).max()))
+    K = np.empty((6, y.size), dtype=complex)
     while (s1 - s) * direction > 1e-16 * abs(span):
         h = min(h, abs(s1 - s))
         if h < min_step:
             raise StepUnderflowError(f"step size underflow at s={s}")
         hs = direction * h
-        k = []
         failed = False
         for i in range(6):
-            yi = y
-            for j, aij in enumerate(_A[i]):
-                yi = yi + hs * aij * k[j]
+            yi = y + hs * (_A[i, :i] @ K[:i]) if i else y
             if guard is not None and not guard(s + _C[i] * hs, yi):
                 failed = True
                 break
-            k.append(f(s + _C[i] * hs, yi))
+            K[i] = f(s + _C[i] * hs, yi)
         if not failed:
-            y5 = y + hs * sum(b * ki for b, ki in zip(_B5, k))
-            y4 = y + hs * sum(b * ki for b, ki in zip(_B4, k))
-            err = float(np.abs(y5 - y4).max())
+            y5 = y + hs * (_B5 @ K)
+            err = float(np.abs(hs * (_E @ K)).max())
             scale = max(scale0, float(np.abs(y5).max()))
             failed = err > tol * scale or not np.isfinite(err)
             if guard is not None and not failed:

@@ -8,6 +8,11 @@ V = Psi mu Psi^{-1} is skew and evolves isospectrally along u by
 dV/du_i = [V_i, V]; the flow is Hamiltonian with quadratic Hamiltonians
 H_i = 1/2 sum_{j != i} V_ij^2/(u_i - u_j) whose 1-form sum H_i du_i is
 closed (d log tau).
+
+Along a straight segment u(s) = u0 + s du of a path the flow is one
+commutator, dV/ds = sum_i du_i [V_i, V] = [A, V] with
+A_ab = V_ab (du_a - du_b)/(u_a - u_b), and the segment is certified clear
+of colliding u_i in closed form before it is integrated.
 """
 
 from __future__ import annotations
@@ -49,19 +54,18 @@ class IllConditionedFrameError(ArithmeticError):
 
 def _numeric_tensors(P: FrobeniusPotential, t: Sequence[complex]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_{ab}^g, c_{abg}, eta) at t from the cached ``P.tensors``, the
-    raised index last on the first."""
+    """(c_{ab}^g, c_{abg}, eta) at t from the cached ``P.tensors`` and
+    ``P.numeric``, the raised index last on the first."""
     n = P.n
-    c_sym, _, eta, eta_inv = P.tensors
-    num = lambda m: np.array([[complex(m[a, b]) for b in range(n)]
-                              for a in range(n)])
+    c_sym = P.tensors.c_low
+    eta, eta_inv, _ = P.numeric
     c_low = np.empty((n, n, n), dtype=complex)
     for a, b, g in itertools.combinations_with_replacement(range(n), 3):
         val = c_sym[a][b][g].eval_complex(t)
         for i, j, k in itertools.permutations((a, b, g)):
             c_low[i, j, k] = val
-    c_up = np.einsum("ge,eab->abg", num(eta_inv), c_low)
-    return c_up, c_low, num(eta)
+    c_up = np.einsum("ge,eab->abg", eta_inv, c_low)
+    return c_up, c_low, eta
 
 
 def _euler_matrix(P: FrobeniusPotential, t: Sequence[complex],
@@ -145,7 +149,8 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     cres = float(np.abs(crec - c_low).max())
     if cres > tol * max(1.0, float(np.abs(c_low).max())):
         raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", u, vecs)
-    return CanonicalFrame(u=u, Psi=Psi, mu=P.mu(), eta=eta, c_residual=cres)
+    return CanonicalFrame(u=u, Psi=Psi, mu=list(P.numeric.mu), eta=eta,
+                          c_residual=cres)
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +178,45 @@ def v_matrices(frame: CanonicalFrame) -> Tuple[np.ndarray, List[np.ndarray]]:
     return V, Vis
 
 
+def _inverse_gaps(u: np.ndarray) -> np.ndarray:
+    """G_ab = 1/(u_a - u_b) off the diagonal, G_aa = 0."""
+    eye = np.eye(len(u))
+    return (1 - eye) / (u[:, None] - u[None, :] + eye)
+
+
+def _closest_approach(u0: np.ndarray, du: np.ndarray) -> Tuple[float, int, int, float]:
+    """min |u_a(s) - u_b(s)| over a < b and s in [0, 1] on the segment
+    u(s) = u0 + s du, with the pair (a, b) and the s where it is attained.
+
+    Per pair the gap g0 + s dg is a straight segment in C; its distance to 0
+    is attained at s* = clip(-Re(g0 conj(dg))/|dg|^2, 0, 1)."""
+    n = len(u0)
+    g0 = u0[:, None] - u0[None, :]
+    dg = du[:, None] - du[None, :]
+    d2 = (dg * dg.conj()).real
+    s = np.clip(-(g0 * dg.conj()).real / np.where(d2 > 0, d2, 1.0), 0.0, 1.0)
+    dist = np.abs(g0 + s * dg) + np.diag(np.full(n, np.inf))
+    a, b = divmod(int(np.argmin(dist)), n)
+    return float(dist[a, b]), a, b, float(s[a, b])
+
+
 def v_components(u: Sequence[complex], V: np.ndarray) -> List[np.ndarray]:
+    """The V_i: (V_i)_{ib} = V_{ib}/(u_i - u_b), (V_i)_{bi} = V_{bi}/(u_i - u_b),
+    zero elsewhere."""
     n = len(u)
-    out = []
-    for i in range(n):
-        Vi = np.zeros((n, n), dtype=complex)
-        for b in range(n):
-            if b != i:
-                Vi[i, b] = V[i, b] / (u[i] - u[b])
-                Vi[b, i] = V[b, i] / (u[i] - u[b])
-        out.append(Vi)
-    return out
+    inv = _inverse_gaps(np.asarray(u, dtype=complex))
+    Vis = np.zeros((n, n, n), dtype=complex)
+    idx = np.arange(n)
+    Vis[idx, idx, :] = V * inv
+    Vis[idx, :, idx] = V.T * inv
+    return list(Vis)
 
 
 def hamiltonians(state: IsoState) -> List[complex]:
     """H_i = 1/2 sum_{j != i} V_ij^2 / (u_i - u_j)."""
-    n = len(state.u)
-    out = []
-    for i in range(n):
-        s = 0j
-        for j in range(n):
-            if j != i:
-                s += state.V[i, j] ** 2 / (state.u[i] - state.u[j])
-        out.append(s / 2)
-    return out
+    V = np.asarray(state.V, dtype=complex)
+    inv = _inverse_gaps(np.asarray(state.u, dtype=complex))
+    return list(0.5 * (V * V * inv).sum(axis=1))
 
 
 @dataclass
@@ -205,6 +225,29 @@ class IsoDiagnostics:
     skewness_drift: float
     stats: IntegrationStats
     dlog_tau: complex
+    segments: int
+
+
+def _segment_field(u0: np.ndarray, du: np.ndarray
+                   ) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The flow on u(s) = u0 + s du as one commutator: sum_i du_i [V_i, V]
+    = [A, V] with A_ab = V_ab (du_a - du_b)/(u_a - u_b); the last component
+    is the tau integrand sum_i du_i H_i."""
+    n = len(u0)
+    eye = np.eye(n)
+    off = 1 - eye
+    g0 = u0[:, None] - u0[None, :] + eye
+    dg = du[:, None] - du[None, :]
+
+    def f(s: float, y: np.ndarray) -> np.ndarray:
+        V = y[:n * n].reshape(n, n)
+        inv = off / (g0 + s * dg)
+        A = V * dg * inv
+        out = np.empty(n * n + 1, dtype=complex)
+        out[:n * n] = (A @ V - V @ A).reshape(-1)
+        out[n * n] = 0.5 * (du @ (V * V * inv).sum(axis=1))
+        return out
+    return f
 
 
 def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
@@ -214,8 +257,12 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     """Integrate dV/du_i = [V_i, V] along a polyline in u-space.
 
     The tau increment int sum H_i du_i rides along as an extra component.
-    The step guard refuses configurations with min |u_i - u_j| below
-    collision_margin * max |u_k|."""
+    Before a segment is integrated it is certified: the exact closest
+    approach min_s |u_a(s) - u_b(s)| of every pair along the straight
+    segment must stay at least collision_margin * max(1, max |u_k|) over
+    both endpoints (|u| is convex along the segment, so every point of it
+    passes the pointwise test); otherwise CoalescingEigenvaluesError names
+    the segment and the pair.  The start point gets the same test."""
     n = len(state0.u)
     V = np.array(state0.V, dtype=complex)
     spec0 = sort_spectrum(np.linalg.eigvals(V))
@@ -225,55 +272,34 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     if not verts or np.abs(verts[0] - u_start).max() > 1e-12 * max(1.0, np.abs(u_start).max()):
         verts = [u_start] + verts
     total_stats = IntegrationStats()
+    segments = 0
     logtau = 0j
     spectral_drift = 0.0
     skew_drift = 0.0
 
-    def margin_ok(u: np.ndarray) -> bool:
-        scale = max(1.0, float(np.abs(u).max()))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(u[i] - u[j]) < collision_margin * scale:
-                    return False
-        return True
-
-    if not margin_ok(u_start):
-        raise CoalescingEigenvaluesError("start point violates collision margin")
+    gap, a, b, _ = _closest_approach(u_start, np.zeros(n, dtype=complex))
+    if gap < collision_margin * max(1.0, float(np.abs(u_start).max())):
+        raise CoalescingEigenvaluesError(
+            f"start point violates collision margin: |u_{a + 1} - u_{b + 1}| = {gap:.3e}")
     state_u = u_start
-    for vert in verts[1:]:
+    for k, vert in enumerate(verts[1:], start=1):
         du = vert - state_u
         if np.abs(du).max() == 0:
             continue
-        u0 = state_u.copy()
-
-        def f(s: float, y: np.ndarray) -> np.ndarray:
-            Vmat = y[:n * n].reshape(n, n)
-            u = u0 + s * du
-            Vis = v_components(u, Vmat)
-            dV = np.zeros_like(Vmat)
-            ham = 0j
-            for i in range(n):
-                comm = Vis[i] @ Vmat - Vmat @ Vis[i]
-                dV += du[i] * comm
-                hi = 0j
-                for j in range(n):
-                    if j != i:
-                        hi += Vmat[i, j] ** 2 / (u[i] - u[j])
-                ham += (hi / 2) * du[i]
-            out = np.empty(n * n + 1, dtype=complex)
-            out[:n * n] = dV.reshape(-1)
-            out[n * n] = ham
-            return out
-
-        def guard(s: float, y: np.ndarray) -> bool:
-            return margin_ok(u0 + s * du)
-
+        scale = max(1.0, float(np.abs(state_u).max()), float(np.abs(vert).max()))
+        gap, a, b, s = _closest_approach(state_u, du)
+        if gap < collision_margin * scale:
+            raise CoalescingEigenvaluesError(
+                f"segment {k} (vertex {k - 1} to vertex {k}) brings u_{a + 1} "
+                f"and u_{b + 1} within {gap:.3e} of each other at s = {s:.6g}, "
+                f"below the collision margin {collision_margin * scale:.3e}")
         y0 = np.concatenate([V.reshape(-1), [0j]])
-        y1, stats = integrate(f, y0, 0.0, 1.0, tol=tol, guard=guard)
+        y1, stats = integrate(_segment_field(state_u, du), y0, 0.0, 1.0, tol=tol)
         V = y1[:n * n].reshape(n, n)
         logtau += y1[n * n]
         total_stats.steps += stats.steps
         total_stats.rejected += stats.rejected
+        segments += 1
         state_u = vert
         spec = sort_spectrum(np.linalg.eigvals(V))
         spectral_drift = max(spectral_drift,
@@ -283,7 +309,7 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     final = IsoState(u=list(state_u), V=V)
     diag = IsoDiagnostics(spectral_drift=spectral_drift,
                           skewness_drift=skew_drift,
-                          stats=total_stats, dlog_tau=logtau)
+                          stats=total_stats, dlog_tau=logtau, segments=segments)
     return final, diag
 
 

@@ -193,6 +193,27 @@ def test_iso_integrate(capsys, tmp_path):
                          "--path", str(ppath), "--tol", "1e-10")
     assert code == 0
     assert data["residuals"]["spectral_drift"] < 1e-8
+    res = data["results"]
+    m = res["metrics"]
+    assert set(m) == {"segments", "steps", "rejected", "integrate_s"}
+    assert m["segments"] == 2 and m["integrate_s"] >= 0
+    assert (m["steps"], m["rejected"]) == (res["steps"], res["rejected"]) and m["steps"] > 0
+
+
+def test_iso_integrate_interior_collision_is_an_error_report(capsys, tmp_path):
+    from frobenii.semisimple import IsoState, state_to_dict
+    W = np.arange(9.0).reshape(3, 3)
+    st = IsoState(u=[0j, 1 + 0j, 3 + 0j], V=W - W.T)
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps(state_to_dict(st)), encoding="utf-8")
+    ppath.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]]]),
+                     encoding="utf-8")
+    code, data = run_cli(capsys, "iso", "integrate", "--state", str(spath),
+                         "--path", str(ppath))
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert "segment 1" in data["error"] and "u_1 and u_2" in data["error"]
 
 
 def test_sing_an(capsys):

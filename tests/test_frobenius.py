@@ -200,6 +200,56 @@ def test_origin_monodromy_cp1():
     assert mono.R1 == ExactMatrix([[0, 0], [2, 0]])
 
 
+def _r1_from_full_cubic_tensors(P):
+    # the route origin_monodromy replaced: every tensor of the cubic part
+    n = P.n
+    cubic = FrobeniusPotential(n, P.F.polynomial_part(), P.d, P.q, P.r,
+                               unity_index=P.unity_index)
+    c_up = cubic.tensors.c_up
+    rows = [[QuadScalar(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for e in range(n):
+                if P.r[e]:
+                    rows[a][b] = rows[a][b] + \
+                        c_up[e][b][a].constant_term() * QuadScalar(P.r[e])
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(6)"])
+def test_origin_monodromy_matches_the_full_cubic_build(name):
+    from frobenii.gwcp2 import truncated_potential
+    P = truncated_potential(6) if name == "CP2(6)" else catalog(name)
+    mono = origin_monodromy(P)
+    assert mono.R1 == _r1_from_full_cubic_tensors(P)
+    assert mono.mu == P.mu()
+
+
+def test_origin_monodromy_without_shifts_builds_nothing(monkeypatch):
+    from frobenii import frobenius
+    P = catalog("H4")
+    for name in ("structure_constants", "metric_eta"):
+        monkeypatch.setattr(frobenius, name, lambda *a: pytest.fail(name))
+    mono = origin_monodromy(P)
+    assert mono.R1 == ExactMatrix.zeros(4)
+    assert "tensors" not in vars(P)
+
+
+def test_origin_monodromy_keeps_its_refusals():
+    # a shift on a quartic cubic part: non-constant c_{e b}^a
+    t = [ExpPolynomial.variable(2, a) for a in range(2)]
+    F_ = (t[0] * t[0] * t[1]).scale(F(1, 2)) + (t[1] * t[1] * t[1] * t[1]).scale(F(1, 12))
+    P = FrobeniusPotential(2, F_, F(0), (F(0), F(1)), (F(0), F(1)))
+    from frobenii.exact.exppoly import NotClosedFormError
+    with pytest.raises(NotClosedFormError):
+        origin_monodromy(P)
+    # a shift whose R1 entry sits where mu_a - mu_b is not 1
+    G = (t[0] * t[0] * t[1]).scale(F(1, 2)) + (t[1] * t[1] * t[1]).scale(F(1, 6))
+    Q = FrobeniusPotential(2, G, F(1, 2), (F(0), F(1)), (F(0), F(1)))
+    with pytest.raises(ValueError, match="mu gap"):
+        origin_monodromy(Q)
+
+
 def test_mu_eta_antisymmetry():
     for nm in ALL_NAMES:
         P = catalog(nm)
@@ -318,6 +368,20 @@ def test_cached_tensors_are_immutable():
     with pytest.raises(TypeError):
         P.tensors.c_up[0][0][0] = ExpPolynomial.zero(3)
     assert P.tensors is P.tensors
+
+
+def test_numeric_lowering_is_cached_and_read_only():
+    import numpy as np
+    P = catalog("H4")
+    num = P.numeric
+    assert num is P.numeric
+    _, _, eta, eta_inv = P.tensors
+    assert np.array_equal(num.eta, [[complex(x) for x in r] for r in eta.rows])
+    assert np.array_equal(num.eta_inv, [[complex(x) for x in r] for r in eta_inv.rows])
+    assert num.mu == tuple(P.mu())
+    for arr in (num.eta, num.eta_inv):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,141 @@
+"""The stacked-stage Cash-Karp integrator against a stage-by-stage reference
+that keeps the stages in a list and sums them in Python."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from frobenii import painleve, semisimple
+from frobenii.ode import IntegrationStats, StepUnderflowError, integrate
+from frobenii.painleve import FAMILIES, PviPoint, algebraic_solution, pvi_integrate
+
+_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [3 / 10, -9 / 10, 6 / 5],
+    [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+    [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+]
+_B5 = [37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771]
+_B4 = [2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
+_C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
+
+
+def _reference_integrate(f, y0, s0, s1, tol=1e-10, h0=None, min_step=1e-14,
+                         guard=None, observer=None):
+    """The same tableau, tolerance, step control and guard contract, with
+    the stages as a list and each combination a Python sum."""
+    y = np.array(y0, dtype=complex)
+    s = float(s0)
+    span = s1 - s0
+    if span == 0:
+        return y, IntegrationStats()
+    direction = 1.0 if span > 0 else -1.0
+    h = abs(span) / 16 if h0 is None else abs(h0)
+    stats = IntegrationStats()
+    scale0 = max(1.0, float(np.abs(y).max()))
+    while (s1 - s) * direction > 1e-16 * abs(span):
+        h = min(h, abs(s1 - s))
+        if h < min_step:
+            raise StepUnderflowError(f"step size underflow at s={s}")
+        hs = direction * h
+        k = []
+        failed = False
+        for i in range(6):
+            yi = y
+            for j, aij in enumerate(_A[i]):
+                yi = yi + hs * aij * k[j]
+            if guard is not None and not guard(s + _C[i] * hs, yi):
+                failed = True
+                break
+            k.append(f(s + _C[i] * hs, yi))
+        if not failed:
+            y5 = y + hs * sum(b * ki for b, ki in zip(_B5, k))
+            y4 = y + hs * sum(b * ki for b, ki in zip(_B4, k))
+            err = float(np.abs(y5 - y4).max())
+            scale = max(scale0, float(np.abs(y5).max()))
+            failed = err > tol * scale or not np.isfinite(err)
+            if guard is not None and not failed:
+                failed = not guard(s + hs, y5)
+        if failed:
+            stats.rejected += 1
+            h *= 0.35
+            continue
+        s += hs
+        y = y5
+        stats.steps += 1
+        if observer is not None:
+            observer(s, y)
+        if err == 0:
+            h *= 4.0
+        else:
+            h *= min(4.0, max(0.2, 0.9 * (tol * scale / err) ** 0.2))
+    return y, stats
+
+
+def _recording(integrator, log):
+    def run(*args, **kwargs):
+        y, stats = integrator(*args, **kwargs)
+        log.append((y, stats.steps, stats.rejected))
+        return y, stats
+    return run
+
+
+def _b3_point(s0):
+    fam = FAMILIES["B3"]
+    x0, y0 = algebraic_solution("B3", s0)
+    yp0 = fam.y.deriv_value(s0) / fam.x.deriv_value(s0)
+    return PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
+
+
+def _b3_segment_and_reverse():
+    x1, _ = algebraic_solution("B3", F(9, 10))
+    pt = _b3_point(F(3, 4))
+    end = pvi_integrate(pt, complex(x1), tol=1e-11, margin=1e-4)
+    pvi_integrate(end, pt.x, tol=1e-11, margin=1e-4)
+
+
+def _b3_detour():
+    x1, _ = algebraic_solution("B3", F(3, 5))
+    mid = pvi_integrate(_b3_point(F(2, 5)), 1.1 + 0.25j, tol=1e-11, margin=1e-6)
+    pvi_integrate(mid, complex(x1), tol=1e-11, margin=1e-6)
+
+
+def _iso_loop():
+    rng = np.random.default_rng(4)
+    W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u0 = np.arange(4) + 0.1j * rng.uniform(-1, 1, 4)
+    path = [list(u0 + 0.2 * (np.exp(1j * (np.pi / 3) * j) - 1)) for j in range(1, 6)]
+    semisimple.integrate_isomonodromic(
+        semisimple.IsoState(list(u0), (W - W.T) / 2), path + [list(u0)], tol=1e-10)
+
+
+@pytest.mark.parametrize("module, run", [
+    (painleve, _b3_segment_and_reverse),
+    (painleve, _b3_detour),
+    (semisimple, _iso_loop),
+])
+def test_same_steps_as_the_stage_by_stage_reference(monkeypatch, module, run):
+    logs = {}
+    for name, integrator in (("stacked", integrate),
+                             ("reference", _reference_integrate)):
+        logs[name] = []
+        monkeypatch.setattr(module, "integrate", _recording(integrator, logs[name]))
+        run()
+    assert len(logs["stacked"]) == len(logs["reference"]) >= 2
+    for (y, steps, rejected), (y_ref, steps_ref, rejected_ref) in zip(
+            logs["stacked"], logs["reference"]):
+        assert (steps, rejected) == (steps_ref, rejected_ref)
+        # the stages are combined in another order, so the two agree to
+        # round-off carried along the flow, well inside the step tolerance
+        assert np.abs(y - y_ref).max() < 1e-10 * max(1.0, np.abs(y_ref).max())
+
+
+def test_guarded_refusal_matches_the_reference(monkeypatch):
+    pt = _b3_point(F(2, 5))
+    for integrator in (integrate, _reference_integrate):
+        monkeypatch.setattr(painleve, "integrate", integrator)
+        with pytest.raises(StepUnderflowError):
+            pvi_integrate(pt, pt.x + 0.05, tol=1e-10, margin=2e-2)

@@ -120,6 +120,33 @@ def test_v_skew_and_spectrum_cp2():
         assert np.abs(np.diag(Vi)).max() == 0
 
 
+def test_v_components_and_hamiltonians_match_their_definitions():
+    rng = np.random.default_rng(8)
+    n = 5
+    W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V = W - W.T
+    u = list(np.arange(n) + 0.4j * rng.standard_normal(n))
+    Vis = v_components(u, V)
+    H = hamiltonians(IsoState(u=u, V=V))
+    for i in range(n):
+        want = np.zeros((n, n), dtype=complex)
+        for b in range(n):
+            if b != i:
+                want[i, b] = V[i, b] / (u[i] - u[b])
+                want[b, i] = V[b, i] / (u[i] - u[b])
+        assert np.abs(Vis[i] - want).max() < 1e-14
+        h = sum(V[i, j] ** 2 / (u[i] - u[j]) for j in range(n) if j != i) / 2
+        assert abs(H[i] - h) < 1e-13
+
+
+def test_frames_share_no_mutable_mu():
+    P = catalog("A3")
+    fr1 = canonical_coordinates(P, [0.3, 0.7, 1.1])
+    fr2 = canonical_coordinates(P, [1.0, -0.3, 0.8])
+    fr1.mu[0] = F(7)
+    assert fr2.mu == P.mu() == [F(-1, 4), F(0), F(1, 4)]
+
+
 def test_v_components_n2_closed_form():
     u = [0.3 + 0j, 1.7 + 0j]
     v = 0.8 - 0.2j
@@ -221,8 +248,52 @@ def test_closed_loop_tau():
 def test_margin_refusal():
     st = _random_state()
     bad = [[0.0 + 0j, 1e-9 + 0j, 2.0 + 0j]]
-    with pytest.raises(Exception):
+    with pytest.raises(CoalescingEigenvaluesError):
         integrate_isomonodromic(st, bad, tol=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0, 1e-8j])
+def test_interior_collision_is_refused_before_integrating(shift):
+    # u_1 and u_2 swap along the segment; both endpoints are clear
+    start = [0j, 1 + shift, 3 + 0j]
+    end = [1 + 0j, shift, 3 + 0j]
+    V = _random_state().V
+    for u in (start, end):
+        integrate_isomonodromic(IsoState(u=u, V=V), [u])
+    with pytest.raises(CoalescingEigenvaluesError) as info:
+        integrate_isomonodromic(IsoState(u=start, V=V), [end], tol=1e-10)
+    assert "segment 1" in str(info.value)
+    assert "u_1 and u_2" in str(info.value)
+
+
+def test_collision_certificate_is_exact_at_the_margin():
+    # the gap u_1 - u_2 runs from -1 - 2i to 1 - 2i: closest 2 at s = 1/2,
+    # every other gap stays above 3, the scale is |u_3| = 4; so the segment
+    # is refused just above the margin 1/2
+    V = _random_state().V
+    start, end = [0j, 1 + 2j, 4 + 0j], [1 + 0j, 2j, 4 + 0j]
+    integrate_isomonodromic(IsoState(u=start, V=V), [end], collision_margin=0.49)
+    with pytest.raises(CoalescingEigenvaluesError, match="u_1 and u_2 .* s = 0.5"):
+        integrate_isomonodromic(IsoState(u=start, V=V), [end], collision_margin=0.51)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_segment_field_is_the_sum_of_commutators(n):
+    from frobenii.semisimple import _segment_field
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        V = W - W.T
+        u0 = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        s = rng.uniform()
+        u = u0 + s * du
+        want = sum(d * (Vi @ V - V @ Vi) for d, Vi in zip(du, v_components(u, V)))
+        want_tau = sum(d * h for d, h in zip(du, hamiltonians(IsoState(u=list(u), V=V))))
+        got = _segment_field(u0, du)(s, np.concatenate([V.reshape(-1), [0j]]))
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got[:-1].reshape(n, n) - want).max() < 1e-12 * scale
+        assert abs(got[-1] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
 
 
 def test_state_json_roundtrip():
