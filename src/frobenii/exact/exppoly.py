@@ -280,21 +280,6 @@ class ExpPolynomial:
             total += v
         return total
 
-    def eval_exact(self, point: Sequence[ScalarLike]) -> QuadScalar:
-        """Exact evaluation; exp factors must vanish (weight 0 or argument 0)."""
-        pt = [QuadScalar.coerce(x) for x in point]
-        total = ZERO
-        for (pows, exps), c in self.terms.items():
-            for x, k in zip(pt, exps):
-                if k and x:
-                    raise NotClosedFormError("exact evaluation with nonzero exp argument")
-            v = c
-            for x, a in zip(pt, pows):
-                if a:
-                    v = v * x ** a
-            total = total + v
-        return total
-
     def substitute(self, mapping: Sequence["ExpPolynomial"]) -> "ExpPolynomial":
         """Polynomial substitution t_i -> mapping[i]; requires no exp factors
         in self.  Negative powers are allowed when the corresponding mapping

@@ -94,10 +94,6 @@ class ExactMatrix:
                         oi[j] = oi[j] + a * rk[j]
         return ExactMatrix._wrap(out)
 
-    def matvec(self, v: Sequence[ScalarLike]) -> List[QuadScalar]:
-        vv = [QuadScalar.coerce(x) for x in v]
-        return [sum((a * x for a, x in zip(r, vv)), ZERO) for r in self.rows]
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap([list(col) for col in zip(*self.rows)])
 

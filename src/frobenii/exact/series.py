@@ -203,18 +203,21 @@ class GWSeries:
                           E * self._den)
 
     def divide_neumann(self, den: "GWSeries") -> "GWSeries":
-        """self / den via den^{-1} = (1/c0) sum_m (-(den-c0)/c0)^m (finite sum)."""
+        """self / den via den^{-1} = (1/c0) sum_{m<=K} step^m, step =
+        -(den-c0)/c0.  step has no constant term, so step^m vanishes for
+        m > K and the sum is the product of (1 + step^(2^i)) over 2^i <= K."""
         self._check(den)
         if den._c0 == 0:
             raise ZeroDivisionError("denominator has zero constant term")
         K = self.order
         c0 = den.c0
-        step = self._make(K, den._num, 0, den._den) * (-1 / c0)  # -(den - c0)/c0
-        power = GWSeries.zero(K) + 1                              # step^m
-        acc = power
-        for _ in range(K):
-            power = power * step
-            acc = acc + power
+        step = self._make(K, den._num, 0, den._den) * (-1 / c0)
+        acc = step + 1                     # sum_{m<n} step^m with n = 2
+        n = 2
+        while n <= K:
+            step = step * step             # step^n
+            acc = acc * (step + 1)
+            n *= 2
         return self * (acc * (1 / c0))
 
     def __truediv__(self, other):

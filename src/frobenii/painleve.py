@@ -10,79 +10,88 @@ The equation PVI(mu):
 
 The algebraic solutions attached to the three polynomial three-dimensional
 WDVV solutions have mu = -1/4, -1/3, -2/5.  Each is stored as an exact
-rational parametrization (x(s), y(s)); the stored forms were re-derived from
-the corresponding Frobenius manifolds and verified to make the PVI residual
-vanish identically.
+rational parametrization (x(s), y(s)) with integer coefficients; the stored
+forms were re-derived from the corresponding Frobenius manifolds and
+verified to make the PVI residual vanish identically.  Rational s is
+evaluated exactly; `RationalFunction.jet` is the only derivative path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import cached_property, reduce
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .ode import integrate
 
-Poly = List[Fraction]
+Poly = Tuple[int, ...]
 
 
-def _pmul(a: Sequence, b: Sequence) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _pmul(a: Poly, b: Poly) -> Poly:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
-    return out
+            out[i + j] += x * y
+    return tuple(out)
 
 
-def _ppow(p: Sequence, k: int) -> Poly:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _pmul(out, p)
-    return out
+def _ppow(p: Poly, k: int) -> Poly:
+    return reduce(_pmul, [p] * k, (1,))
 
 
-def _pval(c: Sequence[Fraction], s):
-    r = 0 * s if not isinstance(s, Fraction) else Fraction(0)
+def _pder(c: Poly) -> Poly:
+    return tuple(i * a for i, a in enumerate(c))[1:]
+
+
+def _pval(c: Poly, s):
+    """c(s), c integer coefficients lowest degree first.  Rational s = p/q
+    (int or Fraction): the exact sum_i c_i p^i q^(d-i) / q^d, summed in ints
+    and reduced once.  Float or complex s: Horner's rule."""
+    exact = isinstance(s, (int, Fraction))
+    p, q = (s.numerator, s.denominator) if exact else (s, 1)
+    num, qk = 0, 1
     for a in reversed(c):
-        r = r * s + (a if isinstance(s, Fraction) else complex(a))
-    return r
+        num = num * p + a * qk
+        qk *= q
+    return Fraction(num, qk // q) if exact else num
 
 
-def _pder(c: Sequence[Fraction]) -> Poly:
-    return [i * a for i, a in enumerate(c)][1:]
+class ParametrizationPoleError(ZeroDivisionError):
+    pass
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    num: Tuple[Fraction, ...]
-    den: Tuple[Fraction, ...]
+    """num(s)/den(s), integer coefficients lowest degree first.  Rational s
+    is evaluated exactly; `jet` is the only derivative path."""
+    num: Poly
+    den: Poly
+
+    @cached_property
+    def _jet_polys(self) -> Tuple[Poly, ...]:
+        n1, d1 = _pder(self.num), _pder(self.den)
+        return self.num, n1, _pder(n1), self.den, d1, _pder(d1)
 
     def __call__(self, s):
-        return _pval(self.num, s) / _pval(self.den, s)
-
-    def deriv_value(self, s):
-        n, d = _pval(self.num, s), _pval(self.den, s)
-        np_, dp = _pval(_pder(self.num), s), _pval(_pder(self.den), s)
-        return (np_ * d - n * dp) / (d * d)
-
-    def second_deriv_value(self, s):
         d = _pval(self.den, s)
-        r = _pval(self.num, s) / d
-        rp = self.deriv_value(s)
-        npp = _pval(_pder(_pder(self.num)), s)
-        dp = _pval(_pder(self.den), s)
-        dpp = _pval(_pder(_pder(self.den)), s)
-        return (npp - 2 * rp * dp - r * dpp) / d
+        if d == 0:
+            raise ParametrizationPoleError(f"s = {s} is a pole")
+        return _pval(self.num, s) / d
 
-    def den_nonzero(self, s: Fraction) -> bool:
+    def jet(self, s) -> Tuple:
+        """(r, r', r'') at s by the quotient rule on num, den and their derivatives."""
+        n, n1, n2, d, d1, d2 = (_pval(c, s) for c in self._jet_polys)
+        if d == 0:
+            raise ParametrizationPoleError(f"s = {s} is a pole")
+        r = n / d
+        r1 = (n1 - r * d1) / d
+        return r, r1, (n2 - 2 * r1 * d1 - r * d2) / d
+
+    def den_nonzero(self, s) -> bool:
         return _pval(self.den, s) != 0
-
-
-def _rat(num: Sequence, den: Sequence) -> RationalFunction:
-    return RationalFunction(tuple(Fraction(c) for c in num),
-                            tuple(Fraction(c) for c in den))
 
 
 @dataclass(frozen=True)
@@ -93,58 +102,50 @@ class AlgebraicFamily:
     y: RationalFunction
 
 
+H3_DEGREE9 = (49, -2133, 34308, -259044, 1642878, -7616646,
+              13758708, 5963724, -719271, 42483)
+
+
 def _families() -> Dict[str, AlgebraicFamily]:
     # tetrahedral family, mu = -1/4:
     # x = (s-1)^3 (3s+1) / ((s+1)^3 (3s-1))
     # y = (s-1)^2 (3s+1) (9s^2-5)^2 / ((1+s)(243 s^6 + 1539 s^4 - 207 s^2 + 25))
     a3 = AlgebraicFamily(
         "A3", Fraction(-1, 4),
-        _rat(_pmul(_ppow([-1, 1], 3), [1, 3]),
-             _pmul(_ppow([1, 1], 3), [-1, 3])),
-        _rat(_pmul(_pmul(_ppow([-1, 1], 2), [1, 3]), _ppow([-5, 0, 9], 2)),
-             _pmul([1, 1], [25, 0, -207, 0, 1539, 0, 243])))
+        RationalFunction(_pmul(_ppow((-1, 1), 3), (1, 3)),
+                         _pmul(_ppow((1, 1), 3), (-1, 3))),
+        RationalFunction(_pmul(_pmul(_ppow((-1, 1), 2), (1, 3)), _ppow((-5, 0, 9), 2)),
+                         _pmul((1, 1), (25, 0, -207, 0, 1539, 0, 243))))
     # octahedral family, mu = -1/3:
     # x = (2-s)^2 (1+s) / ((2+s)^2 (1-s))
     # y = (2-s)(1+s)(s^2-3)^2 / ((2+s)(5 s^4 - 10 s^2 + 9))
     b3 = AlgebraicFamily(
         "B3", Fraction(-1, 3),
-        _rat(_pmul(_ppow([2, -1], 2), [1, 1]),
-             _pmul(_ppow([2, 1], 2), [1, -1])),
-        _rat(_pmul(_pmul([2, -1], [1, 1]), _ppow([-3, 0, 1], 2)),
-             _pmul([2, 1], [9, 0, -10, 0, 5])))
-    # icosahedral family, mu = -2/5, with the degree-9 polynomial P(z):
-    P = [49, -2133, 34308, -259044, 1642878, -7616646,
-         13758708, 5963724, -719271, 42483]
-    Ps2 = [Fraction(0)] * 19
-    for i, c in enumerate(P):
-        Ps2[2 * i] = Fraction(c)
-    Q = [7, 0, -108, 0, 314, 0, -588, 0, 119]
+        RationalFunction(_pmul(_ppow((2, -1), 2), (1, 1)),
+                         _pmul(_ppow((2, 1), 2), (1, -1))),
+        RationalFunction(_pmul(_pmul((2, -1), (1, 1)), _ppow((-3, 0, 1), 2)),
+                         _pmul((2, 1), (9, 0, -10, 0, 5))))
+    # icosahedral family, mu = -2/5, with the degree-9 polynomial P(z) = H3_DEGREE9:
+    Ps2 = [0] * 19
+    Ps2[::2] = H3_DEGREE9
+    Q = (7, 0, -108, 0, 314, 0, -588, 0, 119)
     h3 = AlgebraicFamily(
         "H3", Fraction(-2, 5),
-        _rat(_pmul(_pmul(_ppow([-1, 1], 5), _ppow([1, 3], 3)), [-1, 4, 1]),
-             _pmul(_pmul(_ppow([1, 1], 5), _ppow([-1, 3], 3)), [-1, -4, 1])),
-        _rat(_pmul(_pmul(_pmul(_ppow([-1, 1], 2), _ppow([1, 3], 2)), [-1, 4, 1]),
-                   _ppow(Q, 2)),
-             _pmul(_pmul(_ppow([1, 1], 3), [-1, 3]), Ps2)))
+        RationalFunction(_pmul(_pmul(_ppow((-1, 1), 5), _ppow((1, 3), 3)), (-1, 4, 1)),
+                         _pmul(_pmul(_ppow((1, 1), 5), _ppow((-1, 3), 3)), (-1, -4, 1))),
+        RationalFunction(_pmul(_pmul(_pmul(_ppow((-1, 1), 2), _ppow((1, 3), 2)),
+                                     (-1, 4, 1)), _ppow(Q, 2)),
+                         _pmul(_pmul(_ppow((1, 1), 3), (-1, 3)), tuple(Ps2))))
     return {"A3": a3, "B3": b3, "H3": h3}
 
 
 FAMILIES = _families()
-H3_DEGREE9 = (49, -2133, 34308, -259044, 1642878, -7616646,
-              13758708, 5963724, -719271, 42483)
-
-
-class ParametrizationPoleError(ZeroDivisionError):
-    pass
 
 
 def algebraic_solution(family: str, s) -> Tuple:
     """(x, y) of the printed parametric solution at parameter s (exact for
-    Fraction input, complex otherwise)."""
+    int or Fraction input); a pole raises ParametrizationPoleError."""
     fam = FAMILIES[family.upper()]
-    if isinstance(s, Fraction):
-        if not (fam.x.den_nonzero(s) and fam.y.den_nonzero(s)):
-            raise ParametrizationPoleError(f"s = {s} is a pole of {family}")
     return fam.x(s), fam.y(s)
 
 
@@ -161,19 +162,19 @@ def pvi_rhs(mu1, x, y, yp):
     return A - B + C
 
 
+def _residual(fam: AlgebraicFamily, s, mu1) -> Tuple:
+    """(x, y, y''(x) - rhs) at s, from the jets of x(s) and y(s)."""
+    x, xs, xss = fam.x.jet(s)
+    y, ys, yss = fam.y.jet(s)
+    yp = ys / xs
+    ypp = (yss * xs - ys * xss) / xs ** 3
+    return x, y, ypp - pvi_rhs(fam.mu1 if mu1 is None else mu1, x, y, yp)
+
+
 def pvi_residual_on_curve(fam: AlgebraicFamily, s, mu1=None) -> complex:
     """y''(x) - rhs along the parametrized curve; derivatives of the
     parametrization are exact, the residual is returned as a complex number."""
-    mu1 = fam.mu1 if mu1 is None else mu1
-    x = fam.x(s)
-    y = fam.y(s)
-    xs = fam.x.deriv_value(s)
-    ys = fam.y.deriv_value(s)
-    xss = fam.x.second_deriv_value(s)
-    yss = fam.y.second_deriv_value(s)
-    yp = ys / xs
-    ypp = (yss * xs - ys * xss) / xs ** 3
-    return complex(ypp - pvi_rhs(mu1, x, y, yp))
+    return complex(_residual(fam, s, mu1)[2])
 
 
 def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
@@ -184,25 +185,31 @@ def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
     while len(out) < count and k < 100 * count:
         s = Fraction(2 * k - 1, 4 * count)  # odd/4N grid in (0, 1/2)
         k += 1
-        if not (fam.x.den_nonzero(s) and fam.y.den_nonzero(s)):
+        try:
+            x, y = algebraic_solution(fam.name, s)
+        except ParametrizationPoleError:
             continue
-        x, y = fam.x(s), fam.y(s)
-        if x in (0, 1) or y in (0, 1) or y == x:
-            continue
-        out.append(s)
+        if x not in (0, 1) and y not in (0, 1, x):
+            out.append(s)
     if len(out) < count:
         raise ParametrizationPoleError("could not build a pole-free grid")
     return out
 
 
-def verify_algebraic(family: str, sample_count: int = 50, tol: float = 1e-8,
-                     mu1=None) -> float:
-    """Max |PVI residual| over a pole-free rational sample grid."""
-    fam = FAMILIES[family.upper()]
-    worst = 0.0
+def residual_table(fam: AlgebraicFamily, sample_count: int, mu1=None) -> List[Tuple]:
+    """(s, x, y, |PVI residual|) with exact x, y at each s of
+    sample_parameters(fam, sample_count)."""
+    rows = []
     for s in sample_parameters(fam, sample_count):
-        worst = max(worst, abs(pvi_residual_on_curve(fam, s, mu1=mu1)))
-    return worst
+        x, y, res = _residual(fam, s, mu1)
+        rows.append((s, x, y, abs(complex(res))))
+    return rows
+
+
+def verify_algebraic(family: str, sample_count: int = 50, mu1=None) -> float:
+    """Max |PVI residual| over a pole-free rational sample grid."""
+    rows = residual_table(FAMILIES[family.upper()], sample_count, mu1)
+    return max((row[3] for row in rows), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +300,11 @@ def qp_from_family(family: str, s, u: Sequence[complex] | None = None) -> QpkSta
     """(q, p) along an algebraic family at parameter s, in the normalization
     u = (0, 1, x(s)) unless u is given (then x(s) must match)."""
     fam = FAMILIES[family.upper()]
-    x = complex(fam.x(s))
-    y = complex(fam.y(s))
-    yp = complex(fam.y.deriv_value(s)) / complex(fam.x.deriv_value(s))
+    x, xs, _ = fam.x.jet(s)
+    y, ys, _ = fam.y.jet(s)
     if u is None:
         u = (0.0, 1.0, x)
-    return y_to_qp(y, yp, x, u)
+    return y_to_qp(y, ys / xs, x, u)
 
 
 def _q_of_u(fam: AlgebraicFamily, u: Sequence[complex], seed_s: complex
@@ -308,19 +314,15 @@ def _q_of_u(fam: AlgebraicFamily, u: Sequence[complex], seed_s: complex
     target = (u[2] - u[0]) / (u[1] - u[0])
     s = complex(seed_s)
     for _ in range(80):
-        val = fam.x(s) - target
-        if abs(val) < 1e-14 * max(1.0, abs(target)):
+        x, xs, _ = fam.x.jet(s)
+        if abs(x - target) < 1e-14 * max(1.0, abs(target)):
             break
-        der = fam.x.deriv_value(s)
-        s = s - val / der
+        s = s - (x - target) / xs
     else:
         raise ArithmeticError("Newton failed to match x(s) to the u-triple")
-    y = fam.y(s)
-    yp = fam.y.deriv_value(s) / fam.x.deriv_value(s)
-    q = (u[1] - u[0]) * y + u[0]
-    P, Pp = _cubic(u)
-    p = Pp(u[2]) / (2 * P(q)) * yp - 1 / (2 * (q - u[2]))
-    return q, p, s
+    y, ys, _ = fam.y.jet(s)
+    st = y_to_qp(y, ys / xs, x, u)
+    return st.q, st.p, s
 
 
 def qp_flow_check(family: str, s0, du: float = 1e-5) -> Tuple[float, float]:
@@ -356,9 +358,7 @@ def qp_flow_check(family: str, s0, du: float = 1e-5) -> Tuple[float, float]:
         dq = (4 * dq2 - dq1) / 3
         dp = (4 * dp2 - dp1) / 3
         rhs_q = P(q0) / Pp(base[i]) * (2 * p0 + 1 / (q0 - base[i]))
-        Pprime_q = ((q0 - base[1]) * (q0 - base[2]) + (q0 - base[0]) * (q0 - base[2])
-                    + (q0 - base[0]) * (q0 - base[1]))
-        rhs_p = -(Pprime_q * p0 ** 2 + (2 * q0 + base[i] - usum) * p0
+        rhs_p = -(Pp(q0) * p0 ** 2 + (2 * q0 + base[i] - usum) * p0
                   + mu1 * (1 - mu1)) / Pp(base[i])
         worst_q = max(worst_q, abs(dq - rhs_q) / max(1.0, abs(rhs_q)))
         worst_p = max(worst_p, abs(dp - rhs_p) / max(1.0, abs(rhs_p)))
@@ -374,12 +374,9 @@ def log_k_increment(family: str, s_from, s_to, steps: int = 400) -> complex:
     h = (complex(s_to) - complex(s_from)) / steps
 
     def integrand(s):
-        x = fam.x(s)
-        y = fam.y(s)
-        q = y  # u = (0, 1, x): q = y
-        u = (0j, 1 + 0j, x)
-        _, Pp = _cubic(u)
-        return (2 * mu1 - 1) * (q - x) / Pp(x) * fam.x.deriv_value(s)
+        x, xs, _ = fam.x.jet(s)
+        q = fam.y(s)  # u = (0, 1, x): q = y and P'(u3) = x (x - 1)
+        return (2 * mu1 - 1) * (q - x) / (x * (x - 1)) * xs
 
     s = complex(s_from)
     for _ in range(steps):

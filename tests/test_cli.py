@@ -262,6 +262,27 @@ def test_deterministic_output(capsys):
     assert d1 == d2
 
 
+@pytest.mark.parametrize("mu1", [None, "-1/4"])
+def test_pvi_verify_csv_max_is_max_residual(capsys, tmp_path, monkeypatch, mu1):
+    # with the wrong mu the residuals are nonzero, and the CSV column and the
+    # report still come from the same evaluations
+    import csv
+    import dataclasses
+    from fractions import Fraction
+    from frobenii import painleve
+    if mu1 is not None:
+        fam = dataclasses.replace(painleve.FAMILIES["B3"], mu1=Fraction(mu1))
+        monkeypatch.setitem(painleve.FAMILIES, "B3", fam)
+    path = tmp_path / "b3.csv"
+    code, data = run_cli(capsys, "pvi", "verify", "B3", "--samples", "8",
+                         "--csv", str(path))
+    with open(path, newline="") as fh:
+        column = [float(row["residual"]) for row in csv.DictReader(fh)]
+    assert len(column) == 8
+    assert max(column) == data["results"]["max_residual"]
+    assert code == (0 if mu1 is None else 1)
+
+
 def test_pvi_verify_csv(capsys, tmp_path):
     path = tmp_path / "trace.csv"
     code, _ = run_cli(capsys, "pvi", "verify", "A3", "--samples", "5",

@@ -404,6 +404,17 @@ def test_series_scalar_ops_int_and_fraction():
         assert all(_canonical(s) for s in (t * c, t + c, t - c, c - t))
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17])
+def test_neumann_doubling_at_power_of_two_orders(K):
+    # the doubled product must cover step^m for every m <= K
+    a = [F((-1) ** k * (k + 2), k + 1) for k in range(K)]
+    b = [F(3 - k, 2 * k + 1) for k in range(K)]
+    f, g = GWSeries(K, a, F(5, 3)), GWSeries(K, b, F(-2, 7))
+    want = _series_ref_div(F(5, 3), a, F(-2, 7), b)
+    q = f.divide_neumann(g)
+    assert (q.c0, q.coeffs) == want and q == f.divide_triangular(g)
+
+
 def test_series_zero_constant_denominator_raises():
     f = GWSeries(3, [F(1, 2), 1, F(-1, 3)], F(-1, 4))
     g = GWSeries(3, [F(1, 3), 0, 2])
@@ -438,7 +449,7 @@ def test_solve_multiply_back_exact():
                      [QuadScalar(F(1, 3)), QuadScalar(2)]])
     rhs = [QuadScalar(F(2, 7)), QuadScalar(1, -1, 5)]
     x = exact_solve(A, rhs)
-    assert A.matvec(x) == rhs
+    assert [sum((a * v for a, v in zip(row, x)), QuadScalar(0)) for row in A.rows] == rhs
 
 
 def test_charpoly_matches_trace_det():

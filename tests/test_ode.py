@@ -86,7 +86,7 @@ def _recording(integrator, log):
 def _b3_point(s0):
     fam = FAMILIES["B3"]
     x0, y0 = algebraic_solution("B3", s0)
-    yp0 = fam.y.deriv_value(s0) / fam.x.deriv_value(s0)
+    yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     return PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
 
 

@@ -1,6 +1,7 @@
 """PVI(mu): residual evaluation, the three algebraic families, integration
 and the (q, p, k) -> Psi chain."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -86,6 +87,60 @@ def test_h3_degree9_constant_term():
     assert H3_DEGREE9[0] == 49
 
 
+def _poly_at(c, s):
+    return sum(F(a) * s ** i for i, a in enumerate(c))
+
+
+def _poly_der(c):
+    return [i * a for i, a in enumerate(c)][1:]
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_jet_satisfies_leibniz_identities(family):
+    # r = num/den: r den = num, r' den + r den' = num', and
+    # r'' den + 2 r' den' + r den'' = num'', with the polynomials evaluated
+    # here by plain Fraction powers
+    rng = random.Random(11)
+    for f in (FAMILIES[family].x, FAMILIES[family].y):
+        assert all(type(c) is int for c in f.num + f.den)
+        for _ in range(12):
+            s = F(rng.randint(-60, 60), rng.randint(1, 45))
+            d = _poly_at(f.den, s)
+            if d == 0:
+                continue
+            d1, d2 = _poly_at(_poly_der(f.den), s), _poly_at(_poly_der(_poly_der(f.den)), s)
+            n1 = _poly_at(_poly_der(f.num), s)
+            n2 = _poly_at(_poly_der(_poly_der(f.num)), s)
+            r, r1, r2 = f.jet(s)
+            assert r * d == _poly_at(f.num, s) and r == f(s)
+            assert r1 * d + r * d1 == n1
+            assert r2 * d + 2 * r1 * d1 + r * d2 == n2
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_jet_complex_parameter_matches_exact(family):
+    fam = FAMILIES[family]
+    for s in sample_parameters(fam, 12):
+        for f in (fam.x, fam.y):
+            for exact, approx in zip(f.jet(s), f.jet(complex(s))):
+                assert abs(approx - complex(exact)) <= 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_integer_parameter_is_exact(family):
+    fam = FAMILIES[family]
+    for s in (2, -3):
+        for f in (fam.x, fam.y):
+            jet = f.jet(s)
+            assert all(type(v) is F for v in jet) and jet == f.jet(F(s))
+            assert type(f(s)) is F and f(s) == jet[0]
+
+
+def test_pole_is_reported_by_jet():
+    with pytest.raises(ParametrizationPoleError):
+        FAMILIES["A3"].x.jet(F(1, 3))
+
+
 def test_pole_is_reported():
     with pytest.raises(ParametrizationPoleError):
         algebraic_solution("A3", F(1, 3))    # x-pole at 3s = 1
@@ -112,7 +167,7 @@ def test_integrate_b3_segment_and_reverse():
     s0, s1 = F(3, 4), F(9, 10)
     x0, y0 = algebraic_solution("B3", s0)
     x1, y1 = algebraic_solution("B3", s1)
-    yp0 = fam.y.deriv_value(s0) / fam.x.deriv_value(s0)
+    yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     end = pvi_integrate(pt, complex(x1), tol=1e-11, margin=1e-4)
     assert abs(end.y - complex(y1)) < 1e-7
@@ -127,7 +182,7 @@ def test_integrate_b3_around_apparent_singularity():
     s0, s1 = F(2, 5), F(3, 5)
     x0, y0 = algebraic_solution("B3", s0)
     x1, y1 = algebraic_solution("B3", s1)
-    yp0 = fam.y.deriv_value(s0) / fam.x.deriv_value(s0)
+    yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     mid = pvi_integrate(pt, 1.1 + 0.25j, tol=1e-11, margin=1e-6)
     end = pvi_integrate(mid, complex(x1), tol=1e-11, margin=1e-6)
@@ -139,7 +194,7 @@ def test_guard_refuses_singular_straight_path():
     fam = FAMILIES["B3"]
     s0 = F(2, 5)
     x0, y0 = algebraic_solution("B3", s0)
-    yp0 = fam.y.deriv_value(s0) / fam.x.deriv_value(s0)
+    yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     # straight segment hits y = 1: margin forces the step size to collapse
     with pytest.raises(StepUnderflowError):
@@ -161,7 +216,7 @@ def test_y_to_qp_affine_covariance():
     fam = FAMILIES["A3"]
     s = 0.21
     x = complex(fam.x(s)); y = complex(fam.y(s))
-    yp = complex(fam.y.deriv_value(s)) / complex(fam.x.deriv_value(s))
+    yp = complex(fam.y.jet(s)[1]) / complex(fam.x.jet(s)[1])
     a, b = 1.7 - 0.3j, 0.4 + 0.2j
     st1 = y_to_qp(y, yp, x, (0, 1, x))
     u2 = (b, a + b, a * x + b)
@@ -235,7 +290,7 @@ def test_qp_roundtrip_to_y():
     fam = FAMILIES["B3"]
     s = 0.8
     x = complex(fam.x(s)); y = complex(fam.y(s))
-    yp = complex(fam.y.deriv_value(s)) / complex(fam.x.deriv_value(s))
+    yp = complex(fam.y.jet(s)[1]) / complex(fam.x.jet(s)[1])
     u = (0, 1, x)
     st = y_to_qp(y, yp, x, u)
     y_back = (st.q - u[0]) / (u[1] - u[0])
