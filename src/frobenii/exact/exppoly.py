@@ -75,9 +75,6 @@ class ExpPolynomial:
         exps = tuple(exps) if exps is not None else (0,) * nvars
         return ExpPolynomial(nvars, {(tuple(pows), exps): QuadScalar.coerce(coeff)})
 
-    def copy(self) -> "ExpPolynomial":
-        return ExpPolynomial(self.nvars, dict(self.terms))
-
     # -- ring structure ---------------------------------------------------
     def _check(self, other: "ExpPolynomial"):
         if self.nvars != other.nvars:

@@ -53,9 +53,6 @@ class ExactMatrix:
     def zeros(n: int) -> "ExactMatrix":
         return ExactMatrix([[0] * n for _ in range(n)])
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix._wrap([list(r) for r in self.rows])
-
     def __getitem__(self, ij: Tuple[int, int]) -> QuadScalar:
         return self.rows[ij[0]][ij[1]]
 

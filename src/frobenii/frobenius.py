@@ -134,7 +134,8 @@ class Numeric(NamedTuple):
 
 
 def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
-    """eta_ab = d_1 d_a d_b F; must be a constant nondegenerate matrix."""
+    """eta_ab = d_1 d_a d_b F.  Checks only that eta is constant; the one
+    elimination in ``structure_constants`` rejects a degenerate eta."""
     n = P.n
     Fu = P.F.diff(P.unity_index)
     rows = []
@@ -148,10 +149,7 @@ def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
                     f"d1 d{a + 1} d{b + 1} F is not constant: {e}")
             row.append(e.constant_term())
         rows.append(row)
-    eta = ExactMatrix(rows)
-    if not eta.det():
-        raise DegenerateMetricError("eta is degenerate")
-    return eta
+    return ExactMatrix(rows)
 
 
 def _lincomb(n: int, coefs: Sequence[QuadScalar],
@@ -169,7 +167,10 @@ def structure_constants(P: FrobeniusPotential) -> Tensors:
     ``P.tensors`` instead."""
     n = P.n
     eta = metric_eta(P)
-    eta_inv = eta.inverse()
+    try:
+        eta_inv = eta.inverse()
+    except SingularMatrixError as exc:
+        raise DegenerateMetricError("eta is degenerate") from exc
     first = [P.F.diff(a) for a in range(n)]
     c_low = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -194,33 +195,38 @@ def structure_constants(P: FrobeniusPotential) -> Tensors:
 # ---------------------------------------------------------------------------
 
 def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
-    """Exact associativity residuals
-    c_{ab l} eta^{lm} c_{m g d} - (a <-> d), all index tuples."""
+    """Exact associativity residuals X(ab, gd) - X(db, ga) for a < d, b <= g,
+    where X(ab, gd) = c_ab^m c_mgd = c_abl eta^{lm} c_mgd.
+
+    X is symmetric in a <-> b, in g <-> d and under (ab) <-> (gd), so it is
+    formed and truncated once per unordered pair of unordered pairs."""
     n = P.n
     try:
-        c_low, _, _, eta_inv = P.tensors
+        c_low, c_up, _, _ = P.tensors
     except (NonConstantMetricError, DegenerateMetricError) as exc:
         return ResidualReport(False, "wdvv1", details=str(exc))
 
-    def pairing(a, b, g, dd):
-        acc = ExpPolynomial.zero(n)
-        for l in range(n):
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    X: Dict[Tuple[int, ...], ExpPolynomial] = {}
+    for i, (a, b) in enumerate(pairs):
+        for g, dd in pairs[i:]:
+            if a == b == g == dd:  # X(aa, aa) enters no residual
+                continue
+            acc = ExpPolynomial.zero(n)
             for m in range(n):
-                coef = eta_inv[l, m]
-                if coef:
-                    acc = acc + (c_low[a][b][l] * c_low[m][g][dd]).scale(coef)
-        return acc
+                acc = acc + c_up[a][b][m] * c_low[m][g][dd]
+            acc = P._truncate(acc)
+            for x in ((a, b), (b, a)):
+                for y in ((g, dd), (dd, g)):
+                    X[x + y] = X[y + x] = acc
 
     residuals: Dict[Tuple[int, ...], ExpPolynomial] = {}
-    ok = True
     for a in range(n):
         for dd in range(a + 1, n):
             for b in range(n):
                 for g in range(b, n):
-                    res = P._truncate(pairing(a, b, g, dd) - pairing(dd, b, g, a))
-                    residuals[(a, b, g, dd)] = res
-                    if not res.is_zero():
-                        ok = False
+                    residuals[(a, b, g, dd)] = X[a, b, g, dd] - X[dd, b, g, a]
+    ok = all(r.is_zero() for r in residuals.values())
     return ResidualReport(ok, "wdvv1", residuals)
 
 
@@ -320,26 +326,20 @@ class OriginMonodromy:
 
 
 def origin_monodromy(P: FrobeniusPotential) -> OriginMonodromy:
-    """mu_a = q_a - d/2 and (R1)^a_b = sum_e r_e c_{e b}^a computed with the
-    structure constants of the cubic (classical-limit) part of F.
+    """mu_a = q_a - d/2 and (R1)^a_b = sum_e r_e c_{e b}^a, read from the
+    polynomial (classical-limit) part of the cached c_up.
 
-    Only the slices c_{e b}^a with r_e != 0 are built; when every r_e
-    vanishes R1 = 0 and the cubic part is not touched."""
+    When every r_e vanishes R1 = 0 and no tensor is built."""
     n = P.n
     shifts = [e for e in range(n) if P.r[e]]
     R1 = ExactMatrix.zeros(n)
     if shifts:
-        cubic = FrobeniusPotential(
-            n=n, F=P.F.polynomial_part(), d=P.d, q=P.q, r=P.r,
-            unity_index=P.unity_index)
-        eta_inv = metric_eta(cubic).inverse()
+        c_up = P.tensors.c_up
         for e in shifts:
             r_e = QuadScalar(P.r[e])
-            Fe = cubic.F.diff(e)
             for b in range(n):
-                c_eb = [Fe.diff(b).diff(g) for g in range(n)]  # c_{g e b} over g
                 for a in range(n):
-                    val = _lincomb(n, eta_inv.rows[a], c_eb)
+                    val = c_up[e][b][a].polynomial_part()
                     if not val.is_constant():
                         raise NotClosedFormError(
                             "cubic part has non-constant structure constants")
@@ -463,14 +463,10 @@ def gradient_pairing(P: FrobeniusPotential, f: ExpPolynomial, g: ExpPolynomial
     """<grad f, grad g> = eta^{ab} d_a f d_b g."""
     n = P.n
     eta_inv = P.tensors.eta_inv
-    acc = ExpPolynomial.zero(n)
-    df = [f.diff(a) for a in range(n)]
     dg = [g.diff(b) for b in range(n)]
+    acc = ExpPolynomial.zero(n)
     for a in range(n):
-        for b in range(n):
-            coef = eta_inv[a, b]
-            if coef:
-                acc = acc + (df[a] * dg[b]).scale(coef)
+        acc = acc + f.diff(a) * _lincomb(n, eta_inv.rows[a], dg)
     return P._truncate(acc)
 
 
@@ -554,44 +550,29 @@ def _legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
     if any(P.r):
         raise NotClosedFormError("type-1 symmetry with r-shifts is not implemented")
     eta_inv = P.tensors.eta_inv
-    Fk = P.F.diff(kappa)
-    hess_k = [[Fk.diff(a).diff(b) for b in range(n)] for a in range(n)]
-    if any(not hess_k[a][b].is_constant() for a in range(n) for b in range(n)):
+    grad_k = [P.F.diff(kappa).diff(a) for a in range(n)]
+    if any(not h.diff(b).is_constant() for h in grad_k for b in range(n)):
         raise NotClosedFormError(
             "type-1 symmetry is closed-form only when d_a d_b d_kappa F is constant")
-    M = ExactMatrix([[hess_k[a][b].constant_term() for b in range(n)] for a in range(n)])
-    v = [Fk.diff(a).coefficient([0] * n) for a in range(n)]
-    # that^a = eta^{ab} that_b: that = L t + shift_up
-    L = eta_inv @ M
+    # that^a = eta^{ab} d_b d_kappa F = (L t)^a + shift_up[a]
+    that_up = [_lincomb(n, eta_inv.rows[a], grad_k) for a in range(n)]
+    L = ExactMatrix([[h.diff(b).constant_term() for b in range(n)] for h in that_up])
+    shift_up = [h.constant_term() for h in that_up]
     try:
         L_inv = L.inverse()
     except SingularMatrixError as exc:
         raise NotClosedFormError("type-1 transformation is not invertible") from exc
     # G(t) := Fhat(that(t)) so that Hess_t G = L^T (Hess_t F) L
+    Lt = L.transpose().rows
     hess = [[P.F.diff(a).diff(b) for b in range(n)] for a in range(n)]
-    H = [[ExpPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
-    for e in range(n):
-        for g in range(n):
-            acc = ExpPolynomial.zero(n)
-            for a in range(n):
-                for b in range(n):
-                    coef = L[a, e] * L[b, g]
-                    if coef:
-                        acc = acc + hess[a][b].scale(coef)
-            H[e][g] = acc
+    hess_L = [[_lincomb(n, Lt[g], hess[a]) for g in range(n)] for a in range(n)]
+    H = [[_lincomb(n, Lt[e], [row[g] for row in hess_L]) for g in range(n)]
+         for e in range(n)]
     xi = [_potential_from_gradient(H[e]) for e in range(n)]
     G = _potential_from_gradient(xi)
-    shift_up = [sum((eta_inv[a, b] * v[b] for b in range(n)), QuadScalar(0))
-                for a in range(n)]
-    mapping = []
-    for e in range(n):
-        acc = ExpPolynomial.zero(n)
-        for a in range(n):
-            coef = L_inv[e, a]
-            if coef:
-                acc = acc + (ExpPolynomial.variable(n, a)
-                             - ExpPolynomial.constant(n, shift_up[a])).scale(coef)
-        mapping.append(acc)
+    shifted = [ExpPolynomial.variable(n, a) - ExpPolynomial.constant(n, shift_up[a])
+               for a in range(n)]
+    mapping = [_lincomb(n, L_inv.rows[e], shifted) for e in range(n)]
     Fhat = G.substitute(mapping)
     qhat = tuple(qa - P.q[kappa] for qa in P.q)
     return FrobeniusPotential(n=n, F=Fhat, d=P.d - 2 * P.q[kappa], q=qhat,

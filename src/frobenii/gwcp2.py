@@ -164,7 +164,11 @@ def _timed(metrics: Dict[str, float], key: str, fn, *args):
 def _elliptic_rows(A: Sequence[Fraction], metrics: Dict[str, float]) -> List[EllipticRow]:
     """N^(1)_1..N^(1)_K from the genus-0 coefficients A: psi by both division
     routes on one numerator and denominator, cross-checked; the seconds of
-    each route and the bit height of psi go into metrics."""
+    each route and the bit height of psi go into metrics.
+
+    Unlike the exact division of the genus-0 recursion, the integrality of
+    N^(1)_k does catch a wrong genus-0 input: shifting any N_i, i <= 12, by
+    -1, +1 or +2 raises IntegralityError."""
     num, den = _psi_parts(A)
     psi_a = _timed(metrics, "triangular_s", num.divide_triangular, den)
     psi_b = _timed(metrics, "neumann_s", num.divide_neumann, den)

@@ -29,6 +29,7 @@ _B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
 _E = _B5 - _B4
 _C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
+MIN_STEP = 1e-14  # a step below this raises StepUnderflowError
 
 
 class StepUnderflowError(RuntimeError):
@@ -46,15 +47,12 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
               s0: float,
               s1: float,
               tol: float = 1e-10,
-              h0: Optional[float] = None,
-              min_step: float = 1e-14,
               guard: Optional[Callable[[float, np.ndarray], bool]] = None,
-              observer: Optional[Callable[[float, np.ndarray], None]] = None,
               ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate y' = f(s, y) from s0 to s1 (real parameter, complex state).
 
-    `guard(s, y)` returning False marks (s, y) as inadmissible; the step is
-    retried with a smaller h.  `observer` is called after each accepted step.
+    The first step is |s1 - s0| / 16.  `guard(s, y)` returning False marks
+    (s, y) as inadmissible; the step is retried with a smaller h.
     """
     y = np.array(y0, dtype=complex)
     s = float(s0)
@@ -62,13 +60,13 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     if span == 0:
         return y, IntegrationStats()
     direction = 1.0 if span > 0 else -1.0
-    h = abs(span) / 16 if h0 is None else abs(h0)
+    h = abs(span) / 16
     stats = IntegrationStats()
     scale0 = max(1.0, float(np.abs(y).max()))
     K = np.empty((6, y.size), dtype=complex)
     while (s1 - s) * direction > 1e-16 * abs(span):
         h = min(h, abs(s1 - s))
-        if h < min_step:
+        if h < MIN_STEP:
             raise StepUnderflowError(f"step size underflow at s={s}")
         hs = direction * h
         failed = False
@@ -92,8 +90,6 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         s += hs
         y = y5
         stats.steps += 1
-        if observer is not None:
-            observer(s, y)
         # PI-ish growth control
         if err == 0:
             h *= 4.0

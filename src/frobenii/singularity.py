@@ -22,7 +22,11 @@ from .exact.exppoly import ExpPolynomial, NotClosedFormError
 from .exact.scalars import QuadScalar
 from .frobenius import FrobeniusPotential, _potential_from_gradient
 
-MAX_AN = 8  # largest n of the A_n constructions (metric, flat coordinates, potential)
+# Largest n of the A_n constructions (metric, flat coordinates, potential).
+# Budget: a_n_structure(n) plus check_wdvv1 of its potential within 0.5 s of
+# process time.  n = 8 takes 0.35-0.49 s and n = 9 takes 1.1 s (fresh
+# interpreter, Python 3.11, 2-vCPU Xeon VM).
+MAX_AN = 8
 
 # univariate polynomials over the multivariate coefficient ring: lists of
 # ExpPolynomial coefficients, index = power of x

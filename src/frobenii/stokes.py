@@ -21,6 +21,7 @@ from .exact.linalg import ExactMatrix, polynomial_roots, sort_spectrum
 from .exact.scalars import ONE, ZERO, QuadScalar, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
+KEEP_REPRESENTATIVES = 16  # orbit nodes kept in OrbitResult.representatives
 
 Upper = Sequence[QuadScalar]   # upper entries s_ij, i < j, row-major
 
@@ -225,8 +226,7 @@ class OrbitResult:
     elapsed_s: float = 0.0
 
 
-def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP,
-          keep_representatives: int = 16) -> OrbitResult:
+def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
     Nodes are flat tuples of the upper entries, deduplicated on their
@@ -262,7 +262,7 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP,
                     v = max(map(abs, k[f::4]))
                     if v > top[f]:
                         top[f] = v
-                if len(keep) < keep_representatives:
+                if len(keep) < KEEP_REPRESENTATIVES:
                     keep.append(img)
                 nxt.append(img)
                 if len(seen) > max_size:

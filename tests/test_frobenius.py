@@ -7,7 +7,8 @@ import pytest
 
 from frobenii.exact import ExactMatrix, ExpPolynomial, QuadScalar
 from frobenii.frobenius import (
-    CATALOG_NAMES, FrobeniusPotential, NonConstantMetricError, apply_symmetry,
+    CATALOG_NAMES, DegenerateMetricError, FrobeniusPotential,
+    NonConstantMetricError, apply_symmetry,
     catalog, check_grading_eta, check_quasihomogeneity, check_wdvv1,
     deformed_flat_coords, euler_multiplication_symbolic, gradient_pairing,
     intersection_form, metric_eta, origin_monodromy, potential_from_json,
@@ -131,6 +132,60 @@ def test_perturbed_a3_fails():
     rep = check_wdvv1(Q)
     assert not rep.passed
     assert rep.max_nonzero() > 0
+
+
+def _wdvv_by_double_contraction(P):
+    # the route check_wdvv1 replaced: c_abl eta^{lm} c_mgd - (a <-> d),
+    # contracted from c_low and eta^{-1} for every residual
+    n = P.n
+    c_low, _, _, eta_inv = structure_constants(P)
+
+    def pairing(a, b, g, d):
+        acc = ExpPolynomial.zero(n)
+        for l in range(n):
+            for m in range(n):
+                if eta_inv[l, m]:
+                    acc = acc + (c_low[a][b][l] * c_low[m][g][d]).scale(eta_inv[l, m])
+        return acc
+    return {(a, b, g, d): P._truncate(pairing(a, b, g, d) - pairing(d, b, g, a))
+            for a in range(n) for d in range(a + 1, n)
+            for b in range(n) for g in range(b, n)}
+
+
+def _perturbed(name):
+    # the coefficient of F's last non-cubic term moved by 1/7
+    P = catalog(name)
+    key = max(k for k in P.F.terms if sum(k[0]) >= 4)
+    terms = dict(P.F.terms)
+    terms[key] = terms[key] + QuadScalar(F(1, 7))
+    return FrobeniusPotential(P.n, ExpPolynomial(P.n, terms), P.d, P.q, P.r,
+                              name=name + "~")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(6)", "CP2(8)", "CP2(10)",
+                                                  "H3~", "H4~"])
+def test_wdvv_residuals_match_the_double_contraction(name):
+    perturbed = name.endswith("~")
+    P = _perturbed(name[:-1]) if perturbed else catalog(name)
+    rep = check_wdvv1(P)
+    want = _wdvv_by_double_contraction(P)
+    assert list(rep.residuals) == list(want)
+    assert rep.residuals == want
+    assert rep.passed != perturbed
+    assert (rep.max_nonzero() > 0) == perturbed
+
+
+def test_degenerate_metric_is_a_typed_error():
+    # F = t1^3/6 + t2^3/6: eta = diag(1, 0)
+    t1, t2 = (ExpPolynomial.variable(2, a) for a in range(2))
+    P = FrobeniusPotential(2, (t1 ** 3 + t2 ** 3).scale(F(1, 6)), F(0),
+                           (F(0), F(0)), (F(0), F(0)))
+    assert metric_eta(P) == ExactMatrix([[1, 0], [0, 0]])
+    with pytest.raises(DegenerateMetricError, match="degenerate"):
+        P.tensors
+    rep = check_wdvv1(P)
+    assert not rep.passed
+    assert "degenerate" in rep.details
 
 
 def test_quasihomogeneity_failure_reports_remainder():

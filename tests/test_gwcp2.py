@@ -105,6 +105,17 @@ def test_elliptic_definition_identity():
     assert (psi * den - (d3 - 27)).is_zero()
 
 
+@pytest.mark.parametrize("shift", [-1, 1, 2])
+def test_elliptic_integrality_rejects_a_wrong_genus0_number(shift):
+    # unlike the exact division of the genus-0 recursion, the integrality of
+    # N^(1)_k catches a single wrong N_i
+    N = genus0_numbers(12)
+    for i in range(12):
+        wrong = N[:i] + [N[i] + shift] + N[i + 1:]
+        with pytest.raises(IntegralityError):
+            gwcp2._elliptic_rows(gwcp2._coefficients(wrong), {})
+
+
 def test_division_routes_cross_check():
     assert elliptic_series(15, "triangular") == elliptic_series(15, "neumann")
 
