@@ -247,13 +247,13 @@ class ExpPolynomial:
     def polynomial_part(self) -> "ExpPolynomial":
         """Terms without exponential factors (the classical limit e^{kt} -> 0
         keeps only them, for k > 0 weights)."""
-        return ExpPolynomial(self.nvars,
-                             {k: c for k, c in self.terms.items() if not any(k[1])})
+        return ExpPolynomial._wrap(
+            self.nvars, {k: c for k, c in self.terms.items() if not any(k[1])})
 
     def truncate_exp(self, var: int, order: int) -> "ExpPolynomial":
         """Drop terms with exp weight in `var` above `order`."""
-        return ExpPolynomial(self.nvars,
-                             {k: c for k, c in self.terms.items() if k[1][var] <= order})
+        return ExpPolynomial._wrap(
+            self.nvars, {k: c for k, c in self.terms.items() if k[1][var] <= order})
 
     def coefficient(self, pows: Sequence[int], exps: Sequence[int] | None = None) -> QuadScalar:
         exps = tuple(exps) if exps is not None else (0,) * self.nvars

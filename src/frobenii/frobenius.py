@@ -7,12 +7,14 @@ constants, WDVV residuals, intersection form, monodromy data at the origin,
 deformed flat coordinates, inversion symmetry, tensor locus -- is computed
 exactly in the coefficient field.  eta, eta^{-1} and the structure constants
 are derived once per potential and cached on it as ``P.tensors``; their
-constant numeric lowering (eta and eta^{-1} as read-only complex arrays, mu)
-is cached as ``P.numeric``.
+numeric lowering (eta, mu, the Euler field and every monomial of the c_abg,
+with eta^{-1} folded into the raising scatter, as read-only arrays) is
+cached as ``P.numeric``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,13 +67,9 @@ class FrobeniusPotential:
 
     @cached_property
     def numeric(self) -> Numeric:
-        """eta and eta^{-1} lowered once to read-only complex arrays, and mu."""
-        def lowered(m: ExactMatrix) -> np.ndarray:
-            arr = np.array([[complex(x) for x in row] for row in m.rows])
-            arr.flags.writeable = False
-            return arr
-        _, _, eta, eta_inv = self.tensors
-        return Numeric(lowered(eta), lowered(eta_inv), tuple(self.mu()))
+        """The constant tensors and the c_abg lowered once to read-only
+        arrays, built on first use."""
+        return numeric_lowering(self)
 
     @cached_property
     def euler(self) -> Tuple[ExpPolynomial, ...]:
@@ -126,11 +124,22 @@ class Tensors(NamedTuple):
 
 
 class Numeric(NamedTuple):
-    """The constant tensors of a potential in floating point: eta and
-    eta^{-1} as read-only complex arrays; mu_a = q_a - d/2 stays exact."""
+    """A potential in floating point, as read-only arrays: eta; mu_a =
+    q_a - d/2 exact and as floats; the Euler field E^e(t) =
+    euler_scale[e] t_e + euler_shift[e]; and every monomial
+    coeffs[k] t^powers[k] exp(weights[k] . t) of every c_abg with
+    a <= b <= g, which the (n^3, T) matrices scatter_low and scatter_up
+    (eta^{-1} folded in) sum into c_abg and c_ab^g, flattened in (a, b, g)."""
     eta: np.ndarray
-    eta_inv: np.ndarray
     mu: Tuple[Fraction, ...]
+    mu_float: np.ndarray
+    euler_scale: np.ndarray
+    euler_shift: np.ndarray
+    coeffs: np.ndarray
+    powers: np.ndarray
+    weights: np.ndarray
+    scatter_low: np.ndarray
+    scatter_up: np.ndarray
 
 
 def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
@@ -188,6 +197,36 @@ def structure_constants(P: FrobeniusPotential) -> Tensors:
         return tuple(_lincomb(n, eta_inv.rows[g], c_ab) for g in range(n))
     c_up = tuple(tuple(raised(a, b) for b in range(n)) for a in range(n))
     return Tensors(c_low, c_up, eta, eta_inv)
+
+
+def numeric_lowering(P: FrobeniusPotential) -> Numeric:
+    """Lowers P from scratch; callers read the cached ``P.numeric``."""
+    n = P.n
+    c_low, _, eta, eta_inv = P.tensors
+    coeffs, powers, weights, columns = [], [], [], []
+    for abg in itertools.combinations_with_replacement(range(n), 3):
+        col = np.zeros((n, n, n), dtype=complex)
+        for ijk in itertools.permutations(abg):
+            col[ijk] = 1
+        for (pows, exps), c in c_low[abg[0]][abg[1]][abg[2]].terms.items():
+            coeffs.append(complex(c))
+            powers.append(pows)
+            weights.append(exps)
+            columns.append(col)
+    low = np.stack(columns, axis=-1)
+
+    def lowered(m: ExactMatrix) -> np.ndarray:
+        return np.array([[complex(x) for x in row] for row in m.rows])
+    up = np.einsum("ge,eabk->abgk", lowered(eta_inv), low)
+    mu = tuple(P.mu())
+    arrays = [lowered(eta), np.array([float(m) for m in mu]),
+              np.array([float(1 - q) for q in P.q]),
+              np.array([float(r) for r in P.r]),
+              np.array(coeffs), np.array(powers), np.array(weights, dtype=float),
+              low.reshape(n ** 3, -1), up.reshape(n ** 3, -1)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Numeric(arrays[0], mu, *arrays[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Shared by the isomonodromic integrator and the Painleve-VI integrator.  The
 state is a flat complex numpy array.  The six stages of a step are the rows
 of one (6, m) array K: stage i evaluates f at y + h (A_i @ K[:i]), and the
 fifth-order solution and the error estimate are y + h (B5 @ K) and
-h ((B5 - B4) @ K).  A guard callback can reject steps that enter a
-forbidden region (singularity margins), which triggers step-size reduction
-and ultimately a StepUnderflowError.
+h ((B5 - B4) @ K), both from one (2, 6) @ K product.  A guard callback can
+reject steps that enter a forbidden region (singularity margins), which
+triggers step-size reduction and ultimately a StepUnderflowError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,7 +28,7 @@ _A = np.array([
 ])
 _B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
-_E = _B5 - _B4
+_B5E = np.array([_B5, _B5 - _B4])  # fifth-order weights and the error row
 _C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
 MIN_STEP = 1e-14  # a step below this raises StepUnderflowError
 
@@ -69,18 +70,21 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         if h < MIN_STEP:
             raise StepUnderflowError(f"step size underflow at s={s}")
         hs = direction * h
+        hA = hs * _A
         failed = False
         for i in range(6):
-            yi = y + hs * (_A[i, :i] @ K[:i]) if i else y
+            # the slice keeps stale rows of K, possibly non-finite, out
+            yi = y + hA[i, :i] @ K[:i] if i else y
             if guard is not None and not guard(s + _C[i] * hs, yi):
                 failed = True
                 break
             K[i] = f(s + _C[i] * hs, yi)
         if not failed:
-            y5 = y + hs * (_B5 @ K)
-            err = float(np.abs(hs * (_E @ K)).max())
+            step, delta = (hs * _B5E) @ K
+            y5 = y + step
+            err = float(np.abs(delta).max())
             scale = max(scale0, float(np.abs(y5).max()))
-            failed = err > tol * scale or not np.isfinite(err)
+            failed = err > tol * scale or not math.isfinite(err)
             if guard is not None and not failed:
                 failed = not guard(s + hs, y5)
         if failed:

@@ -9,6 +9,11 @@ dV/du_i = [V_i, V]; the flow is Hamiltonian with quadratic Hamiltonians
 H_i = 1/2 sum_{j != i} V_ij^2/(u_i - u_j) whose 1-form sum H_i du_i is
 closed (d log tau).
 
+The numerics at a point read the table ``P.numeric`` lowers once per
+potential: every monomial of every c_abg as coefficient, powers and exp
+weights, with two scatter matrices onto c_abg and c_ab^g, so a frame
+evaluates all c_abg in one numpy expression and two mat-vecs.
+
 Along a straight segment u(s) = u0 + s du of a path the flow is one
 commutator, dV/ds = sum_i du_i [V_i, V] = [A, V] with
 A_ab = V_ab (du_a - du_b)/(u_a - u_b), and the segment is certified clear
@@ -17,7 +22,6 @@ of colliding u_i in closed form before it is integrated.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
@@ -54,25 +58,26 @@ class IllConditionedFrameError(ArithmeticError):
 
 def _numeric_tensors(P: FrobeniusPotential, t: Sequence[complex]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_{ab}^g, c_{abg}, eta) at t from the cached ``P.tensors`` and
-    ``P.numeric``, the raised index last on the first."""
+    """(c_{ab}^g, c_{abg}, eta) at t from the lowered table ``P.numeric``:
+    every monomial evaluated in one expression, then two scatter mat-vecs,
+    the raised index last on the first."""
+    num = P.numeric
     n = P.n
-    c_sym = P.tensors.c_low
-    eta, eta_inv, _ = P.numeric
-    c_low = np.empty((n, n, n), dtype=complex)
-    for a, b, g in itertools.combinations_with_replacement(range(n), 3):
-        val = c_sym[a][b][g].eval_complex(t)
-        for i, j, k in itertools.permutations((a, b, g)):
-            c_low[i, j, k] = val
-    c_up = np.einsum("ge,eab->abg", eta_inv, c_low)
-    return c_up, c_low, eta
+    t = np.asarray(t, dtype=complex)
+    mono = num.coeffs * np.prod(t ** num.powers, axis=1) * np.exp(num.weights @ t)
+    if not np.isfinite(mono).all():
+        # a negative power of a zero coordinate (Laurent potentials) or an
+        # exp overflow
+        raise ZeroDivisionError("a c_abg has a pole or overflows at this point")
+    return ((num.scatter_up @ mono).reshape(n, n, n),
+            (num.scatter_low @ mono).reshape(n, n, n), num.eta)
 
 
 def _euler_matrix(P: FrobeniusPotential, t: Sequence[complex],
                   c_up: np.ndarray) -> np.ndarray:
     """U^a_b = E^e(t) c_{eb}^a with E^e(t) = (1 - q_e) t_e + r_e."""
-    E = np.array([(1 - float(q)) * complex(x) + float(r)
-                  for q, r, x in zip(P.q, P.r, t)])
+    num = P.numeric
+    E = num.euler_scale * np.asarray(t, dtype=complex) + num.euler_shift
     return np.einsum("e,eba->ab", E, c_up)
 
 
@@ -81,11 +86,10 @@ def euler_multiplication(P: FrobeniusPotential, t: Sequence[complex]) -> np.ndar
     return _euler_matrix(P, t, _numeric_tensors(P, t)[0])
 
 
-def _ill_conditioned(message: str, u: Sequence[complex],
+def _ill_conditioned(message: str, gaps: np.ndarray,
                      vecs: np.ndarray) -> IllConditionedFrameError:
-    gap = min((abs(x - y) for x, y in itertools.combinations(u, 2)),
-              default=float("inf"))
-    return IllConditionedFrameError(message, gap, float(np.linalg.cond(vecs)))
+    return IllConditionedFrameError(message, float(gaps.min()),
+                                    float(np.linalg.cond(vecs)))
 
 
 @dataclass
@@ -93,6 +97,7 @@ class CanonicalFrame:
     u: List[complex]
     Psi: np.ndarray
     mu: List
+    mu_float: np.ndarray  # mu as floats, read-only and shared per potential
     eta: np.ndarray
     c_residual: float = 0.0
     branch_note: str = field(default="principal branch of eigenvector phases")
@@ -111,46 +116,43 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     n = P.n
     c_up, c_low, eta = _numeric_tensors(P, t)
     u, vecs = eigen_small(_euler_matrix(P, t, c_up), tol=tol)
-    scale = max(1.0, max(abs(x) for x in u))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(u[i] - u[j]) <= collision_margin * scale:
-                raise CoalescingEigenvaluesError(
-                    f"u_{i + 1} and u_{j + 1} within margin at this point")
-    rows = []
-    for i in range(n):
-        v = vecs[:, i]
-        # idempotent normalization: v.v = lambda v in the algebra
-        w = np.einsum("abg,a,b->g", c_up, v, v)
-        lam_alg = (w @ v.conj()) / (v @ v.conj())
-        if abs(lam_alg) < 1e-13:
-            raise CoalescingEigenvaluesError("eigenvector is nilpotent-like; "
-                                             "point is not semisimple")
-        pi = v / lam_alg
-        norm2 = pi @ eta @ pi
-        if abs(norm2) < 1e-13:
-            raise CoalescingEigenvaluesError("idempotent with <pi,pi> = 0")
-        f = pi / np.sqrt(norm2)
-        psi_row = eta @ f
-        p1 = psi_row[P.unity_index]
-        if abs(p1) < tol:
-            raise CoalescingEigenvaluesError("psi_{i1} = 0: outside the "
-                                             "semisimple chart")
-        if not (p1.real > 0 or (p1.real == 0 and p1.imag > 0)):
-            psi_row = -psi_row
-        rows.append(psi_row)
-    Psi = np.array(rows)
+    ua = np.array(u)
+    # gaps[i, j] = |u_i - u_j|, the diagonal excluded
+    gaps = np.abs(ua[:, None] - ua[None, :]) + np.diag(np.full(n, np.inf))
+    close = np.argwhere(gaps <= collision_margin * max(1.0, float(np.abs(ua).max())))
+    if close.size:
+        # the first pair in row-major order has i < j and is the least such
+        i, j = close[0]
+        raise CoalescingEigenvaluesError(
+            f"u_{i + 1} and u_{j + 1} within margin at this point")
+    # idempotent normalization of each column v: v.v = lambda v in the algebra
+    w = np.einsum("abg,ai,bi->gi", c_up, vecs, vecs)
+    lam_alg = (w * vecs.conj()).sum(axis=0) / (vecs * vecs.conj()).sum(axis=0)
+    if (np.abs(lam_alg) < 1e-13).any():
+        raise CoalescingEigenvaluesError("eigenvector is nilpotent-like; "
+                                         "point is not semisimple")
+    pi = vecs / lam_alg
+    norm2 = np.einsum("ai,ab,bi->i", pi, eta, pi)
+    if (np.abs(norm2) < 1e-13).any():
+        raise CoalescingEigenvaluesError("idempotent with <pi,pi> = 0")
+    Psi = (eta @ (pi / np.sqrt(norm2))).T
+    p1 = Psi[:, P.unity_index]
+    if (np.abs(p1) < tol).any():
+        raise CoalescingEigenvaluesError("psi_{i1} = 0: outside the "
+                                         "semisimple chart")
+    Psi[~((p1.real > 0) | ((p1.real == 0) & (p1.imag > 0)))] *= -1
     ortho = np.abs(Psi.T @ Psi - eta).max()
     if ortho > tol * max(1.0, np.abs(eta).max()):
-        raise _ill_conditioned(f"Psi^T Psi differs from eta by {ortho:.3e}", u, vecs)
+        raise _ill_conditioned(f"Psi^T Psi differs from eta by {ortho:.3e}", gaps, vecs)
     # c reconstruction (3.17): c_{abg} = sum_i psi_ia psi_ib psi_ig / psi_i1
     crec = np.einsum("ia,ib,ig,i->abg", Psi, Psi, Psi,
                      1.0 / Psi[:, P.unity_index])
     cres = float(np.abs(crec - c_low).max())
     if cres > tol * max(1.0, float(np.abs(c_low).max())):
-        raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", u, vecs)
-    return CanonicalFrame(u=u, Psi=Psi, mu=list(P.numeric.mu), eta=eta,
-                          c_residual=cres)
+        raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", gaps, vecs)
+    num = P.numeric
+    return CanonicalFrame(u=u, Psi=Psi, mu=list(num.mu), mu_float=num.mu_float,
+                          eta=eta, c_residual=cres)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,7 @@ class IsoState:
 def v_matrices(frame: CanonicalFrame) -> Tuple[np.ndarray, List[np.ndarray]]:
     """V = Psi mu Psi^{-1} and the V_i solving [U, V_i] = [E_i, V] with zero
     diagonal: (V_i)_{ib} = V_{ib}/(u_i - u_b), (V_i)_{ai} = V_{ai}/(u_i - u_a)."""
-    mu = np.diag([float(m) for m in frame.mu]).astype(complex)
-    V = frame.Psi @ mu @ np.linalg.inv(frame.Psi)
+    V = (frame.Psi * frame.mu_float) @ np.linalg.inv(frame.Psi)
     Vis = v_components(frame.u, V)
     return V, Vis
 
@@ -234,18 +235,19 @@ def _segment_field(u0: np.ndarray, du: np.ndarray
     = [A, V] with A_ab = V_ab (du_a - du_b)/(u_a - u_b); the last component
     is the tau integrand sum_i du_i H_i."""
     n = len(u0)
+    m = n * n
     eye = np.eye(n)
-    off = 1 - eye
-    g0 = u0[:, None] - u0[None, :] + eye
+    g0 = u0[:, None] - u0[None, :] + eye  # the gap, 1 on the diagonal
     dg = du[:, None] - du[None, :]
+    D = 0.5 * du[:, None] * (1 - eye)
 
     def f(s: float, y: np.ndarray) -> np.ndarray:
-        V = y[:n * n].reshape(n, n)
-        inv = off / (g0 + s * dg)
-        A = V * dg * inv
-        out = np.empty(n * n + 1, dtype=complex)
-        out[:n * n] = (A @ V - V @ A).reshape(-1)
-        out[n * n] = 0.5 * (du @ (V * V * inv).sum(axis=1))
+        V = y[:m].reshape(n, n)
+        r = 1 / (g0 + s * dg)
+        A = V * (dg * r)
+        out = np.empty(m + 1, dtype=complex)
+        out[:m] = (A @ V - V @ A).reshape(-1)
+        out[m] = (V * V * D * r).sum()
         return out
     return f
 

@@ -301,6 +301,23 @@ def test_eval_complex_with_exp():
     assert abs(val - 3.0 * cmath.exp(0.75)) < 1e-14
 
 
+def test_exp_filters_equal_the_constructor_and_copy_the_terms():
+    from frobenii.gwcp2 import truncated_potential
+    src = truncated_potential(6).F
+    assert src.has_exp()
+    before = dict(src.terms)
+    cases = [
+        (src.polynomial_part(), {k: c for k, c in src.terms.items() if not any(k[1])}),
+        (src.truncate_exp(1, 3), {k: c for k, c in src.terms.items() if k[1][1] <= 3}),
+    ]
+    for got, kept in cases:
+        want = ExpPolynomial(src.nvars, kept)
+        assert got == want and got.nvars == want.nvars
+        assert 0 < len(got.terms) < len(src.terms)
+        got.terms.clear()
+        assert src.terms == before
+
+
 # ---------------------------------------------------------------------------
 # GWSeries
 # ---------------------------------------------------------------------------

@@ -431,13 +431,39 @@ def test_numeric_lowering_is_cached_and_read_only():
     P = catalog("H4")
     num = P.numeric
     assert num is P.numeric
-    _, _, eta, eta_inv = P.tensors
-    assert np.array_equal(num.eta, [[complex(x) for x in r] for r in eta.rows])
-    assert np.array_equal(num.eta_inv, [[complex(x) for x in r] for r in eta_inv.rows])
+    assert np.array_equal(num.eta, [[complex(x) for x in r] for r in P.tensors.eta.rows])
     assert num.mu == tuple(P.mu())
-    for arr in (num.eta, num.eta_inv):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1
+    assert num.mu_float.tolist() == [float(m) for m in P.mu()]
+    assert num.euler_scale.tolist() == [float(1 - q) for q in P.q]
+    assert num.euler_shift.tolist() == [float(r) for r in P.r]
+    for arr in num:
+        if isinstance(arr, np.ndarray):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+
+def test_lowered_table_equals_eval_complex_of_every_c_abg():
+    # on every catalog entry and CP2(8), at seeded complex points, one with
+    # t1 = 0; CP1, CP2 and CP2(8) carry the e^{k t2} terms
+    import numpy as np
+    from frobenii.gwcp2 import truncated_potential
+    from frobenii.semisimple import _numeric_tensors
+    rng = np.random.default_rng(10)
+    pots = [catalog(name) for name in CATALOG_NAMES] + [truncated_potential(8)]
+    for P in pots:
+        n = P.n
+        c_low = P.tensors.c_low
+        eta_inv = np.array([[complex(x) for x in row] for row in P.tensors.eta_inv.rows])
+        points = [list(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+                  for _ in range(4)]
+        points[0][0] = 0j
+        for t in points:
+            want = np.array([[[c_low[a][b][g].eval_complex(t) for g in range(n)]
+                              for b in range(n)] for a in range(n)])
+            want_up = np.einsum("ge,eab->abg", eta_inv, want)
+            got_up, got, _ = _numeric_tensors(P, t)
+            for x, y in ((got, want), (got_up, want_up)):
+                assert np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max()), P.name
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,29 @@ def test_segment_field_is_the_sum_of_commutators(n):
         assert abs(got[-1] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_segment_field_on_a_non_skew_v(n):
+    # the field assumes nothing of V: on V + V^T != 0 it is still [A, V]
+    # with A = V (du_a - du_b)/(u_a - u_b), and 1/2 du . (V o V o G) . 1
+    from frobenii.semisimple import _segment_field
+    rng = np.random.default_rng(10 + n)
+    off = 1 - np.eye(n)
+    for _ in range(5):
+        V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u0 = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        s = rng.uniform()
+        u = u0 + s * du
+        G = off / (u[:, None] - u[None, :] + np.eye(n))
+        A = V * (du[:, None] - du[None, :]) * G
+        want = A @ V - V @ A
+        want_tau = 0.5 * du @ (V * V * G).sum(axis=1)
+        got = _segment_field(u0, du)(s, np.concatenate([V.reshape(-1), [0j]]))
+        assert np.abs(V + V.T).max() > 0.1
+        assert np.abs(got[:-1].reshape(n, n) - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert abs(got[-1] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
+
+
 def test_state_json_roundtrip():
     st = _random_state(seed=17)
     st2 = state_from_dict(state_to_dict(st))
@@ -339,11 +362,25 @@ def test_numeric_u_matches_symbolic_on_catalog():
             assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max()), name
 
 
+def test_frame_at_a_pole_of_a_laurent_potential_is_a_typed_error():
+    # the inversion of A3 has negative powers of t3: the frame is fine away
+    # from t3 = 0 and raises ZeroDivisionError on it
+    import warnings
+    from frobenii.frobenius import apply_symmetry
+    P = apply_symmetry(catalog("A3"), "inversion_type2")
+    canonical_coordinates(P, [0.3, 0.2, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ZeroDivisionError):
+            canonical_coordinates(P, [0.3, 0.2, 0.0])
+
+
 def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
-    # every derived-tensor consumer reads the cached P.tensors, so one
-    # potential builds eta and c once whatever is called on it
+    # every derived-tensor consumer reads the cached P.tensors and every
+    # frame the cached P.numeric, so one potential builds eta and c once and
+    # lowers them once whatever is called on it
     from frobenii import frobenius
-    calls = {"structure_constants": 0, "metric_eta": 0}
+    calls = {"structure_constants": 0, "metric_eta": 0, "numeric_lowering": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -355,6 +392,8 @@ def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
                         counted("structure_constants", frobenius.structure_constants))
     monkeypatch.setattr(frobenius, "metric_eta",
                         counted("metric_eta", frobenius.metric_eta))
+    monkeypatch.setattr(frobenius, "numeric_lowering",
+                        counted("numeric_lowering", frobenius.numeric_lowering))
     P = catalog("H4")
     canonical_coordinates(P, [1.1 + 0.3j, 0.5 - 0.7j, 0.9 + 0.9j, 1.3 - 0.4j])
     canonical_coordinates(P, [0.7 - 0.2j, -0.4 + 0.6j, 0.3 + 0.8j, -0.9 - 0.5j])
@@ -363,7 +402,7 @@ def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
     assert frobenius.check_grading_eta(P)
     frobenius.intersection_form(P)
     frobenius.gradient_pairing(P, P.F, P.F)
-    assert calls == {"structure_constants": 1, "metric_eta": 1}
+    assert calls == {"structure_constants": 1, "metric_eta": 1, "numeric_lowering": 1}
 
 
 @pytest.mark.parametrize("name, t", [
