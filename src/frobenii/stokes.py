@@ -5,7 +5,10 @@ projective-plane monodromy identities.
 A Stokes matrix is upper triangular with unit diagonal over a quadratic
 field.  The braid generator sigma_i acts by S -> K S K with K the
 elementary matrix carrying [[0,1],[1,-s_{i,i+1}]] in the (i,i+1) block, and
-matrices are identified modulo S ~ J S J, J = diag(+-1).
+matrices are identified modulo S ~ J S J, J = diag(+-1).  The braid
+action, the sign normalization and the orbit BFS run on flat tuples of
+Python ints, (p, q, d) per upper entry over the one field Q(sqrt m) of the
+matrix; a matrix whose entries mix two fields raises DiscriminantMismatch.
 """
 
 from __future__ import annotations
@@ -15,15 +18,19 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import ExactMatrix, polynomial_roots, sort_spectrum
-from .exact.scalars import ONE, ZERO, QuadScalar, parse_quad
+from .exact.scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, _make, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 KEEP_REPRESENTATIVES = 16  # orbit nodes kept in OrbitResult.representatives
 
 Upper = Sequence[QuadScalar]   # upper entries s_ij, i < j, row-major
+Flat = Tuple[int, ...]         # (p, q, d) of each upper entry, row-major, over one m
 
 
 @lru_cache(maxsize=None)
@@ -57,17 +64,6 @@ class StokesMatrix:
                 if mat[i, j]:
                     raise ValueError("matrix must be upper triangular")
         self.mat = mat
-
-    @staticmethod
-    def _from_flat(n: int, upper: Upper) -> "StokesMatrix":
-        """From row-major upper entries (QuadScalars), without checks."""
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(_upper_pairs(n), upper):
-            rows[i][j] = v
-        S = object.__new__(StokesMatrix)
-        S.n = n
-        S.mat = ExactMatrix._wrap(rows)
-        return S
 
     @staticmethod
     def from_upper(n: int, upper: Dict[Tuple[int, int], QuadScalar | Fraction | int]
@@ -134,85 +130,150 @@ class BraidWord:
 
 
 @lru_cache(maxsize=None)
-def _block_plan(n: int, letter: int):
-    """Where S -> K S K changes the row-major upper entries of S.
+def _flat_plan(n: int, letter: int):
+    """Where S -> K S K changes the flat (p, q, d) ints of the upper entries.
 
     K is the identity outside the (i, i+1) block, which is [[0, 1], [1, -s]]
     for sigma_i and [[-s, 1], [1, 0]] for its inverse, s = S[i, i+1].  Only
     rows i, i+1 right of the block and columns i, i+1 above it change: the
-    block entry becomes -s, each `moves` pair (dst, src) copies entry src
-    and each `updates` triple (dst, x, y) becomes entry x - s * entry y."""
+    block entry becomes -s, and each pair (u, v) of partner entries becomes
+    (v, u - s * v).  The plan holds the flat index of the block entry, an
+    itemgetter swapping the partners (the whole step when s = 0) and the
+    (u, v) pairs as flat indices."""
     i = abs(letter) - 1
     if not 0 <= i < n - 1:
         raise ValueError(f"generator {letter} out of range for n = {n}")
-    at = {ij: k for k, ij in enumerate(_upper_pairs(n))}
-    moves, updates = [], []
+    at = {ij: 3 * k for k, ij in enumerate(_upper_pairs(n))}
+    idx = list(range(3 * len(at)))
+    pairs = []
     # (entry in row/column i, its partner in row/column i+1)
     for u, v in ([((i, b), (i + 1, b)) for b in range(i + 2, n)]
                  + [((a, i), (a, i + 1)) for a in range(i)]):
-        if letter < 0:
-            u, v = v, u
-        moves.append((at[u], at[v]))
-        updates.append((at[v], at[u], at[v]))
-    return at[(i, i + 1)], tuple(moves), tuple(updates)
+        u, v = (at[v], at[u]) if letter < 0 else (at[u], at[v])
+        idx[u:u + 3], idx[v:v + 3] = idx[v:v + 3], idx[u:u + 3]
+        pairs.append((u, v))
+    return at[(i, i + 1)], itemgetter(*idx), tuple(pairs)
 
 
-def _block_step(t: Upper, plan) -> List[QuadScalar]:
-    """Apply a `_block_plan` to flat upper entries."""
-    s_at, moves, updates = plan
-    s = t[s_at]
+@lru_cache(maxsize=None)
+def _flat_pairs(n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, index of the entry's p in the flat tuple), row-major."""
+    return tuple((i, j, 3 * k) for k, (i, j) in enumerate(_upper_pairs(n)))
+
+
+def _to_ints(S: StokesMatrix) -> Tuple[Flat, int]:
+    """The flat (p, q, d) of every upper entry of S and the one discriminant
+    m they share (1 when all are rational)."""
+    flat: List[int] = []
+    m = 1
+    for c in S.upper():
+        if c.q and c.m != m:
+            if m != 1:
+                raise DiscriminantMismatch(f"sqrt({m}) vs sqrt({c.m})")
+            m = c.m
+        flat += (c.p, c.q, c.d)
+    return tuple(flat), m
+
+
+def _from_ints(n: int, t: Flat, m: int) -> StokesMatrix:
+    """The StokesMatrix of a flat tuple over Q(sqrt m), without checks."""
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for i, j, k in _flat_pairs(n):
+        q = t[k + 1]
+        rows[i][j] = _make(t[k], q, t[k + 2], m if q else 1)
+    S = object.__new__(StokesMatrix)
+    S.n = n
+    S.mat = ExactMatrix._wrap(rows)
+    return S
+
+
+def _step(t: Flat, plan, m: int) -> Flat:
+    """Apply a `_flat_plan` to a flat tuple over Q(sqrt m): each u - s * v
+    is formed over one denominator and reduced by one gcd, skipped when
+    that denominator is 1."""
+    k, swap, pairs = plan
+    sp, sq = t[k], t[k + 1]
+    if not (sp or sq):
+        return swap(t)
+    sd = t[k + 2]
+    out = list(swap(t))
+    out[k] = -sp
+    out[k + 1] = -sq
+    for u, v in pairs:
+        vp, vq = t[v], t[v + 1]
+        if not (vp or vq):
+            continue        # u - s * 0 = u, placed by the swap
+        up, uq, ud = t[u], t[u + 1], t[u + 2]
+        p = sp * vp + sq * vq * m
+        q = sp * vq + sq * vp
+        d = sd * t[v + 2]
+        if d == ud:
+            p, q = up - p, uq - q
+        else:
+            p, q, d = up * d - p * ud, uq * d - q * ud, ud * d
+        if d != 1:
+            g = gcd(p, q, d)
+            if g != 1:
+                p, q, d = p // g, q // g, d // g
+        out[v] = p
+        out[v + 1] = q
+        out[v + 2] = d
+    return tuple(out)
+
+
+def _canonical(n: int, t: Flat) -> Flat:
+    """Row-major greedy sign normalization of a flat tuple: the first
+    touched index of each component gets eps = +1, and each first
+    sign-adjustable nonzero entry is made lex-nonnegative (p > 0, or p = 0
+    and q >= 0) by eps_j."""
+    eps = [0] * n
+    pairs = _flat_pairs(n)
+    for i, j, k in pairs:
+        v = t[k] or t[k + 1]
+        if not v:
+            continue
+        sign = 1 if v > 0 else -1
+        ei, ej = eps[i], eps[j]
+        if ei:
+            if not ej:
+                eps[j] = ei * sign
+        elif ej:
+            eps[i] = ej * sign
+        else:
+            eps[i] = 1
+            eps[j] = sign
+    if -1 not in eps:
+        return t
     out = list(t)
-    out[s_at] = -s
-    for dst, src in moves:
-        out[dst] = t[src]
-    for dst, x, y in updates:
-        out[dst] = t[x] - s * t[y]
-    return out
+    for i, j, k in pairs:
+        if eps[i] != eps[j]:    # a zero entry may have one eps still 0
+            out[k] = -out[k]
+            out[k + 1] = -out[k + 1]
+    return tuple(out)
 
 
 def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
     """K S K for sigma_letter (a negative letter is the inverse)."""
-    return StokesMatrix._from_flat(S.n, _block_step(S.upper(), _block_plan(S.n, letter)))
+    t, m = _to_ints(S)
+    return _from_ints(S.n, _step(t, _flat_plan(S.n, letter), m), m)
 
 
 def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> StokesMatrix:
     if isinstance(word, str):
         word = BraidWord.parse(word)
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    out = S
+    t, m = _to_ints(S)
     for letter in letters:
-        out = braid_generator(out, letter)
-    return out
-
-
-def _canonical_upper(n: int, upper: Upper) -> Tuple[QuadScalar, ...]:
-    """Row-major greedy sign normalization of the upper entries: the first
-    touched index of each component gets eps = +1, and each first
-    sign-adjustable nonzero entry is made lex-nonnegative by eps_j."""
-    eps = [0] * n
-    for (i, j), v in zip(_upper_pairs(n), upper):
-        if not v:
-            continue
-        ei, ej = eps[i], eps[j]
-        if ei and ej:
-            continue        # both fixed: the entry is no longer adjustable
-        if not ei and not ej:
-            eps[i] = ei = 1
-        if ei:
-            eps[j] = ei if v.lex_nonneg() else -ei
-        else:
-            eps[i] = ej if v.lex_nonneg() else -ej
-    if -1 not in eps:
-        return tuple(upper)
-    return tuple([-v if eps[i] * eps[j] < 0 else v
-                  for (i, j), v in zip(_upper_pairs(n), upper)])
+        t = _step(t, _flat_plan(S.n, letter), m)
+    return _from_ints(S.n, t, m)
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
     """Representative of {J S J : J = diag(+-1)}: scanning the upper entries
     row-major, greedily pick signs eps_j so each first sign-adjustable
     nonzero entry becomes lex-nonnegative."""
-    return StokesMatrix._from_flat(S.n, _canonical_upper(S.n, S.upper()))
+    t, m = _to_ints(S)
+    return _from_ints(S.n, _canonical(S.n, t), m)
 
 
 @dataclass
@@ -224,54 +285,52 @@ class OrbitResult:
     levels: List[int] = field(default_factory=list)   # nodes first reached per BFS level
     max_bits: Dict[str, int] = field(default_factory=dict)   # of |p|, |q|, d seen
     elapsed_s: float = 0.0
+    steps: int = 0     # braid steps applied: 2(n-1) per node expanded
 
 
 def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
-    Nodes are flat tuples of the upper entries, deduplicated on their
-    integer key, and every step is the block update `_block_step`."""
+    Nodes are flat int tuples (`_to_ints`) over the one field of S, and they
+    are their own dedup key; every step is `_step` followed by `_canonical`."""
     t0 = time.perf_counter()
     n = S.n
-    letters = [g * e for g in range(1, n) for e in (1, -1)]
-    plans = [_block_plan(n, letter) for letter in letters]
-    start = _canonical_upper(n, S.upper())
-    k0 = _key(start)
-    seen = {k0}
+    flat, m = _to_ints(S)
+    plans = [_flat_plan(n, g * e) for g in range(1, n) for e in (1, -1)]
+    start = _canonical(n, flat)
+    seen = {start}
     keep = [start]
     frontier = [start]
     levels = [1]
-    top = [max(map(abs, k0[f::4]), default=0) for f in range(3)]   # |p|, |q|, d
+    expanded = 0
 
-    def result(finite: bool, frontier_size: int = 0) -> OrbitResult:
-        reps = [StokesMatrix._from_flat(n, t) for t in keep]
-        return OrbitResult(finite, len(seen), reps, frontier_size, levels,
-                           dict(zip("pqd", (v.bit_length() for v in top))),
-                           time.perf_counter() - t0)
+    def result(finite: bool, frontier_size: int, steps: int) -> OrbitResult:
+        reps = [_from_ints(n, t, m) for t in keep]
+        bits = {f: max(map(abs, chain.from_iterable(t[k::3] for t in seen)),
+                       default=0).bit_length() for k, f in enumerate("pqd")}
+        return OrbitResult(finite, len(seen), reps, frontier_size, levels, bits,
+                           time.perf_counter() - t0, steps)
 
     while frontier:
         nxt = []
         for t in frontier:
             for plan in plans:
-                img = _canonical_upper(n, _block_step(t, plan))
-                k = _key(img)
-                if k in seen:
+                img = _canonical(n, _step(t, plan, m))
+                if img in seen:
                     continue
-                seen.add(k)
-                for f in range(3):
-                    v = max(map(abs, k[f::4]))
-                    if v > top[f]:
-                        top[f] = v
+                seen.add(img)
                 if len(keep) < KEEP_REPRESENTATIVES:
                     keep.append(img)
                 nxt.append(img)
                 if len(seen) > max_size:
                     levels.append(len(nxt))
-                    return result(False, len(nxt))
+                    return result(False, len(nxt),
+                                  len(plans) * expanded + plans.index(plan) + 1)
+            expanded += 1
         if nxt:
             levels.append(len(nxt))
         frontier = nxt
-    return result(True)
+    return result(True, 0, len(plans) * expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +589,6 @@ def orbit_report(result: OrbitResult, cap: int) -> dict:
         out["visited"] = result.size
         out["frontier"] = result.frontier
     out["representatives"] = [stokes_to_dict(S) for S in result.representatives[:8]]
-    out["metrics"] = {"bfs_s": result.elapsed_s, "levels": result.levels,
-                      "max_bits": result.max_bits}
+    out["metrics"] = {"bfs_s": result.elapsed_s, "steps": result.steps,
+                      "levels": result.levels, "max_bits": result.max_bits}
     return out

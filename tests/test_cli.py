@@ -132,6 +132,20 @@ def test_stokes_orbit_finite(capsys):
     assert data["results"]["size"] == 4
 
 
+@pytest.mark.parametrize("argv", [["orbit"], ["braid", "--word", ""]])
+def test_stokes_mixed_fields_is_an_error_report(capsys, tmp_path, argv):
+    from frobenii.exact import QuadScalar
+    from frobenii.stokes import StokesMatrix, stokes_to_json
+    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2),
+                                    (0, 2): QuadScalar(0, 1, 5), (1, 2): 1})
+    path = tmp_path / "mixed.json"
+    path.write_text(stokes_to_json(S), encoding="utf-8")
+    code, data = run_cli(capsys, "stokes", argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert data["error"] == "sqrt(2) vs sqrt(5)"
+
+
 def test_stokes_cp2_monodromy(capsys):
     code, data = run_cli(capsys, "stokes", "cp2-monodromy")
     assert code == 0

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from frobenii.exact import ExactMatrix, QuadScalar
+from frobenii.exact import DiscriminantMismatch, ExactMatrix, QuadScalar
 from frobenii.stokes import (
     BraidWord, StokesMatrix, braid_apply, braid_generator, canonical_form,
     coxeter_stokes, cp2_modular_check, gram_and_reflections, is_markoff_times3,
@@ -229,25 +229,137 @@ def test_identity_orbit_is_singleton():
     assert res.finite and res.size == 1
 
 
-def test_triple_route_matches_matrix_route_orbit():
-    # orbit() steps on flat tuples of upper entries; compare it with a BFS
-    # over StokesMatrix values through braid_generator and canonical_form
-    S = stokes_catalog("B3-graph")
-    fast = orbit(S, max_size=10 ** 5)
-    start = canonical_form(S)
+def _reference_canonical(M):
+    """The greedy sign rule on QuadScalar entries: scanning row-major, the
+    first touched index of each component gets +1 and each first
+    sign-adjustable nonzero entry is made lexicographically (a, b) >= 0."""
+    n = M.n
+    eps = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = M[i, j]
+            if not v or (eps[i] and eps[j]):
+                continue
+            if not eps[i] and not eps[j]:
+                eps[i] = 1
+            sign = 1 if (v.a, v.b) >= (0, 0) else -1
+            if eps[i]:
+                eps[j] = eps[i] * sign
+            else:
+                eps[i] = eps[j] * sign
+    return StokesMatrix([[M[i, j] * (eps[i] * eps[j] or 1) for j in range(n)]
+                         for i in range(n)])
+
+
+def _reference_orbit(S, cap):
+    """BFS over the full products K S K and `_reference_canonical`, with the
+    cap, level and step bookkeeping `orbit` documents."""
+    n = S.n
+    letters = [g * e for g in range(1, n) for e in (1, -1)]
+    start = _reference_canonical(S)
     seen = {start.key()}
-    frontier = [start]
+    order, frontier, levels, steps = [start], [start], [1], 0
+
+    def result(finite, frontier_size):
+        entries = [M[i, j] for M in order for i in range(n) for j in range(i + 1, n)]
+        bits = {f: max((abs(getattr(v, f)) for v in entries), default=0).bit_length()
+                for f in "pqd"}
+        return {"finite": finite, "size": len(seen), "frontier": frontier_size,
+                "levels": levels, "max_bits": bits, "steps": steps,
+                "representatives": [M.key() for M in order[:16]]}
+
     while frontier:
         nxt = []
         for M in frontier:
-            for g in (1, 2):
-                for letter in (g, -g):
-                    img = canonical_form(braid_generator(M, letter))
-                    if img.key() not in seen:
-                        seen.add(img.key())
-                        nxt.append(img)
+            for letter in letters:
+                steps += 1
+                img = _reference_canonical(StokesMatrix(_kSk(M, letter)))
+                if img.key() in seen:
+                    continue
+                seen.add(img.key())
+                order.append(img)
+                nxt.append(img)
+                if len(seen) > cap:
+                    levels.append(len(nxt))
+                    return result(False, len(nxt))
+        if nxt:
+            levels.append(len(nxt))
         frontier = nxt
-    assert fast.size == len(seen)
+    return result(True, 0)
+
+
+COXETER_N4 = {
+    "A4": [(1, 2, 3), (2, 3, 3), (3, 4, 3)],
+    "B4": [(1, 2, 4), (2, 3, 3), (3, 4, 3)],
+    "D4": [(1, 2, 3), (2, 3, 3), (2, 4, 3)],
+    "F4": [(1, 2, 3), (2, 3, 4), (3, 4, 3)],
+    "H4": [(1, 2, 5), (2, 3, 3), (3, 4, 3)],
+}
+
+
+def _reference_cases():
+    rt2 = QuadScalar(0, 1, 2)
+    phi = QuadScalar(F(1, 2), F(1, 2), 5)
+    cases = [(stokes_catalog(name), 10 ** 6) for name in sorted(FROZEN_ORBIT_SIZES)]
+    cases += [(coxeter_stokes(graph), 10 ** 6) for graph in COXETER_N4.values()]
+    cases.append((stokes_catalog("CP2"), 500))
+    rng = random.Random(12)
+    for unit in (QuadScalar(0), rt2, phi):
+        for n, cap in ((3, 60), (4, 20)):
+            S = StokesMatrix.from_upper(n, {
+                (i, j): rng.randint(-2, 2) + rng.randint(-1, 1) * unit
+                for i in range(n) for j in range(i + 1, n)})
+            cases.append((S, cap))
+    cases += [
+        (StokesMatrix.from_triple(F(1, 2), 1, F(-1, 2)), 60),
+        (StokesMatrix.from_triple(F(1, 3), F(2, 3), 1), 60),
+        (StokesMatrix.from_triple(phi / 2, -phi / 2, 1), 60),
+        (StokesMatrix.from_upper(4, {(0, 1): F(1, 2) + rt2 / 2, (0, 2): 1,
+                                     (1, 2): rt2 / 2, (1, 3): F(1, 2),
+                                     (2, 3): -1}), 40),
+    ]
+    return cases
+
+
+def test_triple_route_matches_matrix_route_orbit():
+    # orbit() steps on flat int tuples; a BFS over the full products K S K
+    # with a QuadScalar copy of the sign rule must give the same result,
+    # field for field, over Z, Z[sqrt2], Z[phi] and with denominators
+    for S, cap in _reference_cases():
+        res = orbit(S, max_size=cap)
+        ref = _reference_orbit(S, cap)
+        got = {"finite": res.finite, "size": res.size, "frontier": res.frontier,
+               "levels": res.levels, "max_bits": res.max_bits, "steps": res.steps,
+               "representatives": [R.key() for R in res.representatives]}
+        assert got == ref, S
+
+
+def test_orbit_steps_counted():
+    res = orbit(stokes_catalog("H4-nonstd-1"), max_size=10 ** 6)
+    assert res.finite and res.steps == 6 * 90    # 2(n-1) per node expanded
+    capped = orbit(stokes_catalog("CP2"), max_size=500)
+    # every node of the levels before the last is expanded, plus part of one
+    expanded_full = sum(capped.levels[:-2])
+    assert 4 * expanded_full < capped.steps <= 4 * (expanded_full + capped.levels[-2])
+    assert capped.steps == _reference_orbit(stokes_catalog("CP2"), 500)["steps"]
+    report = orbit_report(capped, 500)
+    assert report["metrics"]["steps"] == capped.steps
+
+
+def _mixed_field():
+    return StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2),
+                                       (0, 2): QuadScalar(0, 1, 5), (1, 2): 1})
+
+
+@pytest.mark.parametrize("call", [
+    canonical_form,
+    lambda S: braid_generator(S, 2),
+    lambda S: braid_apply(S, ""),
+    lambda S: orbit(S, max_size=10),
+], ids=["canonical_form", "braid_generator", "braid_apply", "orbit"])
+def test_mixed_fields_raise_discriminant_mismatch(call):
+    with pytest.raises(DiscriminantMismatch):
+        call(_mixed_field())
 
 
 # ---------------------------------------------------------------------------
