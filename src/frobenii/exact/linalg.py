@@ -1,21 +1,29 @@
 """Small dense linear algebra: exact over Q(sqrt m), numeric over C.
 
-Exact routines run plain Gaussian elimination with nonzero pivoting (every
-QuadScalar is invertible, so no growth control is needed at desk scale),
-Faddeev-LeVerrier for characteristic polynomials and Yun's square-free
-decomposition for their roots with exact multiplicities.  The numeric
-eigensolver is LAPACK (np.linalg.eig) with a residual check; its canonical
-(Re, Im) order treats real parts equal up to rounding as equal, so a
-conjugate pair always comes out ordered by Im.
+An exact matrix over one field Q(sqrt m) is lifted once to A/D (`_lift`):
+D is the lcm of the entries' denominators and A holds pairs (p, q) of
+Python ints meaning p + q sqrt(m), an element of Z[sqrt m]; entries from
+two fields raise DiscriminantMismatch.  Determinant, inverse and solve
+share one fraction-free (Bareiss) elimination of A, whose divisions by the
+previous pivot are exact in Z[sqrt m] and go through the pivot's norm
+p^2 - q^2 m; characteristic polynomials run Faddeev-LeVerrier on A, whose
+divisions by k are exact for the same reason.  A nonzero remainder raises
+ArithmeticError instead of being floored, and each returned entry is
+brought back to a QuadScalar once.  Yun's square-free decomposition gives
+the roots of a characteristic polynomial with exact multiplicities.  The
+numeric eigensolver is LAPACK (np.linalg.eig) with a residual check; its
+canonical (Re, Im) order treats real parts equal up to rounding as equal,
+so a conjugate pair always comes out ordered by Im.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import ONE, ZERO, QuadScalar, ScalarLike
+from .scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, ScalarLike, _norm
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -105,51 +113,173 @@ class ExactMatrix:
         return f"ExactMatrix({body})"
 
     # -- solving -------------------------------------------------------------
-    def solve(self, rhs: Sequence[ScalarLike]) -> List[QuadScalar]:
-        return exact_solve(self, rhs)
-
     def inverse(self) -> "ExactMatrix":
         n = self.n
-        aug = [list(r) + [QuadScalar(1 if i == j else 0) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        _eliminate(aug, n)
-        return ExactMatrix([row[n:] for row in aug])
+        return ExactMatrix._wrap(_solve(
+            [r + [ONE if i == j else ZERO for j in range(n)]
+             for i, r in enumerate(self.rows)]))
 
     def det(self) -> QuadScalar:
-        n = self.n
-        a = [list(r) for r in self.rows]
-        det = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return ZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = a[col][col].inverse()
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if not f:
-                    continue
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
-        return det
+        m, D, A = _lift(self.rows)
+        try:
+            sign, (p, q) = _bareiss(A, m)
+        except SingularMatrixError:
+            return ZERO
+        return _norm(sign * p, sign * q, D ** self.n, m)
 
     def charpoly(self) -> List[QuadScalar]:
-        """Coefficients [c0..cn] of det(lambda*I - M) = sum c_k lambda^k (c_n = 1).
+        """Coefficients [c0..cn] of det(lambda*I - M) = sum c_k lambda^k (c_n = 1)."""
+        return _charpoly(*_lift(self.rows))
 
-        Faddeev-LeVerrier; divisions are by integers only.
-        """
-        n = self.n
-        M = ExactMatrix.zeros(n)
-        coeffs = [ZERO] * (n + 1)
-        coeffs[n] = ONE
-        I = ExactMatrix.identity(n)
-        for k in range(1, n + 1):
-            M = self @ (M + I.scale(coeffs[n - k + 1]))
-            coeffs[n - k] = -(M.trace() / k)
-        return coeffs
+
+# ---------------------------------------------------------------------------
+# integer kernel: A/D with A over Z[sqrt m] as (p, q) pairs of ints
+# ---------------------------------------------------------------------------
+
+Pair = Tuple[int, int]
+IntRows = List[List[Pair]]
+_PAIR_ZERO = (0, 0)
+
+
+def _lift(rows: Sequence[Sequence[QuadScalar]]) -> Tuple[int, int, IntRows]:
+    """(m, D, A) with rows = A/D: m the one discriminant of the entries (1
+    when all are rational), D the lcm of their denominators and A the
+    (p, q) pairs of D * entry."""
+    m = 1
+    D = 1
+    for r in rows:
+        for c in r:
+            if c.q and c.m != m:
+                if m != 1:
+                    raise DiscriminantMismatch(f"sqrt({m}) vs sqrt({c.m})")
+                m = c.m
+            if D % c.d:
+                D = lcm(D, c.d)
+    if D == 1:
+        return m, 1, [[(c.p, c.q) for c in r] for r in rows]
+    return m, D, [[(c.p * (D // c.d), c.q * (D // c.d)) for c in r] for r in rows]
+
+
+def _divide(p: int, q: int, a: int, b: int, m: int) -> Pair:
+    """(p + q sqrt m) / (a + b sqrt m) in Z[sqrt m], through the norm
+    a^2 - b^2 m; raises ArithmeticError if the quotient is not integral."""
+    if b:
+        p, q, a = p * a - q * b * m, q * a - p * b, a * a - b * b * m
+    p, rp = divmod(p, a)
+    q, rq = divmod(q, a)
+    if rp or rq:
+        raise ArithmeticError("inexact division in Z[sqrt m]")
+    return p, q
+
+
+def _bareiss(A: IntRows, m: int) -> Tuple[int, Pair]:
+    """Fraction-free elimination below the diagonal of the first n columns
+    of the n rows A (each row may carry further columns), in place.
+
+    After step k every entry right of column k in rows > k is a minor of
+    order k + 2 of the row-swapped A, so its division by the previous
+    pivot is exact; entries below the diagonal are left stale.  Returns
+    (sign of the row permutation, last pivot), so det(A) = sign * pivot;
+    raises SingularMatrixError at a column without a nonzero pivot."""
+    n = len(A)
+    sign = 1
+    a, b = 1, 0                       # previous pivot
+    for k in range(n):
+        if A[k][k] == _PAIR_ZERO:
+            piv = next((r for r in range(k + 1, n) if A[r][k] != _PAIR_ZERO), None)
+            if piv is None:
+                raise SingularMatrixError(f"singular at column {k}")
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        rk = A[k]
+        kp, kq = rk[k]
+        div = a * a - b * b * m if b else a
+        cols = range(k + 1, len(rk))
+        for i in range(k + 1, n):
+            ri = A[i]
+            ip, iq = ri[k]
+            for j in cols:
+                xp, xq = ri[j]
+                yp, yq = rk[j]
+                p = xp * kp - ip * yp + (xq * kq - iq * yq) * m
+                q = xp * kq + xq * kp - ip * yq - iq * yp
+                if b:
+                    p, q = p * a - q * b * m, q * a - p * b
+                if div != 1:
+                    p, rp = divmod(p, div)
+                    q, rq = divmod(q, div)
+                    if rp or rq:
+                        raise ArithmeticError("inexact Bareiss division in Z[sqrt m]")
+                ri[j] = (p, q)
+        a, b = kp, kq
+    return sign, (a, b)
+
+
+def _solve(rows: List[List[QuadScalar]]) -> List[Row]:
+    """X with M X = B for the n rows [M | B] over one field, M n x n.
+
+    One lift of [M | B] over one D (which cancels), `_bareiss`, then
+    fraction-free back substitution for Y = pivot * X, which lies in
+    Z[sqrt m] (pivot = +-det of the lifted M), so its divisions by the
+    diagonal are exact; each entry of X is Y / pivot, reduced once."""
+    n = len(rows)
+    m, _, A = _lift(rows)
+    _, (a, b) = _bareiss(A, m)
+    norm = a * a - b * b * m        # Y / pivot = Y * conj(pivot) / norm
+    out: List[Row] = [[] for _ in range(n)]
+    for c in range(n, len(A[0]) if n else 0):
+        y: List[Pair] = [_PAIR_ZERO] * n
+        for i in range(n - 1, -1, -1):
+            ri = A[i]
+            bp, bq = ri[c]
+            p, q = bp * a + bq * b * m, bp * b + bq * a
+            for j in range(i + 1, n):
+                up, uq = ri[j]
+                yp, yq = y[j]
+                p -= up * yp + uq * yq * m
+                q -= up * yq + uq * yp
+            y[i] = _divide(p, q, *ri[i], m)
+        for i, (p, q) in enumerate(y):
+            out[i].append(_norm(p * a - q * b * m, q * a - p * b, norm, m))
+    return out
+
+
+def _matmul(A: IntRows, B: IntRows, m: int) -> IntRows:
+    """A @ B over Z[sqrt m], skipping zero entries of A."""
+    w = len(B[0]) if B else 0
+    out = []
+    for ra in A:
+        acc_p = [0] * w
+        acc_q = [0] * w
+        for (ap, aq), rb in zip(ra, B):
+            if ap or aq:
+                for j, (bp, bq) in enumerate(rb):
+                    acc_p[j] += ap * bp + aq * bq * m
+                    acc_q[j] += ap * bq + aq * bp
+        out.append(list(zip(acc_p, acc_q)))
+    return out
+
+
+def _charpoly(m: int, D: int, A: IntRows) -> List[QuadScalar]:
+    """Coefficients [c0..cn] of det(lambda*I - A/D), low to high.
+
+    Faddeev-LeVerrier on the ints of A: M_1 = A, c_{n-k} = -tr(M_k)/k and
+    M_{k+1} = A (M_k + c_{n-k} I); the c_j of A lie in Z[sqrt m], so the
+    division by k is exact (checked).  c_j of A/D is c_j of A over D^(n-j)."""
+    n = len(A)
+    high: List[Pair] = [(1, 0)]          # c_n, c_{n-1}, ..., c_0
+    M = A
+    for k in range(1, n + 1):
+        cp, cq = _divide(-sum(r[i][0] for i, r in enumerate(M)),
+                         -sum(r[i][1] for i, r in enumerate(M)), k, 0, m)
+        high.append((cp, cq))
+        if k < n:
+            B = [list(r) for r in M]
+            for i, r in enumerate(B):
+                bp, bq = r[i]
+                r[i] = (bp + cp, bq + cq)
+            M = _matmul(A, B, m)
+    return [_norm(p, q, D ** j, m) for j, (p, q) in enumerate(high)][::-1]
 
 
 # Polynomials below are coefficient lists over one quadratic field, low to
@@ -218,22 +348,6 @@ def polynomial_roots(coeffs: Sequence[ScalarLike]) -> List[complex]:
     return roots
 
 
-def _eliminate(aug: List[List[QuadScalar]], n: int):
-    """In-place Gauss-Jordan on an n x m augmented system, m >= n."""
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError(f"singular at column {col}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r == col or not aug[r][col]:
-                continue
-            f = aug[r][col]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-
-
 def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
                 rhs: Sequence[ScalarLike]) -> List[QuadScalar]:
     """Solve A x = rhs exactly; raises SingularMatrixError if A is singular."""
@@ -242,9 +356,8 @@ def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
     n = A.n
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    aug = [list(r) + [QuadScalar.coerce(rhs[i])] for i, r in enumerate(A.rows)]
-    _eliminate(aug, n)
-    return [aug[i][n] for i in range(n)]
+    return [x for (x,) in _solve([r + [QuadScalar.coerce(v)]
+                                  for r, v in zip(A.rows, rhs)])]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact.linalg import ExactMatrix, polynomial_roots, sort_spectrum
+from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _lift, _matmul,
+                           polynomial_roots, sort_spectrum)
 from .exact.scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, _make, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -47,7 +48,8 @@ def _key(upper: Upper) -> Tuple[int, ...]:
 
 
 class StokesMatrix:
-    """Upper-triangular, unit-diagonal square matrix over Q(sqrt m)."""
+    """Upper-triangular, unit-diagonal square matrix over one field Q(sqrt m);
+    entries from two fields raise DiscriminantMismatch."""
 
     __slots__ = ("n", "mat")
 
@@ -64,6 +66,7 @@ class StokesMatrix:
                 if mat[i, j]:
                     raise ValueError("matrix must be upper triangular")
         self.mat = mat
+        _to_ints(self)
 
     @staticmethod
     def from_upper(n: int, upper: Dict[Tuple[int, int], QuadScalar | Fraction | int]
@@ -381,11 +384,39 @@ def is_reducible(S: StokesMatrix) -> Tuple[bool, Optional[Tuple[List[int], List[
     return False, None
 
 
+def _unit_upper_inverse(A: IntRows, D: int, m: int) -> IntRows:
+    """D^(n-1) S^{-1} for S = A/D unit upper triangular (A_ii = D), by back
+    substitution without division: Y_ij = D^(j-i) (S^{-1})_ij is integral
+    and obeys Y_jj = 1, Y_ij = -sum_{i<k<=j} A_ik Y_kj D^(k-i-1)."""
+    n = len(A)
+    pw = [D ** e for e in range(n)]
+    X: IntRows = [[(0, 0)] * n for _ in range(n)]
+    for j in range(n):
+        y = [(0, 0)] * (j + 1)
+        y[j] = (1, 0)
+        for i in range(j - 1, -1, -1):
+            p = q = 0
+            for k in range(i + 1, j + 1):
+                ap, aq = A[i][k]
+                if ap or aq:
+                    yp, yq = y[k]
+                    w = pw[k - i - 1]
+                    p -= (ap * yp + aq * yq * m) * w
+                    q -= (ap * yq + aq * yp) * w
+            y[i] = (p, q)
+        for i, (p, q) in enumerate(y):
+            w = pw[n - 1 - j + i]
+            X[i][j] = (p * w, q * w)
+    return X
+
+
 def unipotency_charpoly(S: StokesMatrix) -> List[QuadScalar]:
     """Exact characteristic polynomial of S^T S^{-1} (coefficients low to
-    high, monic)."""
-    M = S.mat.transpose() @ S.mat.inverse()
-    return M.charpoly()
+    high, monic): S = A/D lifted once, S^{-1} = X/D^(n-1) without division,
+    and the characteristic polynomial of A^T X / D^n on ints."""
+    m, D, A = _lift(S.mat.rows)
+    X = _unit_upper_inverse(A, D, m)
+    return _charpoly(m, D ** S.n, _matmul([list(c) for c in zip(*A)], X, m))
 
 
 def unipotency_spectrum(S: StokesMatrix) -> List[complex]:
@@ -558,11 +589,9 @@ STOKES_CATALOG_NAMES = ["CP1", "CP2", "CP2-monodromy", "D4-nonstd", "F4-nonstd",
 # ---------------------------------------------------------------------------
 
 def stokes_to_dict(S: StokesMatrix) -> dict:
-    ms = {S.mat[i, j].m for i in range(S.n) for j in range(S.n)
-          if not S.mat[i, j].is_rational()}
     return {
         "n": S.n,
-        "m": ms.pop() if ms else 1,
+        "m": _to_ints(S)[1],
         "rows": [[str(S.mat[i, j]) for j in range(S.n)] for i in range(S.n)],
     }
 

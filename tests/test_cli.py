@@ -134,12 +134,11 @@ def test_stokes_orbit_finite(capsys):
 
 @pytest.mark.parametrize("argv", [["orbit"], ["braid", "--word", ""]])
 def test_stokes_mixed_fields_is_an_error_report(capsys, tmp_path, argv):
-    from frobenii.exact import QuadScalar
-    from frobenii.stokes import StokesMatrix, stokes_to_json
-    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2),
-                                    (0, 2): QuadScalar(0, 1, 5), (1, 2): 1})
+    # written by hand: StokesMatrix refuses to build a mixed-field matrix
+    mixed = {"n": 3, "m": 2, "rows": [["1", "1√2", "1√5"], ["0", "1", "1"],
+                                      ["0", "0", "1"]]}
     path = tmp_path / "mixed.json"
-    path.write_text(stokes_to_json(S), encoding="utf-8")
+    path.write_text(json.dumps(mixed), encoding="utf-8")
     code, data = run_cli(capsys, "stokes", argv[0], str(path), *argv[1:])
     assert code == 2
     assert data["status"] == "ERROR"

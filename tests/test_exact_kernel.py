@@ -1,6 +1,8 @@
 """Kernel: scalars, exp-polynomials, series, exact/numeric linear algebra."""
 
+import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import gcd
 
 import numpy as np
@@ -12,7 +14,7 @@ from frobenii.exact import (
     SingularMatrixError, eigen_small, exact_solve, parse_quad,
     poly_diff, sort_spectrum,
 )
-from frobenii.exact.linalg import polynomial_roots
+from frobenii.exact.linalg import _divide, polynomial_roots
 
 # ---------------------------------------------------------------------------
 # QuadScalar
@@ -473,9 +475,123 @@ def test_charpoly_matches_trace_det():
     A = ExactMatrix([[1, 2, 0], [0, F(1, 2), 3], [4, 0, -1]])
     c = A.charpoly()
     assert c[2] == -A.trace()
-    assert c[0] == -A.det() * (-1) ** (3 + 1) * 1 or c[0] == -A.det()
     # det(lambda I - A) at lambda = 0 equals (-1)^n det A
     assert c[0] == A.det() * (-1) ** 3
+
+
+# The fraction-free kernel against an independent oracle: the Leibniz
+# permutation sum, in QuadScalar arithmetic.
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = QuadScalar(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = QuadScalar(1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+_PHI = QuadScalar(F(1, 2), F(1, 2), 5)
+_RINGS = {
+    "Z": lambda rng: QuadScalar(rng.randint(-3, 3)),
+    "Q/2,3": lambda rng: QuadScalar(F(rng.randint(-4, 4), rng.choice((1, 2, 3)))),
+    "Z[sqrt2]/3": lambda rng: QuadScalar(F(rng.randint(-3, 3), rng.choice((1, 3))),
+                                         F(rng.randint(-2, 2), rng.choice((1, 3))), 2),
+    "Z[phi]": lambda rng: QuadScalar(rng.randint(-2, 2)) + _PHI * rng.randint(-2, 2),
+}
+
+
+def _kernel_cases(ring, n, seed=0):
+    """Seeded n x n matrices over `ring`: generic ones, one whose (0, 0)
+    pivot is zero (a row swap) and, for n > 1, a singular one."""
+    rng = random.Random(f"{ring}-{n}-{seed}")
+    draw = _RINGS[ring]
+    cases = [[[draw(rng) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    swap = [[draw(rng) for _ in range(n)] for _ in range(n)]
+    swap[0][0] = QuadScalar(0)
+    cases.append(swap)
+    if n > 1:
+        sing = [[draw(rng) for _ in range(n)] for _ in range(n)]
+        c = draw(rng)
+        sing[-1] = [x * c for x in sing[0]]
+        cases.append(sing)
+    return cases
+
+
+@pytest.mark.parametrize("ring", list(_RINGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_matches_leibniz(ring, n):
+    for rows in _kernel_cases(ring, n):
+        assert ExactMatrix(rows).det() == _leibniz_det(rows)
+    if n > 1:
+        assert not ExactMatrix(_kernel_cases(ring, n)[-1]).det()
+
+
+def test_det_row_swap_sign():
+    A = ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, QuadScalar(0, 1, 2)]])
+    assert A.det() == QuadScalar(0, -1, 2)
+    assert ExactMatrix([[0, 0], [0, 1]]).det() == QuadScalar(0)
+
+
+@pytest.mark.parametrize("ring", list(_RINGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_charpoly_is_det_of_lambda_minus_a(ring, n):
+    for rows in _kernel_cases(ring, n):
+        A = ExactMatrix(rows)
+        c = A.charpoly()
+        assert len(c) == n + 1 and c[n] == QuadScalar(1)
+        for lam in range(-1, n):
+            shifted = [[(lam if i == j else 0) - x for j, x in enumerate(r)]
+                       for i, r in enumerate(rows)]
+            value = sum((ck * lam ** k for k, ck in enumerate(c)), QuadScalar(0))
+            assert value == _leibniz_det(shifted)
+        assert c[n - 1] == -A.trace()
+        assert c[0] == A.det() * (-1) ** n
+
+
+@pytest.mark.parametrize("ring", list(_RINGS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_and_solve_multiply_back(ring, n):
+    rng = random.Random(f"rhs-{ring}-{n}")
+    cases = _kernel_cases(ring, n)
+    for rows in cases[:-1] if n > 1 else cases:
+        A = ExactMatrix(rows)
+        if not A.det():
+            continue
+        inv = A.inverse()
+        assert A @ inv == ExactMatrix.identity(n) == inv @ A
+        rhs = [_RINGS[ring](rng) for _ in range(n)]
+        x = exact_solve(A, rhs)
+        assert [sum((a * v for a, v in zip(r, x)), QuadScalar(0)) for r in rows] == rhs
+    if n > 1:
+        singular = ExactMatrix(cases[-1])
+        with pytest.raises(SingularMatrixError):
+            singular.inverse()
+        with pytest.raises(SingularMatrixError):
+            exact_solve(singular, [1] * n)
+
+
+def test_kernel_rejects_mixed_fields():
+    A = ExactMatrix([[QuadScalar(0, 1, 2), 1], [1, QuadScalar(0, 1, 5)]])
+    for call in (ExactMatrix.det, ExactMatrix.charpoly, ExactMatrix.inverse):
+        with pytest.raises(DiscriminantMismatch):
+            call(A)
+    with pytest.raises(DiscriminantMismatch):
+        exact_solve(ExactMatrix([[QuadScalar(0, 1, 2)]]), [QuadScalar(0, 1, 5)])
+
+
+def test_exact_division_checks_the_remainder():
+    # (1 + sqrt2)(3 - sqrt2) = 1 + 2 sqrt2, divided back through the norm 7
+    assert _divide(1, 2, 3, -1, 2) == (1, 1)
+    assert _divide(-6, 4, 2, 0, 1) == (-3, 2)
+    assert _divide(1, 0, 1, 1, 2) == (-1, 1)     # 1 + sqrt2 is a unit
+    with pytest.raises(ArithmeticError):
+        _divide(3, 0, 2, 0, 1)
+    with pytest.raises(ArithmeticError):
+        _divide(1, 0, 2, 1, 2)      # 1/(2 + sqrt2) = (2 - sqrt2)/2
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from frobenii.exact import DiscriminantMismatch, ExactMatrix, QuadScalar
 from frobenii.stokes import (
     BraidWord, StokesMatrix, braid_apply, braid_generator, canonical_form,
     coxeter_stokes, cp2_modular_check, gram_and_reflections, is_markoff_times3,
-    is_reducible, markoff_form, orbit, orbit_report, stokes_catalog, stokes_from_json,
-    stokes_to_json, tensor, unipotency_charpoly, unipotency_spectrum,
+    is_reducible, markoff_form, orbit, orbit_report, stokes_catalog, stokes_from_dict,
+    stokes_from_json, stokes_to_dict, stokes_to_json, tensor, unipotency_charpoly,
+    unipotency_spectrum, STOKES_CATALOG_NAMES,
 )
 
 
@@ -347,8 +348,10 @@ def test_orbit_steps_counted():
 
 
 def _mixed_field():
-    return StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2),
-                                       (0, 2): QuadScalar(0, 1, 5), (1, 2): 1})
+    # the constructors refuse mixed fields, so the entry is put in afterwards
+    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2), (1, 2): 1})
+    S.mat[0, 2] = QuadScalar(0, 1, 5)
+    return S
 
 
 @pytest.mark.parametrize("call", [
@@ -418,6 +421,83 @@ def test_unipotency_cp1():
     assert [c.a for c in cp] == [F(1), F(2), F(1)]
     lam = unipotency_spectrum(stokes_catalog("CP1"))
     assert max(abs(z + 1) for z in lam) < 1e-9
+
+
+def _reference_unipotency_charpoly(S):
+    """charpoly of S^T S^{-1} in QuadScalar arithmetic: S^{-1} by
+    Gauss-Jordan on [S | I], then Faddeev-LeVerrier with ExactMatrix ops."""
+    n = S.n
+    aug = [list(r) + [QuadScalar(int(i == j)) for j in range(n)]
+           for i, r in enumerate(S.mat.rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    A = S.mat.transpose() @ ExactMatrix([row[n:] for row in aug])
+    I = ExactMatrix.identity(n)
+    M = ExactMatrix.zeros(n)
+    c = [QuadScalar(0)] * n + [QuadScalar(1)]
+    for k in range(1, n + 1):
+        M = A @ (M + I.scale(c[n - k + 1]))
+        c[n - k] = -(M.trace() / k)
+    return c
+
+
+_POOLS = {
+    "Z": [QuadScalar(k) for k in range(-3, 4)],
+    "Z[sqrt2]": [QuadScalar(a, b, 2) for a in (-1, 0, 2) for b in (-1, 0, 1)],
+    "Z[phi]": [QuadScalar(0), QuadScalar(1), QuadScalar(-2),
+               QuadScalar(F(1, 2), F(1, 2), 5), QuadScalar(F(-1, 2), F(1, 2), 5),
+               QuadScalar(F(1, 2), F(-3, 2), 5)],
+    "Q": [QuadScalar(F(a, d)) for a in (-2, -1, 1, 3) for d in (1, 2, 3)],
+}
+
+
+def test_unipotency_charpoly_matches_reference_on_catalog():
+    for name in STOKES_CATALOG_NAMES:
+        S = stokes_catalog(name)
+        assert unipotency_charpoly(S) == _reference_unipotency_charpoly(S)
+
+
+@pytest.mark.parametrize("ring", list(_POOLS))
+def test_unipotency_charpoly_matches_reference_seeded(ring):
+    rng = random.Random(f"unipotency-{ring}")
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            S = StokesMatrix.from_upper(n, {(i, j): rng.choice(_POOLS[ring])
+                                            for i in range(n) for j in range(i + 1, n)})
+            assert unipotency_charpoly(S) == _reference_unipotency_charpoly(S)
+
+
+def test_mixed_fields_refused_by_every_constructor():
+    rt2, rt5 = QuadScalar(0, 1, 2), QuadScalar(0, 1, 5)
+    rows = [[1, rt2, rt5], [0, 1, 1], [0, 0, 1]]
+    with pytest.raises(DiscriminantMismatch):
+        StokesMatrix(rows)
+    with pytest.raises(DiscriminantMismatch):
+        StokesMatrix(ExactMatrix(rows))
+    with pytest.raises(DiscriminantMismatch):
+        StokesMatrix.from_upper(3, {(0, 1): rt2, (0, 2): rt5, (1, 2): 1})
+    with pytest.raises(DiscriminantMismatch):
+        stokes_from_dict({"n": 3, "m": 2, "rows": [["1", "1√2", "1√5"],
+                                                   ["0", "1", "1"], ["0", "0", "1"]]})
+
+
+def test_dict_roundtrip_writes_the_one_field():
+    phi = QuadScalar(F(1, 2), F(1, 2), 5)
+    S = StokesMatrix.from_upper(3, {(0, 1): phi, (0, 2): 1, (1, 2): -phi})
+    data = stokes_to_dict(S)
+    assert data["m"] == 5
+    assert stokes_from_dict(data) == S
+    R = StokesMatrix.from_upper(3, {(0, 1): F(1, 2), (0, 2): 3, (1, 2): -1})
+    data = stokes_to_dict(R)
+    assert data["m"] == 1
+    assert stokes_from_dict(data) == R
 
 
 def test_tensor_cp1_squared_first_row():
