@@ -225,6 +225,9 @@ class ExpPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         if not self.terms:
             return True

@@ -9,11 +9,12 @@ previous pivot are exact in Z[sqrt m] and go through the pivot's norm
 p^2 - q^2 m; characteristic polynomials run Faddeev-LeVerrier on A, whose
 divisions by k are exact for the same reason.  A nonzero remainder raises
 ArithmeticError instead of being floored, and each returned entry is
-brought back to a QuadScalar once.  Yun's square-free decomposition gives
-the roots of a characteristic polynomial with exact multiplicities.  The
-numeric eigensolver is LAPACK (np.linalg.eig) with a residual check; its
-canonical (Re, Im) order treats real parts equal up to rounding as equal,
-so a conjugate pair always comes out ordered by Im.
+brought back to a QuadScalar once.  Yun's square-free decomposition
+(`upoly.square_free`) gives the roots of a characteristic polynomial with
+exact multiplicities.  The numeric eigensolver is LAPACK (np.linalg.eig)
+with a residual check; its canonical (Re, Im) order treats real parts
+equal up to rounding as equal, so a conjugate pair always comes out
+ordered by Im.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, ScalarLike, _norm
+from .upoly import square_free
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -63,9 +65,6 @@ class ExactMatrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> QuadScalar:
         return self.rows[ij[0]][ij[1]]
-
-    def __setitem__(self, ij: Tuple[int, int], v: ScalarLike):
-        self.rows[ij[0]][ij[1]] = QuadScalar.coerce(v)
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -282,67 +281,13 @@ def _charpoly(m: int, D: int, A: IntRows) -> List[QuadScalar]:
     return [_norm(p, q, D ** j, m) for j, (p, q) in enumerate(high)][::-1]
 
 
-# Polynomials below are coefficient lists over one quadratic field, low to
-# high, without trailing zeros.
-
-def _trim(p: Row) -> Row:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(p: Row, q: Row) -> Row:
-    return _trim([(p[k] if k < len(p) else ZERO) - (q[k] if k < len(q) else ZERO)
-                  for k in range(max(len(p), len(q)))])
-
-
-def _poly_divmod(p: Row, d: Row) -> Tuple[Row, Row]:
-    rem = list(p)
-    inv = d[-1].inverse()
-    quo = [ZERO] * max(len(p) - len(d) + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        f = rem[k + len(d) - 1] * inv
-        quo[k] = f
-        for j, c in enumerate(d):
-            rem[k + j] = rem[k + j] - f * c
-    return quo, _trim(rem[:len(d) - 1])
-
-
-def _poly_gcd(p: Row, q: Row) -> Row:
-    """Monic gcd; p must be nonzero."""
-    while q:
-        p, q = q, _poly_divmod(p, q)[1]
-    inv = p[-1].inverse()
-    return [c * inv for c in p]
-
-
-def _square_free_factors(f: Row) -> List[Tuple[Row, int]]:
-    """Yun's decomposition f = lc * prod a_i^i with the a_i monic,
-    square-free and pairwise coprime; returns the (a_i, i) with deg a_i > 0."""
-    deriv = lambda p: [c * k for k, c in enumerate(p)][1:]
-    df = deriv(f)
-    a = _poly_gcd(f, df)
-    b = _poly_divmod(f, a)[0]
-    d = _poly_sub(_poly_divmod(df, a)[0], deriv(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        a = _poly_gcd(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b = _poly_divmod(b, a)[0]
-        d = _poly_sub(_poly_divmod(d, a)[0], deriv(b))
-        i += 1
-    return out
-
-
 def polynomial_roots(coeffs: Sequence[ScalarLike]) -> List[complex]:
     """Roots of a nonzero exact polynomial (coefficients low to high), each
     repeated by its exact multiplicity: np.roots of each square-free factor,
     whose roots are simple and so accurate to rounding even where the
     polynomial itself has repeated roots."""
     roots: List[complex] = []
-    for a, mult in _square_free_factors(_trim([QuadScalar.coerce(c) for c in coeffs])):
+    for a, mult in square_free([QuadScalar.coerce(c) for c in coeffs]):
         simple = np.roots([complex(c) for c in reversed(a)])
         roots += [complex(z) for z in simple for _ in range(mult)]
     return roots

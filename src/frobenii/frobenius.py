@@ -371,7 +371,7 @@ def origin_monodromy(P: FrobeniusPotential) -> OriginMonodromy:
     When every r_e vanishes R1 = 0 and no tensor is built."""
     n = P.n
     shifts = [e for e in range(n) if P.r[e]]
-    R1 = ExactMatrix.zeros(n)
+    R1 = [[QuadScalar(0)] * n for _ in range(n)]
     if shifts:
         c_up = P.tensors.c_up
         for e in shifts:
@@ -382,13 +382,13 @@ def origin_monodromy(P: FrobeniusPotential) -> OriginMonodromy:
                     if not val.is_constant():
                         raise NotClosedFormError(
                             "cubic part has non-constant structure constants")
-                    R1[a, b] = R1[a, b] + val.constant_term() * r_e
+                    R1[a][b] = R1[a][b] + val.constant_term() * r_e
     mu = P.mu()
     for a in range(n):
         for b in range(n):
-            if R1[a, b] and mu[a] - mu[b] != 1:
+            if R1[a][b] and mu[a] - mu[b] != 1:
                 raise ValueError(f"(R1)^{a + 1}_{b + 1} nonzero but mu gap is not 1")
-    return OriginMonodromy(mu=mu, R1=R1)
+    return OriginMonodromy(mu=mu, R1=ExactMatrix(R1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -127,10 +126,6 @@ def genus0_invariants(K: int) -> List[Genus0Row]:
     return _genus0_rows(genus0_numbers(K))
 
 
-def phi_series(K: int) -> GWSeries:
-    return GWSeries(K, genus0_coefficients(K))
-
-
 def _psi_parts(A: Sequence[Fraction]) -> Tuple[GWSeries, GWSeries]:
     """Numerator phi''' - 27 and denominator 8 (27 + 2 phi' - 3 phi'') of psi
     for phi = sum A_k e^{kx}, truncated at K = len(A)."""
@@ -223,16 +218,11 @@ def asymptotic_fit(K: int) -> Tuple[float, float, float]:
     return _fit(genus0_coefficients(K))
 
 
-def _tail_ratio(A: Sequence[Fraction]) -> float:
-    return float(A[-1] / A[-2])
-
-
-def ratio_tail(K: int) -> float:
-    """A_K / A_{K-1} as a float (approaches the DI constant a ~ 0.138)."""
-    return _tail_ratio(genus0_coefficients(K))
-
-
 def _ratio_test(A: Sequence[Fraction], x: float | None) -> bool:
+    """Ratio test for sum A_k e^{kx}: every tail ratio A_{k+1}/A_k * e^x,
+    K/2 <= k < K, must stay below 1.  x = None is the lower bound
+    log(6/5) - 0.01 of the recursion-based estimate of the convergence
+    domain."""
     if x is None:
         x = math.log(6 / 5) - 0.01
     ex = math.exp(x)
@@ -241,15 +231,6 @@ def _ratio_test(A: Sequence[Fraction], x: float | None) -> bool:
         if float(A[k] / A[k - 1]) * ex >= 1.0:
             return False
     return True
-
-
-def convergence_bound_check(K: int, x: float | None = None) -> bool:
-    """Ratio test for sum A_k e^{kx}: every tail ratio A_{k+1}/A_k * e^x must
-    stay below 1.  Default x is the lower bound log(6/5) - 0.01 coming from
-    the recursion-based estimate of the convergence domain."""
-    if K < 5:
-        raise ValueError("K must be >= 5")
-    return _ratio_test(genus0_coefficients(K), x)
 
 
 def truncated_potential(K: int) -> FrobeniusPotential:
@@ -326,7 +307,7 @@ def fit_report(K: int) -> dict:
     t0 = time.perf_counter()
     A = _coefficients(N)
     a_hat, b_hat, r_hat = _fit(A)
-    ratio = _tail_ratio(A)
+    ratio = float(A[-1] / A[-2])
     bound = _ratio_test(A, None)
     metrics["fit_s"] = time.perf_counter() - t0
     metrics["max_bits"] = max(n.bit_length() for n in N)
@@ -343,18 +324,3 @@ def rows_csv(rows: Sequence[dict]) -> str:
     w.writerows(rows)
     return buf.getvalue()
 
-
-def table_rows(K: int) -> List[dict]:
-    """Genus-0 and elliptic numbers side by side, genus 0 computed once."""
-    g0 = _genus0_rows(genus0_numbers(K))
-    g1 = _elliptic_rows([row.A for row in g0], {})
-    return [{"k": r["k"], "N_k": r["N_k"], "N1_k": e.N1, "A_k": r["A_k"],
-             "ratio": r["ratio"]} for r, e in zip(_genus0_table(g0), g1)]
-
-
-def table_csv(K: int) -> str:
-    return rows_csv(table_rows(K))
-
-
-def table_json(K: int) -> str:
-    return json.dumps(table_rows(K), indent=2)

@@ -25,25 +25,18 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .exact import upoly
 from .ode import integrate
 
 Poly = Tuple[int, ...]
 
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+# Tolerance of the adaptive integration in log_k_increment.
+LOG_K_TOL = 1e-12
 
 
-def _ppow(p: Poly, k: int) -> Poly:
-    return reduce(_pmul, [p] * k, (1,))
-
-
-def _pder(c: Poly) -> Poly:
-    return tuple(i * a for i, a in enumerate(c))[1:]
+def _factored(*factors: Tuple[Poly, int]) -> Poly:
+    """The product of p^k over the (p, k) factors, as an int tuple."""
+    return tuple(reduce(upoly.mul, (p for p, k in factors for _ in range(k)), (1,)))
 
 
 def _pval(c: Poly, s):
@@ -72,8 +65,8 @@ class RationalFunction:
 
     @cached_property
     def _jet_polys(self) -> Tuple[Poly, ...]:
-        n1, d1 = _pder(self.num), _pder(self.den)
-        return self.num, n1, _pder(n1), self.den, d1, _pder(d1)
+        n1, d1 = upoly.deriv(self.num), upoly.deriv(self.den)
+        return self.num, n1, upoly.deriv(n1), self.den, d1, upoly.deriv(d1)
 
     def __call__(self, s):
         d = _pval(self.den, s)
@@ -112,30 +105,29 @@ def _families() -> Dict[str, AlgebraicFamily]:
     # y = (s-1)^2 (3s+1) (9s^2-5)^2 / ((1+s)(243 s^6 + 1539 s^4 - 207 s^2 + 25))
     a3 = AlgebraicFamily(
         "A3", Fraction(-1, 4),
-        RationalFunction(_pmul(_ppow((-1, 1), 3), (1, 3)),
-                         _pmul(_ppow((1, 1), 3), (-1, 3))),
-        RationalFunction(_pmul(_pmul(_ppow((-1, 1), 2), (1, 3)), _ppow((-5, 0, 9), 2)),
-                         _pmul((1, 1), (25, 0, -207, 0, 1539, 0, 243))))
+        RationalFunction(_factored(((-1, 1), 3), ((1, 3), 1)),
+                         _factored(((1, 1), 3), ((-1, 3), 1))),
+        RationalFunction(_factored(((-1, 1), 2), ((1, 3), 1), ((-5, 0, 9), 2)),
+                         _factored(((1, 1), 1), ((25, 0, -207, 0, 1539, 0, 243), 1))))
     # octahedral family, mu = -1/3:
     # x = (2-s)^2 (1+s) / ((2+s)^2 (1-s))
     # y = (2-s)(1+s)(s^2-3)^2 / ((2+s)(5 s^4 - 10 s^2 + 9))
     b3 = AlgebraicFamily(
         "B3", Fraction(-1, 3),
-        RationalFunction(_pmul(_ppow((2, -1), 2), (1, 1)),
-                         _pmul(_ppow((2, 1), 2), (1, -1))),
-        RationalFunction(_pmul(_pmul((2, -1), (1, 1)), _ppow((-3, 0, 1), 2)),
-                         _pmul((2, 1), (9, 0, -10, 0, 5))))
+        RationalFunction(_factored(((2, -1), 2), ((1, 1), 1)),
+                         _factored(((2, 1), 2), ((1, -1), 1))),
+        RationalFunction(_factored(((2, -1), 1), ((1, 1), 1), ((-3, 0, 1), 2)),
+                         _factored(((2, 1), 1), ((9, 0, -10, 0, 5), 1))))
     # icosahedral family, mu = -2/5, with the degree-9 polynomial P(z) = H3_DEGREE9:
     Ps2 = [0] * 19
     Ps2[::2] = H3_DEGREE9
     Q = (7, 0, -108, 0, 314, 0, -588, 0, 119)
     h3 = AlgebraicFamily(
         "H3", Fraction(-2, 5),
-        RationalFunction(_pmul(_pmul(_ppow((-1, 1), 5), _ppow((1, 3), 3)), (-1, 4, 1)),
-                         _pmul(_pmul(_ppow((1, 1), 5), _ppow((-1, 3), 3)), (-1, -4, 1))),
-        RationalFunction(_pmul(_pmul(_pmul(_ppow((-1, 1), 2), _ppow((1, 3), 2)),
-                                     (-1, 4, 1)), _ppow(Q, 2)),
-                         _pmul(_pmul(_ppow((1, 1), 3), (-1, 3)), tuple(Ps2))))
+        RationalFunction(_factored(((-1, 1), 5), ((1, 3), 3), ((-1, 4, 1), 1)),
+                         _factored(((1, 1), 5), ((-1, 3), 3), ((-1, -4, 1), 1))),
+        RationalFunction(_factored(((-1, 1), 2), ((1, 3), 2), ((-1, 4, 1), 1), (Q, 2)),
+                         _factored(((1, 1), 3), ((-1, 3), 1), (Ps2, 1))))
     return {"A3": a3, "B3": b3, "H3": h3}
 
 
@@ -365,24 +357,24 @@ def qp_flow_check(family: str, s0, du: float = 1e-5) -> Tuple[float, float]:
     return worst_q, worst_p
 
 
-def log_k_increment(family: str, s_from, s_to, steps: int = 400) -> complex:
-    """Quadrature of d_i log k = (2 mu - 1)(q - u_i)/P'(u_i) along the curve
-    slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start)."""
+def log_k_increment(family: str, s_from, s_to) -> complex:
+    """d_i log k = (2 mu - 1)(q - u_i)/P'(u_i) integrated along the curve
+    slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start), by
+    the adaptive integrator of `ode` on the straight s-segment at tolerance
+    LOG_K_TOL."""
     fam = FAMILIES[family.upper()]
     mu1 = complex(Fraction(fam.mu1))
-    total = 0j
-    h = (complex(s_to) - complex(s_from)) / steps
+    s0 = complex(s_from)
+    ds = complex(s_to) - s0
 
-    def integrand(s):
+    def f(sig: float, y: np.ndarray) -> np.ndarray:
+        s = s0 + sig * ds
         x, xs, _ = fam.x.jet(s)
         q = fam.y(s)  # u = (0, 1, x): q = y and P'(u3) = x (x - 1)
-        return (2 * mu1 - 1) * (q - x) / (x * (x - 1)) * xs
+        return np.array([(2 * mu1 - 1) * (q - x) / (x * (x - 1)) * xs * ds])
 
-    s = complex(s_from)
-    for _ in range(steps):
-        total += (integrand(s) + 4 * integrand(s + h / 2) + integrand(s + h)) * h / 6
-        s += h
-    return total
+    total, _ = integrate(f, np.zeros(1, dtype=complex), 0.0, 1.0, tol=LOG_K_TOL)
+    return complex(total[0])
 
 
 def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:

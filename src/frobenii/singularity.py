@@ -10,16 +10,21 @@ coordinates come from the residue formula
 t_a = -(n+1)/(n+1-a) res_inf f_s^{(n+1-a)/(n+1)} dx, and the potential from
 c_abc = -(n+1) res_inf d_a P d_b P d_c P / d_x P.  Every construction is
 exact and desk-scale: 1 <= n <= MAX_AN.
+
+The x-polynomials are coefficient lists over ExpPolynomial in `exact.upoly`;
+the leading coefficient n+1 of f' is divided out once, so every residue is
+read from the top-down expansion by a monic divisor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .exact.exppoly import ExpPolynomial, NotClosedFormError
-from .exact.scalars import QuadScalar
+from .exact import upoly
+from .exact.exppoly import ExpPolynomial
+from .exact.upoly import residue_at_infinity
 from .frobenius import FrobeniusPotential, _potential_from_gradient
 
 # Largest n of the A_n constructions (metric, flat coordinates, potential).
@@ -28,102 +33,21 @@ from .frobenius import FrobeniusPotential, _potential_from_gradient
 # interpreter, Python 3.11, 2-vCPU Xeon VM).
 MAX_AN = 8
 
-# univariate polynomials over the multivariate coefficient ring: lists of
-# ExpPolynomial coefficients, index = power of x
 
-
-def _upoly_mul(a: List[ExpPolynomial], b: List[ExpPolynomial]) -> List[ExpPolynomial]:
-    n = a[0].nvars if a else b[0].nvars
-    out = [ExpPolynomial.zero(n) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def residue_at_infinity(p: Sequence, qd: Sequence) -> QuadScalar:
-    """res_{x=inf} p(x)/qd(x) dx for scalar coefficient sequences
-    (index = power).  Standard orientation: res_inf 1/x = -1.
-
-    Computed by exact series division: with x = 1/z the form becomes
-    -p(1/z)/qd(1/z) dz/z^2 and the residue is read off the z^{-1}
-    coefficient, i.e. minus the coefficient of z in p(1/z)/qd(1/z)."""
-    pc = [QuadScalar.coerce(c) for c in p]
-    qc = [QuadScalar.coerce(c) for c in qd]
-    while qc and not qc[-1]:
-        qc.pop()
-    while pc and not pc[-1]:
-        pc.pop()
-    if not qc:
-        raise ZeroDivisionError("zero denominator")
-    if not pc or len(qc) == 1:
-        return QuadScalar(0)  # a polynomial has zero residue at infinity
-    return _residue_series(pc, qc)
-
-
-def _residue_series(pc, qc):
-    """Shared exact expansion: works for QuadScalar or ExpPolynomial
-    coefficients.  Returns -(coefficient of z in p(1/z)/qd(1/z))."""
-    degp, degq = len(pc) - 1, len(qc) - 1
-    # p(1/z)/q(1/z) = z^{degq-degp} * prev(z)/qrev(z) with reversed coeffs
-    prev = list(reversed(pc))
-    qrev = list(reversed(qc))
-    shift = degq - degp
-    # need coefficient of z^{1} overall => coefficient of z^{1-shift} in
-    # prev/qrev as a power series (exists since qrev[0] = lead coeff != 0)
-    want = 1 - shift
-    if want < 0:
-        zero = pc[0] * 0 if pc else qc[0] * 0
-        return zero - zero  # exact zero of the right type
-    lead_inv = _invert(qrev[0])
-    series = []
-    for k in range(want + 1):
-        acc = prev[k] if k < len(prev) else prev[0] * 0
-        for i in range(1, k + 1):
-            if i < len(qrev):
-                acc = acc - qrev[i] * series[k - i]
-        series.append(acc * lead_inv)
-    return -series[want]
-
-
-def _invert(c):
-    if isinstance(c, QuadScalar):
-        return c.inverse()
-    if isinstance(c, ExpPolynomial):
-        if not c.is_constant():
-            raise NotClosedFormError("leading coefficient must be constant")
-        return ExpPolynomial.constant(c.nvars, c.constant_term().inverse())
-    return 1 / c
-
-
-def _residue_at_infinity_sym(p: List[ExpPolynomial], qd: List[ExpPolynomial]
-                             ) -> ExpPolynomial:
-    """res_inf for univariate polynomials whose coefficients are themselves
-    polynomials in the deformation parameters."""
-    qc = list(qd)
-    while qc and qc[-1].is_zero():
-        qc.pop()
-    pc = list(p)
-    while pc and pc[-1].is_zero():
-        pc.pop()
-    if not pc:
-        return ExpPolynomial.zero(qd[0].nvars)
-    return _residue_series(pc, qc)
-
-
-def _versal(n: int) -> Tuple[List[ExpPolynomial], List[ExpPolynomial]]:
-    """f_s = x^{n+1} + sum s_i x^{i-1} in variables s_1..s_n; returns
-    (f as x-coefficient list, f' list)."""
-    zero = ExpPolynomial.zero(n)
+def _versal(n: int) -> List[ExpPolynomial]:
+    """f_s = x^{n+1} + sum s_i x^{i-1} in variables s_1..s_n, as its list of
+    x-coefficients."""
     f = [ExpPolynomial.variable(n, i) for i in range(n)]      # s_1..s_n
-    f.append(zero)                                            # x^n
+    f.append(ExpPolynomial.zero(n))                           # x^n
     f.append(ExpPolynomial.constant(n, 1))                    # x^{n+1}
-    fp = [f[k].scale(k) for k in range(1, n + 2)]
-    return f, fp
+    return f
+
+
+def _monic_derivative(f: List[ExpPolynomial]) -> List[ExpPolynomial]:
+    """f'/(n+1) for f of degree n+1 with leading coefficient 1, so that
+    -(n+1) res_inf g/f' = -res_inf g/(f'/(n+1)) with a monic divisor."""
+    inv = Fraction(1, len(f) - 1)
+    return [c.scale(inv) for c in upoly.deriv(f)]
 
 
 def a_n_metric(n: int) -> List[List[ExpPolynomial]]:
@@ -131,14 +55,14 @@ def a_n_metric(n: int) -> List[List[ExpPolynomial]]:
     s_1..s_n (desk scale n <= MAX_AN)."""
     if not 1 <= n <= MAX_AN:
         raise ValueError(f"a_n_metric is desk-scale: 1 <= n <= {MAX_AN}")
-    _, fp = _versal(n)
+    fp = _monic_derivative(_versal(n))
     zero = ExpPolynomial.zero(n)
     eta = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             mono = [zero] * (i + j + 1)
             mono[i + j] = ExpPolynomial.constant(n, 1)
-            val = _residue_at_infinity_sym(mono, fp).scale(-(n + 1))
+            val = -residue_at_infinity(mono, fp)
             eta[i][j] = val
             eta[j][i] = val
     return eta
@@ -163,10 +87,10 @@ def flat_coordinates(n: int) -> Tuple[ExpPolynomial, ...]:
         u[n + 1 - i] = ExpPolynomial.variable(n, i)
     # powers u^k, k >= 2, while they still reach below y^{n+2}
     powers = []
-    uk = _upoly_mul(u, u)[:top]
-    while not all(c.is_zero() for c in uk):
+    uk = upoly.mul(u, u)[:top]
+    while any(uk):
         powers.append(uk)
-        uk = _upoly_mul(uk, u)[:top]
+        uk = upoly.mul(uk, u)[:top]
     subs = [ExpPolynomial.variable(n, i) for i in range(n)]
     for a in range(n, 0, -1):
         p = Fraction(n + 1 - a, n + 1)
@@ -186,9 +110,8 @@ def a_n_structure(n: int) -> Tuple[List[List[List[ExpPolynomial]]], FrobeniusPot
     (no quadratic part).  The charge is d = (n-1)/(n+1) with
     q_a = (a-1)/(n+1)."""
     subs = flat_coordinates(n)
-    f, _ = _versal(n)
-    P = [coef.substitute(subs) for coef in f]  # x-coefficients, in t now
-    Pp = [P[k].scale(k) for k in range(1, len(P))]
+    P = [coef.substitute(subs) for coef in _versal(n)]  # x-coefficients, in t now
+    Pp = _monic_derivative(P)
     dP = []
     for a in range(n):
         dP.append([c.diff(a) for c in P])
@@ -196,10 +119,9 @@ def a_n_structure(n: int) -> Tuple[List[List[List[ExpPolynomial]]], FrobeniusPot
     c_low = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            ab = _upoly_mul(dP[a], dP[b])
+            ab = upoly.mul(dP[a], dP[b])
             for g in range(b, n):
-                num = _upoly_mul(ab, dP[g])
-                val = _residue_at_infinity_sym(num, Pp).scale(-(n + 1))
+                val = -residue_at_infinity(upoly.mul(ab, dP[g]), Pp)
                 for i, j, k in {(a, b, g), (a, g, b), (b, a, g),
                                 (b, g, a), (g, a, b), (g, b, a)}:
                     c_low[i][j][k] = val

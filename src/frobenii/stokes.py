@@ -484,10 +484,9 @@ def gram_and_reflections(S: StokesMatrix) -> Tuple[ExactMatrix, List[ExactMatrix
     refs = []
     n = S.n
     for j in range(n):
-        R = ExactMatrix.identity(n)
-        for k in range(n):
-            R[j, k] = (QuadScalar(1 if j == k else 0)) - A[j, k]
-        refs.append(R)
+        rows = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
+        rows[j] = [rows[j][k] - A[j, k] for k in range(n)]
+        refs.append(ExactMatrix(rows))
     return G, refs
 
 

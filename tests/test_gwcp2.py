@@ -6,14 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from frobenii.exact import QuadScalar
+from frobenii.exact import GWSeries, QuadScalar
 from frobenii.frobenius import check_wdvv1, origin_monodromy
 from frobenii import gwcp2
 from frobenii.gwcp2 import (
-    IntegralityError, _ode_next, convergence_bound_check, elliptic_invariants,
-    elliptic_series, genus0_coefficients, genus0_coefficients_pde,
-    genus0_invariants, genus0_numbers, kontsevich_numbers, phi_series,
-    ratio_tail, asymptotic_fit, table_csv, truncated_potential,
+    IntegralityError, _ode_next, _ratio_test, elliptic_invariants,
+    elliptic_report, elliptic_series, fit_report, genus0_coefficients,
+    genus0_coefficients_pde, genus0_invariants, genus0_numbers,
+    kontsevich_numbers, nk_report, rows_csv, asymptotic_fit,
+    truncated_potential,
 )
 
 KNOWN_N = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
@@ -76,7 +77,7 @@ def test_genus0_built_once_per_call(monkeypatch):
     calls = []
     real = gwcp2.genus0_numbers
     monkeypatch.setattr(gwcp2, "genus0_numbers", lambda K: calls.append(K) or real(K))
-    for build in (gwcp2.elliptic_invariants, gwcp2.table_rows, gwcp2.fit_report,
+    for build in (gwcp2.elliptic_invariants, gwcp2.fit_report,
                   gwcp2.nk_report, gwcp2.elliptic_report):
         calls.clear()
         build(24)
@@ -98,7 +99,7 @@ def test_elliptic_constant_and_first_values():
 def test_elliptic_definition_identity():
     # psi * 8 (27 + 2 phi' - 3 phi'') - (phi''' - 27) = 0 as a series
     K = 12
-    phi = phi_series(K)
+    phi = GWSeries(K, genus0_coefficients(K))
     d1 = phi.diff(); d2 = d1.diff(); d3 = d2.diff()
     den = (d1 * 2 - d2 * 3 + 27) * 8
     psi = elliptic_series(K)
@@ -128,14 +129,18 @@ def test_asymptotic_fit_window():
 
 
 def test_ratio_tail_near_di_constant():
-    r = ratio_tail(40)
+    r = fit_report(40)["tail_ratio"]
+    A = genus0_coefficients(40)
+    assert r == float(A[-1] / A[-2])
     assert abs(r - 0.138) < 0.0138
 
 
 def test_convergence_bound():
-    assert convergence_bound_check(30, x=0.0)
-    assert convergence_bound_check(30)          # at log(6/5) - 0.01
-    assert not convergence_bound_check(30, x=2.5)   # beyond the radius
+    A = genus0_coefficients(30)
+    assert _ratio_test(A, 0.0)
+    assert _ratio_test(A, None)             # at log(6/5) - 0.01
+    assert not _ratio_test(A, 2.5)          # beyond the radius
+    assert fit_report(30)["ratio_test_at_log65"] is True
 
 
 def test_truncated_potential_k1_term():
@@ -173,12 +178,13 @@ def test_cp2_origin_monodromy_example():
 
 
 def test_csv_table():
-    text = table_csv(4)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("k,")
+    lines = rows_csv(nk_report(4)[1]).strip().splitlines()
+    assert lines[0] == "k,N_k,A_k,ratio"
     assert len(lines) == 5
     assert lines[1].split(",")[1] == "1"
     assert lines[3].split(",")[1] == "12"
+    lines = rows_csv(elliptic_report(4)[1]).strip().splitlines()
+    assert lines == ["k,N1_k", "1,0", "2,0", "3,1", "4,225"]
 
 
 def test_cp2_truncated_grading_and_quasihomogeneity():
@@ -191,7 +197,11 @@ def test_cp2_truncated_grading_and_quasihomogeneity():
 
 def test_table_json_mirror():
     import json
-    from frobenii.gwcp2 import table_json
-    rows = json.loads(table_json(3))
-    assert [r["N_k"] for r in rows] == [1, 1, 12]
-    assert [r["N1_k"] for r in rows] == [0, 0, 1]
+    nk, nk_rows = nk_report(3)
+    ell, ell_rows = elliptic_report(3)
+    assert json.loads(json.dumps(nk_rows)) == nk_rows
+    assert [r["N_k"] for r in nk_rows] == [1, 1, 12]
+    assert [r["N1_k"] for r in ell_rows] == [0, 0, 1]
+    # the JSON results carry the same numbers as the rows
+    assert json.loads(json.dumps(nk["N"])) == {str(r["k"]): r["N_k"] for r in nk_rows}
+    assert json.loads(json.dumps(ell["N1"])) == {str(r["k"]): r["N1_k"] for r in ell_rows}

@@ -243,7 +243,7 @@ def test_qp_flow_equations(family, s0):
 
 
 def test_log_k_quadrature_runs():
-    val = log_k_increment("B3", 0.75, 0.85, steps=200)
+    val = log_k_increment("B3", 0.75, 0.85)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -278,7 +278,7 @@ def test_psi_gram_constant_along_curve():
     worst = 0.0
     for s1 in (0.78, 0.82, 0.86):
         st1 = qp_from_family("B3", s1)
-        st1.logk = log_k_increment("B3", s0, s1, steps=600)
+        st1.logk = log_k_increment("B3", s0, s1)
         G1 = reconstruct_psi(st1, fam.mu1).T @ reconstruct_psi(st1, fam.mu1)
         worst = max(worst, float(np.abs(G1 - G0).max()))
     assert worst < 1e-6

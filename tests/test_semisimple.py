@@ -12,7 +12,7 @@ from frobenii.semisimple import (
     CoalescingEigenvaluesError, IllConditionedFrameError, IsoState,
     canonical_coordinates,
     euler_multiplication, hamiltonians, integrate_isomonodromic,
-    poisson_commutation_check, state_from_dict, state_to_dict, tau_increment,
+    _lie_poisson, poisson_commutation_check, state_from_dict, state_to_dict,
     v_components, v_matrices,
 )
 
@@ -196,6 +196,43 @@ def test_poisson_commutation():
         assert poisson_commutation_check(st) < 1e-10
     st2 = _random_state(2, seed=5)
     assert poisson_commutation_check(st2) == 0.0
+    # no size cap: n = 7 runs as well
+    W = np.random.default_rng(6).standard_normal((7, 7))
+    st7 = IsoState(u=list(np.arange(7) + 0.5j * np.arange(7) ** 2), V=W - W.T)
+    assert poisson_commutation_check(st7) < 1e-10
+
+
+def _explicit_so_bracket(X, Y, V):
+    """sum_{a<b, c<d} X_ab Y_cd {V_ab, V_cd} with
+    {V_ab, V_cd} = V_ad d_bc - V_bd d_ac + V_bc d_ad - V_ac d_bd."""
+    n = len(V)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    total = 0j
+    for a, b in pairs:
+        for c, d in pairs:
+            br = ((b == c) * V[a, d] - (a == c) * V[b, d]
+                  + (a == d) * V[b, c] - (b == d) * V[a, c])
+            total += X[a, b] * Y[c, d] * br
+    return total
+
+
+def test_lie_poisson_matches_explicit_so_bracket():
+    # negative control: gradients that do not commute give a nonzero bracket,
+    # and the array form agrees with the explicit so(n) sum there
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 5):
+        X, Y, V = (W - W.T for W in (rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n))
+                                     for _ in range(3)))
+        want = _explicit_so_bracket(X, Y, V)
+        got = _lie_poisson(X[None], Y[None], V)[0, 0]
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        if n > 2:
+            assert abs(want) > 1e-3
+    # the Hamiltonians' own gradients commute under the same explicit sum
+    st = _random_state(seed=2)
+    Vis = v_components(st.u, st.V)
+    assert abs(_explicit_so_bracket(Vis[0], Vis[2], st.V)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +258,7 @@ def test_n2_tau_closed_form():
     st = _random_state(2, seed=9)
     v = st.V[0, 1]
     target = [0.5 + 0.2j, 1.8 - 0.5j]
-    dtau = tau_increment(st, [target], tol=1e-12)
+    dtau = integrate_isomonodromic(st, [target], tol=1e-12)[1].dlog_tau
     want = (v * v / 2) * (np.log(target[0] - target[1])
                           - np.log(st.u[0] - st.u[1]))
     assert abs(dtau - want) < 1e-9

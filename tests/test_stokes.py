@@ -55,11 +55,9 @@ def _kSk(S, letter):
     """The full product K S K of sigma_letter, K the elementary matrix."""
     i = abs(letter) - 1
     s = S.mat[i, i + 1]
-    K = ExactMatrix.identity(S.n)
     block = [[0, 1], [1, -s]] if letter > 0 else [[-s, 1], [1, 0]]
-    for a in range(2):
-        for b in range(2):
-            K[i + a, i + b] = block[a][b]
+    K = ExactMatrix([[block[a - i][b - i] if i <= a <= i + 1 and i <= b <= i + 1
+                      else int(a == b) for b in range(S.n)] for a in range(S.n)])
     return K @ S.mat @ K
 
 
@@ -348,10 +346,19 @@ def test_orbit_steps_counted():
 
 
 def _mixed_field():
-    # the constructors refuse mixed fields, so the entry is put in afterwards
-    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2), (1, 2): 1})
-    S.mat[0, 2] = QuadScalar(0, 1, 5)
+    # the constructors refuse mixed fields, so the object is assembled
+    # without one: a mixed-field ExactMatrix as the Stokes matrix's entries
+    S = object.__new__(StokesMatrix)
+    S.mat = ExactMatrix([[1, QuadScalar(0, 1, 2), QuadScalar(0, 1, 5)],
+                         [0, 1, 1], [0, 0, 1]])
+    S.n = 3
     return S
+
+
+def test_stokes_entries_cannot_be_assigned():
+    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2), (1, 2): 1})
+    with pytest.raises(TypeError):
+        S.mat[0, 2] = QuadScalar(0, 1, 5)
 
 
 @pytest.mark.parametrize("call", [
