@@ -3,8 +3,9 @@
 An exact matrix over one field Q(sqrt m) is lifted once to A/D (`_lift`):
 D is the lcm of the entries' denominators and A holds pairs (p, q) of
 Python ints meaning p + q sqrt(m), an element of Z[sqrt m]; entries from
-two fields raise DiscriminantMismatch.  Determinant, inverse and solve
-share one fraction-free (Bareiss) elimination of A, whose divisions by the
+two fields raise DiscriminantMismatch (`scalars._field_of`).  Rows are
+tuples: a matrix never changes.  Determinant, inverse and solve share one
+fraction-free (Bareiss) elimination of A, whose divisions by the
 previous pivot are exact in Z[sqrt m] and go through the pivot's norm
 p^2 - q^2 m; characteristic polynomials run Faddeev-LeVerrier on A, whose
 divisions by k are exact for the same reason.  A nonzero remainder raises
@@ -19,12 +20,13 @@ ordered by Im.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, ScalarLike, _norm
+from .scalars import ONE, ZERO, QuadScalar, ScalarLike, _field_of, _norm
 from .upoly import square_free
 
 
@@ -36,23 +38,23 @@ Row = List[QuadScalar]
 
 
 class ExactMatrix:
-    """Square matrix over one quadratic field."""
+    """Square matrix over one quadratic field; `rows` is a tuple of tuples."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         self.n = len(rows)
-        self.rows: List[Row] = [[QuadScalar.coerce(x) for x in r] for r in rows]
+        self.rows = tuple(tuple(QuadScalar.coerce(x) for x in r) for r in rows)
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
 
     # -- constructors ----------------------------------------------------
     @staticmethod
-    def _wrap(rows: List[Row]) -> "ExactMatrix":
-        """Matrix on rows of QuadScalars, taken as they are (no coercion)."""
+    def _wrap(rows: Sequence[Sequence[QuadScalar]]) -> "ExactMatrix":
+        """Matrix on rows of QuadScalars, frozen into tuples (no coercion)."""
         M = object.__new__(ExactMatrix)
         M.n = len(rows)
-        M.rows = rows
+        M.rows = tuple(map(tuple, rows))
         return M
 
     @staticmethod
@@ -99,7 +101,7 @@ class ExactMatrix:
         return ExactMatrix._wrap(out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._wrap([list(col) for col in zip(*self.rows)])
+        return ExactMatrix._wrap(list(zip(*self.rows)))
 
     def trace(self) -> QuadScalar:
         return sum((self.rows[i][i] for i in range(self.n)), ZERO)
@@ -115,7 +117,7 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         n = self.n
         return ExactMatrix._wrap(_solve(
-            [r + [ONE if i == j else ZERO for j in range(n)]
+            [list(r) + [ONE if i == j else ZERO for j in range(n)]
              for i, r in enumerate(self.rows)]))
 
     def det(self) -> QuadScalar:
@@ -144,16 +146,8 @@ def _lift(rows: Sequence[Sequence[QuadScalar]]) -> Tuple[int, int, IntRows]:
     """(m, D, A) with rows = A/D: m the one discriminant of the entries (1
     when all are rational), D the lcm of their denominators and A the
     (p, q) pairs of D * entry."""
-    m = 1
-    D = 1
-    for r in rows:
-        for c in r:
-            if c.q and c.m != m:
-                if m != 1:
-                    raise DiscriminantMismatch(f"sqrt({m}) vs sqrt({c.m})")
-                m = c.m
-            if D % c.d:
-                D = lcm(D, c.d)
+    m = _field_of(chain.from_iterable(rows))
+    D = lcm(*[c.d for r in rows for c in r])
     if D == 1:
         return m, 1, [[(c.p, c.q) for c in r] for r in rows]
     return m, D, [[(c.p * (D // c.d), c.q * (D // c.d)) for c in r] for r in rows]
@@ -301,7 +295,7 @@ def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
     n = A.n
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    return [x for (x,) in _solve([r + [QuadScalar.coerce(v)]
+    return [x for (x,) in _solve([list(r) + [QuadScalar.coerce(v)]
                                   for r, v in zip(A.rows, rhs)])]
 
 

@@ -19,7 +19,9 @@ square-free and enforces the re-wrap rule.  ``a`` and ``b`` are read-only
 
 Values from different quadratic fields never mix: arithmetic between
 sqrt(2)- and sqrt(5)-valued scalars raises :class:`DiscriminantMismatch`
-instead of silently lifting to a composite field.
+instead of silently lifting to a composite field.  This module owns that
+rule as `_field_of`, which arithmetic, `ExactMatrix`, `StokesMatrix` and the
+potential JSON all call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 
@@ -103,21 +105,11 @@ class QuadScalar:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def _join(self, other: "QuadScalar") -> int:
-        """Common discriminant, or raise."""
-        if self.m == other.m:
-            return self.m
-        if self.q == 0:
-            return other.m
-        if other.q == 0:
-            return self.m
-        raise DiscriminantMismatch(f"sqrt({self.m}) vs sqrt({other.m})")
-
     # -- ring operations -----------------------------------------------
     def __add__(self, other):
         if type(other) is not QuadScalar:
             other = QuadScalar.coerce(other)
-        m = self.m if self.m == other.m else self._join(other)
+        m = self.m if self.m == other.m else _field_of((self, other))
         d, od = self.d, other.d
         if d == od:
             p, q = self.p + other.p, self.q + other.q
@@ -135,7 +127,7 @@ class QuadScalar:
     def __sub__(self, other):
         if type(other) is not QuadScalar:
             other = QuadScalar.coerce(other)
-        m = self.m if self.m == other.m else self._join(other)
+        m = self.m if self.m == other.m else _field_of((self, other))
         d, od = self.d, other.d
         if d == od:
             p, q = self.p - other.p, self.q - other.q
@@ -151,7 +143,7 @@ class QuadScalar:
     def __mul__(self, other):
         if type(other) is not QuadScalar:
             other = QuadScalar.coerce(other)
-        m = self.m if self.m == other.m else self._join(other)
+        m = self.m if self.m == other.m else _field_of((self, other))
         sp, sq, op, oq = self.p, self.q, other.p, other.q
         p = sp * op + sq * oq * m
         q = sp * oq + sq * op
@@ -237,6 +229,21 @@ class QuadScalar:
         if b > 0 and s:
             return f"{s}+{bpart}"
         return f"{s}{bpart}"
+
+
+def _field_of(values: Iterable[QuadScalar], stated: Optional[int] = None) -> int:
+    """The one discriminant m of the irrational values (1 when all are
+    rational); values from two fields, or m != stated, raise
+    DiscriminantMismatch."""
+    m = 1
+    for c in values:
+        if c.m != m and c.q:
+            if m != 1:
+                raise DiscriminantMismatch(f"sqrt({m}) vs sqrt({c.m})")
+            m = c.m
+    if stated is not None and stated != m:
+        raise DiscriminantMismatch(f"stated sqrt({stated}) vs sqrt({m})")
+    return m
 
 
 _new = object.__new__

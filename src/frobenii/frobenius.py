@@ -25,7 +25,7 @@ import numpy as np
 
 from .exact.exppoly import ExpPolynomial, NotClosedFormError
 from .exact.linalg import ExactMatrix, SingularMatrixError
-from .exact.scalars import QuadScalar, parse_quad
+from .exact.scalars import QuadScalar, _field_of, parse_quad
 
 
 class NonConstantMetricError(ValueError):
@@ -795,8 +795,7 @@ CATALOG_NAMES = ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
 # ---------------------------------------------------------------------------
 
 def potential_to_dict(P: FrobeniusPotential) -> dict:
-    ms = {c.m for c in P.F.terms.values() if not c.is_rational()}
-    m = ms.pop() if ms else 1
+    m = _field_of(P.F.terms.values())
     terms = []
     for (pows, exps), c in sorted(P.F.terms.items()):
         terms.append({"coeff": str(c), "powers": list(pows), "exps": list(exps)})
@@ -822,6 +821,7 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
     for t in data["terms"]:
         key = (tuple(int(x) for x in t["powers"]), tuple(int(x) for x in t["exps"]))
         terms[key] = parse_quad(str(t["coeff"]))
+    _field_of(terms.values(), data.get("discriminant"))
     F = ExpPolynomial(n, terms)
     trunc = data.get("exp_truncation")
     return FrobeniusPotential(

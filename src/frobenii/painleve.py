@@ -42,14 +42,15 @@ def _factored(*factors: Tuple[Poly, int]) -> Poly:
 def _pval(c: Poly, s):
     """c(s), c integer coefficients lowest degree first.  Rational s = p/q
     (int or Fraction): the exact sum_i c_i p^i q^(d-i) / q^d, summed in ints
-    and reduced once.  Float or complex s: Horner's rule."""
+    and reduced once; the empty list, where qk // q = 0, is 0.  Float or
+    complex s: Horner's rule."""
     exact = isinstance(s, (int, Fraction))
     p, q = (s.numerator, s.denominator) if exact else (s, 1)
     num, qk = 0, 1
     for a in reversed(c):
         num = num * p + a * qk
         qk *= q
-    return Fraction(num, qk // q) if exact else num
+    return Fraction(num, qk // q or 1) if exact else num
 
 
 class ParametrizationPoleError(ZeroDivisionError):

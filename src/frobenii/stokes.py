@@ -5,10 +5,13 @@ projective-plane monodromy identities.
 A Stokes matrix is upper triangular with unit diagonal over a quadratic
 field.  The braid generator sigma_i acts by S -> K S K with K the
 elementary matrix carrying [[0,1],[1,-s_{i,i+1}]] in the (i,i+1) block, and
-matrices are identified modulo S ~ J S J, J = diag(+-1).  The braid
-action, the sign normalization and the orbit BFS run on flat tuples of
-Python ints, (p, q, d) per upper entry over the one field Q(sqrt m) of the
-matrix; a matrix whose entries mix two fields raises DiscriminantMismatch.
+matrices are identified modulo S ~ J S J, J = diag(+-1).
+
+A StokesMatrix stores only `flat`, the Python ints (p, q, d) of its upper
+entries row-major, and the one discriminant m of its field (the rule of
+`scalars._field_of`).  The braid action, the sign normalization, the orbit
+BFS, ==, hash and `key()` run on `flat`; QuadScalars appear only in `mat`
+(built on first read, then cached), `S[i, j]`, `upper()` and `triple()`.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _lift, _matmul,
                            polynomial_roots, sort_spectrum)
-from .exact.scalars import ONE, ZERO, DiscriminantMismatch, QuadScalar, _make, parse_quad
+from .exact.scalars import ONE, ZERO, QuadScalar, _field_of, _make, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 KEEP_REPRESENTATIVES = 16  # orbit nodes kept in OrbitResult.representatives
 
-Upper = Sequence[QuadScalar]   # upper entries s_ij, i < j, row-major
 Flat = Tuple[int, ...]         # (p, q, d) of each upper entry, row-major, over one m
 
 
@@ -39,34 +41,32 @@ def _upper_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _key(upper: Upper) -> Tuple[int, ...]:
-    """The integer fields (p, q, d, m) of every entry, flattened."""
-    out: List[int] = []
-    for c in upper:
-        out += (c.p, c.q, c.d, c.m)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _flat_pairs(n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, index of the entry's p in the flat tuple), row-major."""
+    return tuple((i, j, 3 * k) for k, (i, j) in enumerate(_upper_pairs(n)))
 
 
 class StokesMatrix:
-    """Upper-triangular, unit-diagonal square matrix over one field Q(sqrt m);
-    entries from two fields raise DiscriminantMismatch."""
+    """Upper-triangular, unit-diagonal square matrix over one field Q(sqrt m),
+    stored as `flat`, the (p, q, d) ints of its upper entries row-major,
+    and `m`; entries from two fields raise DiscriminantMismatch."""
 
-    __slots__ = ("n", "mat")
+    __slots__ = ("n", "m", "flat", "_mat")
 
     def __init__(self, entries: Sequence[Sequence] | ExactMatrix):
-        if isinstance(entries, ExactMatrix):
-            mat = entries
-        else:
-            mat = ExactMatrix(entries)
-        self.n = mat.n
-        for i in range(self.n):
-            if mat[i, i] != ONE:
+        mat = entries if isinstance(entries, ExactMatrix) else ExactMatrix(entries)
+        rows = mat.rows
+        for i, r in enumerate(rows):
+            if r[i] != ONE:
                 raise ValueError("diagonal entries must equal 1")
-            for j in range(i):
-                if mat[i, j]:
-                    raise ValueError("matrix must be upper triangular")
-        self.mat = mat
-        _to_ints(self)
+            if any(r[:i]):
+                raise ValueError("matrix must be upper triangular")
+        upper = [rows[i][j] for i, j in _upper_pairs(mat.n)]
+        self.n = mat.n
+        self.m = _field_of(upper)
+        self.flat = tuple(x for c in upper for x in (c.p, c.q, c.d))
+        self._mat = mat
 
     @staticmethod
     def from_upper(n: int, upper: Dict[Tuple[int, int], QuadScalar | Fraction | int]
@@ -93,18 +93,33 @@ class StokesMatrix:
         rows = self.mat.rows
         return tuple(rows[i][j] for i, j in _upper_pairs(self.n))
 
+    @property
+    def mat(self) -> ExactMatrix:
+        """The matrix of QuadScalars, built from `flat` on first read."""
+        if self._mat is None:
+            n, t, m = self.n, self.flat, self.m
+            rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+            for i, j, k in _flat_pairs(n):
+                q = t[k + 1]
+                rows[i][j] = _make(t[k], q, t[k + 2], m if q else 1)
+            self._mat = ExactMatrix._wrap(rows)
+        return self._mat
+
     def __getitem__(self, ij):
         return self.mat[ij]
 
     def __eq__(self, other):
-        return isinstance(other, StokesMatrix) and self.mat == other.mat
+        return (isinstance(other, StokesMatrix) and self.flat == other.flat
+                and self.m == other.m and self.n == other.n)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.flat)
 
     def key(self) -> Tuple[int, ...]:
         """Flat tuple of ints (p, q, d, m) of each upper entry, row-major."""
-        return _key(self.upper())
+        t, m = self.flat, self.m
+        return tuple(x for k in range(0, len(t), 3)
+                     for x in (t[k], t[k + 1], t[k + 2], m if t[k + 1] else 1))
 
     def __repr__(self):
         return f"StokesMatrix({self.mat!r})"
@@ -158,35 +173,13 @@ def _flat_plan(n: int, letter: int):
     return at[(i, i + 1)], itemgetter(*idx), tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def _flat_pairs(n: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(i, j, index of the entry's p in the flat tuple), row-major."""
-    return tuple((i, j, 3 * k) for k, (i, j) in enumerate(_upper_pairs(n)))
-
-
-def _to_ints(S: StokesMatrix) -> Tuple[Flat, int]:
-    """The flat (p, q, d) of every upper entry of S and the one discriminant
-    m they share (1 when all are rational)."""
-    flat: List[int] = []
-    m = 1
-    for c in S.upper():
-        if c.q and c.m != m:
-            if m != 1:
-                raise DiscriminantMismatch(f"sqrt({m}) vs sqrt({c.m})")
-            m = c.m
-        flat += (c.p, c.q, c.d)
-    return tuple(flat), m
-
-
-def _from_ints(n: int, t: Flat, m: int) -> StokesMatrix:
+def _wrap(n: int, t: Flat, m: int) -> StokesMatrix:
     """The StokesMatrix of a flat tuple over Q(sqrt m), without checks."""
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for i, j, k in _flat_pairs(n):
-        q = t[k + 1]
-        rows[i][j] = _make(t[k], q, t[k + 2], m if q else 1)
     S = object.__new__(StokesMatrix)
     S.n = n
-    S.mat = ExactMatrix._wrap(rows)
+    S.m = m
+    S.flat = t
+    S._mat = None
     return S
 
 
@@ -257,26 +250,24 @@ def _canonical(n: int, t: Flat) -> Flat:
 
 def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
     """K S K for sigma_letter (a negative letter is the inverse)."""
-    t, m = _to_ints(S)
-    return _from_ints(S.n, _step(t, _flat_plan(S.n, letter), m), m)
+    return _wrap(S.n, _step(S.flat, _flat_plan(S.n, letter), S.m), S.m)
 
 
 def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> StokesMatrix:
     if isinstance(word, str):
         word = BraidWord.parse(word)
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    t, m = _to_ints(S)
+    t, m = S.flat, S.m
     for letter in letters:
         t = _step(t, _flat_plan(S.n, letter), m)
-    return _from_ints(S.n, t, m)
+    return _wrap(S.n, t, m)
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
     """Representative of {J S J : J = diag(+-1)}: scanning the upper entries
     row-major, greedily pick signs eps_j so each first sign-adjustable
     nonzero entry becomes lex-nonnegative."""
-    t, m = _to_ints(S)
-    return _from_ints(S.n, _canonical(S.n, t), m)
+    return _wrap(S.n, _canonical(S.n, S.flat), S.m)
 
 
 @dataclass
@@ -294,13 +285,12 @@ class OrbitResult:
 def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
-    Nodes are flat int tuples (`_to_ints`) over the one field of S, and they
+    Nodes are flat int tuples (`S.flat`) over the one field of S, and they
     are their own dedup key; every step is `_step` followed by `_canonical`."""
     t0 = time.perf_counter()
-    n = S.n
-    flat, m = _to_ints(S)
+    n, m = S.n, S.m
     plans = [_flat_plan(n, g * e) for g in range(1, n) for e in (1, -1)]
-    start = _canonical(n, flat)
+    start = _canonical(n, S.flat)
     seen = {start}
     keep = [start]
     frontier = [start]
@@ -308,7 +298,7 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     expanded = 0
 
     def result(finite: bool, frontier_size: int, steps: int) -> OrbitResult:
-        reps = [_from_ints(n, t, m) for t in keep]
+        reps = [_wrap(n, t, m) for t in keep]
         bits = {f: max(map(abs, chain.from_iterable(t[k::3] for t in seen)),
                        default=0).bit_length() for k, f in enumerate("pqd")}
         return OrbitResult(finite, len(seen), reps, frontier_size, levels, bits,
@@ -590,7 +580,7 @@ STOKES_CATALOG_NAMES = ["CP1", "CP2", "CP2-monodromy", "D4-nonstd", "F4-nonstd",
 def stokes_to_dict(S: StokesMatrix) -> dict:
     return {
         "n": S.n,
-        "m": _to_ints(S)[1],
+        "m": S.m,
         "rows": [[str(S.mat[i, j]) for j in range(S.n)] for i in range(S.n)],
     }
 

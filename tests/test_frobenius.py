@@ -11,8 +11,9 @@ from frobenii.frobenius import (
     NonConstantMetricError, apply_symmetry,
     catalog, check_grading_eta, check_quasihomogeneity, check_wdvv1,
     deformed_flat_coords, euler_multiplication_symbolic, gradient_pairing,
-    intersection_form, metric_eta, origin_monodromy, potential_from_json,
-    potential_to_dict, potential_to_json, structure_constants, tensor_locus,
+    intersection_form, metric_eta, origin_monodromy, potential_from_dict,
+    potential_from_json, potential_to_dict, potential_to_json, structure_constants,
+    tensor_locus,
 )
 
 ALL_NAMES = ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
@@ -694,14 +695,36 @@ def test_unknown_catalog_name():
         catalog("E8")
 
 
-@pytest.mark.parametrize("name", ALL_NAMES + ["CP2(3)"])
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(3)", "CP2(4)", "sing an 3"])
 def test_json_roundtrip_bit_exact(name):
-    P = catalog(name)
+    if name == "sing an 3":
+        from frobenii.singularity import a_n_structure
+        P = a_n_structure(3)[1]
+    else:
+        P = catalog(name)
     Q = potential_from_json(potential_to_json(P))
     assert Q.F == P.F
     assert Q.d == P.d and Q.q == P.q and Q.r == P.r
     assert Q.exp_truncation == P.exp_truncation
     assert potential_to_json(Q) == potential_to_json(P)
+
+
+def test_potential_json_discriminant_is_the_one_field():
+    from frobenii.exact import DiscriminantMismatch
+    rt2, rt5 = QuadScalar(0, 1, 2), QuadScalar(0, 1, 5)
+    P = catalog("A3")
+    P5 = FrobeniusPotential(3, P.F.scale(rt5), P.d, P.q, P.r)
+    data = potential_to_dict(P5)
+    assert data["discriminant"] == 5
+    assert potential_from_dict(data) == P5
+    for wrong in (1, 2):
+        with pytest.raises(DiscriminantMismatch):
+            potential_from_dict({**data, "discriminant": wrong})
+    with pytest.raises(DiscriminantMismatch):
+        potential_from_dict({**potential_to_dict(P), "discriminant": 5})
+    mixed = ExpPolynomial(2, {((3, 0), (0, 0)): rt2, ((0, 3), (0, 0)): rt5})
+    with pytest.raises(DiscriminantMismatch):
+        potential_to_dict(FrobeniusPotential(2, mixed, F(0), (F(0), F(0)), (F(0), F(0))))
 
 
 def test_deformed_coords_reject_non_wdvv_input():

@@ -9,7 +9,7 @@ import pytest
 
 from frobenii.painleve import (
     FAMILIES, H3_DEGREE9, ParametrizationPoleError, PviPoint, QpkState,
-    algebraic_solution, log_k_increment, pvi_integrate, pvi_residual_on_curve,
+    RationalFunction, algebraic_solution, log_k_increment, pvi_integrate, pvi_residual_on_curve,
     pvi_rhs, qp_flow_check, qp_from_family, reconstruct_psi,
     sample_parameters, verify_algebraic, y_to_qp,
 )
@@ -134,6 +134,16 @@ def test_integer_parameter_is_exact(family):
             jet = f.jet(s)
             assert all(type(v) is F for v in jet) and jet == f.jet(F(s))
             assert type(f(s)) is F and f(s) == jet[0]
+
+
+def test_jet_of_low_degree_at_rational_parameter():
+    # r = (1 + 2s)/(1 + s): the numerator's second derivative is the empty
+    # coefficient list, whose value at s = 1/3 is 0
+    f = RationalFunction((1, 2), (1, 1))
+    s = F(1, 3)
+    r = F(5, 4)
+    r1 = (2 - r) / F(4, 3)
+    assert f.jet(s) == (r, r1, -2 * r1 / F(4, 3)) == (F(5, 4), F(9, 16), F(-27, 32))
 
 
 def test_pole_is_reported_by_jet():

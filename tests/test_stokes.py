@@ -345,31 +345,13 @@ def test_orbit_steps_counted():
     assert report["metrics"]["steps"] == capped.steps
 
 
-def _mixed_field():
-    # the constructors refuse mixed fields, so the object is assembled
-    # without one: a mixed-field ExactMatrix as the Stokes matrix's entries
-    S = object.__new__(StokesMatrix)
-    S.mat = ExactMatrix([[1, QuadScalar(0, 1, 2), QuadScalar(0, 1, 5)],
-                         [0, 1, 1], [0, 0, 1]])
-    S.n = 3
-    return S
-
-
 def test_stokes_entries_cannot_be_assigned():
     S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2), (1, 2): 1})
     with pytest.raises(TypeError):
         S.mat[0, 2] = QuadScalar(0, 1, 5)
-
-
-@pytest.mark.parametrize("call", [
-    canonical_form,
-    lambda S: braid_generator(S, 2),
-    lambda S: braid_apply(S, ""),
-    lambda S: orbit(S, max_size=10),
-], ids=["canonical_form", "braid_generator", "braid_apply", "orbit"])
-def test_mixed_fields_raise_discriminant_mismatch(call):
-    with pytest.raises(DiscriminantMismatch):
-        call(_mixed_field())
+    with pytest.raises(TypeError):
+        S.mat.rows[0][2] = QuadScalar(0, 1, 5)
+    assert S.mat[0, 2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +461,29 @@ def test_unipotency_charpoly_matches_reference_seeded(ring):
             S = StokesMatrix.from_upper(n, {(i, j): rng.choice(_POOLS[ring])
                                             for i in range(n) for j in range(i + 1, n)})
             assert unipotency_charpoly(S) == _reference_unipotency_charpoly(S)
+
+
+def _check_flat_storage(S):
+    """S is its flat tuple: rebuilding it from its matrix gives S back, and
+    key() reads (p, q, d, m) of the QuadScalar entries."""
+    assert StokesMatrix(S.mat) == S
+    assert S.key() == tuple(x for c in S.upper() for x in (c.p, c.q, c.d, c.m))
+
+
+def test_flat_storage_matches_matrix_on_catalog():
+    for name in STOKES_CATALOG_NAMES:
+        _check_flat_storage(stokes_catalog(name))
+
+
+@pytest.mark.parametrize("ring", list(_POOLS))
+def test_flat_storage_matches_matrix_seeded(ring):
+    rng = random.Random(f"flat-{ring}")
+    for n in (2, 3):
+        for _ in range(12):
+            S = StokesMatrix.from_upper(n, {(i, j): rng.choice(_POOLS[ring])
+                                            for i in range(n) for j in range(i + 1, n)})
+            _check_flat_storage(S)
+            _check_flat_storage(canonical_form(braid_generator(S, 1)))
 
 
 def test_mixed_fields_refused_by_every_constructor():
