@@ -1,7 +1,8 @@
 """Command-line surface with machine-readable JSON reports.
 
 Every subcommand prints one JSON object
-{command, inputs, status, results, residuals} to stdout and exits with
+{command, inputs, status, results, residuals} to stdout (`wdvv check` adds a
+top-level `metrics` block) and exits with
 0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
 error: a step-size underflow, colliding eigenvalues, a failed frame check).
 An input or numerical error prints the same object with status ERROR, the
@@ -23,7 +24,8 @@ _EXIT_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
 
 
 def _report(command: str, inputs: dict, status: str, results: dict,
-            residuals: dict | None = None, error: str | None = None) -> int:
+            residuals: dict | None = None, error: str | None = None,
+            metrics: dict | None = None) -> int:
     report = {
         "command": command,
         "inputs": inputs,
@@ -31,6 +33,8 @@ def _report(command: str, inputs: dict, status: str, results: dict,
         "results": results,
         "residuals": residuals or {},
     }
+    if metrics is not None:
+        report["metrics"] = metrics
     if error is not None:
         report["error"] = error
     print(json.dumps(report, indent=2, default=str))
@@ -70,9 +74,19 @@ def cmd_catalog(args) -> int:
 def cmd_wdvv_check(args) -> int:
     from . import frobenius
     P, token = _load_potential(args.target)
-    rep = frobenius.check_wdvv1(P)
-    qrep, A, B, C = frobenius.check_quasihomogeneity(P)
-    grading = frobenius.check_grading_eta(P)
+    metrics = {}
+
+    def timed(key, fn):
+        t0 = time.perf_counter()
+        out = fn(P)
+        metrics[key] = time.perf_counter() - t0
+        return out
+    timed("tensors_s", lambda P: P.tensors)
+    rep = timed("wdvv1_s", frobenius.check_wdvv1)
+    qrep, A, B, C = timed("quasihomogeneity_s", frobenius.check_quasihomogeneity)
+    grading = timed("grading_s", frobenius.check_grading_eta)
+    metrics.update(wdvv1_entries=rep.entries, wdvv1_products=rep.products,
+                   wdvv1_skipped=rep.skipped)
     status = "PASS" if (rep.passed and qrep.passed and grading) else "FAIL"
     nonzero = {"/".join(str(i + 1) for i in key): str(val)
                for key, val in rep.residuals.items() if not val.is_zero()}
@@ -83,7 +97,7 @@ def cmd_wdvv_check(args) -> int:
         "A": [[str(x) for x in row] for row in A],
         "B": [str(x) for x in B],
         "C": str(C),
-    }, {"wdvv1_nonzero": nonzero or "0"})
+    }, {"wdvv1_nonzero": nonzero or "0"}, metrics=metrics)
 
 
 # -- gw ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ terms t^a e^{k t}.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .scalars import ONE, ZERO, QuadScalar, ScalarLike
@@ -76,14 +77,11 @@ class ExpPolynomial:
         return ExpPolynomial(nvars, {(tuple(pows), exps): QuadScalar.coerce(coeff)})
 
     # -- ring structure ---------------------------------------------------
-    def _check(self, other: "ExpPolynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError("nvars mismatch")
-
     def __add__(self, other):
         if not isinstance(other, ExpPolynomial):
             other = ExpPolynomial.constant(self.nvars, other)
-        self._check(other)
+        if self.nvars != other.nvars:
+            raise ValueError("nvars mismatch")
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k, ZERO) + c
@@ -109,27 +107,15 @@ class ExpPolynomial:
     def __mul__(self, other):
         if not isinstance(other, ExpPolynomial):
             return self.scale(other)
-        self._check(other)
-        out: Dict[Key, QuadScalar] = {}
-        for (p1, e1), c1 in self.terms.items():
-            for (p2, e2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(p1, p2)),
-                       tuple(a + b for a, b in zip(e1, e2)))
-                s = out.get(key, ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ExpPolynomial._wrap(self.nvars, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return dot(self.nvars, ((self, other),))[0]
 
     def scale(self, c: ScalarLike) -> "ExpPolynomial":
         c = QuadScalar.coerce(c)
         if not c:
             return ExpPolynomial.zero(self.nvars)
         return ExpPolynomial._wrap(self.nvars, {k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = scale
 
     def __pow__(self, k: int):
         if k < 0:
@@ -342,6 +328,41 @@ class ExpPolynomial:
                 factors.append(f"e^({earg})")
             bits.append("*".join(factors))
         return " + ".join(bits)
+
+
+def dot(nvars: int, pairs: Iterable[Tuple[ExpPolynomial, ExpPolynomial]],
+        truncation: Tuple[int, int] | None = None) -> Tuple[ExpPolynomial, int, int]:
+    """sum of f * g over `pairs`, accumulated in one dict.
+
+    With truncation = (var, order), a term product whose exp weight in `var`
+    is above `order` is skipped before it is formed, so the sum equals the
+    full one followed by ``truncate_exp(var, order)``.  Returns the sum, the
+    number of term products formed and the number skipped."""
+    var, order = truncation if truncation is not None else (0, float("inf"))
+    out: Dict[Key, QuadScalar] = {}
+    get = out.get
+    formed = skipped = 0
+    for f, g in pairs:
+        if f.nvars != nvars or g.nvars != nvars:
+            raise ValueError("nvars mismatch")
+        gterms = g.terms.items()
+        formed += len(f.terms) * len(gterms)
+        for (p1, e1), c1 in f.terms.items():
+            room = order - e1[var]
+            shift = any(p1) or any(e1)      # a constant term keeps g's keys
+            for k2, c2 in gterms:
+                p2, e2 = k2
+                if e2[var] > room:
+                    skipped += 1
+                    continue
+                key = (tuple(map(add, p1, p2)), tuple(map(add, e1, e2))) if shift else k2
+                c = get(key)
+                c = c1 * c2 if c is None else c + c1 * c2
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+    return ExpPolynomial._wrap(nvars, out), formed - skipped, skipped
 
 
 def poly_diff(p: ExpPolynomial, var: int) -> ExpPolynomial:

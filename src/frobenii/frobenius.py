@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact.exppoly import ExpPolynomial, NotClosedFormError
+from .exact.exppoly import ExpPolynomial, NotClosedFormError, dot
 from .exact.linalg import ExactMatrix, SingularMatrixError
 from .exact.scalars import QuadScalar, _field_of, parse_quad
 
@@ -80,11 +80,7 @@ class FrobeniusPotential:
 
     def contract_euler(self, fields: Sequence[ExpPolynomial]) -> ExpPolynomial:
         """sum_e E^e fields[e]."""
-        out = ExpPolynomial.zero(self.n)
-        for E, f in zip(self.euler, fields):
-            if not E.is_zero():
-                out = out + E * f
-        return out
+        return dot(self.n, ((E, f) for E, f in zip(self.euler, fields) if E))[0]
 
     def lie_euler(self, f: ExpPolynomial) -> ExpPolynomial:
         return self.contract_euler([f.diff(a) for a in range(self.n)])
@@ -101,10 +97,16 @@ class FrobeniusPotential:
 
 @dataclass
 class ResidualReport:
+    """The residuals of one check; a WDVV report also counts the associator
+    entries it formed, the term products it formed and those it skipped
+    because the truncation would drop them."""
     passed: bool
     label: str
     residuals: Dict[Tuple[int, ...], ExpPolynomial] = field(default_factory=dict)
     details: str = ""
+    entries: int = 0
+    products: int = 0
+    skipped: int = 0
 
     def max_nonzero(self) -> int:
         return sum(1 for r in self.residuals.values() if not r.is_zero())
@@ -164,11 +166,9 @@ def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
 def _lincomb(n: int, coefs: Sequence[QuadScalar],
              polys: Sequence[ExpPolynomial]) -> ExpPolynomial:
     """sum_i coefs[i] polys[i], skipping zero coefficients."""
-    acc = ExpPolynomial.zero(n)
-    for coef, p in zip(coefs, polys):
-        if coef:
-            acc = acc + p.scale(coef)
-    return acc
+    z = (0,) * n
+    return dot(n, ((ExpPolynomial._wrap(n, {(z, z): c}), p)
+                   for c, p in zip(coefs, polys) if c))[0]
 
 
 def structure_constants(P: FrobeniusPotential) -> Tensors:
@@ -238,7 +238,8 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
     where X(ab, gd) = c_ab^m c_mgd = c_abl eta^{lm} c_mgd.
 
     X is symmetric in a <-> b, in g <-> d and under (ab) <-> (gd), so it is
-    formed and truncated once per unordered pair of unordered pairs."""
+    formed once per unordered pair of unordered pairs, as one ``dot`` over m
+    that skips the products the truncation drops."""
     n = P.n
     try:
         c_low, c_up, _, _ = P.tensors
@@ -247,26 +248,28 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
 
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     X: Dict[Tuple[int, ...], ExpPolynomial] = {}
+    entries = products = skipped = 0
     for i, (a, b) in enumerate(pairs):
         for g, dd in pairs[i:]:
             if a == b == g == dd:  # X(aa, aa) enters no residual
                 continue
-            acc = ExpPolynomial.zero(n)
-            for m in range(n):
-                acc = acc + c_up[a][b][m] * c_low[m][g][dd]
-            acc = P._truncate(acc)
+            acc, formed, dropped = dot(n, zip(c_up[a][b], c_low[g][dd]),
+                                       P.exp_truncation)
+            entries += 1
+            products += formed
+            skipped += dropped
             for x in ((a, b), (b, a)):
                 for y in ((g, dd), (dd, g)):
                     X[x + y] = X[y + x] = acc
 
     residuals: Dict[Tuple[int, ...], ExpPolynomial] = {}
-    for a in range(n):
-        for dd in range(a + 1, n):
-            for b in range(n):
-                for g in range(b, n):
-                    residuals[(a, b, g, dd)] = X[a, b, g, dd] - X[dd, b, g, a]
+    for a, dd in itertools.combinations(range(n), 2):
+        for b, g in pairs:
+            x, y = X[a, b, g, dd], X[dd, b, g, a]
+            residuals[(a, b, g, dd)] = ExpPolynomial.zero(n) if x.terms == y.terms else x - y
     ok = all(r.is_zero() for r in residuals.values())
-    return ResidualReport(ok, "wdvv1", residuals)
+    return ResidualReport(ok, "wdvv1", residuals, entries=entries, products=products,
+                          skipped=skipped)
 
 
 def check_quasihomogeneity(P: FrobeniusPotential):
@@ -323,11 +326,8 @@ def check_quasihomogeneity(P: FrobeniusPotential):
 def check_grading_eta(P: FrobeniusPotential) -> bool:
     """(q_a + q_b - d) eta_ab = 0 for all a, b."""
     eta = P.tensors.eta
-    for a in range(P.n):
-        for b in range(P.n):
-            if eta[a, b] and P.q[a] + P.q[b] - P.d != 0:
-                return False
-    return True
+    return all(not eta[a, b] or P.q[a] + P.q[b] == P.d
+               for a in range(P.n) for b in range(P.n))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +447,8 @@ def deformed_flat_coords(P: FrobeniusPotential, depth: int) -> List[List[ExpPoly
             # gradient of h_{a,p+1}: integrate RHS_bg = c_{bg}^e d_e h_{a,p}
             xi = []
             for b in range(n):
-                comps = []
-                for g in range(n):
-                    acc = ExpPolynomial.zero(n)
-                    for e in range(n):
-                        acc = acc + c_up[b][g][e] * grads[a][e]
-                    comps.append(P._truncate(acc))
+                comps = [dot(n, zip(c_up[b][g], grads[a]), P.exp_truncation)[0]
+                         for g in range(n)]
                 xi.append(_potential_from_gradient(comps))
             h = _potential_from_gradient(xi)
             h = _normalize_level(P, h, a, p + 1, mu, mono.R1, levels)
@@ -503,26 +499,13 @@ def gradient_pairing(P: FrobeniusPotential, f: ExpPolynomial, g: ExpPolynomial
     n = P.n
     eta_inv = P.tensors.eta_inv
     dg = [g.diff(b) for b in range(n)]
-    acc = ExpPolynomial.zero(n)
-    for a in range(n):
-        acc = acc + f.diff(a) * _lincomb(n, eta_inv.rows[a], dg)
-    return P._truncate(acc)
+    return dot(n, ((f.diff(a), _lincomb(n, eta_inv.rows[a], dg)) for a in range(n)),
+               P.exp_truncation)[0]
 
 
 # ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------
-
-def _check_antidiagonal(eta: ExactMatrix):
-    n = eta.n
-    for a in range(n):
-        for b in range(n):
-            want_one = (a + b == n - 1)
-            if want_one and eta[a, b] != QuadScalar(1):
-                raise NotClosedFormError("inversion requires eta = antidiag(1..1)")
-            if not want_one and eta[a, b]:
-                raise NotClosedFormError("inversion requires eta = antidiag(1..1)")
-
 
 def apply_symmetry(P: FrobeniusPotential, kind: str, kappa: int | None = None
                    ) -> FrobeniusPotential:
@@ -542,13 +525,15 @@ def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
     n = P.n
     if P.F.has_exp():
         raise NotClosedFormError("inversion of exp-potentials is not closed-form")
-    _check_antidiagonal(P.tensors.eta)
+    eta = P.tensors.eta
+    if any(eta[a, b] != int(a + b == n - 1) for a in range(n) for b in range(n)):
+        raise NotClosedFormError("inversion requires eta = antidiag(1..1)")
     last = n - 1
     that_n_inv = ExpPolynomial.monomial(n, -1, [0] * (n - 1) + [-1])  # t^n = -1/that^n
     mapping = []
-    mid_sum = ExpPolynomial.zero(n)  # sum over middle sigma of that^s that^(n+1-s)
-    for s in range(1, n - 1):
-        mid_sum = mid_sum + ExpPolynomial.variable(n, s) * ExpPolynomial.variable(n, n - 1 - s)
+    # sum over middle sigma of that^s that^(n+1-s)
+    mid_sum = dot(n, ((ExpPolynomial.variable(n, s), ExpPolynomial.variable(n, n - 1 - s))
+                      for s in range(1, n - 1)))[0]
     inv_last = ExpPolynomial.monomial(n, 1, [0] * (n - 1) + [-1])    # 1/that^n
     t1 = ExpPolynomial.variable(n, 0) + (mid_sum * inv_last).scale(Fraction(1, 2))
     mapping.append(t1)
@@ -557,9 +542,7 @@ def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
     mapping.append(that_n_inv)
     Fsub = P.F.substitute(mapping)
     # t_s t^s = 2 t^1 t^n + mid products, evaluated in old coordinates
-    ts2 = ExpPolynomial.variable(n, 0) * ExpPolynomial.variable(n, last) * 2
-    for s in range(1, n - 1):
-        ts2 = ts2 + ExpPolynomial.variable(n, s) * ExpPolynomial.variable(n, n - 1 - s)
+    ts2 = ExpPolynomial.variable(n, 0) * ExpPolynomial.variable(n, last) * 2 + mid_sum
     corr = (ExpPolynomial.variable(n, 0) * ts2).scale(Fraction(1, 2)).substitute(mapping)
     that_n_sq = ExpPolynomial.monomial(n, 1, [0] * (n - 1) + [2])
     Fhat = that_n_sq * (Fsub - corr)
@@ -649,17 +632,12 @@ def tensor_locus(P1: FrobeniusPotential, P2: FrobeniusPotential) -> TensorLocus:
 
     nv = n1 + n2  # the locus is parametrized by (t', t'')
 
-    def embed1(p: ExpPolynomial) -> ExpPolynomial:
-        out = {}
-        for (pows, exps), c in p.terms.items():
-            out[(tuple(pows) + (0,) * n2, tuple(exps) + (0,) * n2)] = c
-        return ExpPolynomial(nv, out)
+    z1, z2 = (0,) * n1, (0,) * n2
 
-    def embed2(p: ExpPolynomial) -> ExpPolynomial:
-        out = {}
-        for (pows, exps), c in p.terms.items():
-            out[((0,) * n1 + tuple(pows), (0,) * n1 + tuple(exps))] = c
-        return ExpPolynomial(nv, out)
+    def embed(p: ExpPolynomial, left: Tuple[int, ...], right: Tuple[int, ...]
+              ) -> ExpPolynomial:
+        return ExpPolynomial(nv, {(left + pows + right, left + exps + right): c
+                                  for (pows, exps), c in p.terms.items()})
 
     c_up = [[[None] * N for _ in range(N)] for _ in range(N)]
     for a1 in range(n1):
@@ -668,7 +646,8 @@ def tensor_locus(P1: FrobeniusPotential, P2: FrobeniusPotential) -> TensorLocus:
                 for b2 in range(n2):
                     for g1 in range(n1):
                         for g2 in range(n2):
-                            val = embed1(c1up[a1][b1][g1]) * embed2(c2up[a2][b2][g2])
+                            val = (embed(c1up[a1][b1][g1], (), z2)
+                                   * embed(c2up[a2][b2][g2], z1, ()))
                             c_up[a1 * n2 + a2][b1 * n2 + b2][g1 * n2 + g2] = val
     lin = [1 - P1.q[a1] - P2.q[a2] for a1 in range(n1) for a2 in range(n2)]
     shifts = []

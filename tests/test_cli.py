@@ -52,6 +52,24 @@ def test_wdvv_check_file_and_failure(capsys, tmp_path):
     assert data["residuals"]["wdvv1_nonzero"] != "0"
 
 
+@pytest.mark.parametrize("target", ["A3", "CP2"])
+def test_wdvv_check_reports_metrics(capsys, target):
+    from frobenii.frobenius import catalog, check_wdvv1
+    code, data = run_cli(capsys, "wdvv", "check", target)
+    assert code == 0
+    m = data["metrics"]
+    seconds = {"tensors_s", "wdvv1_s", "quasihomogeneity_s", "grading_s"}
+    assert set(m) == seconds | {"wdvv1_entries", "wdvv1_products", "wdvv1_skipped"}
+    assert all(m[k] >= 0 for k in seconds)
+    P = catalog(target)
+    rep = check_wdvv1(P)
+    assert [m["wdvv1_entries"], m["wdvv1_products"], m["wdvv1_skipped"]] == \
+        [rep.entries, rep.products, rep.skipped]
+    assert m["wdvv1_entries"] > 0 and m["wdvv1_products"] > 0
+    # only the truncated plane potential skips products
+    assert (m["wdvv1_skipped"] > 0) == (P.exp_truncation is not None)
+
+
 def test_gw_nk_with_csv(capsys, tmp_path):
     csv_path = tmp_path / "nk.csv"
     code, data = run_cli(capsys, "gw", "nk", "--max", "4", "--csv", str(csv_path))
@@ -269,10 +287,18 @@ def test_sing_an_derives_flat_coordinates_once(capsys):
     assert data["results"]["flat_substitution"][1] == "1/5*t4^2 + 1*t2"
 
 
-def test_deterministic_output(capsys):
-    code1, d1 = run_cli(capsys, "wdvv", "check", "B3")
-    code2, d2 = run_cli(capsys, "wdvv", "check", "B3")
-    assert d1 == d2
+def test_deterministic_output(capsys, monkeypatch):
+    # the clock is the one input that may differ between runs: with the same
+    # ticks in both, the whole report, metrics included, must match
+    import itertools
+    import time
+
+    def check():
+        monkeypatch.setattr(time, "perf_counter", itertools.count().__next__)
+        return run_cli(capsys, "wdvv", "check", "B3")
+    code1, d1 = check()
+    code2, d2 = check()
+    assert d1 == d2 and "metrics" in d1
 
 
 @pytest.mark.parametrize("mu1", [None, "-1/4"])

@@ -14,6 +14,7 @@ from frobenii.exact import (
     SingularMatrixError, eigen_small, exact_solve, parse_quad,
     poly_diff, sort_spectrum,
 )
+from frobenii.exact.exppoly import dot
 from frobenii.exact.linalg import _divide, polynomial_roots
 
 # ---------------------------------------------------------------------------
@@ -318,6 +319,91 @@ def test_exp_filters_equal_the_constructor_and_copy_the_terms():
         assert 0 < len(got.terms) < len(src.terms)
         got.terms.clear()
         assert src.terms == before
+
+
+_FIELDS = {
+    "Q": lambda rng: QuadScalar(F(rng.randint(-5, 5), rng.randint(1, 4))),
+    "Z[sqrt2]": lambda rng: QuadScalar(rng.randint(-3, 3), rng.randint(-3, 3), 2),
+    "Z[golden]": lambda rng: (lambda a, b: QuadScalar(F(a, 2), F(a + 2 * b, 2), 5))(
+        rng.randint(-3, 3), rng.randint(-3, 3)),
+}
+
+
+def _random_exppoly(rng, coeff, n=3):
+    # Laurent powers and exp weights of both signs; few distinct keys, so
+    # products collide and partly cancel
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = (tuple(rng.randint(-2, 2) for _ in range(n)),
+               tuple(rng.randint(-1, 2) for _ in range(n)))
+        terms[key] = coeff(rng)
+    return ExpPolynomial(n, terms)
+
+
+def _reference_dot(n, pairs, truncation):
+    # term by term into one dict, zero coefficients dropped by the
+    # constructor; shares no code with ``dot``
+    acc = {}
+    for f, g in pairs:
+        for (p1, e1), c1 in f.terms.items():
+            for (p2, e2), c2 in g.terms.items():
+                key = (tuple(a + b for a, b in zip(p1, p2)),
+                       tuple(a + b for a, b in zip(e1, e2)))
+                acc[key] = acc.get(key, QuadScalar(0)) + c1 * c2
+    full = ExpPolynomial(n, acc)
+    return full if truncation is None else full.truncate_exp(*truncation)
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@pytest.mark.parametrize("seed", range(8))
+def test_dot_equals_the_naive_sum_then_truncation(field, seed):
+    rng = random.Random(seed)
+    coeff = _FIELDS[field]
+    pairs = [(_random_exppoly(rng, coeff), _random_exppoly(rng, coeff))
+             for _ in range(rng.randint(2, 4))]
+    pairs.append((pairs[0][0], -pairs[0][1]))       # cancels the first pair
+    pairs.append((ExpPolynomial.constant(3, coeff(rng) + 7), pairs[1][1]))
+    total = sum(len(f.terms) * len(g.terms) for f, g in pairs)
+    naive = ExpPolynomial.zero(3)
+    for f, g in pairs:
+        naive = naive + f * g
+    for truncation in [None, (0, 0), (1, 1), (2, -1), (rng.randrange(3), 3)]:
+        got, formed, skipped = dot(3, iter(pairs), truncation)
+        want = _reference_dot(3, pairs, truncation)
+        assert got == want
+        assert got == (naive if truncation is None else naive.truncate_exp(*truncation))
+        assert all(got.terms.values())
+        if truncation is None:
+            assert (formed, skipped) == (total, 0)
+        else:
+            var, order = truncation
+            assert skipped == sum(1 for f, g in pairs for (_, e1) in f.terms
+                                  for (_, e2) in g.terms if e1[var] + e2[var] > order)
+            assert formed + skipped == total
+
+
+def test_dot_cancels_to_zero_and_sums_nothing():
+    rng = random.Random(5)
+    f = _random_exppoly(rng, _FIELDS["Z[golden]"]) + _t(0)
+    g = _random_exppoly(rng, _FIELDS["Z[golden]"]) + _t(1)
+    zero, formed, skipped = dot(3, [(f, g), (-f, g), (ExpPolynomial.zero(3), g)])
+    assert zero.is_zero() and zero.nvars == 3
+    assert (formed, skipped) == (2 * len(f.terms) * len(g.terms), 0)
+    assert dot(3, [(f, g), (f, -g)], (1, 0))[0].is_zero()
+    empty, formed, skipped = dot(2, [])
+    assert empty == ExpPolynomial.zero(2) and (formed, skipped) == (0, 0)
+    assert dot(2, [], (0, 0))[0].is_zero()
+
+
+def test_dot_rejects_mixed_fields_and_arities():
+    f = ExpPolynomial.monomial(2, QuadScalar(0, 1, 2), (1, 0))
+    g = ExpPolynomial.monomial(2, QuadScalar(F(1, 2), F(1, 2), 5), (0, 1), (0, 1))
+    with pytest.raises(DiscriminantMismatch):
+        dot(2, [(f, g)])
+    with pytest.raises(DiscriminantMismatch):
+        f * g
+    with pytest.raises(ValueError):
+        dot(2, [(f, _t(0))])
 
 
 # ---------------------------------------------------------------------------

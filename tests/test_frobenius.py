@@ -154,17 +154,18 @@ def _wdvv_by_double_contraction(P):
 
 
 def _perturbed(name):
-    # the coefficient of F's last non-cubic term moved by 1/7
+    # the coefficient of F's last non-cubic term moved by 1/7; a truncated
+    # potential keeps its truncation
     P = catalog(name)
     key = max(k for k in P.F.terms if sum(k[0]) >= 4)
     terms = dict(P.F.terms)
     terms[key] = terms[key] + QuadScalar(F(1, 7))
     return FrobeniusPotential(P.n, ExpPolynomial(P.n, terms), P.d, P.q, P.r,
-                              name=name + "~")
+                              name=name + "~", exp_truncation=P.exp_truncation)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(6)", "CP2(8)", "CP2(10)",
-                                                  "H3~", "H4~"])
+                                                  "H3~", "H4~", "CP2(8)~"])
 def test_wdvv_residuals_match_the_double_contraction(name):
     perturbed = name.endswith("~")
     P = _perturbed(name[:-1]) if perturbed else catalog(name)
@@ -173,6 +174,11 @@ def test_wdvv_residuals_match_the_double_contraction(name):
     assert list(rep.residuals) == list(want)
     assert rep.residuals == want
     assert rep.passed != perturbed
+    # X(ab, gd) is formed once per unordered pair of unordered pairs but
+    # X(aa, aa); only a truncated potential skips products
+    pairs = P.n * (P.n + 1) // 2
+    assert rep.entries == pairs * (pairs + 1) // 2 - P.n
+    assert rep.products > 0 and (rep.skipped > 0) == (P.exp_truncation is not None)
     assert (rep.max_nonzero() > 0) == perturbed
 
 
