@@ -321,11 +321,16 @@ def test_exp_filters_equal_the_constructor_and_copy_the_terms():
         assert src.terms == before
 
 
+def _golden_integer(rng):
+    # (a + c sqrt5)/2 with a = c mod 2 lies in Z[(1+sqrt5)/2]
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    return QuadScalar(F(a, 2), F(a + 2 * b, 2), 5)
+
+
 _FIELDS = {
     "Q": lambda rng: QuadScalar(F(rng.randint(-5, 5), rng.randint(1, 4))),
     "Z[sqrt2]": lambda rng: QuadScalar(rng.randint(-3, 3), rng.randint(-3, 3), 2),
-    "Z[golden]": lambda rng: (lambda a, b: QuadScalar(F(a, 2), F(a + 2 * b, 2), 5))(
-        rng.randint(-3, 3), rng.randint(-3, 3)),
+    "Z[golden]": _golden_integer,
 }
 
 
