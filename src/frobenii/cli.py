@@ -1,8 +1,8 @@
 """Command-line surface with machine-readable JSON reports.
 
 Every subcommand prints one JSON object
-{command, inputs, status, results, residuals} to stdout (`wdvv check` adds a
-top-level `metrics` block) and exits with
+{command, inputs, status, results, residuals} to stdout (`wdvv check` and
+`pvi verify` add a top-level `metrics` block) and exits with
 0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
 error: a step-size underflow, colliding eigenvalues, a failed frame check).
 An input or numerical error prints the same object with status ERROR, the
@@ -161,19 +161,26 @@ def cmd_pvi(args) -> int:
     from . import painleve
     if args.action == "verify":
         fam = painleve.FAMILIES[args.family.upper()]
-        rows = painleve.residual_table(fam, args.samples)
+        t0 = time.perf_counter()
+        grid = painleve.sample_parameters(fam, args.samples)
+        t1 = time.perf_counter()
+        rows = painleve.residual_table(fam, grid)
+        t2 = time.perf_counter()
         worst = max((row[3] for row in rows), default=0.0)
         status = "PASS" if worst < args.tol else "FAIL"
         out = {"family": fam.name, "mu": str(fam.mu1),
                "samples": args.samples, "max_residual": worst}
+        metrics = {"samples": len(rows), "grid_s": t1 - t0, "residual_s": t2 - t1,
+                   "num_bits": max((row[4].bit_length() for row in rows), default=0),
+                   "den_bits": max((row[5].bit_length() for row in rows), default=0)}
         if args.csv:
             import csv as _csv
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 w = _csv.writer(fh)
                 w.writerow(["s", "x", "y", "residual"])
-                w.writerows([str(s), float(x), float(y), r] for s, x, y, r in rows)
+                w.writerows([str(s), float(x), float(y), r] for s, x, y, r, _, _ in rows)
         return _report("pvi verify", {"family": args.family, "tol": args.tol},
-                       status, out, {"max_residual": worst})
+                       status, out, {"max_residual": worst}, metrics=metrics)
     if args.action == "integrate":
         fam = painleve.FAMILIES[args.family.upper()]
         s0, s1 = Fraction(args.s0), Fraction(args.s1)

@@ -6,7 +6,8 @@ of one (6, m) array K: stage i evaluates f at y + h (A_i @ K[:i]), and the
 fifth-order solution and the error estimate are y + h (B5 @ K) and
 h ((B5 - B4) @ K), both from one (2, 6) @ K product.  A guard callback can
 reject steps that enter a forbidden region (singularity margins), which
-triggers step-size reduction and ultimately a StepUnderflowError.
+triggers step-size reduction and ultimately a StepUnderflowError, as does
+running out of the MAX_ATTEMPTS step attempts of one call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ _B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 
 _B5E = np.array([_B5, _B5 - _B4])  # fifth-order weights and the error row
 _C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
 MIN_STEP = 1e-14  # a step below this raises StepUnderflowError
+# Step attempts, accepted or rejected, allowed in one call; one more raises
+# StepUnderflowError.  A guard margin that the solution grazes can reject and
+# regrow h forever without h falling below MIN_STEP.  The largest count in the
+# test suite and the benchmark is 127.
+MAX_ATTEMPTS = 2000
 
 
 class StepUnderflowError(RuntimeError):
@@ -69,6 +75,10 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         h = min(h, abs(s1 - s))
         if h < MIN_STEP:
             raise StepUnderflowError(f"step size underflow at s={s}")
+        if stats.steps + stats.rejected == MAX_ATTEMPTS:
+            raise StepUnderflowError(
+                f"{MAX_ATTEMPTS} step attempts ({stats.rejected} rejected) "
+                f"without reaching s={s1}; stuck at s={s}")
         hs = direction * h
         hA = hs * _A
         failed = False

@@ -13,7 +13,9 @@ WDVV solutions have mu = -1/4, -1/3, -2/5.  Each is stored as an exact
 rational parametrization (x(s), y(s)) with integer coefficients; the stored
 forms were re-derived from the corresponding Frobenius manifolds and
 verified to make the PVI residual vanish identically.  Rational s is
-evaluated exactly; `RationalFunction.jet` is the only derivative path.
+evaluated exactly, in ints: `RationalFunction._cleared_jet` gives the
+derivatives, and the PVI residual is one integer numerator over one
+integer denominator.
 """
 
 from __future__ import annotations
@@ -39,18 +41,22 @@ def _factored(*factors: Tuple[Poly, int]) -> Poly:
     return tuple(reduce(upoly.mul, (p for p, k in factors for _ in range(k)), (1,)))
 
 
-def _pval(c: Poly, s):
-    """c(s), c integer coefficients lowest degree first.  Rational s = p/q
-    (int or Fraction): the exact sum_i c_i p^i q^(d-i) / q^d, summed in ints
-    and reduced once; the empty list, where qk // q = 0, is 0.  Float or
-    complex s: Horner's rule."""
-    exact = isinstance(s, (int, Fraction))
-    p, q = (s.numerator, s.denominator) if exact else (s, 1)
-    num, qk = 0, 1
+def _ratio(s) -> Tuple:
+    """(p, q) with s = p/q for rational s (int or Fraction); (s, 1) for a
+    float or complex s."""
+    if isinstance(s, (int, Fraction)):
+        return s.numerator, s.denominator
+    return s, 1
+
+
+def _hval(c: Poly, p, q):
+    """q^(len(c) - 1) c(p/q) by Horner's rule, c lowest degree first: an
+    int for int p and q, the plain value c(p) for q = 1."""
+    v, qk = 0, 1
     for a in reversed(c):
-        num = num * p + a * qk
+        v = v * p + a * qk
         qk *= q
-    return Fraction(num, qk // q or 1) if exact else num
+    return v
 
 
 class ParametrizationPoleError(ZeroDivisionError):
@@ -60,24 +66,51 @@ class ParametrizationPoleError(ZeroDivisionError):
 @dataclass(frozen=True)
 class RationalFunction:
     """num(s)/den(s), integer coefficients lowest degree first.  Rational s
-    is evaluated exactly; `jet` is the only derivative path."""
+    is evaluated exactly, in ints (`_cleared_jet`); `jet` is the one public
+    derivative path."""
     num: Poly
     den: Poly
 
     @cached_property
     def _jet_polys(self) -> Tuple[Poly, ...]:
+        """num, num', num'', den, den', den'', each padded with zeros to one
+        length, so that at s = p/q all six values carry the same power of q."""
         n1, d1 = upoly.deriv(self.num), upoly.deriv(self.den)
-        return self.num, n1, upoly.deriv(n1), self.den, d1, upoly.deriv(d1)
+        polys = self.num, n1, upoly.deriv(n1), self.den, d1, upoly.deriv(d1)
+        width = max(map(len, polys))
+        return tuple(tuple(c) + (0,) * (width - len(c)) for c in polys)
 
-    def __call__(self, s):
-        d = _pval(self.den, s)
+    def _scaled(self, s) -> Tuple:
+        """(n, d) with r(s) = n/d: at rational s = p/q, the ints q^k num(s)
+        and q^k den(s) for one k; at float or complex s, num(s) and den(s)."""
+        p, q = _ratio(s)
+        polys = self._jet_polys
+        return _hval(polys[0], p, q), _hval(polys[3], p, q)
+
+    def _cleared_jet(self, s) -> Tuple:
+        """(a, a1, a2, b) with r = a/b, r' = a1/b^2 and r'' = a2/b^3 at s, by
+        the quotient rule on the six values of `_jet_polys`: ints for
+        rational s, no division.  A pole raises ParametrizationPoleError."""
+        p, q = _ratio(s)
+        n, n1, n2, d, d1, d2 = (_hval(c, p, q) for c in self._jet_polys)
         if d == 0:
             raise ParametrizationPoleError(f"s = {s} is a pole")
-        return _pval(self.num, s) / d
+        a1 = n1 * d - n * d1
+        return n, a1, (n2 * d - n * d2) * d - 2 * d1 * a1, d
+
+    def __call__(self, s):
+        n, d = self._scaled(s)
+        if d == 0:
+            raise ParametrizationPoleError(f"s = {s} is a pole")
+        return Fraction(n, d) if isinstance(s, (int, Fraction)) else n / d
 
     def jet(self, s) -> Tuple:
-        """(r, r', r'') at s by the quotient rule on num, den and their derivatives."""
-        n, n1, n2, d, d1, d2 = (_pval(c, s) for c in self._jet_polys)
+        """(r, r', r'') at s: Fractions for rational s, from `_cleared_jet`;
+        for float or complex s the quotient rule on the six values."""
+        if isinstance(s, (int, Fraction)):
+            a, a1, a2, b = self._cleared_jet(s)
+            return Fraction(a, b), Fraction(a1, b * b), Fraction(a2, b ** 3)
+        n, n1, n2, d, d1, d2 = (_hval(c, s, 1) for c in self._jet_polys)
         if d == 0:
             raise ParametrizationPoleError(f"s = {s} is a pole")
         r = n / d
@@ -85,7 +118,7 @@ class RationalFunction:
         return r, r1, (n2 - 2 * r1 * d1 - r * d2) / d
 
     def den_nonzero(self, s) -> bool:
-        return _pval(self.den, s) != 0
+        return self._scaled(s)[1] != 0
 
 
 @dataclass(frozen=True)
@@ -156,18 +189,51 @@ def pvi_rhs(mu1, x, y, yp):
 
 
 def _residual(fam: AlgebraicFamily, s, mu1) -> Tuple:
-    """(x, y, y''(x) - rhs) at s, from the jets of x(s) and y(s)."""
-    x, xs, xss = fam.x.jet(s)
-    y, ys, yss = fam.y.jet(s)
-    yp = ys / xs
-    ypp = (yss * xs - ys * xss) / xs ** 3
-    return x, y, ypp - pvi_rhs(fam.mu1 if mu1 is None else mu1, x, y, yp)
+    """(a, b, c, e, N, D): x(s) = a/b, y(s) = c/e and the PVI residual
+    y''(x) - rhs = N/D, with mu = fam.mu1 unless mu1 (rational) is given.
+
+    `_cleared_jet` gives x' = X1/b^2, x'' = X2/b^3, y' = Y1/e^2 and
+    y'' = Y2/e^3, so dy/dx = Y1 b^2/(X1 e^2) and
+    d^2y/dx^2 = (Y2 X1 b - Y1 X2 e) b^3/(e^3 X1^3).  The residual times
+    2 x^2 (x-1)^2 y (y-1)(y-x), over the common denominator
+    b^2 e^6 X1^3 md^2 (2 mu - 1 = mn/md), is N/b^3 below; so
+    N/D with D = 2 aa^2 cc W e^3 X1^3 md^2, where aa = a (a - b),
+    cc = c (c - e) and W = c b - a e = (y - x) b e.  N and D are formed
+    with +, - and * only: at rational s they are ints and no gcd is taken.
+    The same ring operations on polynomials in s (`exact.upoly`) in place
+    of ints give the residual's numerator as one polynomial, which vanishes
+    identically on the algebraic families.
+
+    D = 0 exactly where PVI is singular (x in {0, 1}, y in {0, 1, x}) or
+    x'(s) = 0, and there ZeroDivisionError is raised; a pole of the
+    parametrization raises ParametrizationPoleError."""
+    a, X1, X2, b = fam.x._cleared_jet(s)
+    c, Y1, Y2, e = fam.y._cleared_jet(s)
+    m = 2 * Fraction(fam.mu1 if mu1 is None else mu1) - 1
+    mn, md2 = m.numerator, m.denominator ** 2
+    aa, cc = a * (a - b), c * (c - e)
+    W = c * b - a * e                      # (y - x) b e
+    den = 2 * aa * aa * cc * W * (e * X1) ** 3 * md2
+    if den == 0:
+        raise ZeroDivisionError(f"PVI is singular at s = {s}")
+    X1X1 = X1 * X1
+    num = md2 * (2 * aa * aa * cc * W * (Y2 * X1 * b - Y1 * X2 * e)
+                 - aa * aa * ((2 * c - e) * W + cc * b) * Y1 * Y1 * b * X1
+                 + 2 * cc * aa * (W * (2 * a - b) + e * aa) * Y1 * e * X1X1) \
+        - cc * cc * (W * W * mn * mn + e * e * aa * md2) * X1X1 * X1
+    return a, b, c, e, num * b ** 3, den
+
+
+def _quotient(num, den):
+    """num/den, one correctly rounded true division for ints; 0.0 (never
+    -0.0) when num is 0."""
+    return num / den if num else 0.0
 
 
 def pvi_residual_on_curve(fam: AlgebraicFamily, s, mu1=None) -> complex:
-    """y''(x) - rhs along the parametrized curve; derivatives of the
-    parametrization are exact, the residual is returned as a complex number."""
-    return complex(_residual(fam, s, mu1)[2])
+    """y''(x) - rhs along the parametrized curve; exact for rational s, the
+    residual is returned as a complex number."""
+    return complex(_quotient(*_residual(fam, s, mu1)[4:]))
 
 
 def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
@@ -178,30 +244,30 @@ def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
     while len(out) < count and k < 100 * count:
         s = Fraction(2 * k - 1, 4 * count)  # odd/4N grid in (0, 1/2)
         k += 1
-        try:
-            x, y = algebraic_solution(fam.name, s)
-        except ParametrizationPoleError:
-            continue
-        if x not in (0, 1) and y not in (0, 1, x):
+        a, b = fam.x._scaled(s)
+        c, e = fam.y._scaled(s)
+        # x = a/b, y = c/e: no pole, and x(x-1) y(y-1)(y-x) != 0
+        if b and e and a * (a - b) * c * (c - e) * (c * b - a * e):
             out.append(s)
     if len(out) < count:
         raise ParametrizationPoleError("could not build a pole-free grid")
     return out
 
 
-def residual_table(fam: AlgebraicFamily, sample_count: int, mu1=None) -> List[Tuple]:
-    """(s, x, y, |PVI residual|) with exact x, y at each s of
-    sample_parameters(fam, sample_count)."""
+def residual_table(fam: AlgebraicFamily, grid: Sequence[Fraction], mu1=None) -> List[Tuple]:
+    """(s, x, y, |PVI residual|, N, D) with exact x, y at each s of the
+    grid, the residual being N/D (see `_residual`)."""
     rows = []
-    for s in sample_parameters(fam, sample_count):
-        x, y, res = _residual(fam, s, mu1)
-        rows.append((s, x, y, abs(complex(res))))
+    for s in grid:
+        a, b, c, e, num, den = _residual(fam, s, mu1)
+        rows.append((s, Fraction(a, b), Fraction(c, e), abs(_quotient(num, den)), num, den))
     return rows
 
 
 def verify_algebraic(family: str, sample_count: int = 50, mu1=None) -> float:
     """Max |PVI residual| over a pole-free rational sample grid."""
-    rows = residual_table(FAMILIES[family.upper()], sample_count, mu1)
+    fam = FAMILIES[family.upper()]
+    rows = residual_table(fam, sample_parameters(fam, sample_count), mu1)
     return max((row[3] for row in rows), default=0.0)
 
 

@@ -193,6 +193,19 @@ def test_pvi_integrate_step_underflow_is_an_error_report(capsys):
     assert "underflow" in data["error"]
 
 
+def test_pvi_integrate_grazing_the_guard_margin_is_an_error_report(capsys):
+    # y stays on the guard margin |y - 1| = 1e-4 near sigma = 0.4208, where
+    # guard rejections and accepted steps keep h above MIN_STEP; the attempt
+    # cap ends the run
+    from frobenii.ode import MAX_ATTEMPTS
+    code, data = run_cli(capsys, "pvi", "integrate", "B3",
+                         "--s0", "7/20", "--s1", "2/5")
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert f"{MAX_ATTEMPTS} step attempts" in data["error"]
+    assert "s=0.4207" in data["error"]
+
+
 def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):
     from frobenii.semisimple import IsoState, state_to_dict
     W = np.arange(9.0).reshape(3, 3)
@@ -320,6 +333,23 @@ def test_pvi_verify_csv_max_is_max_residual(capsys, tmp_path, monkeypatch, mu1):
     assert len(column) == 8
     assert max(column) == data["results"]["max_residual"]
     assert code == (0 if mu1 is None else 1)
+    # an identically vanishing residual has the cleared numerator 0
+    m = data["metrics"]
+    assert m["samples"] == 8 and (m["num_bits"] == 0) == (mu1 is None)
+    assert m["den_bits"] > 0
+
+
+def test_pvi_verify_reports_metrics(capsys):
+    from frobenii import painleve
+    fam = painleve.FAMILIES["H3"]
+    code, data = run_cli(capsys, "pvi", "verify", "H3", "--samples", "12")
+    assert code == 0
+    m = data["metrics"]
+    assert set(m) == {"samples", "grid_s", "residual_s", "num_bits", "den_bits"}
+    assert m["samples"] == 12 and m["grid_s"] >= 0 and m["residual_s"] >= 0
+    rows = painleve.residual_table(fam, painleve.sample_parameters(fam, 12))
+    assert m["den_bits"] == max(row[5].bit_length() for row in rows)
+    assert m["num_bits"] == 0
 
 
 def test_pvi_verify_csv(capsys, tmp_path):

@@ -139,3 +139,16 @@ def test_guarded_refusal_matches_the_reference(monkeypatch):
         monkeypatch.setattr(painleve, "integrate", integrator)
         with pytest.raises(StepUnderflowError):
             pvi_integrate(pt, pt.x + 0.05, tol=1e-10, margin=2e-2)
+
+
+def test_attempt_cap_ends_a_run_that_never_underflows(monkeypatch):
+    # a tolerance that needs more steps than the cap allows: the run stops
+    # with the count and the parameter reached, not after the last step
+    from frobenii import ode
+    monkeypatch.setattr(ode, "MAX_ATTEMPTS", 10)
+    with pytest.raises(StepUnderflowError, match=r"10 step attempts .* stuck at s=0\.\d"):
+        integrate(lambda s, y: np.array([np.cos(40 * s)], dtype=complex),
+                  np.zeros(1, dtype=complex), 0.0, 1.0, tol=1e-12)
+    y, stats = integrate(lambda s, y: np.array([np.cos(s)], dtype=complex),
+                         np.zeros(1, dtype=complex), 0.0, 1.0, tol=1e-6)
+    assert stats.steps + stats.rejected < 10 and abs(y[0] - np.sin(1.0)) < 1e-6

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from frobenii.painleve import (
-    FAMILIES, H3_DEGREE9, ParametrizationPoleError, PviPoint, QpkState,
+    FAMILIES, H3_DEGREE9, AlgebraicFamily, ParametrizationPoleError, PviPoint, QpkState,
     RationalFunction, algebraic_solution, log_k_increment, pvi_integrate, pvi_residual_on_curve,
-    pvi_rhs, qp_flow_check, qp_from_family, reconstruct_psi,
+    pvi_rhs, qp_flow_check, qp_from_family, reconstruct_psi, residual_table,
     sample_parameters, verify_algebraic, y_to_qp,
 )
 
@@ -154,6 +154,99 @@ def test_pole_is_reported_by_jet():
 def test_pole_is_reported():
     with pytest.raises(ParametrizationPoleError):
         algebraic_solution("A3", F(1, 3))    # x-pole at 3s = 1
+
+
+def _fraction_residual(fam, s, mu1):
+    """The residual by the Fraction route: the quotient-rule jets and
+    pvi_rhs, or the type of the exception that route raises."""
+    try:
+        x, xs, xss = fam.x.jet(s)
+        y, ys, yss = fam.y.jet(s)
+        yp = ys / xs
+        ypp = (yss * xs - ys * xss) / xs ** 3
+        return complex(ypp - pvi_rhs(fam.mu1 if mu1 is None else mu1, x, y, yp))
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _cleared_residual(fam, s, mu1):
+    try:
+        return pvi_residual_on_curve(fam, s, mu1)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_cleared_residual_equals_the_fraction_route(family):
+    # bit for bit: one correctly rounded division of the cleared numerator
+    # and denominator against complex() of the reduced Fraction
+    fam = FAMILIES[family]
+    rng = random.Random(16)
+    for _ in range(25):
+        s = F(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        for mu in (fam.mu1, F(-1, 3), F(1, 7), F(0)):
+            want = _fraction_residual(fam, s, mu)
+            got = _cleared_residual(fam, s, mu)
+            assert repr(got) == repr(want), (s, mu)
+            if mu == fam.mu1 and not isinstance(want, type):
+                assert got == 0 and repr(got) == "0j"
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_cleared_residual_at_integer_parameter(family):
+    fam = FAMILIES[family]
+    for k in (2, -3, 7):
+        for mu in (None, F(1, 7)):
+            assert (repr(_cleared_residual(fam, k, mu))
+                    == repr(_cleared_residual(fam, F(k), mu))
+                    == repr(_fraction_residual(fam, F(k), mu)))
+
+
+def _line(c0, c1):
+    return RationalFunction((c0, c1), (1,))
+
+
+@pytest.mark.parametrize("fam,s,error", [
+    (FAMILIES["A3"], F(1, 3), ParametrizationPoleError),    # x-pole, 3s = 1
+    (FAMILIES["A3"], F(-1), ParametrizationPoleError),      # x-pole, s = -1
+    (FAMILIES["A3"], F(1), ZeroDivisionError),              # x = y = 0
+    (FAMILIES["A3"], F(0), ZeroDivisionError),              # x = 1
+    (FAMILIES["B3"], F(-2), ParametrizationPoleError),
+    (FAMILIES["B3"], F(2), ZeroDivisionError),              # x = y = 0
+    (FAMILIES["H3"], F(1, 3), ParametrizationPoleError),
+    (FAMILIES["H3"], F(-1, 3), ZeroDivisionError),          # x = y = 0
+    # x(s) = 2 + s^2, y(s) = 3 + s: x'(0) = 0
+    (AlgebraicFamily("T", F(1, 7), RationalFunction((2, 0, 1), (1,)), _line(3, 1)),
+     F(0), ZeroDivisionError),
+    (AlgebraicFamily("T", F(1, 7), _line(2, 1), _line(2, 2)), F(0), ZeroDivisionError),  # y = x
+    (AlgebraicFamily("T", F(1, 7), _line(2, 1), _line(1, 2)), F(0), ZeroDivisionError),  # y = 1
+    (AlgebraicFamily("T", F(1, 7), _line(2, 1), _line(0, 2)), F(0), ZeroDivisionError),  # y = 0
+    (AlgebraicFamily("T", F(1, 7), _line(2, 1), RationalFunction((1,), (-1, 2))),
+     F(1, 2), ParametrizationPoleError),                                                 # y-pole
+])
+def test_cleared_residual_raises_where_the_fraction_route_does(fam, s, error):
+    assert _fraction_residual(fam, s, None) is error
+    with pytest.raises(error) as info:
+        pvi_residual_on_curve(fam, s)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("y", [_line(1, 9), _line(0, 8), _line(-1, 8),
+                               RationalFunction((1,), (-1, 8))])
+def test_grid_skips_singular_and_pole_values(y):
+    # at s = 1/8, the first point of the 2-point grid, x = 17/8 and
+    # y = x, 1, 0 or a pole
+    fam = AlgebraicFamily("T", F(1, 7), _line(2, 1), y)
+    assert sample_parameters(fam, 2) == [F(3, 8), F(5, 8)]
+
+
+def test_residual_table_is_exact_and_cleared():
+    fam = FAMILIES["B3"]
+    grid = sample_parameters(fam, 6)
+    for s, x, y, res, num, den in residual_table(fam, grid, F(1, 7)):
+        assert (x, y) == algebraic_solution("B3", s)
+        assert type(num) is int and type(den) is int and abs(num / den) == res
+        assert res == abs(_fraction_residual(fam, s, F(1, 7)))
 
 
 def test_residual_on_complex_parameter():
