@@ -118,7 +118,7 @@ class RationalFunction:
         return r, r1, (n2 - 2 * r1 * d1 - r * d2) / d
 
     def den_nonzero(self, s) -> bool:
-        return self._scaled(s)[1] != 0
+        return _hval(self._jet_polys[3], *_ratio(s)) != 0
 
 
 @dataclass(frozen=True)
