@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .ode import StepUnderflowError
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -328,8 +327,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError, ArithmeticError,
-            StepUnderflowError) as exc:
+    except Exception as exc:
+        # ode loads numpy, so it is imported on this error path only
+        from .ode import StepUnderflowError
+        if not isinstance(exc, (KeyError, ValueError, OSError, ArithmeticError,
+                                StepUnderflowError)):
+            raise
         inputs = {key: val for key, val in vars(args).items()
                   if key not in ("command", "action", "func")}
         return _report(f"{args.command} {args.action}", inputs, "ERROR", {},

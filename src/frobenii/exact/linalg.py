@@ -15,7 +15,9 @@ brought back to a QuadScalar once.  Yun's square-free decomposition
 exact multiplicities.  The numeric eigensolver is LAPACK (np.linalg.eig)
 with a residual check; its canonical (Re, Im) order treats real parts
 equal up to rounding as equal, so a conjugate pair always comes out
-ordered by Im.
+ordered by Im.  numpy is imported by the two numeric functions only,
+`polynomial_roots` and `eigen_small`, so the exact part of this module,
+and everything that uses only it, loads without numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .scalars import ONE, ZERO, QuadScalar, ScalarLike, _field_of, _norm
 from .upoly import square_free
@@ -280,6 +280,7 @@ def polynomial_roots(coeffs: Sequence[ScalarLike]) -> List[complex]:
     repeated by its exact multiplicity: np.roots of each square-free factor,
     whose roots are simple and so accurate to rounding even where the
     polynomial itself has repeated roots."""
+    import numpy as np
     roots: List[complex] = []
     for a, mult in square_free([QuadScalar.coerce(c) for c in coeffs]):
         simple = np.roots([complex(c) for c in reversed(a)])
@@ -338,6 +339,7 @@ def eigen_small(M: np.ndarray, tol: float = 1e-9) -> Tuple[List[complex], np.nda
     sort_spectrum and the matching unit eigenvectors as columns.  Raises if a
     residual ||Mv - lambda v|| exceeds tol * max(1, max |M_ij|).
     """
+    import numpy as np
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):

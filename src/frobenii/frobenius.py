@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exact.exppoly import ExpPolynomial, NotClosedFormError, dot
 from .exact.linalg import ExactMatrix, SingularMatrixError
 from .exact.scalars import QuadScalar, _field_of, parse_quad
@@ -201,6 +199,7 @@ def structure_constants(P: FrobeniusPotential) -> Tensors:
 
 def numeric_lowering(P: FrobeniusPotential) -> Numeric:
     """Lowers P from scratch; callers read the cached ``P.numeric``."""
+    import numpy as np
     n = P.n
     c_low, _, eta, eta_inv = P.tensors
     coeffs, powers, weights, columns = [], [], [], []

@@ -15,7 +15,9 @@ forms were re-derived from the corresponding Frobenius manifolds and
 verified to make the PVI residual vanish identically.  Rational s is
 evaluated exactly, in ints: `RationalFunction._cleared_jet` gives the
 derivatives, and the PVI residual is one integer numerator over one
-integer denominator.
+integer denominator.  numpy and the integrator of `ode` are imported by
+the numeric functions that use them (`pvi_integrate`, `log_k_increment`,
+`reconstruct_psi`), so the exact half loads without numpy.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .exact import upoly
-from .ode import integrate
 
 Poly = Tuple[int, ...]
 
@@ -288,6 +287,8 @@ def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10,
     """Integrate PVI along the straight segment from pt0.x to x1 with an
     embedded adaptive Runge-Kutta; refuses to approach y in {0, 1, x} or
     x in {0, 1} closer than `margin`."""
+    import numpy as np
+    from .ode import integrate
     x0 = complex(pt0.x)
     x1 = complex(x1)
     if x1 == x0:
@@ -429,6 +430,8 @@ def log_k_increment(family: str, s_from, s_to) -> complex:
     slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start), by
     the adaptive integrator of `ode` on the straight s-segment at tolerance
     LOG_K_TOL."""
+    import numpy as np
+    from .ode import integrate
     fam = FAMILIES[family.upper()]
     mu1 = complex(Fraction(fam.mu1))
     s0 = complex(s_from)
@@ -453,6 +456,7 @@ def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:
         psi_{i1}^2        = -(q - u_i) B_i^2 / (4 mu^4 k P'(u_i))
 
     and the middle column from the +i cross-product convention."""
+    import numpy as np
     u = state.u
     mu1 = complex(Fraction(mu1)) if isinstance(mu1, Fraction) else complex(mu1)
     k = np.exp(state.logk)

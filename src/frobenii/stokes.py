@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _lift, _matmul,
@@ -50,9 +50,16 @@ def _flat_pairs(n: int) -> Tuple[Tuple[int, int, int], ...]:
 class StokesMatrix:
     """Upper-triangular, unit-diagonal square matrix over one field Q(sqrt m),
     stored as `flat`, the (p, q, d) ints of its upper entries row-major,
-    and `m`; entries from two fields raise DiscriminantMismatch."""
+    and `m`; entries from two fields raise DiscriminantMismatch.  A
+    StokesMatrix never changes: `n`, `m` and `flat` are read-only."""
 
-    __slots__ = ("n", "m", "flat", "_mat")
+    # read-only properties over private slots, so that making a matrix stays
+    # four plain slot stores: a __setattr__ that refused writes would send
+    # them through object.__setattr__, about 0.5 us more per matrix
+    __slots__ = ("_n", "_m", "_flat", "_mat")
+    n = property(attrgetter("_n"))
+    m = property(attrgetter("_m"))
+    flat = property(attrgetter("_flat"))
 
     def __init__(self, entries: Sequence[Sequence] | ExactMatrix):
         mat = entries if isinstance(entries, ExactMatrix) else ExactMatrix(entries)
@@ -63,9 +70,9 @@ class StokesMatrix:
             if any(r[:i]):
                 raise ValueError("matrix must be upper triangular")
         upper = [rows[i][j] for i, j in _upper_pairs(mat.n)]
-        self.n = mat.n
-        self.m = _field_of(upper)
-        self.flat = tuple(x for c in upper for x in (c.p, c.q, c.d))
+        self._n = mat.n
+        self._m = _field_of(upper)
+        self._flat = tuple(x for c in upper for x in (c.p, c.q, c.d))
         self._mat = mat
 
     @staticmethod
@@ -97,7 +104,7 @@ class StokesMatrix:
     def mat(self) -> ExactMatrix:
         """The matrix of QuadScalars, built from `flat` on first read."""
         if self._mat is None:
-            n, t, m = self.n, self.flat, self.m
+            n, t, m = self._n, self._flat, self._m
             rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
             for i, j, k in _flat_pairs(n):
                 q = t[k + 1]
@@ -109,17 +116,20 @@ class StokesMatrix:
         return self.mat[ij]
 
     def __eq__(self, other):
-        return (isinstance(other, StokesMatrix) and self.flat == other.flat
-                and self.m == other.m and self.n == other.n)
+        return (isinstance(other, StokesMatrix) and self._flat == other._flat
+                and self._m == other._m and self._n == other._n)
 
     def __hash__(self):
-        return hash(self.flat)
+        return hash(self._flat)
 
     def key(self) -> Tuple[int, ...]:
         """Flat tuple of ints (p, q, d, m) of each upper entry, row-major."""
-        t, m = self.flat, self.m
-        return tuple(x for k in range(0, len(t), 3)
-                     for x in (t[k], t[k + 1], t[k + 2], m if t[k + 1] else 1))
+        m = self._m
+        out: List[int] = []
+        it = iter(self._flat)
+        for p, q, d in zip(it, it, it):
+            out += (p, q, d, m if q else 1)
+        return tuple(out)
 
     def __repr__(self):
         return f"StokesMatrix({self.mat!r})"
@@ -176,9 +186,9 @@ def _flat_plan(n: int, letter: int):
 def _wrap(n: int, t: Flat, m: int) -> StokesMatrix:
     """The StokesMatrix of a flat tuple over Q(sqrt m), without checks."""
     S = object.__new__(StokesMatrix)
-    S.n = n
-    S.m = m
-    S.flat = t
+    S._n = n
+    S._m = m
+    S._flat = t
     S._mat = None
     return S
 
@@ -257,10 +267,10 @@ def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> Stoke
     if isinstance(word, str):
         word = BraidWord.parse(word)
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    t, m = S.flat, S.m
+    n, t, m = S.n, S.flat, S.m
     for letter in letters:
-        t = _step(t, _flat_plan(S.n, letter), m)
-    return _wrap(S.n, t, m)
+        t = _step(t, _flat_plan(n, letter), m)
+    return _wrap(n, t, m)
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
@@ -299,8 +309,9 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
 
     def result(finite: bool, frontier_size: int, steps: int) -> OrbitResult:
         reps = [_wrap(n, t, m) for t in keep]
-        bits = {f: max(map(abs, chain.from_iterable(t[k::3] for t in seen)),
-                       default=0).bit_length() for k, f in enumerate("pqd")}
+        flat = list(chain.from_iterable(seen))
+        bits = {f: max(map(abs, flat[k::3]), default=0).bit_length()
+                for k, f in enumerate("pqd")}
         return OrbitResult(finite, len(seen), reps, frontier_size, levels, bits,
                            time.perf_counter() - t0, steps)
 

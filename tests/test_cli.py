@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frobenii
 from frobenii.cli import main
 
 
@@ -360,3 +364,40 @@ def test_pvi_verify_csv(capsys, tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "s,x,y,residual"
     assert len(rows) == 6
+
+
+# The README commands that do no floating-point work, run one after another
+# in a fresh interpreter (pytest itself has numpy loaded); then one numeric
+# command, which loads numpy where it integrates.
+_EXACT_COMMANDS = [
+    ["catalog", "list"], ["catalog", "show", "H4"], ["wdvv", "check", "A3"],
+    ["gw", "nk", "--max", "20"], ["gw", "elliptic", "--max", "40"],
+    ["gw", "fit", "--max", "40"], ["stokes", "orbit", "A3-graph"],
+    ["stokes", "braid", "CP2", "--word", "1 2 -1"], ["stokes", "cp2-monodromy"],
+    ["pvi", "verify", "H3"], ["sing", "an", "--n", "3"],
+]
+_CHILD = """
+import contextlib, io, json, sys
+from frobenii import cli, frobenius, gwcp2, painleve, singularity, stokes
+out = {"imported": "numpy" in sys.modules, "codes": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(cli.main(argv))
+out["exact"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    out["integrate"] = cli.main(["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10"])
+out["numeric"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_exact_commands_run_without_numpy():
+    src = str(Path(frobenii.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(_EXACT_COMMANDS)],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0] * len(_EXACT_COMMANDS)
+    assert not out["imported"] and not out["exact"]
+    assert out["integrate"] == 0 and out["numeric"]

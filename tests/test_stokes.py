@@ -349,6 +349,17 @@ def test_triple_route_matches_matrix_route_orbit():
         assert got == ref, S
 
 
+def test_max_bits_is_the_largest_field_over_every_node():
+    # brute force: the reference BFS keeps every node it visits as a
+    # QuadScalar matrix and reads |p|, |q| and d off each upper entry
+    rt2 = QuadScalar(0, 1, 2)
+    for S, cap in ((stokes_catalog("CP2"), 1000),
+                   (StokesMatrix.from_triple(1 + rt2, rt2, 2), 300)):
+        bits = orbit(S, max_size=cap).max_bits
+        assert bits == _reference_orbit(S, cap)["max_bits"]
+        assert bits["p"] > 8 and (bits["q"] > 1) == (S.m == 2)
+
+
 def test_orbit_steps_counted():
     res = orbit(stokes_catalog("H4-nonstd-1"), max_size=10 ** 6)
     assert res.finite and res.steps == 6 * 90    # 2(n-1) per node expanded
@@ -368,6 +379,21 @@ def test_stokes_entries_cannot_be_assigned():
     with pytest.raises(TypeError):
         S.mat.rows[0][2] = QuadScalar(0, 1, 5)
     assert S.mat[0, 2] == 0
+
+
+def test_stokes_matrix_attributes_cannot_be_assigned():
+    S = StokesMatrix.from_upper(3, {(0, 1): QuadScalar(0, 1, 2), (1, 2): 1})
+    T = stokes_catalog("CP2")
+    before = (S.n, S.m, S.flat, S.key(), S.mat)
+    for name, value in (("flat", T.flat), ("m", 1), ("n", 4)):
+        with pytest.raises(AttributeError):
+            setattr(S, name, value)
+        with pytest.raises(AttributeError):
+            delattr(S, name)
+    assert (S.n, S.m, S.flat, S.key(), S.mat) == before and S != T
+    # a matrix made by the braid kernel still builds its QuadScalar form once
+    R = braid_generator(S, 1)
+    assert R.mat is R.mat and R[0, 1] == -QuadScalar(0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +520,7 @@ def test_flat_storage_matches_matrix_on_catalog():
 @pytest.mark.parametrize("ring", list(_POOLS))
 def test_flat_storage_matches_matrix_seeded(ring):
     rng = random.Random(f"flat-{ring}")
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(12):
             S = StokesMatrix.from_upper(n, {(i, j): rng.choice(_POOLS[ring])
                                             for i in range(n) for j in range(i + 1, n)})
