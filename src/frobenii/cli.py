@@ -327,12 +327,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except Exception as exc:
-        # ode loads numpy, so it is imported on this error path only
-        from .ode import StepUnderflowError
-        if not isinstance(exc, (KeyError, ValueError, OSError, ArithmeticError,
-                                StepUnderflowError)):
-            raise
+    except (KeyError, ValueError, OSError, ArithmeticError) as exc:
         inputs = {key: val for key, val in vars(args).items()
                   if key not in ("command", "action", "func")}
         return _report(f"{args.command} {args.action}", inputs, "ERROR", {},

@@ -1,32 +1,35 @@
 """Small dense linear algebra: exact over Q(sqrt m), numeric over C.
 
-An exact matrix over one field Q(sqrt m) is lifted once to A/D (`_lift`):
-D is the lcm of the entries' denominators and A holds pairs (p, q) of
-Python ints meaning p + q sqrt(m), an element of Z[sqrt m]; entries from
-two fields raise DiscriminantMismatch (`scalars._field_of`).  Rows are
-tuples: a matrix never changes.  Determinant, inverse and solve share one
-fraction-free (Bareiss) elimination of A, whose divisions by the
+An ExactMatrix over one field Q(sqrt m) is stored as its integer lift A/D:
+D > 0 and A the ints p, q of each D * entry = p + q sqrt m, row-major, in
+normal form (gcd of D and all of A is 1; m = 1 when every q is 0), so ==
+compares fields.  Every operation runs on the lift; the QuadScalar `rows`
+are built on first read.  A matrix made from rows is lifted (`_lift`) at
+its first integer operation, where entries from two fields raise
+DiscriminantMismatch (`scalars._field_of`).  Determinant, inverse and solve
+share one fraction-free (Bareiss) elimination of A, whose divisions by the
 previous pivot are exact in Z[sqrt m] and go through the pivot's norm
 p^2 - q^2 m; characteristic polynomials run Faddeev-LeVerrier on A, whose
-divisions by k are exact for the same reason.  A nonzero remainder raises
-ArithmeticError instead of being floored, and each returned entry is
-brought back to a QuadScalar once.  Yun's square-free decomposition
-(`upoly.square_free`) gives the roots of a characteristic polynomial with
-exact multiplicities.  The numeric eigensolver is LAPACK (np.linalg.eig)
-with a residual check; its canonical (Re, Im) order treats real parts
-equal up to rounding as equal, so a conjugate pair always comes out
-ordered by Im.  numpy is imported by the two numeric functions only,
-`polynomial_roots` and `eigen_small`, so the exact part of this module,
-and everything that uses only it, loads without numpy.
+divisions by k are exact for the same reason; a nonzero remainder raises
+ArithmeticError.  Yun's square-free decomposition (`upoly.square_free`)
+gives the roots of a characteristic polynomial with exact multiplicities.
+The numeric eigensolver is LAPACK (np.linalg.eig) with a residual check;
+its canonical (Re, Im) order treats real parts equal up to rounding as
+equal, so a conjugate pair always comes out ordered by Im.  numpy is
+imported by `polynomial_roots` and `eigen_small` only, so the exact part of
+this module, and everything that uses only it, loads without numpy.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
+from operator import add, itemgetter, neg, sub
 from typing import List, Sequence, Tuple
 
-from .scalars import ONE, ZERO, QuadScalar, ScalarLike, _field_of, _norm
+from .scalars import (ZERO, DiscriminantMismatch, QuadScalar, ScalarLike,
+                      _field_of, _norm)
 from .upoly import square_free
 
 
@@ -34,80 +37,86 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-Row = List[QuadScalar]
+Pair = Tuple[int, int]
+IntRows = List[List[Pair]]
+Flat = Tuple[int, ...]          # p, q of each entry of A, row-major
+_PAIR_ZERO = (0, 0)
 
 
 class ExactMatrix:
-    """Square matrix over one quadratic field; `rows` is a tuple of tuples."""
+    """Square matrix over one quadratic field, stored as A/D (see the module
+    docstring); `rows`, a tuple of tuples of QuadScalars, is read-only."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "_m", "_D", "_A", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         self.n = len(rows)
-        self.rows = tuple(tuple(QuadScalar.coerce(x) for x in r) for r in rows)
-        if any(len(r) != self.n for r in self.rows):
+        self._rows = tuple(tuple(QuadScalar.coerce(x) for x in r) for r in rows)
+        if any(len(r) != self.n for r in self._rows):
             raise ValueError("matrix must be square")
+        self._A = None
 
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def _wrap(rows: Sequence[Sequence[QuadScalar]]) -> "ExactMatrix":
-        """Matrix on rows of QuadScalars, frozen into tuples (no coercion)."""
-        M = object.__new__(ExactMatrix)
-        M.n = len(rows)
-        M.rows = tuple(map(tuple, rows))
-        return M
+    @property
+    def rows(self) -> Tuple[Tuple[QuadScalar, ...], ...]:
+        if self._rows is None:
+            m, D = self._m, self._D
+            self._rows = tuple(tuple(_norm(p, q, D, m) for p, q in r)
+                               for r in _pairs(self._A, self.n))
+        return self._rows
+
+    def lift(self) -> Tuple[int, int, Flat]:
+        """(m, D, A), lifting a matrix made from rows on first call."""
+        if self._A is None:
+            self._m, self._D, self._A = _lift(self._rows)
+        return self._m, self._D, self._A
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        A = [0] * (2 * n * n)
+        A[::2 * n + 2] = [1] * n
+        return _matrix(n, 1, 1, tuple(A))
 
     @staticmethod
     def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * n for _ in range(n)])
+        return _matrix(n, 1, 1, (0,) * (2 * n * n))
 
     def __getitem__(self, ij: Tuple[int, int]) -> QuadScalar:
         return self.rows[ij[0]][ij[1]]
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix._wrap([[a + b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        return _sum(self, other, add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix._wrap([[a - b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        return _sum(self, other, sub)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._wrap([[-a for a in r] for r in self.rows])
+        m, D, A = self.lift()
+        return _matrix(self.n, m, D, tuple(map(neg, A)))
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
         c = QuadScalar.coerce(c)
-        return ExactMatrix._wrap([[a * c for a in r] for r in self.rows])
+        m, D, A = self.lift()
+        m, p, q, it = _join(m, c.m), c.p, c.q, iter(A)
+        return _reduced(self.n, m, D * c.d, tuple(chain.from_iterable(
+            (x * p + y * q * m, x * q + y * p) for x, y in zip(it, it))))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        n = self.n
-        out = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            ri = self.rows[i]
-            for k in range(n):
-                a = ri[k]
-                if not a:
-                    continue
-                rk = other.rows[k]
-                oi = out[i]
-                for j in range(n):
-                    if rk[j]:
-                        oi[j] = oi[j] + a * rk[j]
-        return ExactMatrix._wrap(out)
+        (m1, D1, A1), (m2, D2, A2), n = self.lift(), other.lift(), self.n
+        m = _join(m1, m2)
+        return _reduced(n, m, D1 * D2, _flat(_matmul(_pairs(A1, n), _pairs(A2, n), m)))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._wrap(list(zip(*self.rows)))
+        m, D, A = self.lift()
+        return _matrix(self.n, m, D, _transposer(self.n)(A))
 
     def trace(self) -> QuadScalar:
-        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
+        m, D, A = self.lift()
+        step = 2 * self.n + 2
+        return _norm(sum(A[::step]), sum(A[1::step]), D, m)
 
     def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
+        return isinstance(other, ExactMatrix) and self.lift() == other.lift()
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.rows)
@@ -115,42 +124,95 @@ class ExactMatrix:
 
     # -- solving -------------------------------------------------------------
     def inverse(self) -> "ExactMatrix":
-        n = self.n
-        return ExactMatrix._wrap(_solve(
-            [list(r) + [ONE if i == j else ZERO for j in range(n)]
-             for i, r in enumerate(self.rows)]))
+        m, N, d = _solve(self, ExactMatrix.identity(self.n).lift(), self.n)
+        return _reduced(self.n, m, d, _flat(N))
 
     def det(self) -> QuadScalar:
-        m, D, A = _lift(self.rows)
+        m, D, A = self.lift()
         try:
-            sign, (p, q) = _bareiss(A, m)
+            sign, (p, q) = _bareiss(_pairs(A, self.n), m)
         except SingularMatrixError:
             return ZERO
         return _norm(sign * p, sign * q, D ** self.n, m)
 
     def charpoly(self) -> List[QuadScalar]:
         """Coefficients [c0..cn] of det(lambda*I - M) = sum c_k lambda^k (c_n = 1)."""
-        return _charpoly(*_lift(self.rows))
+        m, D, A = self.lift()
+        return _charpoly(m, D, _pairs(A, self.n))
 
 
 # ---------------------------------------------------------------------------
-# integer kernel: A/D with A over Z[sqrt m] as (p, q) pairs of ints
+# the stored form and the integer kernel: A over Z[sqrt m] as (p, q) pairs
 # ---------------------------------------------------------------------------
 
-Pair = Tuple[int, int]
-IntRows = List[List[Pair]]
-_PAIR_ZERO = (0, 0)
+_new = object.__new__
 
 
-def _lift(rows: Sequence[Sequence[QuadScalar]]) -> Tuple[int, int, IntRows]:
-    """(m, D, A) with rows = A/D: m the one discriminant of the entries (1
-    when all are rational), D the lcm of their denominators and A the
-    (p, q) pairs of D * entry."""
+def _matrix(n: int, m: int, D: int, A: Flat) -> ExactMatrix:
+    """The ExactMatrix A/D over Q(sqrt m), already in normal form."""
+    M = _new(ExactMatrix)
+    M.n, M._m, M._D, M._A, M._rows = n, m, D, A, None
+    return M
+
+
+def _reduced(n: int, m: int, D: int, A: Flat) -> ExactMatrix:
+    """The ExactMatrix A/D over Q(sqrt m), D != 0, brought to normal form."""
+    if D < 0:
+        D, A = -D, tuple(map(neg, A))
+    if D != 1:
+        g = gcd(D, *A)
+        if g != 1:
+            D, A = D // g, tuple([x // g for x in A])
+    if m != 1 and not any(A[1::2]):
+        m = 1
+    return _matrix(n, m, D, A)
+
+
+def _join(m1: int, m2: int) -> int:
+    """The field of values over Q(sqrt m1) and Q(sqrt m2) (1: rational)."""
+    if m1 == m2 or m2 == 1:
+        return m1
+    if m1 == 1:
+        return m2
+    raise DiscriminantMismatch(f"sqrt({m1}) vs sqrt({m2})")
+
+
+def _sum(X: ExactMatrix, Y: ExactMatrix, op) -> ExactMatrix:
+    """X + Y or X - Y (op = add, sub), over the lcm of the two D."""
+    (m1, D1, A1), (m2, D2, A2) = X.lift(), Y.lift()
+    m = _join(m1, m2)
+    if D1 == D2:
+        return _reduced(X.n, m, D1, tuple(map(op, A1, A2)))
+    D = lcm(D1, D2)
+    f1, f2 = D // D1, D // D2
+    return _reduced(X.n, m, D, tuple([op(x * f1, y * f2) for x, y in zip(A1, A2)]))
+
+
+@lru_cache(maxsize=None)
+def _transposer(n: int):
+    """Takes the flat A of an n x n matrix to that of its transpose."""
+    at = [2 * (i * n + j) for j in range(n) for i in range(n)]
+    return itemgetter(*[x for k in at for x in (k, k + 1)]) if n else tuple
+
+
+def _lift(rows: Sequence[Sequence[QuadScalar]]) -> Tuple[int, int, Flat]:
+    """(m, D, A) with rows = A/D, D the lcm of the entries' d (so that
+    gcd(D, A) = 1, as each entry's gcd(p, q, d) is 1)."""
     m = _field_of(chain.from_iterable(rows))
     D = lcm(*[c.d for r in rows for c in r])
-    if D == 1:
-        return m, 1, [[(c.p, c.q) for c in r] for r in rows]
-    return m, D, [[(c.p * (D // c.d), c.q * (D // c.d)) for c in r] for r in rows]
+    return m, D, tuple([x for r in rows for c in r
+                        for x in (c.p * (D // c.d), c.q * (D // c.d))])
+
+
+def _pairs(A: Flat, w: int) -> IntRows:
+    """The rows of (p, q) pairs of a flat A with w columns."""
+    it = iter(A)
+    row = list(zip(it, it))
+    return [row[k:k + w] for k in range(0, len(row), w or 1)]
+
+
+def _flat(rows: IntRows) -> Flat:
+    return tuple(chain.from_iterable(chain.from_iterable(rows)))
 
 
 def _divide(p: int, q: int, a: int, b: int, m: int) -> Pair:
@@ -208,18 +270,22 @@ def _bareiss(A: IntRows, m: int) -> Tuple[int, Pair]:
     return sign, (a, b)
 
 
-def _solve(rows: List[List[QuadScalar]]) -> List[Row]:
-    """X with M X = B for the n rows [M | B] over one field, M n x n.
+def _solve(M: ExactMatrix, lifted: Tuple[int, int, Flat], w: int
+           ) -> Tuple[int, IntRows, int]:
+    """(m, N, d) with M X = B for X = N/d over Q(sqrt m), B = the n x w lift
+    (m_B, D_B, B_flat).
 
-    One lift of [M | B] over one D (which cancels), `_bareiss`, then
-    fraction-free back substitution for Y = pivot * X, which lies in
-    Z[sqrt m] (pivot = +-det of the lifted M), so its divisions by the
-    diagonal are exact; each entry of X is Y / pivot, reduced once."""
-    n = len(rows)
-    m, _, A = _lift(rows)
+    M = L/D, so D_B L X = D B_flat: `_bareiss` of the int rows
+    [D_B L | D B_flat], then fraction-free back substitution for Y = pivot X,
+    which lies in Z[sqrt m] (pivot = +-det of D_B L), so its divisions by
+    the diagonal are exact; X = Y conj(pivot) / norm(pivot)."""
+    (m, D, L), (mb, Db, B), n = M.lift(), lifted, M.n
+    m = _join(m, mb)
+    A = _pairs([x * Db for x in L], n)
+    for r, right in zip(A, _pairs([x * D for x in B], w)):
+        r += right
     _, (a, b) = _bareiss(A, m)
-    norm = a * a - b * b * m        # Y / pivot = Y * conj(pivot) / norm
-    out: List[Row] = [[] for _ in range(n)]
+    N: IntRows = [[] for _ in range(n)]
     for c in range(n, len(A[0]) if n else 0):
         y: List[Pair] = [_PAIR_ZERO] * n
         for i in range(n - 1, -1, -1):
@@ -233,8 +299,8 @@ def _solve(rows: List[List[QuadScalar]]) -> List[Row]:
                 q -= up * yq + uq * yp
             y[i] = _divide(p, q, *ri[i], m)
         for i, (p, q) in enumerate(y):
-            out[i].append(_norm(p * a - q * b * m, q * a - p * b, norm, m))
-    return out
+            N[i].append((p * a - q * b * m, q * a - p * b))
+    return m, N, a * a - b * b * m
 
 
 def _matmul(A: IntRows, B: IntRows, m: int) -> IntRows:
@@ -296,8 +362,8 @@ def exact_solve(A: ExactMatrix | Sequence[Sequence[ScalarLike]],
     n = A.n
     if len(rhs) != n:
         raise ValueError("rhs length mismatch")
-    return [x for (x,) in _solve([list(r) + [QuadScalar.coerce(v)]
-                                  for r, v in zip(A.rows, rhs)])]
+    m, N, d = _solve(A, _lift([[QuadScalar.coerce(v)] for v in rhs]), 1)
+    return [_norm(p, q, d, m) for ((p, q),) in N]
 
 
 # ---------------------------------------------------------------------------

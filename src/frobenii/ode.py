@@ -39,8 +39,9 @@ MIN_STEP = 1e-14  # a step below this raises StepUnderflowError
 MAX_ATTEMPTS = 2000
 
 
-class StepUnderflowError(RuntimeError):
-    pass
+class StepUnderflowError(ArithmeticError):
+    """The integration cannot proceed: a numerical failure, reported by the
+    CLI like any other ArithmeticError."""
 
 
 @dataclass

@@ -10,8 +10,9 @@ matrices are identified modulo S ~ J S J, J = diag(+-1).
 A StokesMatrix stores only `flat`, the Python ints (p, q, d) of its upper
 entries row-major, and the one discriminant m of its field (the rule of
 `scalars._field_of`).  The braid action, the sign normalization, the orbit
-BFS, ==, hash and `key()` run on `flat`; QuadScalars appear only in `mat`
-(built on first read, then cached), `S[i, j]`, `upper()` and `triple()`.
+BFS, ==, hash, `key()` and the reducibility scan run on `flat`; `mat`, the
+ExactMatrix lift A/D, is built from it on first read, then cached, and
+QuadScalars appear only in `S[i, j]`, `upper()` and `triple()`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _lift, _matmul,
-                           polynomial_roots, sort_spectrum)
-from .exact.scalars import ONE, ZERO, QuadScalar, _field_of, _make, parse_quad
+from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _matmul, _matrix,
+                           _pairs, polynomial_roots, sort_spectrum)
+from .exact.scalars import ONE, ZERO, QuadScalar, _make, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 KEEP_REPRESENTATIVES = 16  # orbit nodes kept in OrbitResult.representatives
@@ -63,16 +64,23 @@ class StokesMatrix:
 
     def __init__(self, entries: Sequence[Sequence] | ExactMatrix):
         mat = entries if isinstance(entries, ExactMatrix) else ExactMatrix(entries)
-        rows = mat.rows
-        for i, r in enumerate(rows):
-            if r[i] != ONE:
+        n = mat.n
+        m, D, A = mat.lift()
+        for i in range(n):
+            r = A[2 * n * i:2 * n * (i + 1)]
+            if r[2 * i] != D or r[2 * i + 1]:
                 raise ValueError("diagonal entries must equal 1")
-            if any(r[:i]):
+            if any(r[:2 * i]):
                 raise ValueError("matrix must be upper triangular")
-        upper = [rows[i][j] for i, j in _upper_pairs(mat.n)]
-        self._n = mat.n
-        self._m = _field_of(upper)
-        self._flat = tuple(x for c in upper for x in (c.p, c.q, c.d))
+        flat: List[int] = []
+        for i, j in _upper_pairs(n):
+            x = 2 * (i * n + j)
+            p, q = A[x], A[x + 1]
+            g = gcd(p, q, D)
+            flat += (p // g, q // g, D // g)
+        self._n = n
+        self._m = m
+        self._flat = tuple(flat)
         self._mat = mat
 
     @staticmethod
@@ -91,25 +99,29 @@ class StokesMatrix:
         return StokesMatrix.from_upper(3, {(0, 1): x, (0, 2): y, (1, 2): z})
 
     def triple(self) -> Tuple[QuadScalar, QuadScalar, QuadScalar]:
+        """(s12, s13, s23) of an n = 3 matrix."""
         if self.n != 3:
             raise ValueError("triple() needs n = 3")
-        return self.mat[0, 1], self.mat[0, 2], self.mat[1, 2]
+        return self.upper()
 
     def upper(self) -> Tuple[QuadScalar, ...]:
         """The entries above the diagonal, row-major."""
-        rows = self.mat.rows
-        return tuple(rows[i][j] for i, j in _upper_pairs(self.n))
+        m, it = self._m, iter(self._flat)
+        return tuple(_make(p, q, d, m if q else 1) for p, q, d in zip(it, it, it))
 
     @property
     def mat(self) -> ExactMatrix:
-        """The matrix of QuadScalars, built from `flat` on first read."""
+        """The ExactMatrix, lifted over D = lcm of the entries' d from `flat`
+        on first read."""
         if self._mat is None:
-            n, t, m = self._n, self._flat, self._m
-            rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+            n, t = self._n, self._flat
+            D = lcm(*t[2::3])
+            A = [0] * (2 * n * n)
+            A[::2 * n + 2] = [D] * n
             for i, j, k in _flat_pairs(n):
-                q = t[k + 1]
-                rows[i][j] = _make(t[k], q, t[k + 2], m if q else 1)
-            self._mat = ExactMatrix._wrap(rows)
+                f, x = D // t[k + 2], 2 * (i * n + j)
+                A[x], A[x + 1] = t[k] * f, t[k + 1] * f
+            self._mat = _matrix(n, self._m if any(t[1::3]) else 1, D, tuple(A))
         return self._mat
 
     def __getitem__(self, ij):
@@ -364,9 +376,10 @@ def is_markoff_times3(x, y, z) -> bool:
 def is_reducible(S: StokesMatrix) -> Tuple[bool, Optional[Tuple[List[int], List[int]]]]:
     """S is reducible iff some bipartition I' | I'' has all cross entries
     zero; returns the certificate partition (1-based indices)."""
-    n = S.n
+    n, t = S.n, S.flat
     if n > 12:
         raise ValueError("reducibility scan is desk-scale: n <= 12")
+    nonzero = {(i, j) for i, j, k in _flat_pairs(n) if t[k] or t[k + 1]}
     # index 0 always stays in the complement, halving the scan
     for mask in range(1, 2 ** (n - 1)):
         I1 = [i for i in range(1, n) if (mask >> (i - 1)) & 1]
@@ -374,8 +387,7 @@ def is_reducible(S: StokesMatrix) -> Tuple[bool, Optional[Tuple[List[int], List[
         ok = True
         for i in I1:
             for j in I2:
-                a, b = (i, j) if i < j else (j, i)
-                if S.mat[a, b]:
+                if ((i, j) if i < j else (j, i)) in nonzero:
                     ok = False
                     break
             if not ok:
@@ -413,9 +425,10 @@ def _unit_upper_inverse(A: IntRows, D: int, m: int) -> IntRows:
 
 def unipotency_charpoly(S: StokesMatrix) -> List[QuadScalar]:
     """Exact characteristic polynomial of S^T S^{-1} (coefficients low to
-    high, monic): S = A/D lifted once, S^{-1} = X/D^(n-1) without division,
-    and the characteristic polynomial of A^T X / D^n on ints."""
-    m, D, A = _lift(S.mat.rows)
+    high, monic): S = A/D as stored in `S.mat`, S^{-1} = X/D^(n-1) without
+    division, and the characteristic polynomial of A^T X / D^n on ints."""
+    m, D, flat = S.mat.lift()
+    A = _pairs(flat, S.n)
     X = _unit_upper_inverse(A, D, m)
     return _charpoly(m, D ** S.n, _matmul([list(c) for c in zip(*A)], X, m))
 
@@ -474,21 +487,19 @@ def coxeter_stokes(graph: Iterable[Tuple[int, int, int]], n: int | None = None
 
 
 def gram_and_reflections(S: StokesMatrix) -> Tuple[ExactMatrix, List[ExactMatrix]]:
-    """G = (S + S^T)/2 and the reflections R_j: x_j -> x_j - sum_k
-    (S + S^T)_{jk} x_k (identity on the other coordinates).  Each R_j is an
+    """G = (S + S^T)/2 and the reflections R_j = I - E_j (S + S^T), E_j the
+    j-th diagonal matrix unit: x_j -> x_j - sum_k (S + S^T)_{jk} x_k
+    (identity on the other coordinates).  Each R_j is an
     involution preserving the quadratic form with Gram matrix S + S^T.
     Requires det(S + S^T) != 0."""
     A = S.mat + S.mat.transpose()
     if not A.det():
         raise ValueError("S + S^T is degenerate")
-    G = A.scale(Fraction(1, 2))
-    refs = []
     n = S.n
-    for j in range(n):
-        rows = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-        rows[j] = [rows[j][k] - A[j, k] for k in range(n)]
-        refs.append(ExactMatrix(rows))
-    return G, refs
+    I = ExactMatrix.identity(n)
+    units = (ExactMatrix([[int(i == k == j) for k in range(n)] for i in range(n)])
+             for j in range(n))
+    return A.scale(Fraction(1, 2)), [I - E @ A for E in units]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,8 @@ _EXACT_COMMANDS = [
     ["stokes", "braid", "CP2", "--word", "1 2 -1"], ["stokes", "cp2-monodromy"],
     ["pvi", "verify", "H3"], ["sing", "an", "--n", "3"],
 ]
+# An unknown name ends in an ERROR report (exit 2), which loads no numpy either.
+_ERROR_COMMAND = ["catalog", "show", "NOPE"]
 _CHILD = """
 import contextlib, io, json, sys
 from frobenii import cli, frobenius, gwcp2, painleve, singularity, stokes
@@ -395,9 +397,10 @@ def test_exact_commands_run_without_numpy():
     src = str(Path(frobenii.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(_EXACT_COMMANDS)],
+    argvs = _EXACT_COMMANDS + [_ERROR_COMMAND]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
-    assert out["codes"] == [0] * len(_EXACT_COMMANDS)
+    assert out["codes"] == [0] * len(_EXACT_COMMANDS) + [2]
     assert not out["imported"] and not out["exact"]
     assert out["integrate"] == 0 and out["numeric"]

@@ -674,6 +674,111 @@ def test_kernel_rejects_mixed_fields():
         exact_solve(ExactMatrix([[QuadScalar(0, 1, 2)]]), [QuadScalar(0, 1, 5)])
 
 
+# The stored lift A/D against an entrywise QuadScalar reference: every
+# operation's entries agree field for field (p, q, d, m), and the lift is in
+# normal form (D > 0, gcd(D, A) = 1, m = 1 exactly when every q is 0).
+
+def _fields(rows):
+    return [[(c.p, c.q, c.d, c.m) for c in r] for r in rows]
+
+
+def _ref_matmul(X, Y):
+    n = len(X)
+    return [[sum((X[i][k] * Y[k][j] for k in range(n)), QuadScalar(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _check_lift(M, want):
+    assert _fields(M.rows) == _fields(want)
+    m, D, A = M.lift()
+    assert D > 0 and gcd(D, *A) == 1 and len(A) == 2 * M.n ** 2
+    assert m == next((c.m for r in want for c in r if c.q), 1)
+    assert M == ExactMatrix(want)
+
+
+@pytest.mark.parametrize("ring", ["Q/2,3", "Z[sqrt2]/3", "Z[phi]"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stored_lift_matches_entrywise_reference(ring, n):
+    rng = random.Random(f"lift-{ring}-{n}")
+    draw = _RINGS[ring]
+    X, Y, W = ([[draw(rng) for _ in range(n)] for _ in range(n)] for _ in range(3))
+    Q = [[_RINGS["Q/2,3"](rng) for _ in range(n)] for _ in range(n)]
+    c = draw(rng)
+    MX, MY, MW, MQ = map(ExactMatrix, (X, Y, W, Q))
+    plus = [[a + b for a, b in zip(r, s)] for r, s in zip(X, Y)]
+    minus = [[a - b for a, b in zip(r, s)] for r, s in zip(X, Y)]
+    zero = [[QuadScalar(0)] * n for _ in range(n)]
+    cases = [
+        (MX + MY, plus), (MX - MY, minus), (-MX, [[-a for a in r] for r in X]),
+        (MX.scale(c), [[a * c for a in r] for r in X]),
+        (MX.scale(F(-3, 4)), [[a * F(-3, 4) for a in r] for r in X]),
+        (MX @ MY, _ref_matmul(X, Y)), (MX.transpose(), [list(r) for r in zip(*X)]),
+        (MX + MQ, [[a + b for a, b in zip(r, s)] for r, s in zip(X, Q)]),
+        (MQ @ MX, _ref_matmul(Q, X)),
+        ((MX + MY) @ (MX - MY) - MW, [[a - b for a, b in zip(r, s)]
+                                      for r, s in zip(_ref_matmul(plus, minus), W)]),
+        (MX + -MX, zero), (MX - MX, zero), (MX.scale(0), zero),
+    ]
+    for M, want in cases:
+        _check_lift(M, want)
+    trace = sum((X[i][i] for i in range(n)), QuadScalar(0))
+    assert _fields([[MX.trace()]]) == _fields([[trace]])
+    assert MX == ExactMatrix(X) == MX + ExactMatrix.zeros(n)
+    assert MX != MX + ExactMatrix.identity(n) and MX != ExactMatrix.identity(n + 1)
+
+
+def test_stored_lift_drops_to_rational():
+    rt2 = QuadScalar(0, 1, 2)
+    rows = [[F(1, 2), 2, F(-1, 3)], [0, 1, 4], [F(5, 6), 0, -1]]
+    R = ExactMatrix(rows)
+    M = R.scale(rt2)
+    assert M.lift()[0] == 2
+    _check_lift(M.scale(rt2), [[QuadScalar(2 * x) for x in r] for r in rows])
+    _check_lift(M @ ExactMatrix.identity(3).scale(rt2), [[QuadScalar(2 * x) for x in r]
+                                                        for r in rows])
+    _check_lift(M + (-M), [[QuadScalar(0)] * 3 for _ in range(3)])
+    assert (M - M).lift() == (1, 1, (0,) * 18)
+    _check_lift(R.scale(F(6, 5)) - R.scale(F(1, 5)), R.rows)
+
+
+def test_stokes_mat_is_the_lift_of_its_entries():
+    from frobenii.stokes import StokesMatrix, braid_apply
+    rng = random.Random("stokes-lift")
+    for ring in ("Z", "Q/2,3", "Z[sqrt2]/3", "Z[phi]"):
+        for n in (2, 3, 4):
+            S = StokesMatrix.from_upper(n, {(i, j): _RINGS[ring](rng)
+                                            for i in range(n) for j in range(i + 1, n)})
+            for T in (S, braid_apply(S, [1, -(n - 1), 1])):
+                up = iter(T.upper())
+                rows = [[QuadScalar(int(i == j)) if i >= j else next(up)
+                         for j in range(n)] for i in range(n)]
+                _check_lift(T.mat, rows)
+                assert StokesMatrix(T.mat) == T == StokesMatrix(rows)
+
+
+def test_matrix_rows_cannot_be_written():
+    for M in (ExactMatrix([[1, F(1, 2)], [0, 1]]), ExactMatrix.identity(2).scale(3)):
+        with pytest.raises(AttributeError):
+            M.rows = ((QuadScalar(0),) * 2,) * 2
+        with pytest.raises(TypeError):
+            M.rows[0][1] = QuadScalar(5)
+        with pytest.raises(TypeError):
+            M[0, 1] = QuadScalar(5)
+    assert M == ExactMatrix([[3, 0], [0, 3]])
+
+
+def test_mixed_field_rows_lift_only_when_needed():
+    rt2, rt5 = QuadScalar(0, 1, 2), QuadScalar(0, 1, 5)
+    A = ExactMatrix([[rt2, 1], [1, rt5]])
+    assert A[1, 1] == rt5 and A.rows[0] == (rt2, QuadScalar(1))
+    for op in (lambda: A + A, lambda: A @ A, A.transpose, A.trace, lambda: A == A,
+               lambda: A.scale(2), A.lift):
+        with pytest.raises(DiscriminantMismatch):
+            op()
+    with pytest.raises(DiscriminantMismatch):
+        ExactMatrix([[rt2]]) + ExactMatrix([[rt5]])
+
+
 def test_exact_division_checks_the_remainder():
     # (1 + sqrt2)(3 - sqrt2) = 1 + 2 sqrt2, divided back through the norm 7
     assert _divide(1, 2, 3, -1, 2) == (1, 1)
