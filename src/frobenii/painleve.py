@@ -356,73 +356,55 @@ def y_to_qp(y, yprime, x, u: Sequence[complex]) -> QpkState:
     return QpkState(u=u, q=q, p=p)
 
 
-def qp_from_family(family: str, s, u: Sequence[complex] | None = None) -> QpkState:
+def qp_from_family(family: str, s) -> QpkState:
     """(q, p) along an algebraic family at parameter s, in the normalization
-    u = (0, 1, x(s)) unless u is given (then x(s) must match)."""
+    u = (0, 1, x(s))."""
     fam = FAMILIES[family.upper()]
     x, xs, _ = fam.x.jet(s)
     y, ys, _ = fam.y.jet(s)
-    if u is None:
-        u = (0.0, 1.0, x)
-    return y_to_qp(y, ys / xs, x, u)
+    return y_to_qp(y, ys / xs, x, (0.0, 1.0, x))
 
 
-def _q_of_u(fam: AlgebraicFamily, u: Sequence[complex], seed_s: complex
-            ) -> Tuple[complex, complex, complex]:
-    """(q, p, s) at a general u-triple via affine covariance: solve
-    x(s) = (u3-u1)/(u2-u1) by Newton from seed_s, then map q, p back."""
-    target = (u[2] - u[0]) / (u[1] - u[0])
-    s = complex(seed_s)
-    for _ in range(80):
-        x, xs, _ = fam.x.jet(s)
-        if abs(x - target) < 1e-14 * max(1.0, abs(target)):
-            break
-        s = s - (x - target) / xs
-    else:
-        raise ArithmeticError("Newton failed to match x(s) to the u-triple")
-    y, ys, _ = fam.y.jet(s)
-    st = y_to_qp(y, ys / xs, x, u)
-    return st.q, st.p, s
-
-
-def qp_flow_check(family: str, s0, du: float = 1e-5) -> Tuple[float, float]:
-    """Central-difference check of the isomonodromic flow equations
+def qp_flow_check(family: str, s0) -> Tuple[float, float]:
+    """Check of the isomonodromic flow equations
 
         d_i q = P(q)/P'(u_i) (2p + 1/(q - u_i))
         d_i p = -(P'(q) p^2 + (2q + u_i - sum u_j) p + mu(1 - mu)) / P'(u_i)
 
-    at the point u = (0, 1, x(s0)) of the named family.  Differences are
-    Richardson-extrapolated (steps du and du/2); mismatches are measured
-    relative to max(1, |rhs|).  Returns (max q-mismatch, max p-mismatch)."""
+    at the point u = (0, 1, x(s0)) of the named family, by the chain rule
+    through s on the jets of x(s) and y(s): exact at rational s0.  q and p
+    are those of `y_to_qp`, q = u1 + (u2 - u1) y and
+    p = A dy/dx - 1/(2 (q - u3)) with A = P'(u3)/(2 P(q)), as functions of
+    u through x = (u3 - u1)/(u2 - u1).  p is defined from q and dy/dx, so
+    the q equation holds for any curve y(x); only the p equation tests
+    PVI(mu).  Mismatches are measured relative to max(1, |rhs|).  Returns
+    (max q-mismatch, max p-mismatch)."""
     fam = FAMILIES[family.upper()]
-    mu1 = complex(Fraction(fam.mu1))
-    x0 = complex(fam.x(s0))
-    base = (0.0 + 0j, 1.0 + 0j, x0)
-    q0, p0, s_at = _q_of_u(fam, base, complex(s0))
-    P, Pp = _cubic(base)
-    usum = sum(base)
-
-    def fd(i: int, h: float) -> Tuple[complex, complex]:
-        up = list(base)
-        um = list(base)
-        up[i] += h
-        um[i] -= h
-        qp_, pp_, _ = _q_of_u(fam, up, s_at)
-        qm_, pm_, _ = _q_of_u(fam, um, s_at)
-        return (qp_ - qm_) / (2 * h), (pp_ - pm_) / (2 * h)
-
-    worst_q = worst_p = 0.0
+    mu = fam.mu1
+    x, xs, xss = fam.x.jet(s0)
+    y, ys, yss = fam.y.jet(s0)
+    y1 = ys / xs                            # dy/dx
+    y2 = (yss * xs - ys * xss) / xs ** 3    # d^2y/dx^2
+    u = (0, 1, x)
+    P, Pp = _cubic(u)
+    q = y                                   # u1 + (u2 - u1) y
+    A = Pp(x) / (2 * P(q))
+    p = A * y1 - 1 / (2 * (q - x))
+    # d_i x and d_i q at u = (0, 1, x)
+    dx = (x - 1, -x, 1)
+    dq = (1 - y + y1 * (x - 1), y - y1 * x, y1)
+    worst_q = worst_p = 0
     for i in range(3):
-        dq1, dp1 = fd(i, du)
-        dq2, dp2 = fd(i, du / 2)
-        dq = (4 * dq2 - dq1) / 3
-        dp = (4 * dp2 - dp1) / 3
-        rhs_q = P(q0) / Pp(base[i]) * (2 * p0 + 1 / (q0 - base[i]))
-        rhs_p = -(Pp(q0) * p0 ** 2 + (2 * q0 + base[i] - usum) * p0
-                  + mu1 * (1 - mu1)) / Pp(base[i])
-        worst_q = max(worst_q, abs(dq - rhs_q) / max(1.0, abs(rhs_q)))
-        worst_p = max(worst_p, abs(dp - rhs_p) / max(1.0, abs(rhs_p)))
-    return worst_q, worst_p
+        e = [int(i == j) for j in range(3)]
+        dlogA = ((e[2] - e[0]) / x + (e[2] - e[1]) / (x - 1)
+                 - sum((dq[i] - e[j]) / (q - u[j]) for j in range(3)))
+        dp = A * (dlogA * y1 + y2 * dx[i]) + (dq[i] - e[2]) / (2 * (q - x) ** 2)
+        rhs_q = P(q) / Pp(u[i]) * (2 * p + 1 / (q - u[i]))
+        rhs_p = -(Pp(q) * p ** 2 + (2 * q + u[i] - sum(u)) * p
+                  + mu * (1 - mu)) / Pp(u[i])
+        worst_q = max(worst_q, abs(dq[i] - rhs_q) / max(1, abs(rhs_q)))
+        worst_p = max(worst_p, abs(dp - rhs_p) / max(1, abs(rhs_p)))
+    return float(worst_q), float(worst_p)
 
 
 def log_k_increment(family: str, s_from, s_to) -> complex:

@@ -375,26 +375,23 @@ def is_markoff_times3(x, y, z) -> bool:
 
 def is_reducible(S: StokesMatrix) -> Tuple[bool, Optional[Tuple[List[int], List[int]]]]:
     """S is reducible iff some bipartition I' | I'' has all cross entries
-    zero; returns the certificate partition (1-based indices)."""
+    zero, i.e. iff the graph joining i and j where s_ij != 0 is
+    disconnected.  The certificate partition (1-based indices) is the
+    component of index 1 and the rest."""
     n, t = S.n, S.flat
-    if n > 12:
-        raise ValueError("reducibility scan is desk-scale: n <= 12")
-    nonzero = {(i, j) for i, j, k in _flat_pairs(n) if t[k] or t[k + 1]}
-    # index 0 always stays in the complement, halving the scan
-    for mask in range(1, 2 ** (n - 1)):
-        I1 = [i for i in range(1, n) if (mask >> (i - 1)) & 1]
-        I2 = [i for i in range(n) if i not in I1]
-        ok = True
-        for i in I1:
-            for j in I2:
-                if ((i, j) if i < j else (j, i)) in nonzero:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True, ([i + 1 for i in I2], [i + 1 for i in I1])
-    return False, None
+    edges = [(i, j) for i, j, k in _flat_pairs(n) if t[k] or t[k + 1]]
+    # grow the component of index 0 by sweeps over the edges: at most n sweeps
+    comp, grew = {0}, True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in comp) != (j in comp):
+                comp.update((i, j))
+                grew = True
+    if len(comp) == n:
+        return False, None
+    return True, ([i + 1 for i in sorted(comp)],
+                  [i + 1 for i in range(n) if i not in comp])
 
 
 def _unit_upper_inverse(A: IntRows, D: int, m: int) -> IntRows:

@@ -2,11 +2,13 @@
 and the (q, p, k) -> Psi chain."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from frobenii import painleve
 from frobenii.painleve import (
     FAMILIES, H3_DEGREE9, AlgebraicFamily, ParametrizationPoleError, PviPoint, QpkState,
     RationalFunction, algebraic_solution, log_k_increment, pvi_integrate, pvi_residual_on_curve,
@@ -343,6 +345,30 @@ def test_qp_flow_equations(family, s0):
     dq, dp = qp_flow_check(family, s0)
     assert dq < 1e-6
     assert dp < 1e-6
+
+
+RATIONAL_POINTS = [("A3", F(21, 100)), ("B3", F(4, 5)), ("H3", F(3, 20))]
+
+
+@pytest.mark.parametrize("family,s0", RATIONAL_POINTS)
+def test_qp_flow_exact_at_rational_s(family, s0):
+    assert qp_flow_check(family, s0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("family,s0", RATIONAL_POINTS)
+@pytest.mark.parametrize("change", ["mu", "curve"])
+def test_qp_flow_controls_break_p_only(monkeypatch, family, s0, change):
+    # p is built from q and dy/dx, so the q equation holds on any curve;
+    # a wrong mu, or y(s) of another family, breaks the p equation alone
+    fam = FAMILIES[family]
+    if change == "mu":
+        bad = replace(fam, mu1=fam.mu1 + F(1, 7))
+    else:
+        bad = replace(fam, y=FAMILIES["B3" if family == "A3" else "A3"].y)
+    monkeypatch.setitem(painleve.FAMILIES, family, bad)
+    dq, dp = qp_flow_check(family, s0)
+    assert dq == 0.0
+    assert dp > 0
 
 
 def test_log_k_quadrature_runs():

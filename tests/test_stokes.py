@@ -438,6 +438,49 @@ def test_block_diagonal_reducible_with_partition():
     assert set(part[0]) in ({1, 2}, {3, 4})
 
 
+def test_reducible_at_n14():
+    path = {(i, i + 1): 1 for i in range(13)}
+    assert is_reducible(StokesMatrix.from_upper(14, path)) == (False, None)
+    cut = {ij: v for ij, v in path.items() if ij != (5, 6)}
+    assert is_reducible(StokesMatrix.from_upper(14, cut)) == (
+        True, (list(range(1, 7)), list(range(7, 15))))
+    # two interleaved blocks: s_{i,i+2} joins indices of one parity
+    skip = {(i, i + 2): 2 for i in range(12)}
+    assert is_reducible(StokesMatrix.from_upper(14, skip)) == (
+        True, (list(range(1, 15, 2)), list(range(2, 15, 2))))
+
+
+def _reducible_by_bipartitions(S):
+    """Reference: some split of the indices into two nonempty parts with
+    every entry between them zero."""
+    n = S.n
+    for mask in range(1, 2 ** (n - 1)):
+        part = [i for i in range(1, n) if (mask >> (i - 1)) & 1]
+        rest = [i for i in range(n) if i not in part]
+        if not any(S[min(i, j), max(i, j)] for i in part for j in rest):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_reducible_matches_bipartition_scan(n):
+    rng = random.Random(400 + n)
+    for _ in range(40):
+        density = rng.choice((0.15, 0.3, 0.5))
+        upper = {(i, j): QuadScalar(rng.randint(-2, 2), rng.choice((-1, 1)), 5)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+        S = StokesMatrix.from_upper(n, upper)
+        red, part = is_reducible(S)
+        assert red == _reducible_by_bipartitions(S)
+        if not red:
+            assert part is None
+            continue
+        left, right = part
+        assert left and right and 1 in left
+        assert sorted(left + right) == list(range(1, n + 1))
+        assert not any(S[min(a, b) - 1, max(a, b) - 1] for a in left for b in right)
+
+
 def test_unipotency_cp2_exactly_ones():
     cp = unipotency_charpoly(stokes_catalog("CP2"))
     # (lambda - 1)^3 = lambda^3 - 3 lambda^2 + 3 lambda - 1
