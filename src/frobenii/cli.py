@@ -1,10 +1,11 @@
 """Command-line surface with machine-readable JSON reports.
 
 Every subcommand prints one JSON object
-{command, inputs, status, results, residuals} to stdout (`wdvv check` and
-`pvi verify` add a top-level `metrics` block) and exits with
-0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
-error: a step-size underflow, colliding eigenvalues, a failed frame check).
+{command, inputs, status, results, residuals} to stdout (`wdvv check`,
+`gw nk`, `gw elliptic`, `gw fit` and `pvi verify` add a top-level `metrics`
+block) and exits with 0 (pass/success), 1 (a check failed) or 2 (usage,
+input or numerical error: a step-size underflow, colliding eigenvalues, a
+failed frame check).
 An input or numerical error prints the same object with status ERROR, the
 parsed arguments as inputs, empty results and residuals, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
@@ -119,7 +120,8 @@ def cmd_gw(args) -> int:
     if args.csv and table:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(gwcp2.rows_csv(table))
-    return _report(f"gw {args.action}", {"max": args.max}, status, results)
+    return _report(f"gw {args.action}", {"max": args.max}, status, results,
+                   metrics=results.pop("metrics"))
 
 
 # -- stokes -------------------------------------------------------------------

@@ -7,7 +7,9 @@ c0 over one positive denominator, with gcd 1 across all of them, so equal
 series have equal fields.  Products are integer convolutions reduced by one
 gcd chain and truncate beyond e^{Kx}.  Division is implemented twice, by a
 triangular solve and by a Neumann-series reciprocal, so the two routes can
-cross-check each other.
+cross-check each other.  The Neumann sum is formed by Newton doubling: each
+step doubles the order to which the reciprocal is exact and multiplies only
+to that order (2, 4, 8, ... up to K).
 """
 
 from __future__ import annotations
@@ -204,21 +206,34 @@ class GWSeries:
 
     def divide_neumann(self, den: "GWSeries") -> "GWSeries":
         """self / den via den^{-1} = (1/c0) sum_{m<=K} step^m, step =
-        -(den-c0)/c0.  step has no constant term, so step^m vanishes for
-        m > K and the sum is the product of (1 + step^(2^i)) over 2^i <= K."""
+        1 - r, r = den/c0, summed by Newton doubling at growing order.
+
+        step has no constant term, so step^m starts at e^{mx} and the sum
+        ends at m = K.  Let acc, of order p, be sum_{m<=p} step^m truncated
+        beyond e^{px}.  1 - r sum_{m<=p} step^m is exactly step^(p+1), so
+        the residual e = 1 - r acc starts at e^{(p+1)x}, and acc (2 - r acc)
+        = acc (1 + e) has residual e^2, which starts at e^{(2p+2)x}.  Each
+        doubling therefore needs r and acc only to order q = min(2p, K) and
+        multiplies at that order, not at K."""
         self._check(den)
         if den._c0 == 0:
             raise ZeroDivisionError("denominator has zero constant term")
         K = self.order
         c0 = den.c0
-        step = self._make(K, den._num, 0, den._den) * (-1 / c0)
-        acc = step + 1                     # sum_{m<n} step^m with n = 2
-        n = 2
-        while n <= K:
-            step = step * step             # step^n
-            acc = acc * (step + 1)
-            n *= 2
+        r = den * (1 / c0)
+        acc = (2 - r)._at_order(1)          # 1 + step mod e^{2x}
+        p = 1
+        while p < K:
+            p = min(2 * p, K)
+            acc = acc._at_order(p)
+            acc = acc * (2 - r._at_order(p) * acc)
         return self * (acc * (1 / c0))
+
+    def _at_order(self, q: int) -> "GWSeries":
+        """The series truncated beyond e^{qx}, or zero-extended to order q."""
+        if q >= self.order:
+            return self._wrap(q, self._num + [0] * (q - self.order), self._c0, self._den)
+        return self._make(q, self._num[:q], self._c0, self._den)
 
     def __truediv__(self, other):
         return self.divide_triangular(other)

@@ -36,20 +36,28 @@ def _ode_next(N: Sequence[int]) -> int:
     """N_k from N_1..N_{k-1} by the ODE recursion rescaled by (3k-1)!:
     N_k = -sum_{i+j=k} i^2 j (2i - 3ij - j) C(3k-2, 3i-1) N_i N_j
     / (3 (k-1) (3k-2)).  The terms (i, j) and (j, i) share N_i N_j and the
-    binomial, so they are summed as one.  A nonzero remainder of the
-    division, or N_k <= 0, raises IntegralityError.  Each term's integer
-    weight is itself divisible (checked for k <= 300), so on integer input
-    the remainder check guards the weights and binomials, not the N_i;
-    Kontsevich's recursion is the check on the numbers."""
+    binomial, so they are summed as one.  The binomials C(n, r), n = 3k-2,
+    r = 3i-1, come by the recurrence C(n, r+3) = C(n, r) (n-r)(n-r-1)(n-r-2)
+    / ((r+1)(r+2)(r+3)), every division exact, seeded with math.comb(n, 2)
+    at i = 1 (kontsevich_numbers takes each of its binomials from
+    math.comb).  A nonzero remainder of the division, or N_k <= 0, raises
+    IntegralityError.  Each term's integer weight is itself divisible
+    (checked for k <= 300), so on integer input the remainder check guards
+    the weights and binomials, not the N_i; Kontsevich's recursion is the
+    check on the numbers."""
     k = len(N) + 1
+    n = 3 * k - 2
+    b = math.comb(n, 2)                     # C(n, 3i-1) at i = 1
     s = 0
     for i in range(1, k // 2 + 1):
         j = k - i
         w = i * j * (2 * (i * i + j * j - i * j) - 3 * i * j * k)
         if i == j:
             w //= 2
-        s += w * math.comb(3 * k - 2, 3 * i - 1) * (N[i - 1] * N[j - 1])
-    d = 3 * (k - 1) * (3 * k - 2)
+        s += w * b * (N[i - 1] * N[j - 1])
+        r = 3 * i - 1
+        b = b * (n - r) * (n - r - 1) * (n - r - 2) // ((r + 1) * (r + 2) * (r + 3))
+    d = 3 * (k - 1) * n
     q, r = divmod(-s, d)
     if r:
         raise IntegralityError(f"N_{k} = {Fraction(-s, d)} is not an integer")

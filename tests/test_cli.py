@@ -105,7 +105,8 @@ def test_gw_reports_carry_metrics(capsys, action, keys):
     from frobenii import gwcp2
     code, data = run_cli(capsys, "gw", action, "--max", "24")
     assert code == 0
-    m = data["results"]["metrics"]
+    m = data["metrics"]
+    assert "metrics" not in data["results"]
     assert set(m) == keys
     assert all(m[k] >= 0 for k in keys if k.endswith("_s"))
     if action == "elliptic":

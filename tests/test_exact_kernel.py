@@ -525,6 +525,27 @@ def test_neumann_doubling_at_power_of_two_orders(K):
     assert (q.c0, q.coeffs) == want and q == f.divide_triangular(g)
 
 
+def test_neumann_doubles_at_growing_order(monkeypatch):
+    # doubling level p multiplies at order min(2p, K), then one product at K;
+    # a fall-back to full-order products would show order K at every level
+    K = 60
+    a = [F((-1) ** k * (k + 2), k + 1) for k in range(K)]
+    b = [F(3 - k, 2 * k + 1) for k in range(K)]
+    f, g = GWSeries(K, a, F(5, 3)), GWSeries(K, b, F(-2, 7))
+    orders = []
+    real = GWSeries.__mul__
+
+    def recording(self, other):
+        if isinstance(other, GWSeries):
+            orders.append(self.order)
+        return real(self, other)
+
+    monkeypatch.setattr(GWSeries, "__mul__", recording)
+    q = f.divide_neumann(g)
+    assert orders == [2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 60, 60, 60]
+    assert q == f.divide_triangular(g)
+
+
 def test_series_zero_constant_denominator_raises():
     f = GWSeries(3, [F(1, 2), 1, F(-1, 3)], F(-1, 4))
     g = GWSeries(3, [F(1, 3), 0, 2])
