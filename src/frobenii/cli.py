@@ -2,10 +2,10 @@
 
 Every subcommand prints one JSON object
 {command, inputs, status, results, residuals} to stdout (`wdvv check`,
-`gw nk`, `gw elliptic`, `gw fit` and `pvi verify` add a top-level `metrics`
-block) and exits with 0 (pass/success), 1 (a check failed) or 2 (usage,
-input or numerical error: a step-size underflow, colliding eigenvalues, a
-failed frame check).
+`gw nk`, `gw elliptic`, `gw fit`, `pvi verify` and `iso integrate` add a
+top-level `metrics` block) and exits with 0 (pass/success), 1 (a check
+failed) or 2 (usage, input or numerical error: a step-size underflow or an
+exhausted step budget, colliding eigenvalues, a failed frame check).
 An input or numerical error prints the same object with status ERROR, the
 parsed arguments as inputs, empty results and residuals, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
@@ -221,15 +221,14 @@ def cmd_iso(args) -> int:
                    {"state": args.state, "path": args.path, "tol": args.tol},
                    status,
                    {"final": semisimple.state_to_dict(final),
-                    "steps": diag.stats.steps,
-                    "rejected": diag.stats.rejected,
-                    "dlog_tau": [diag.dlog_tau.real, diag.dlog_tau.imag],
-                    "metrics": {"segments": diag.segments,
-                                "steps": diag.stats.steps,
-                                "rejected": diag.stats.rejected,
-                                "integrate_s": integrate_s}},
+                    "dlog_tau": [diag.dlog_tau.real, diag.dlog_tau.imag]},
                    {"spectral_drift": diag.spectral_drift,
-                    "skewness_drift": diag.skewness_drift})
+                    "skewness_drift": diag.skewness_drift},
+                   metrics={"segments": diag.segments,
+                            "steps": diag.stats.steps,
+                            "rejected": diag.stats.rejected,
+                            "integrate_s": integrate_s,
+                            "order": semisimple.TAYLOR_ORDER})
 
 
 # -- sing ---------------------------------------------------------------------

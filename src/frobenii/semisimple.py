@@ -17,22 +17,36 @@ evaluates all c_abg in one numpy expression and two mat-vecs.
 Along a straight segment u(s) = u0 + s du of a path the flow is one
 commutator, dV/ds = sum_i du_i [V_i, V] = [A, V] with
 A_ab = V_ab (du_a - du_b)/(u_a - u_b), and the segment is certified clear
-of colliding u_i in closed form before it is integrated.
+of colliding u_i in closed form before it is integrated.  V is meromorphic
+in u (the system has the Painleve property), so the segment is integrated
+by Taylor steps in s of order TAYLOR_ORDER: the coefficients of
+(du_a - du_b)/(u_a - u_b) are geometric, those of V follow from a
+recursion of Cauchy products, and each step's length is read off the last
+two coefficients (Jorba-Zou).  The tau increment comes from the same
+coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .exact.linalg import eigen_small, sort_spectrum
 from .frobenius import FrobeniusPotential
-from .ode import IntegrationStats, integrate
+from .ode import MIN_STEP, IntegrationStats, StepUnderflowError
 
 DEFAULT_COLLISION_MARGIN = 1e-6
+# Order of the Taylor polynomials that advance V along a path segment.
+TAYLOR_ORDER = 16
+# Taylor step attempts, accepted or rejected, allowed on one segment; one
+# more raises StepUnderflowError.  The largest counts seen on one segment are
+# 25 in the test suite and 3 in the chart benchmark's loops (seeds 1-10).
+MAX_SEGMENT_STEPS = 1000
+_POWERS = np.arange(TAYLOR_ORDER + 1)
 
 
 class CoalescingEigenvaluesError(ArithmeticError):
@@ -229,27 +243,97 @@ class IsoDiagnostics:
     segments: int
 
 
-def _segment_field(u0: np.ndarray, du: np.ndarray
-                   ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The flow on u(s) = u0 + s du as one commutator: sum_i du_i [V_i, V]
-    = [A, V] with A_ab = V_ab (du_a - du_b)/(u_a - u_b); the last component
-    is the tau integrand sum_i du_i H_i."""
-    n = len(u0)
-    m = n * n
-    eye = np.eye(n)
-    g0 = u0[:, None] - u0[None, :] + eye  # the gap, 1 on the diagonal
-    dg = du[:, None] - du[None, :]
-    D = 0.5 * du[:, None] * (1 - eye)
+def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients in sigma of V along u + sigma du from V at u, and
+    of the tau integrand sum_i du_i H_i.
 
-    def f(s: float, y: np.ndarray) -> np.ndarray:
-        V = y[:m].reshape(n, n)
-        r = 1 / (g0 + s * dg)
-        A = V * (dg * r)
-        out = np.empty(m + 1, dtype=complex)
-        out[:m] = (A @ V - V @ A).reshape(-1)
-        out[m] = (V * V * D * r).sum()
-        return out
-    return f
+    Off the diagonal the gaps G_ab = u_a - u_b move by dg_ab = du_a - du_b,
+    so 1/(G + sigma dg) has the geometric coefficients rho^k / G with
+    rho = -dg/G, and B = V o (1/(G + sigma dg)) (zero on the diagonal) has
+    B_k = V_k / G + rho o B_{k-1}.  With A = dg o B, dV/dsigma = [A, V]
+    gives (k + 1) V_{k+1} = sum_{j <= k} (A_j V_{k-j} - V_{k-j} A_j).
+    Nothing is assumed of V.  The tau integrand is 1/2 sum_ab du_a V_ab B_ab.
+
+    Returns (Vb, T): Vb[K - k] = V_k for k <= K, and T[m] for m < K the
+    coefficients of the tau integrand."""
+    n = len(V)
+    K = TAYLOR_ORDER
+    dg = du[:, None] - du[None, :]
+    inv = _inverse_gaps(u)
+    rho = -dg * inv
+    # The commutator sum is one convolution of blocks 2n wide:
+    # sum_j [A_j, -V_j] [V_{k-j}; A_{k-j}].  X holds the [A_j, -V_j] forward
+    # as a row and Y the [V_i; A_i] backward as a column, so the blocks that
+    # V_{k+1} needs are a prefix of X and a suffix of Y: one 2-D matmul.
+    X = np.empty((n, K, 2, n), dtype=complex)
+    Y = np.empty((K + 1, 2, n, n), dtype=complex)
+    Xrow = X.reshape(n, 2 * K * n)
+    Ycol = Y.reshape(2 * (K + 1) * n, n)
+    B = np.empty((K, n, n), dtype=complex)
+    Y[K, 0] = V
+    X[:, 0, 1] = -V
+    np.multiply(inv, V, out=B[0])
+    for k in range(K):
+        if k:
+            np.multiply(rho, B[k - 1], out=B[k])
+            B[k] += inv * Y[K - k, 0]
+        np.multiply(dg, B[k], out=Y[K - k, 1])
+        X[:, k, 0] = Y[K - k, 1]
+        C = Xrow[:, :2 * (k + 1) * n] @ Ycol[2 * (K - k) * n:]
+        np.multiply(C, 1 / (k + 1), out=Y[K - k - 1, 0])
+        if k + 1 < K:
+            np.multiply(C, -1 / (k + 1), out=X[:, k + 1, 1])
+    Vb = Y[:, 0]
+    # M[j, l] pairs V_j with B_l, and T_m sums M over j + l = m: in a
+    # zero-padded copy read with rows of 2K - 1, row j is shifted by j, so
+    # M[j, l] lands in column j + l.  (A 0/1 matrix-vector product would do
+    # the same, but OpenBLAS spreads one of that size over its threads, whose
+    # idle spinning then doubles the process time.)
+    Z = np.zeros((K, 2 * K), dtype=complex)
+    Z[:, :K] = (Vb[:0:-1] * (0.5 * du[:, None])).reshape(K, n * n) @ B.reshape(K, n * n).T
+    return Vb, Z.reshape(-1)[:K * (2 * K - 1)].reshape(K, 2 * K - 1)[:, :K].sum(axis=0)
+
+
+def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
+                    ) -> Tuple[np.ndarray, complex, IntegrationStats]:
+    """V and the tau increment at the end of u(s) = u0 + s du, s in [0, 1],
+    by Taylor steps of order K = TAYLOR_ORDER.
+
+    A step from s reads its length from the last two coefficients of V and
+    of tau (Jorba-Zou): c_j = max(|V_j|, |tau_j|) and
+    h = min over j in {K - 1, K} of (tol max(1, |V|) / c_j)^(1/j).  It is
+    accepted when c_K h^K <= tol max(1, |V|) and the end value is finite;
+    otherwise h is halved and the attempt counts as rejected."""
+    n = len(V)
+    K = TAYLOR_ORDER
+    stats = IntegrationStats()
+    s, logtau, cap = 0.0, 0j, math.inf
+    while 1.0 - s > MIN_STEP:
+        if stats.steps + stats.rejected == MAX_SEGMENT_STEPS:
+            raise StepUnderflowError(
+                f"{MAX_SEGMENT_STEPS} Taylor step attempts ({stats.rejected} "
+                f"rejected) without reaching s=1; stuck at s={s}")
+        Vb, T = _segment_series(V, u0 + s * du, du)
+        scale = max(1.0, float(np.abs(V).max()))
+        # c_K and c_{K-1}; tau_{m+1} = T_m / (m + 1)
+        last = np.maximum(np.abs(Vb[:2]).reshape(2, -1).max(axis=1),
+                          np.abs(T[:-3:-1]) / (K, K - 1))
+        h = min([1.0 - s, cap] + [(tol * scale / c) ** (1 / j)
+                                  for j, c in zip((K, K - 1), last) if c > 0])
+        if h < MIN_STEP:
+            raise StepUnderflowError(f"Taylor step size underflow at s={s}")
+        Vh = (h ** _POWERS[::-1]) @ Vb.reshape(K + 1, n * n)
+        if last[0] * h ** K <= tol * scale and np.isfinite(Vh).all():
+            V = Vh.reshape(n, n)
+            logtau += T @ (h ** _POWERS[1:] / _POWERS[1:])
+            s += h
+            stats.steps += 1
+            cap = math.inf
+        else:
+            stats.rejected += 1
+            cap = h / 2
+    return V, logtau, stats
 
 
 def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
@@ -258,13 +342,18 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
                             ) -> Tuple[IsoState, IsoDiagnostics]:
     """Integrate dV/du_i = [V_i, V] along a polyline in u-space.
 
-    The tau increment int sum H_i du_i rides along as an extra component.
-    Before a segment is integrated it is certified: the exact closest
-    approach min_s |u_a(s) - u_b(s)| of every pair along the straight
-    segment must stay at least collision_margin * max(1, max |u_k|) over
-    both endpoints (|u| is convex along the segment, so every point of it
-    passes the pointwise test); otherwise CoalescingEigenvaluesError names
-    the segment and the pair.  The start point gets the same test."""
+    Each straight segment is integrated by Taylor steps in its parameter s
+    (`_taylor_segment`), and the tau increment int sum H_i du_i comes from
+    the same coefficients.  Before a segment is integrated it is certified:
+    the exact closest approach min_s |u_a(s) - u_b(s)| of every pair along
+    the straight segment must stay at least
+    collision_margin * max(1, max |u_k|) over both endpoints (|u| is convex
+    along the segment, so every point of it passes the pointwise test);
+    otherwise CoalescingEigenvaluesError names the segment and the pair.
+    The start point gets the same test.  A segment that runs out of its
+    MAX_SEGMENT_STEPS step attempts, or whose step falls below
+    ode.MIN_STEP, raises StepUnderflowError naming the segment and the s
+    reached."""
     n = len(state0.u)
     V = np.array(state0.V, dtype=complex)
     spec0 = sort_spectrum(np.linalg.eigvals(V))
@@ -295,10 +384,12 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
                 f"segment {k} (vertex {k - 1} to vertex {k}) brings u_{a + 1} "
                 f"and u_{b + 1} within {gap:.3e} of each other at s = {s:.6g}, "
                 f"below the collision margin {collision_margin * scale:.3e}")
-        y0 = np.concatenate([V.reshape(-1), [0j]])
-        y1, stats = integrate(_segment_field(state_u, du), y0, 0.0, 1.0, tol=tol)
-        V = y1[:n * n].reshape(n, n)
-        logtau += y1[n * n]
+        try:
+            V, dlogtau, stats = _taylor_segment(V, state_u, du, tol)
+        except StepUnderflowError as exc:
+            raise StepUnderflowError(
+                f"segment {k} (vertex {k - 1} to vertex {k}): {exc}") from None
+        logtau += dlogtau
         total_stats.steps += stats.steps
         total_stats.rejected += stats.rejected
         segments += 1

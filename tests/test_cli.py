@@ -242,11 +242,32 @@ def test_iso_integrate(capsys, tmp_path):
                          "--path", str(ppath), "--tol", "1e-10")
     assert code == 0
     assert data["residuals"]["spectral_drift"] < 1e-8
-    res = data["results"]
-    m = res["metrics"]
-    assert set(m) == {"segments", "steps", "rejected", "integrate_s"}
-    assert m["segments"] == 2 and m["integrate_s"] >= 0
-    assert (m["steps"], m["rejected"]) == (res["steps"], res["rejected"]) and m["steps"] > 0
+    assert set(data["results"]) == {"final", "dlog_tau"}
+    m = data["metrics"]
+    assert set(m) == {"segments", "steps", "rejected", "integrate_s", "order"}
+    assert m["segments"] == 2 and m["integrate_s"] >= 0 and m["order"] == 16
+    assert m["steps"] >= m["segments"] and m["rejected"] >= 0
+
+
+def test_iso_integrate_out_of_taylor_steps_is_an_error_report(capsys, tmp_path, monkeypatch):
+    # a cap of two step attempts per segment, below what the second segment
+    # needs: the report names the segment and the s reached
+    from frobenii import semisimple
+    monkeypatch.setattr(semisimple, "MAX_SEGMENT_STEPS", 2)
+    st = semisimple.IsoState(u=[0j, 1 + 0j, 2 + 0j],
+                             V=np.array([[0, 5, 5], [-5, 0, 5], [-5, -5, 0]], dtype=complex))
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps(semisimple.state_to_dict(st)), encoding="utf-8")
+    ppath.write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0], [2.1, 0.0]],
+                                 [[0.0, 0.0], [0.2, 0.1], [2.1, 0.0]]]),
+                     encoding="utf-8")
+    code, data = run_cli(capsys, "iso", "integrate", "--state", str(spath),
+                         "--path", str(ppath))
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert data["error"].startswith("segment 2 (vertex 1 to vertex 2): 2 Taylor step attempts")
+    assert "stuck at s=0." in data["error"]
 
 
 def test_iso_integrate_interior_collision_is_an_error_report(capsys, tmp_path):

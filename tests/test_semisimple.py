@@ -316,44 +316,88 @@ def test_collision_certificate_is_exact_at_the_margin():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_segment_field_is_the_sum_of_commutators(n):
-    from frobenii.semisimple import _segment_field
+    # the first Taylor coefficients of a segment are the flow and the tau
+    # integrand at its start: V_1 = sum_i du_i [V_i, V], tau' = sum_i du_i H_i
+    from frobenii.semisimple import TAYLOR_ORDER, _segment_series
     rng = np.random.default_rng(n)
     for _ in range(5):
         W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         V = W - W.T
-        u0 = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        u = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        s = rng.uniform()
-        u = u0 + s * du
         want = sum(d * (Vi @ V - V @ Vi) for d, Vi in zip(du, v_components(u, V)))
         want_tau = sum(d * h for d, h in zip(du, hamiltonians(IsoState(u=list(u), V=V))))
-        got = _segment_field(u0, du)(s, np.concatenate([V.reshape(-1), [0j]]))
+        Vb, T = _segment_series(V, u, du)
         scale = max(1.0, float(np.abs(want).max()))
-        assert np.abs(got[:-1].reshape(n, n) - want).max() < 1e-12 * scale
-        assert abs(got[-1] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
+        assert np.array_equal(Vb[TAYLOR_ORDER], V)
+        assert np.abs(Vb[TAYLOR_ORDER - 1] - want).max() < 1e-12 * scale
+        assert abs(T[0] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_segment_field_on_a_non_skew_v(n):
-    # the field assumes nothing of V: on V + V^T != 0 it is still [A, V]
-    # with A = V (du_a - du_b)/(u_a - u_b), and 1/2 du . (V o V o G) . 1
-    from frobenii.semisimple import _segment_field
+    # the series assumes nothing of V: on V + V^T != 0 its first coefficient
+    # is still [A, V] with A = V (du_a - du_b)/(u_a - u_b), and the tau
+    # integrand 1/2 du . (V o V o G) . 1
+    from frobenii.semisimple import TAYLOR_ORDER, _segment_series
     rng = np.random.default_rng(10 + n)
     off = 1 - np.eye(n)
     for _ in range(5):
         V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u0 = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        u = np.arange(n) + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        s = rng.uniform()
-        u = u0 + s * du
         G = off / (u[:, None] - u[None, :] + np.eye(n))
         A = V * (du[:, None] - du[None, :]) * G
         want = A @ V - V @ A
         want_tau = 0.5 * du @ (V * V * G).sum(axis=1)
-        got = _segment_field(u0, du)(s, np.concatenate([V.reshape(-1), [0j]]))
+        Vb, T = _segment_series(V, u, du)
         assert np.abs(V + V.T).max() > 0.1
-        assert np.abs(got[:-1].reshape(n, n) - want).max() < 1e-12 * max(1.0, np.abs(want).max())
-        assert abs(got[-1] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
+        assert np.abs(Vb[TAYLOR_ORDER - 1] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert abs(T[0] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
+
+
+def _commutator_field(u0, du):
+    """The flow on u(s) = u0 + s du as one commutator, for `ode.integrate`:
+    sum_i du_i [V_i, V] = [A, V] with A_ab = V_ab (du_a - du_b)/(u_a - u_b);
+    the last component is the tau integrand sum_i du_i H_i."""
+    n = len(u0)
+    m = n * n
+    eye = np.eye(n)
+    g0 = u0[:, None] - u0[None, :] + eye
+    dg = du[:, None] - du[None, :]
+    D = 0.5 * du[:, None] * (1 - eye)
+
+    def f(s, y):
+        V = y[:m].reshape(n, n)
+        r = 1 / (g0 + s * dg)
+        A = V * (dg * r)
+        out = np.empty(m + 1, dtype=complex)
+        out[:m] = (A @ V - V @ A).reshape(-1)
+        out[m] = (V * V * D * r).sum()
+        return out
+    return f
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_taylor_segment_against_runge_kutta(n):
+    # Runge-Kutta at tol 1e-12 is the reference for the Taylor segment at
+    # tol 1e-10, on segments where u_1 ends 0.1 from u_0, with |V| = 1 and 10
+    from frobenii.ode import integrate
+    rng = np.random.default_rng(100 + n)
+    for size in (1.0, 10.0):
+        u0 = np.arange(n) + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        u1 = u0 + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        theta = 2 * np.pi * rng.uniform()
+        u0[1] = u0[0] + 0.2 * np.exp(1j * theta)
+        u1[1] = u1[0] + 0.1 * np.exp(1j * (theta + rng.uniform(-1, 1)))
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        V = (W - W.T) * (size / np.abs(W - W.T).max())
+        fin, diag = integrate_isomonodromic(IsoState(list(u0), V), [list(u1)], tol=1e-10)
+        y, _ = integrate(_commutator_field(u0, u1 - u0),
+                         np.concatenate([V.reshape(-1), [0j]]), 0.0, 1.0, tol=1e-12)
+        scale = max(1.0, float(np.abs(y[:-1]).max()))
+        assert np.abs(fin.V - y[:-1].reshape(n, n)).max() < 1e-8 * scale
+        assert abs(diag.dlog_tau - y[-1]) < 1e-8 * scale
 
 
 def test_state_json_roundtrip():
