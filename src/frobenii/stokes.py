@@ -205,16 +205,16 @@ def _wrap(n: int, t: Flat, m: int) -> StokesMatrix:
     return S
 
 
-def _step(t: Flat, plan, m: int) -> Flat:
-    """Apply a `_flat_plan` to a flat tuple over Q(sqrt m): each u - s * v
-    is formed over one denominator and reduced by one gcd, skipped when
-    that denominator is 1."""
+def _step(t: Sequence[int], plan, m: int) -> List[int]:
+    """Apply a `_flat_plan` to a flat tuple over Q(sqrt m), returning a new
+    list that `_canonical` signs in place: each u - s * v is formed over one
+    denominator and reduced by one gcd, skipped when that denominator is 1."""
     k, swap, pairs = plan
+    out = list(swap(t))
     sp, sq = t[k], t[k + 1]
     if not (sp or sq):
-        return swap(t)
+        return out
     sd = t[k + 2]
-    out = list(swap(t))
     out[k] = -sp
     out[k + 1] = -sq
     for u, v in pairs:
@@ -236,18 +236,18 @@ def _step(t: Flat, plan, m: int) -> Flat:
         out[v] = p
         out[v + 1] = q
         out[v + 2] = d
-    return tuple(out)
+    return out
 
 
-def _canonical(n: int, t: Flat) -> Flat:
-    """Row-major greedy sign normalization of a flat tuple: the first
-    touched index of each component gets eps = +1, and each first
-    sign-adjustable nonzero entry is made lex-nonnegative (p > 0, or p = 0
-    and q >= 0) by eps_j."""
+def _canonical(n: int, out: List[int]) -> Flat:
+    """Row-major greedy sign normalization of a flat list, signed in place
+    and returned as a tuple: the first touched index of each component gets
+    eps = +1, and each first sign-adjustable nonzero entry is made
+    lex-nonnegative (p > 0, or p = 0 and q >= 0) by eps_j."""
     eps = [0] * n
     pairs = _flat_pairs(n)
     for i, j, k in pairs:
-        v = t[k] or t[k + 1]
+        v = out[k] or out[k + 1]
         if not v:
             continue
         sign = 1 if v > 0 else -1
@@ -260,19 +260,17 @@ def _canonical(n: int, t: Flat) -> Flat:
         else:
             eps[i] = 1
             eps[j] = sign
-    if -1 not in eps:
-        return t
-    out = list(t)
-    for i, j, k in pairs:
-        if eps[i] != eps[j]:    # a zero entry may have one eps still 0
-            out[k] = -out[k]
-            out[k + 1] = -out[k + 1]
+    if -1 in eps:
+        for i, j, k in pairs:
+            if eps[i] != eps[j]:    # a zero entry may have one eps still 0
+                out[k] = -out[k]
+                out[k + 1] = -out[k + 1]
     return tuple(out)
 
 
 def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
     """K S K for sigma_letter (a negative letter is the inverse)."""
-    return _wrap(S.n, _step(S.flat, _flat_plan(S.n, letter), S.m), S.m)
+    return _wrap(S.n, tuple(_step(S.flat, _flat_plan(S.n, letter), S.m)), S.m)
 
 
 def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> StokesMatrix:
@@ -282,14 +280,19 @@ def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> Stoke
     n, t, m = S.n, S.flat, S.m
     for letter in letters:
         t = _step(t, _flat_plan(n, letter), m)
-    return _wrap(n, t, m)
+    return _wrap(n, tuple(t), m)
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
     """Representative of {J S J : J = diag(+-1)}: scanning the upper entries
     row-major, greedily pick signs eps_j so each first sign-adjustable
-    nonzero entry becomes lex-nonnegative."""
-    return _wrap(S.n, _canonical(S.n, S.flat), S.m)
+    nonzero entry becomes lex-nonnegative.
+
+    It is a sign-class invariant (the same form for every J S J) for n <= 3
+    only: for n >= 4 an entry can join two components whose signs are
+    already set, and flips neither (the strict xfail
+    `test_canonical_is_a_sign_class_invariant_on_a_sparse_matrix`)."""
+    return _wrap(S.n, _canonical(S.n, list(S.flat)), S.m)
 
 
 @dataclass
@@ -301,51 +304,74 @@ class OrbitResult:
     levels: List[int] = field(default_factory=list)   # nodes first reached per BFS level
     max_bits: Dict[str, int] = field(default_factory=dict)   # of |p|, |q|, d seen
     elapsed_s: float = 0.0
-    steps: int = 0     # braid steps applied: 2(n-1) per node expanded
+    steps: int = 0     # braid letters tried: 2(n-1) per node expanded
+    images: int = 0    # braid images formed: steps minus the skipped inverses
+
+
+def _max_bits(col: Sequence[int]) -> int:
+    return max(max(col, default=0), -min(col, default=0)).bit_length()
 
 
 def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
     Nodes are flat int tuples (`S.flat`) over the one field of S, and they
-    are their own dedup key; every step is `_step` followed by `_canonical`."""
+    are their own dedup key; every step is `_step` followed by `_canonical`.
+
+    For n <= 3 a node is not stepped by the inverse of the letter it was
+    reached by: that image is J P J for its parent P and some J = diag(+-1),
+    and on 3 indices `_canonical` is a sign-class invariant (any two edges
+    share an index, so no entry joins two components whose signs are
+    already set), so the image is P, which is already seen.  For n >= 4
+    the greedy rule is not invariant (see `canonical_form`) and nothing is
+    skipped.  `steps` counts the letters tried, skipped ones included;
+    `images` counts the braid images formed."""
+    if max_size < 1:
+        raise ValueError(f"orbit cap must be at least 1, got {max_size}")
     t0 = time.perf_counter()
     n, m = S.n, S.m
     plans = [_flat_plan(n, g * e) for g in range(1, n) for e in (1, -1)]
-    start = _canonical(n, S.flat)
+    # the plan index skipped on a node reached by plans[a]; -1 skips nothing
+    back = [a ^ 1 if n <= 3 else -1 for a in range(len(plans))]
+    start = _canonical(n, list(S.flat))
     seen = {start}
+    add = seen.add
+    size = 1
     keep = [start]
-    frontier = [start]
+    frontier, skips = [start], [-1]
     levels = [1]
-    expanded = 0
+    expanded = skipped = 0
 
     def result(finite: bool, frontier_size: int, steps: int) -> OrbitResult:
         reps = [_wrap(n, t, m) for t in keep]
         flat = list(chain.from_iterable(seen))
-        bits = {f: max(map(abs, flat[k::3]), default=0).bit_length()
-                for k, f in enumerate("pqd")}
-        return OrbitResult(finite, len(seen), reps, frontier_size, levels, bits,
-                           time.perf_counter() - t0, steps)
+        bits = {f: _max_bits(flat[k::3]) for k, f in enumerate("pqd")}
+        return OrbitResult(finite, size, reps, frontier_size, levels, bits,
+                           time.perf_counter() - t0, steps, steps - skipped)
 
     while frontier:
-        nxt = []
-        for t in frontier:
-            for plan in plans:
-                img = _canonical(n, _step(t, plan, m))
-                if img in seen:
+        nxt, nxt_skips = [], []
+        for t, skip in zip(frontier, skips):
+            for a, plan in enumerate(plans):
+                if a == skip:
+                    skipped += 1
                     continue
-                seen.add(img)
-                if len(keep) < KEEP_REPRESENTATIVES:
+                img = _canonical(n, _step(t, plan, m))
+                add(img)
+                if len(seen) == size:
+                    continue
+                size += 1
+                if size <= KEEP_REPRESENTATIVES:
                     keep.append(img)
                 nxt.append(img)
-                if len(seen) > max_size:
+                nxt_skips.append(back[a])
+                if size > max_size:
                     levels.append(len(nxt))
-                    return result(False, len(nxt),
-                                  len(plans) * expanded + plans.index(plan) + 1)
+                    return result(False, len(nxt), len(plans) * expanded + a + 1)
             expanded += 1
         if nxt:
             levels.append(len(nxt))
-        frontier = nxt
+        frontier, skips = nxt, nxt_skips
     return result(True, 0, len(plans) * expanded)
 
 
@@ -627,5 +653,5 @@ def orbit_report(result: OrbitResult, cap: int) -> dict:
         out["frontier"] = result.frontier
     out["representatives"] = [stokes_to_dict(S) for S in result.representatives[:8]]
     out["metrics"] = {"bfs_s": result.elapsed_s, "steps": result.steps,
-                      "levels": result.levels, "max_bits": result.max_bits}
+                      "images": result.images, "levels": result.levels, "max_bits": result.max_bits}
     return out

@@ -149,6 +149,14 @@ def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
     assert data["results"]["size"] == 4
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_stokes_orbit_cap_below_one_is_an_error_report(capsys, cap):
+    code, data = run_cli(capsys, "stokes", "orbit", "A3-graph", "--max-size", cap)
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert "at least 1" in data["error"]
+
+
 def test_stokes_orbit_finite(capsys):
     code, data = run_cli(capsys, "stokes", "orbit", "A3-graph")
     assert code == 0

@@ -329,6 +329,11 @@ def _reference_cases():
         (StokesMatrix.from_triple(F(1, 2), 1, F(-1, 2)), 60),
         (StokesMatrix.from_triple(F(1, 3), F(2, 3), 1), 60),
         (StokesMatrix.from_triple(phi / 2, -phi / 2, 1), 60),
+        # s12 = 0 and s13 = 0 (the seeded case above has s23 = 0): the
+        # rank-3 skip of the arrival letter's inverse starts from each
+        # spanning-tree shape of the three indices
+        (StokesMatrix.from_triple(0, 2, 1 + rt2), 60),
+        (StokesMatrix.from_triple(F(3, 2), 0, -2), 60),
         (StokesMatrix.from_upper(4, {(0, 1): F(1, 2) + rt2 / 2, (0, 2): 1,
                                      (1, 2): rt2 / 2, (1, 3): F(1, 2),
                                      (2, 3): -1}), 40),
@@ -363,13 +368,68 @@ def test_max_bits_is_the_largest_field_over_every_node():
 def test_orbit_steps_counted():
     res = orbit(stokes_catalog("H4-nonstd-1"), max_size=10 ** 6)
     assert res.finite and res.steps == 6 * 90    # 2(n-1) per node expanded
+    assert res.images == res.steps               # n = 4 skips no letter
     capped = orbit(stokes_catalog("CP2"), max_size=500)
     # every node of the levels before the last is expanded, plus part of one
     expanded_full = sum(capped.levels[:-2])
     assert 4 * expanded_full < capped.steps <= 4 * (expanded_full + capped.levels[-2])
     assert capped.steps == _reference_orbit(stokes_catalog("CP2"), 500)["steps"]
+    # n = 3: every node but the start skips its arrival letter's inverse
+    assert capped.images < capped.steps
     report = orbit_report(capped, 500)
     assert report["metrics"]["steps"] == capped.steps
+    assert report["metrics"]["images"] == capped.images
+
+
+def test_cp2_orbit_at_the_benchmark_cap_is_frozen():
+    # the BFS of `stokes orbit CP2 --max-size 10000`: a doubling Markoff
+    # tree, 4999 nodes expanded in full and one letter of the next; each
+    # node but the start skips one letter, so images = steps - 4998
+    res = orbit(stokes_catalog("CP2"), max_size=10 ** 4)
+    assert not res.finite and res.size == 10 ** 4 + 1
+    assert res.levels == [1, 3, 6, 12, 24, 48, 96, 192, 384, 768, 1536, 3072, 3859]
+    assert res.frontier == 3859
+    assert res.steps == 19997 and res.images == 19997 - 4998
+    assert res.max_bits == {"p": 487, "q": 0, "d": 1}
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_orbit_cap_below_one_refused(cap):
+    # the start node alone would already pass such a cap
+    with pytest.raises(ValueError, match="at least 1"):
+        orbit(StokesMatrix.from_upper(3, {}), max_size=cap)
+    res = orbit(StokesMatrix.from_upper(3, {}), max_size=1)
+    assert res.finite and res.size == 1
+
+
+def _round_trip(S, letter):
+    """The canonical form of sigma_letter^-1 applied to the canonical form
+    of sigma_letter S."""
+    return canonical_form(braid_generator(canonical_form(braid_generator(S, letter)),
+                                          -letter))
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z[sqrt2]", "Z[phi]"])
+def test_arrival_inverse_returns_to_the_parent_at_rank_3(ring):
+    # the premise of the rank-3 skip in orbit(): the image of a node under
+    # the inverse of the letter it was reached by is its parent's class,
+    # for every letter, with zero entries and denominators
+    rng = random.Random(23)
+    unit = {"Z": QuadScalar(0), "Z[sqrt2]": QuadScalar(0, 1, 2),
+            "Z[phi]": QuadScalar(F(1, 2), F(1, 2), 5)}[ring]
+    for _ in range(80):
+        S = StokesMatrix.from_triple(*(
+            (rng.randint(-3, 3) + rng.randint(-2, 2) * unit) / rng.choice((1, 1, 2, 3))
+            if rng.random() > 0.25 else 0 for _ in range(3)))
+        for letter in (1, -1, 2, -2):
+            assert _round_trip(S, letter) == canonical_form(S), (S, letter)
+
+
+def test_arrival_inverse_leaves_the_parent_at_rank_4():
+    # why orbit() skips nothing for n >= 4: on the matrix of the strict
+    # xfail below, sigma_2 then its inverse lands on another canonical form
+    S = StokesMatrix.from_upper(4, {(0, 3): 2, (1, 2): 1, (1, 3): 2, (2, 3): -3})
+    assert _round_trip(S, 2) != canonical_form(S)
 
 
 def test_stokes_entries_cannot_be_assigned():
