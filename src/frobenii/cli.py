@@ -228,7 +228,8 @@ def cmd_iso(args) -> int:
                             "steps": diag.stats.steps,
                             "rejected": diag.stats.rejected,
                             "integrate_s": integrate_s,
-                            "order": semisimple.TAYLOR_ORDER})
+                            "min_order": diag.min_order,
+                            "max_order": diag.max_order})
 
 
 # -- sing ---------------------------------------------------------------------

@@ -182,8 +182,10 @@ def pvi_rhs(mu1, x, y, yp):
     """y'' from PVI(mu); raises ZeroDivisionError at singular configurations."""
     A = (1 / y + 1 / (y - 1) + 1 / (y - x)) * yp * yp / 2
     B = (1 / x + 1 / (x - 1) + 1 / (y - x)) * yp
+    # (y - x) squared as a product: on a Python complex, ** 2 raises
+    # OverflowError where the product overflows to inf and the step is retried
     C = (y * (y - 1) * (y - x) / (x * x * (x - 1) ** 2)
-         * ((2 * mu1 - 1) ** 2 + x * (x - 1) / (y - x) ** 2)) / 2
+         * ((2 * mu1 - 1) ** 2 + x * (x - 1) / ((y - x) * (y - x)))) / 2
     return A - B + C
 
 
@@ -303,10 +305,13 @@ def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10,
             return False
         return (abs(y) > margin and abs(y - 1) > margin and abs(y - x) > margin)
 
-    # the state carries (y, dy/dsigma) with sigma the segment parameter
+    # the state carries (y, dy/dsigma) with sigma the segment parameter; the
+    # field reads it as Python complex, on which pvi_rhs is cheaper than on
+    # numpy scalars.  (The guard keeps the numpy scalar: abs of a Python
+    # complex raises OverflowError above the largest float, numpy's is inf.)
     def f(sig: float, state: np.ndarray) -> np.ndarray:
         x = x0 + sig * dx
-        y, dyds = state
+        y, dyds = state.tolist()
         yp = dyds / dx
         ypp = pvi_rhs(mu1, x, y, yp)
         return np.array([dyds, ypp * dx * dx], dtype=complex)

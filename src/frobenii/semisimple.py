@@ -16,14 +16,18 @@ evaluates all c_abg in one numpy expression and two mat-vecs.
 
 Along a straight segment u(s) = u0 + s du of a path the flow is one
 commutator, dV/ds = sum_i du_i [V_i, V] = [A, V] with
-A_ab = V_ab (du_a - du_b)/(u_a - u_b), and the segment is certified clear
-of colliding u_i in closed form before it is integrated.  V is meromorphic
-in u (the system has the Painleve property), so the segment is integrated
-by Taylor steps in s of order TAYLOR_ORDER: the coefficients of
-(du_a - du_b)/(u_a - u_b) are geometric, those of V follow from a
-recursion of Cauchy products, and each step's length is read off the last
-two coefficients (Jorba-Zou).  The tau increment comes from the same
-coefficients.
+A_ab = V_ab (du_a - du_b)/(u_a - u_b).  Every segment of a path is
+certified clear of colliding u_i in closed form, all in one stacked
+computation, before the first is integrated.  V is meromorphic in u (the
+system has the Painleve property), so a segment is integrated by Taylor
+steps in s: the coefficients of (du_a - du_b)/(u_a - u_b) are geometric,
+those of V follow from a recursion of Cauchy products that costs six numpy
+calls per order, and each step's length is read off the last two
+coefficients (Jorba-Zou).  The order follows the tolerance: a step starts
+at p = ceil(-ln(tol) / 2) + 1 and adds orders, up to 2p, while the length
+read off V falls short of the rest of the segment.  The tau increment comes
+from the same coefficients, and the spectral and skewness drifts from one
+eigensolve of the V at every vertex.
 """
 
 from __future__ import annotations
@@ -40,13 +44,10 @@ from .frobenius import FrobeniusPotential
 from .ode import MIN_STEP, IntegrationStats, StepUnderflowError
 
 DEFAULT_COLLISION_MARGIN = 1e-6
-# Order of the Taylor polynomials that advance V along a path segment.
-TAYLOR_ORDER = 16
 # Taylor step attempts, accepted or rejected, allowed on one segment; one
 # more raises StepUnderflowError.  The largest counts seen on one segment are
 # 25 in the test suite and 3 in the chart benchmark's loops (seeds 1-10).
 MAX_SEGMENT_STEPS = 1000
-_POWERS = np.arange(TAYLOR_ORDER + 1)
 
 
 class CoalescingEigenvaluesError(ArithmeticError):
@@ -199,20 +200,24 @@ def _inverse_gaps(u: np.ndarray) -> np.ndarray:
     return (1 - eye) / (u[:, None] - u[None, :] + eye)
 
 
-def _closest_approach(u0: np.ndarray, du: np.ndarray) -> Tuple[float, int, int, float]:
-    """min |u_a(s) - u_b(s)| over a < b and s in [0, 1] on the segment
-    u(s) = u0 + s du, with the pair (a, b) and the s where it is attained.
+def _closest_approach(u0: np.ndarray, du: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """min |u_a(s) - u_b(s)| over a < b and s in [0, 1] on each segment
+    u(s) = u0[k] + s du[k] of a stack (u0 and du of shape (S, n)), with the
+    pair (a, b) and the s where it is attained: four arrays of length S.
 
     Per pair the gap g0 + s dg is a straight segment in C; its distance to 0
     is attained at s* = clip(-Re(g0 conj(dg))/|dg|^2, 0, 1)."""
-    n = len(u0)
-    g0 = u0[:, None] - u0[None, :]
-    dg = du[:, None] - du[None, :]
+    S, n = u0.shape
+    g0 = u0[:, :, None] - u0[:, None, :]
+    dg = du[:, :, None] - du[:, None, :]
     d2 = (dg * dg.conj()).real
     s = np.clip(-(g0 * dg.conj()).real / np.where(d2 > 0, d2, 1.0), 0.0, 1.0)
-    dist = np.abs(g0 + s * dg) + np.diag(np.full(n, np.inf))
-    a, b = divmod(int(np.argmin(dist)), n)
-    return float(dist[a, b]), a, b, float(s[a, b])
+    dist = (np.abs(g0 + s * dg) + np.diag(np.full(n, np.inf))).reshape(S, n * n)
+    # the first minimum in row-major order has a < b
+    at = dist.argmin(axis=1)
+    rows = np.arange(S)
+    return dist[rows, at], at // n, at % n, s.reshape(S, n * n)[rows, at]
 
 
 def v_components(u: Sequence[complex], V: np.ndarray) -> List[np.ndarray]:
@@ -241,50 +246,68 @@ class IsoDiagnostics:
     stats: IntegrationStats
     dlog_tau: complex
     segments: int
+    min_order: int  # the lowest and highest Taylor order of a step taken,
+    max_order: int  # 0 when the path has no segment of nonzero length
 
 
-def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray, p: int,
+                    bound: float, reach: float) -> Tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients in sigma of V along u + sigma du from V at u, and
-    of the tau integrand sum_i du_i H_i.
+    of the tau integrand sum_i du_i H_i, to an order K between p and 2p.
 
     Off the diagonal the gaps G_ab = u_a - u_b move by dg_ab = du_a - du_b,
     so 1/(G + sigma dg) has the geometric coefficients rho^k / G with
     rho = -dg/G, and B = V o (1/(G + sigma dg)) (zero on the diagonal) has
-    B_k = V_k / G + rho o B_{k-1}.  With A = dg o B, dV/dsigma = [A, V]
-    gives (k + 1) V_{k+1} = sum_{j <= k} (A_j V_{k-j} - V_{k-j} A_j).
-    Nothing is assumed of V.  The tau integrand is 1/2 sum_ab du_a V_ab B_ab.
+    B_k = V_k / G + rho o B_{k-1}.  With A = dg o B this is B_k = D_k / G and
+    A_k = (dg / G) o D_k for D_k = V_k - A_{k-1} (A_{-1} = 0), with no
+    division by dg; pairs with dg = 0 get A_k = 0.  dV/dsigma = [A, V] gives
+    (k + 1) V_{k+1} = sum_{j <= k} (A_j V_{k-j} - V_{k-j} A_j).  Nothing is
+    assumed of V.  The tau integrand is 1/2 sum_ab du_a V_ab B_ab.
+
+    From order p on, the step length read off the last two coefficients,
+    min over j in {K - 1, K} of (bound / |V_j|)^(1/j), is compared with
+    `reach`: the series stops at the first K where it reaches `reach`, and
+    at K = 2p at the latest.
 
     Returns (Vb, T): Vb[K - k] = V_k for k <= K, and T[m] for m < K the
     coefficients of the tau integrand."""
     n = len(V)
-    K = TAYLOR_ORDER
+    top = 2 * p
     dg = du[:, None] - du[None, :]
     inv = _inverse_gaps(u)
-    rho = -dg * inv
+    W = dg * inv
     # The commutator sum is one convolution of blocks 2n wide:
     # sum_j [A_j, -V_j] [V_{k-j}; A_{k-j}].  X holds the [A_j, -V_j] forward
     # as a row and Y the [V_i; A_i] backward as a column, so the blocks that
     # V_{k+1} needs are a prefix of X and a suffix of Y: one 2-D matmul.
-    X = np.empty((n, K, 2, n), dtype=complex)
-    Y = np.empty((K + 1, 2, n, n), dtype=complex)
-    Xrow = X.reshape(n, 2 * K * n)
-    Ycol = Y.reshape(2 * (K + 1) * n, n)
-    B = np.empty((K, n, n), dtype=complex)
-    Y[K, 0] = V
-    X[:, 0, 1] = -V
-    np.multiply(inv, V, out=B[0])
-    for k in range(K):
-        if k:
-            np.multiply(rho, B[k - 1], out=B[k])
-            B[k] += inv * Y[K - k, 0]
-        np.multiply(dg, B[k], out=Y[K - k, 1])
-        X[:, k, 0] = Y[K - k, 1]
-        C = Xrow[:, :2 * (k + 1) * n] @ Ycol[2 * (K - k) * n:]
-        np.multiply(C, 1 / (k + 1), out=Y[K - k - 1, 0])
-        if k + 1 < K:
-            np.multiply(C, -1 / (k + 1), out=X[:, k + 1, 1])
-    Vb = Y[:, 0]
+    X = np.empty((n, top, 2, n), dtype=complex)
+    Y = np.empty((top + 1, 2, n, n), dtype=complex)
+    Xrow = X.reshape(n, 2 * top * n)
+    Ycol = Y.reshape(2 * (top + 1) * n, n)
+    D = np.empty((top, n, n), dtype=complex)
+    D[0] = V
+    Y[top, 0] = V
+    np.negative(V, out=X[:, 0, 1])
+    np.multiply(W, V, out=Y[top, 1])
+    X[:, 0, 0] = Y[top, 1]
+    c_prev = 0.0
+    for k in range(1, top + 1):
+        C = Xrow[:, :2 * k * n] @ Ycol[2 * (top + 1 - k) * n:]
+        Vk = Y[top - k, 0]
+        np.multiply(C, 1 / k, out=Vk)
+        if k >= p - 1:
+            c = float(np.abs(Vk).max())
+            if k == top or (k >= p and c * reach ** k <= bound
+                            and c_prev * reach ** (k - 1) <= bound):
+                break
+            c_prev = c
+        np.negative(Vk, out=X[:, k, 1])
+        np.subtract(Vk, Y[top + 1 - k, 1], out=D[k])
+        np.multiply(W, D[k], out=Y[top - k, 1])
+        X[:, k, 0] = Y[top - k, 1]
+    K = k
+    Vb = Y[top - K:, 0]
+    B = inv * D[:K]
     # M[j, l] pairs V_j with B_l, and T_m sums M over j + l = m: in a
     # zero-padded copy read with rows of 2K - 1, row j is shifted by j, so
     # M[j, l] lands in column j + l.  (A 0/1 matrix-vector product would do
@@ -295,45 +318,58 @@ def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray
     return Vb, Z.reshape(-1)[:K * (2 * K - 1)].reshape(K, 2 * K - 1)[:, :K].sum(axis=0)
 
 
-def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
-                    ) -> Tuple[np.ndarray, complex, IntegrationStats]:
-    """V and the tau increment at the end of u(s) = u0 + s du, s in [0, 1],
-    by Taylor steps of order K = TAYLOR_ORDER.
+def _taylor_order(tol: float) -> int:
+    """Jorba-Zou's starting order ceil(-ln(tol) / 2) + 1, at least 2."""
+    return max(2, math.ceil(-math.log(tol) / 2) + 1)
 
-    A step from s reads its length from the last two coefficients of V and
-    of tau (Jorba-Zou): c_j = max(|V_j|, |tau_j|) and
+
+def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
+                    ) -> Tuple[np.ndarray, complex, IntegrationStats, List[int]]:
+    """V and the tau increment at the end of u(s) = u0 + s du, s in [0, 1],
+    by Taylor steps of variable order, and the order of each accepted step.
+
+    A step from s starts at Jorba-Zou's order p = ceil(-ln(tol) / 2) + 1 and
+    adds orders, up to 2p, while the step length read off V's last two
+    coefficients falls short of what is left of the segment (or of the cap
+    a rejection set); see `_segment_series`.  At the order K reached its
+    length comes from the last two coefficients of V and of tau:
+    c_j = max(|V_j|, |tau_j|) and
     h = min over j in {K - 1, K} of (tol max(1, |V|) / c_j)^(1/j).  It is
     accepted when c_K h^K <= tol max(1, |V|) and the end value is finite;
     otherwise h is halved and the attempt counts as rejected."""
     n = len(V)
-    K = TAYLOR_ORDER
+    p = _taylor_order(tol)
+    powers = np.arange(2 * p + 1)
     stats = IntegrationStats()
+    orders: List[int] = []
     s, logtau, cap = 0.0, 0j, math.inf
     while 1.0 - s > MIN_STEP:
         if stats.steps + stats.rejected == MAX_SEGMENT_STEPS:
             raise StepUnderflowError(
                 f"{MAX_SEGMENT_STEPS} Taylor step attempts ({stats.rejected} "
                 f"rejected) without reaching s=1; stuck at s={s}")
-        Vb, T = _segment_series(V, u0 + s * du, du)
-        scale = max(1.0, float(np.abs(V).max()))
+        bound = tol * max(1.0, float(np.abs(V).max()))
+        Vb, T = _segment_series(V, u0 + s * du, du, p, bound, min(1.0 - s, cap))
+        K = len(T)
         # c_K and c_{K-1}; tau_{m+1} = T_m / (m + 1)
         last = np.maximum(np.abs(Vb[:2]).reshape(2, -1).max(axis=1),
                           np.abs(T[:-3:-1]) / (K, K - 1))
-        h = min([1.0 - s, cap] + [(tol * scale / c) ** (1 / j)
+        h = min([1.0 - s, cap] + [(bound / c) ** (1 / j)
                                   for j, c in zip((K, K - 1), last) if c > 0])
         if h < MIN_STEP:
             raise StepUnderflowError(f"Taylor step size underflow at s={s}")
-        Vh = (h ** _POWERS[::-1]) @ Vb.reshape(K + 1, n * n)
-        if last[0] * h ** K <= tol * scale and np.isfinite(Vh).all():
+        Vh = (h ** powers[K::-1]) @ Vb.reshape(K + 1, n * n)
+        if last[0] * h ** K <= bound and np.isfinite(Vh).all():
             V = Vh.reshape(n, n)
-            logtau += T @ (h ** _POWERS[1:] / _POWERS[1:])
+            logtau += T @ (h ** powers[1:K + 1] / powers[1:K + 1])
             s += h
             stats.steps += 1
+            orders.append(K)
             cap = math.inf
         else:
             stats.rejected += 1
             cap = h / 2
-    return V, logtau, stats
+    return V, logtau, stats, orders
 
 
 def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
@@ -344,65 +380,82 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
 
     Each straight segment is integrated by Taylor steps in its parameter s
     (`_taylor_segment`), and the tau increment int sum H_i du_i comes from
-    the same coefficients.  Before a segment is integrated it is certified:
-    the exact closest approach min_s |u_a(s) - u_b(s)| of every pair along
-    the straight segment must stay at least
-    collision_margin * max(1, max |u_k|) over both endpoints (|u| is convex
-    along the segment, so every point of it passes the pointwise test);
-    otherwise CoalescingEigenvaluesError names the segment and the pair.
-    The start point gets the same test.  A segment that runs out of its
-    MAX_SEGMENT_STEPS step attempts, or whose step falls below
-    ode.MIN_STEP, raises StepUnderflowError naming the segment and the s
-    reached."""
+    the same coefficients.  Every segment is certified before the first is
+    integrated, in one stacked computation: the exact closest approach
+    min_s |u_a(s) - u_b(s)| of every pair along the straight segment must
+    stay at least collision_margin * max(1, max |u_k|) over both endpoints
+    (|u| is convex along the segment, so every point of it passes the
+    pointwise test); otherwise CoalescingEigenvaluesError names the segment
+    and the pair, raised when the integration reaches that segment.  The
+    start point gets the same test, as a segment of length zero.  A segment
+    that runs out of its MAX_SEGMENT_STEPS step attempts, or whose step
+    falls below ode.MIN_STEP, raises StepUnderflowError naming the segment
+    and the s reached.  The spectral and skewness drifts are read from one
+    eigensolve of the V at every vertex reached.  V must be n x n, every
+    vertex must have n entries (n = len(u)) and tol must be positive;
+    otherwise ValueError."""
     n = len(state0.u)
     V = np.array(state0.V, dtype=complex)
-    spec0 = sort_spectrum(np.linalg.eigvals(V))
-    skew0 = float(np.abs(V + V.T).max())
+    if V.shape != (n, n):
+        raise ValueError(f"V has shape {V.shape}, but u has {n} entries")
+    for i, vert in enumerate(path):
+        if len(vert) != n:
+            raise ValueError(f"path vertex {i} has {len(vert)} entries, "
+                             f"but u has {n}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     u_start = np.array(state0.u, dtype=complex)
-    verts = [np.array(v, dtype=complex) for v in path]
-    if not verts or np.abs(verts[0] - u_start).max() > 1e-12 * max(1.0, np.abs(u_start).max()):
-        verts = [u_start] + verts
-    total_stats = IntegrationStats()
-    segments = 0
-    logtau = 0j
-    spectral_drift = 0.0
-    skew_drift = 0.0
-
-    gap, a, b, _ = _closest_approach(u_start, np.zeros(n, dtype=complex))
-    if gap < collision_margin * max(1.0, float(np.abs(u_start).max())):
+    verts = np.array(path, dtype=complex).reshape(-1, n)
+    if len(verts) and np.abs(verts[0] - u_start).max() <= 1e-12 * max(1.0, np.abs(u_start).max()):
+        verts[0] = u_start
+    else:
+        verts = np.concatenate([u_start[None], verts])
+    # segment k runs from starts[k] to verts[k]; row 0 is the start point as
+    # a segment of length zero
+    starts = np.concatenate([verts[:1], verts[:-1]])
+    dus = verts - starts
+    margins = collision_margin * np.maximum(
+        1.0, np.maximum(np.abs(starts).max(axis=1), np.abs(verts).max(axis=1)))
+    gaps, pa, pb, ps = (x.tolist() for x in _closest_approach(starts, dus))
+    margins = margins.tolist()
+    moving = (dus != 0).any(axis=1).tolist()
+    if gaps[0] < margins[0]:
         raise CoalescingEigenvaluesError(
-            f"start point violates collision margin: |u_{a + 1} - u_{b + 1}| = {gap:.3e}")
-    state_u = u_start
-    for k, vert in enumerate(verts[1:], start=1):
-        du = vert - state_u
-        if np.abs(du).max() == 0:
+            f"start point violates collision margin: "
+            f"|u_{pa[0] + 1} - u_{pb[0] + 1}| = {gaps[0]:.3e}")
+    total_stats = IntegrationStats()
+    orders: List[int] = []
+    logtau = 0j
+    Vs = [V]
+    for k in range(1, len(verts)):
+        if not moving[k]:
             continue
-        scale = max(1.0, float(np.abs(state_u).max()), float(np.abs(vert).max()))
-        gap, a, b, s = _closest_approach(state_u, du)
-        if gap < collision_margin * scale:
+        if gaps[k] < margins[k]:
             raise CoalescingEigenvaluesError(
-                f"segment {k} (vertex {k - 1} to vertex {k}) brings u_{a + 1} "
-                f"and u_{b + 1} within {gap:.3e} of each other at s = {s:.6g}, "
-                f"below the collision margin {collision_margin * scale:.3e}")
+                f"segment {k} (vertex {k - 1} to vertex {k}) brings u_{pa[k] + 1} "
+                f"and u_{pb[k] + 1} within {gaps[k]:.3e} of each other at "
+                f"s = {ps[k]:.6g}, below the collision margin {margins[k]:.3e}")
         try:
-            V, dlogtau, stats = _taylor_segment(V, state_u, du, tol)
+            V, dlogtau, stats, seg_orders = _taylor_segment(V, starts[k], dus[k], tol)
         except StepUnderflowError as exc:
             raise StepUnderflowError(
                 f"segment {k} (vertex {k - 1} to vertex {k}): {exc}") from None
         logtau += dlogtau
         total_stats.steps += stats.steps
         total_stats.rejected += stats.rejected
-        segments += 1
-        state_u = vert
-        spec = sort_spectrum(np.linalg.eigvals(V))
-        spectral_drift = max(spectral_drift,
-                             max(abs(a - b) for a, b in zip(spec, spec0)))
-        skew_drift = max(skew_drift,
-                         abs(float(np.abs(V + V.T).max()) - skew0))
-    final = IsoState(u=list(state_u), V=V)
+        orders += seg_orders
+        Vs.append(V)
+    stack = np.array(Vs)
+    specs = [sort_spectrum(row) for row in np.linalg.eigvals(stack)]
+    spectral_drift = max((abs(a - b) for spec in specs[1:]
+                          for a, b in zip(spec, specs[0])), default=0.0)
+    skews = np.abs(stack + stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    final = IsoState(u=list(verts[-1]), V=V)
     diag = IsoDiagnostics(spectral_drift=spectral_drift,
-                          skewness_drift=skew_drift,
-                          stats=total_stats, dlog_tau=logtau, segments=segments)
+                          skewness_drift=float(np.abs(skews - skews[0]).max()),
+                          stats=total_stats, dlog_tau=logtau, segments=len(Vs) - 1,
+                          min_order=min(orders, default=0),
+                          max_order=max(orders, default=0))
     return final, diag
 
 

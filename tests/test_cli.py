@@ -234,6 +234,30 @@ def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):
     assert data["status"] == "ERROR"
 
 
+@pytest.mark.parametrize("state, path, message", [
+    # a 2x2 V for three u_i
+    ({"u": [[0, 0], [1, 0], [2, 0]], "V": [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]},
+     [[[0.1, 0], [1, 0], [2, 0]]], "V has shape (2, 2), but u has 3 entries"),
+    # a path vertex with two entries for three u_i
+    ({"u": [[0, 0], [1, 0], [2, 0]],
+      "V": [[[0, 0], [1, 0], [0, 0]], [[-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]},
+     [[[0.1, 0], [1, 0], [2, 0]], [[0.2, 0], [1, 0]]],
+     "path vertex 1 has 2 entries, but u has 3"),
+], ids=["V-shape", "vertex-length"])
+def test_iso_integrate_malformed_input_is_an_error_report(capsys, tmp_path, state, path,
+                                                          message):
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps(state), encoding="utf-8")
+    ppath.write_text(json.dumps(path), encoding="utf-8")
+    code, data = run_cli(capsys, "iso", "integrate", "--state", str(spath),
+                         "--path", str(ppath))
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert message in data["error"]
+    assert "broadcast" not in data["error"]
+
+
 def test_iso_integrate(capsys, tmp_path):
     import numpy as np
     from frobenii.semisimple import IsoState, state_to_dict
@@ -252,8 +276,11 @@ def test_iso_integrate(capsys, tmp_path):
     assert data["residuals"]["spectral_drift"] < 1e-8
     assert set(data["results"]) == {"final", "dlog_tau"}
     m = data["metrics"]
-    assert set(m) == {"segments", "steps", "rejected", "integrate_s", "order"}
-    assert m["segments"] == 2 and m["integrate_s"] >= 0 and m["order"] == 16
+    assert set(m) == {"segments", "steps", "rejected", "integrate_s",
+                      "min_order", "max_order"}
+    assert m["segments"] == 2 and m["integrate_s"] >= 0
+    # at tol 1e-10 a step starts at order 13 and stops by order 26
+    assert 13 <= m["min_order"] <= m["max_order"] <= 26
     assert m["steps"] >= m["segments"] and m["rejected"] >= 0
 
 

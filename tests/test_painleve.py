@@ -1,6 +1,7 @@
 """PVI(mu): residual evaluation, the three algebraic families, integration
 and the (q, p, k) -> Psi chain."""
 
+import cmath
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -47,6 +48,13 @@ def test_sqrt_solution_of_pvi_half():
         yp = 0.5 / y
         ypp = -0.25 * xv ** -1.5
         assert abs(ypp - pvi_rhs(0.5, xv, y, yp)) < 1e-13
+
+
+def test_rhs_overflows_to_a_non_finite_value_on_python_complex():
+    # pvi_integrate's field runs on Python complex: a runaway Runge-Kutta
+    # stage must give a non-finite y'' (the step is retried), not raise
+    ypp = pvi_rhs(0.5, 0.3 + 0.1j, complex(1e200, 0), 1 + 0j)
+    assert not cmath.isfinite(ypp)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def test_collision_certificate_is_exact_at_the_margin():
 def test_segment_field_is_the_sum_of_commutators(n):
     # the first Taylor coefficients of a segment are the flow and the tau
     # integrand at its start: V_1 = sum_i du_i [V_i, V], tau' = sum_i du_i H_i
-    from frobenii.semisimple import TAYLOR_ORDER, _segment_series
+    from frobenii.semisimple import _segment_series
     rng = np.random.default_rng(n)
     for _ in range(5):
         W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -327,10 +327,10 @@ def test_segment_field_is_the_sum_of_commutators(n):
         du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         want = sum(d * (Vi @ V - V @ Vi) for d, Vi in zip(du, v_components(u, V)))
         want_tau = sum(d * h for d, h in zip(du, hamiltonians(IsoState(u=list(u), V=V))))
-        Vb, T = _segment_series(V, u, du)
+        Vb, T = _segment_series(V, u, du, 13, 1e-10, 1.0)
         scale = max(1.0, float(np.abs(want).max()))
-        assert np.array_equal(Vb[TAYLOR_ORDER], V)
-        assert np.abs(Vb[TAYLOR_ORDER - 1] - want).max() < 1e-12 * scale
+        assert np.array_equal(Vb[-1], V)
+        assert np.abs(Vb[-2] - want).max() < 1e-12 * scale
         assert abs(T[0] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
 
 
@@ -339,7 +339,7 @@ def test_segment_field_on_a_non_skew_v(n):
     # the series assumes nothing of V: on V + V^T != 0 its first coefficient
     # is still [A, V] with A = V (du_a - du_b)/(u_a - u_b), and the tau
     # integrand 1/2 du . (V o V o G) . 1
-    from frobenii.semisimple import TAYLOR_ORDER, _segment_series
+    from frobenii.semisimple import _segment_series
     rng = np.random.default_rng(10 + n)
     off = 1 - np.eye(n)
     for _ in range(5):
@@ -350,9 +350,9 @@ def test_segment_field_on_a_non_skew_v(n):
         A = V * (du[:, None] - du[None, :]) * G
         want = A @ V - V @ A
         want_tau = 0.5 * du @ (V * V * G).sum(axis=1)
-        Vb, T = _segment_series(V, u, du)
+        Vb, T = _segment_series(V, u, du, 13, 1e-10, 1.0)
         assert np.abs(V + V.T).max() > 0.1
-        assert np.abs(Vb[TAYLOR_ORDER - 1] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(Vb[-2] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
         assert abs(T[0] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
 
 
@@ -381,9 +381,13 @@ def _commutator_field(u0, du):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_taylor_segment_against_runge_kutta(n):
     # Runge-Kutta at tol 1e-12 is the reference for the Taylor segment at
-    # tol 1e-10, on segments where u_1 ends 0.1 from u_0, with |V| = 1 and 10
+    # tol 1e-10 and 1e-12, on segments where u_1 ends 0.1 from u_0, with
+    # |V| = 1 and 10; for n > 2 (at n = 2 V is constant) some step must add
+    # orders beyond the starting order p = _taylor_order(tol)
     from frobenii.ode import integrate
+    from frobenii.semisimple import _taylor_order
     rng = np.random.default_rng(100 + n)
+    extended = False
     for size in (1.0, 10.0):
         u0 = np.arange(n) + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         u1 = u0 + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -392,12 +396,62 @@ def test_taylor_segment_against_runge_kutta(n):
         u1[1] = u1[0] + 0.1 * np.exp(1j * (theta + rng.uniform(-1, 1)))
         W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         V = (W - W.T) * (size / np.abs(W - W.T).max())
-        fin, diag = integrate_isomonodromic(IsoState(list(u0), V), [list(u1)], tol=1e-10)
         y, _ = integrate(_commutator_field(u0, u1 - u0),
                          np.concatenate([V.reshape(-1), [0j]]), 0.0, 1.0, tol=1e-12)
         scale = max(1.0, float(np.abs(y[:-1]).max()))
-        assert np.abs(fin.V - y[:-1].reshape(n, n)).max() < 1e-8 * scale
-        assert abs(diag.dlog_tau - y[-1]) < 1e-8 * scale
+        for tol in (1e-10, 1e-12):
+            fin, diag = integrate_isomonodromic(IsoState(list(u0), V), [list(u1)], tol=tol)
+            assert np.abs(fin.V - y[:-1].reshape(n, n)).max() < 1e-8 * scale
+            assert abs(diag.dlog_tau - y[-1]) < 1e-8 * scale
+            p = _taylor_order(tol)
+            assert p <= diag.min_order <= diag.max_order <= 2 * p
+            extended |= diag.max_order > p
+    assert extended or n == 2
+
+
+def test_taylor_order_follows_the_tolerance():
+    from frobenii.semisimple import _taylor_order
+    assert [_taylor_order(t) for t in (1e-10, 1e-12, 0.5, 2.0)] == [13, 15, 2, 2]
+    st = _random_state()
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_isomonodromic(st, [st.u], tol=tol)
+
+
+def test_step_failure_on_an_earlier_segment_wins_over_a_later_collision(monkeypatch):
+    # every segment is certified before the first is integrated, but a
+    # collision is raised only when the integration reaches its segment: here
+    # segment 1 runs out of step attempts first
+    from frobenii import semisimple
+    from frobenii.ode import StepUnderflowError
+    monkeypatch.setattr(semisimple, "MAX_SEGMENT_STEPS", 2)
+    V = np.array([[0, 5, 5], [-5, 0, 5], [-5, -5, 0]], dtype=complex)
+    mid = [0j, 0.2 + 0.1j, 2 + 0j]
+    path = [mid, [0.2 + 0.1j, 0j, 2 + 0j]]  # segment 2 swaps u_1 and u_2
+    with pytest.raises(CoalescingEigenvaluesError, match="segment 1 .* u_1 and u_2"):
+        integrate_isomonodromic(IsoState(u=mid, V=V), path[1:])
+    with pytest.raises(StepUnderflowError, match=r"^segment 1 \(vertex 0 to vertex 1\): 2 Taylor"):
+        integrate_isomonodromic(IsoState(u=[0j, 1 + 0j, 2 + 0j], V=V), path)
+
+
+def test_stacked_drift_equals_the_chained_segments():
+    # the drifts are read from one eigensolve of every vertex's V; run as
+    # one-segment paths chained by hand, the same vertices give the same
+    # largest drift from the start's spectrum and skewness
+    st = _random_state(seed=19)
+    path = [[0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j], [0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j],
+            [-0.1 + 0.2j, 1.3 + 0.1j, 1.9 + 0.4j], list(st.u)]
+    fin, diag = integrate_isomonodromic(st, path, tol=1e-10)
+    assert diag.segments == 3
+    spec0, skew0 = st.spectrum(), st.skewness()
+    cur, drift, skew = st, 0.0, 0.0
+    for vert in path:
+        cur = integrate_isomonodromic(cur, [vert], tol=1e-10)[0]
+        drift = max([drift] + [abs(a - b) for a, b in zip(cur.spectrum(), spec0)])
+        skew = max(skew, abs(cur.skewness() - skew0))
+    assert np.array_equal(cur.V, fin.V)
+    assert diag.spectral_drift == drift > 0
+    assert diag.skewness_drift == skew
 
 
 def test_state_json_roundtrip():
