@@ -1,53 +1,77 @@
 """Command-line surface with machine-readable JSON reports.
 
 Every subcommand prints one JSON object
-{command, inputs, status, results, residuals} to stdout (`wdvv check`,
-`gw nk`, `gw elliptic`, `gw fit`, `pvi verify` and `iso integrate` add a
-top-level `metrics` block) and exits with 0 (pass/success), 1 (a check
-failed) or 2 (usage, input or numerical error: a step-size underflow or an
-exhausted step budget, colliding eigenvalues, a failed frame check).
-An input or numerical error prints the same object with status ERROR, the
-parsed arguments as inputs, empty results and residuals, and an "error" key.
+{command, inputs, status, results, residuals, metrics} to stdout and exits
+with 0 (pass/success), 1 (a check failed) or 2 (usage, input or numerical
+error: a step-size underflow or an exhausted step budget, colliding
+eigenvalues, a failed frame check).  `command` is the subcommand and its
+action, `inputs` are the parsed arguments, defaults and the resolved orbit
+cap included, and `metrics` is what the command measured, {} where it
+measures nothing.  An input or numerical error prints the same object with
+status ERROR, empty results, residuals and metrics, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
+
+Each `cmd_*` returns an `Outcome`; `main` alone turns it into the report
+and writes its table to `--csv`.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 _EXIT_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
 
 
-def _report(command: str, inputs: dict, status: str, results: dict,
-            residuals: dict | None = None, error: str | None = None,
-            metrics: dict | None = None) -> int:
+@dataclass
+class Outcome:
+    """What a command found: the status, results, residuals and metrics of
+    its report, and the rows `--csv` writes (dicts with the keys of the
+    first row as header), if it has a table."""
+    status: str
+    results: dict
+    residuals: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
+    table: list | None = None
+
+
+def _report(args, out: Outcome, error: str | None = None) -> int:
     report = {
-        "command": command,
-        "inputs": inputs,
-        "status": status,
-        "results": results,
-        "residuals": residuals or {},
+        "command": f"{args.command} {args.action}",
+        "inputs": {key: val for key, val in vars(args).items()
+                   if key not in ("command", "action", "func")},
+        "status": out.status,
+        "results": out.results,
+        "residuals": out.residuals,
+        "metrics": out.metrics,
     }
-    if metrics is not None:
-        report["metrics"] = metrics
     if error is not None:
         report["error"] = error
     print(json.dumps(report, indent=2, default=str))
-    return _EXIT_CODES[status]
+    return _EXIT_CODES[out.status]
+
+
+def _timed(metrics: dict, key: str, fn, *args):
+    """fn(*args), its seconds stored as metrics[key]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    metrics[key] = time.perf_counter() - t0
+    return out
 
 
 def _load_potential(token: str):
     from . import frobenius
     if os.path.exists(token):
         with open(token, "r", encoding="utf-8") as fh:
-            return frobenius.potential_from_json(fh.read()), token
-    return frobenius.catalog(token), token
+            return frobenius.potential_from_json(fh.read())
+    return frobenius.catalog(token)
 
 
 def _load_stokes(token: str):
@@ -60,187 +84,149 @@ def _load_stokes(token: str):
 
 # -- catalog ----------------------------------------------------------------
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> Outcome:
     from . import frobenius
     if args.action == "list":
-        return _report("catalog list", {}, "PASS",
-                       {"potentials": frobenius.CATALOG_NAMES})
+        return Outcome("PASS", {"potentials": frobenius.CATALOG_NAMES})
     P = frobenius.catalog(args.name, order=args.order)
-    return _report("catalog show", {"name": args.name}, "PASS",
-                   frobenius.potential_to_dict(P))
+    return Outcome("PASS", frobenius.potential_to_dict(P))
 
 
 # -- wdvv -------------------------------------------------------------------
 
-def cmd_wdvv_check(args) -> int:
+def cmd_wdvv_check(args) -> Outcome:
     from . import frobenius
-    P, token = _load_potential(args.target)
+    P = _load_potential(args.target)
     metrics = {}
-
-    def timed(key, fn):
-        t0 = time.perf_counter()
-        out = fn(P)
-        metrics[key] = time.perf_counter() - t0
-        return out
-    timed("tensors_s", lambda P: P.tensors)
-    rep = timed("wdvv1_s", frobenius.check_wdvv1)
-    qrep, A, B, C = timed("quasihomogeneity_s", frobenius.check_quasihomogeneity)
-    grading = timed("grading_s", frobenius.check_grading_eta)
+    _timed(metrics, "tensors_s", lambda: P.tensors)
+    rep = _timed(metrics, "wdvv1_s", frobenius.check_wdvv1, P)
+    qrep, A, B, C = _timed(metrics, "quasihomogeneity_s",
+                           frobenius.check_quasihomogeneity, P)
+    grading = _timed(metrics, "grading_s", frobenius.check_grading_eta, P)
     metrics.update(wdvv1_entries=rep.entries, wdvv1_products=rep.products,
                    wdvv1_skipped=rep.skipped)
     status = "PASS" if (rep.passed and qrep.passed and grading) else "FAIL"
     nonzero = {"/".join(str(i + 1) for i in key): str(val)
                for key, val in rep.residuals.items() if not val.is_zero()}
-    return _report("wdvv check", {"target": token}, status, {
+    return Outcome(status, {
         "wdvv1": rep.passed,
         "quasihomogeneity": qrep.passed,
         "grading_eta": grading,
         "A": [[str(x) for x in row] for row in A],
         "B": [str(x) for x in B],
         "C": str(C),
-    }, {"wdvv1_nonzero": nonzero or "0"}, metrics=metrics)
+    }, {"wdvv1_nonzero": nonzero or "0"}, metrics)
 
 
 # -- gw ---------------------------------------------------------------------
 
-def cmd_gw(args) -> int:
+def cmd_gw(args) -> Outcome:
     from . import gwcp2
-    table = None
     if args.action == "nk":
         results, table = gwcp2.nk_report(args.max)
         status = "PASS" if results["ode_pde_agree"] else "FAIL"
     elif args.action == "elliptic":
         results, table = gwcp2.elliptic_report(args.max)
         status = "PASS"
-    elif args.action == "fit":
-        results = gwcp2.fit_report(args.max)
-        status = "PASS" if results["ratio_test_at_log65"] else "FAIL"
     else:
-        raise SystemExit(2)
-    if args.csv and table:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(gwcp2.rows_csv(table))
-    return _report(f"gw {args.action}", {"max": args.max}, status, results,
-                   metrics=results.pop("metrics"))
+        results, table = gwcp2.fit_report(args.max), None
+        status = "PASS" if results["ratio_test_at_log65"] else "FAIL"
+    return Outcome(status, results, metrics=results.pop("metrics"), table=table)
 
 
 # -- stokes -------------------------------------------------------------------
 
-def cmd_stokes(args) -> int:
+def cmd_stokes(args) -> Outcome:
     from . import stokes
     if args.action == "orbit":
         S = _load_stokes(args.target)
-        cap = stokes.DEFAULT_ORBIT_CAP if args.max_size is None else args.max_size
-        res = stokes.orbit(S, max_size=cap)
-        status = "PASS"
-        return _report("stokes orbit", {"target": args.target, "max_size": cap},
-                       status, stokes.orbit_report(res, cap))
+        if args.max_size is None:
+            args.max_size = stokes.DEFAULT_ORBIT_CAP
+        results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
+                                      args.max_size)
+        return Outcome("PASS", results, metrics=results.pop("metrics"))
     if args.action == "braid":
         S = _load_stokes(args.target)
-        word = stokes.BraidWord.parse(args.word)
-        img = stokes.braid_apply(S, word)
+        img = stokes.braid_apply(S, stokes.BraidWord.parse(args.word))
         can = stokes.canonical_form(img)
         results = {"image": stokes.stokes_to_dict(img),
                    "canonical": stokes.stokes_to_dict(can)}
         if S.n == 3:
             results["canonical_triple"] = [str(v) for v in can.triple()]
-        return _report("stokes braid", {"target": args.target, "word": args.word},
-                       "PASS", results)
-    if args.action == "cp2-monodromy":
-        rep = stokes.cp2_modular_check()
-        return _report("stokes cp2-monodromy", {},
-                       "PASS" if rep.passed else "FAIL", {
-                           "T0^3 = -1": rep.t0_cubed_is_minus_one,
-                           "conjugation identities": rep.conjugation_identities,
-                           "quadratic form preserved": rep.form_preserved,
-                           "B^3 = 1": rep.b_cubed_is_one})
-    raise SystemExit(2)
+        return Outcome("PASS", results)
+    rep = stokes.cp2_modular_check()
+    return Outcome("PASS" if rep.passed else "FAIL", {
+        "T0^3 = -1": rep.t0_cubed_is_minus_one,
+        "conjugation identities": rep.conjugation_identities,
+        "quadratic form preserved": rep.form_preserved,
+        "B^3 = 1": rep.b_cubed_is_one})
 
 
 # -- pvi ----------------------------------------------------------------------
 
-def cmd_pvi(args) -> int:
+def cmd_pvi(args) -> Outcome:
     from . import painleve
+    fam = painleve.FAMILIES[args.family.upper()]
     if args.action == "verify":
-        fam = painleve.FAMILIES[args.family.upper()]
-        t0 = time.perf_counter()
-        grid = painleve.sample_parameters(fam, args.samples)
-        t1 = time.perf_counter()
-        rows = painleve.residual_table(fam, grid)
-        t2 = time.perf_counter()
-        worst = max((row[3] for row in rows), default=0.0)
-        status = "PASS" if worst < args.tol else "FAIL"
-        out = {"family": fam.name, "mu": str(fam.mu1),
-               "samples": args.samples, "max_residual": worst}
-        metrics = {"samples": len(rows), "grid_s": t1 - t0, "residual_s": t2 - t1,
-                   "num_bits": max((row[4].bit_length() for row in rows), default=0),
-                   "den_bits": max((row[5].bit_length() for row in rows), default=0)}
-        if args.csv:
-            import csv as _csv
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow(["s", "x", "y", "residual"])
-                w.writerows([str(s), float(x), float(y), r] for s, x, y, r, _, _ in rows)
-        return _report("pvi verify", {"family": args.family, "tol": args.tol},
-                       status, out, {"max_residual": worst}, metrics=metrics)
-    if args.action == "integrate":
-        fam = painleve.FAMILIES[args.family.upper()]
-        s0, s1 = Fraction(args.s0), Fraction(args.s1)
-        x0, xs0, _ = fam.x.jet(s0)
-        y0, ys0, _ = fam.y.jet(s0)
-        x1, y1 = painleve.algebraic_solution(args.family, s1)
-        pt = painleve.PviPoint(fam.mu1, complex(x0), complex(y0), complex(ys0 / xs0))
-        end = painleve.pvi_integrate(pt, complex(x1), tol=args.tol)
-        err = abs(end.y - complex(y1))
-        status = "PASS" if err < 1e-6 else "FAIL"
-        return _report("pvi integrate",
-                       {"family": args.family, "s0": str(s0), "s1": str(s1),
-                        "tol": args.tol},
-                       status,
-                       {"x1": [end.x.real, end.x.imag],
-                        "y_numeric": [end.y.real, end.y.imag],
-                        "y_exact": [complex(y1).real, complex(y1).imag]},
-                       {"endpoint_error": err})
-    raise SystemExit(2)
+        metrics = {}
+        grid = _timed(metrics, "grid_s", painleve.sample_parameters, fam, args.samples)
+        rows = _timed(metrics, "residual_s", painleve.residual_table, fam, grid)
+        worst = max(row[3] for row in rows)
+        metrics.update(samples=len(rows),
+                       num_bits=max(row[4].bit_length() for row in rows),
+                       den_bits=max(row[5].bit_length() for row in rows))
+        return Outcome("PASS" if worst < args.tol else "FAIL",
+                       {"family": fam.name, "mu": str(fam.mu1),
+                        "samples": args.samples, "max_residual": worst},
+                       {"max_residual": worst}, metrics,
+                       [{"s": str(s), "x": float(x), "y": float(y), "residual": r}
+                        for s, x, y, r, _, _ in rows])
+    s0, s1 = Fraction(args.s0), Fraction(args.s1)
+    x0, xs0, _ = fam.x.jet(s0)
+    y0, ys0, _ = fam.y.jet(s0)
+    x1, y1 = painleve.algebraic_solution(args.family, s1)
+    pt = painleve.PviPoint(fam.mu1, complex(x0), complex(y0), complex(ys0 / xs0))
+    end = painleve.pvi_integrate(pt, complex(x1), tol=args.tol)
+    err = abs(end.y - complex(y1))
+    return Outcome("PASS" if err < 1e-6 else "FAIL",
+                   {"x1": [end.x.real, end.x.imag],
+                    "y_numeric": [end.y.real, end.y.imag],
+                    "y_exact": [complex(y1).real, complex(y1).imag]},
+                   {"endpoint_error": err})
 
 
 # -- iso ----------------------------------------------------------------------
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> Outcome:
     from . import semisimple
     with open(args.state, "r", encoding="utf-8") as fh:
         state = semisimple.state_from_dict(json.load(fh))
     with open(args.path, "r", encoding="utf-8") as fh:
         path = semisimple.path_from_json(fh.read())
-    t0 = time.perf_counter()
-    final, diag = semisimple.integrate_isomonodromic(state, path, tol=args.tol)
-    integrate_s = time.perf_counter() - t0
+    metrics = {}
+    final, diag = _timed(metrics, "integrate_s", semisimple.integrate_isomonodromic,
+                         state, path, args.tol)
+    metrics.update(segments=diag.segments, steps=diag.stats.steps,
+                   rejected=diag.stats.rejected, min_order=diag.min_order,
+                   max_order=diag.max_order)
     status = "PASS" if (diag.spectral_drift < 1e-8 and diag.skewness_drift < 1e-8) \
         else "FAIL"
-    return _report("iso integrate",
-                   {"state": args.state, "path": args.path, "tol": args.tol},
-                   status,
+    return Outcome(status,
                    {"final": semisimple.state_to_dict(final),
                     "dlog_tau": [diag.dlog_tau.real, diag.dlog_tau.imag]},
                    {"spectral_drift": diag.spectral_drift,
                     "skewness_drift": diag.skewness_drift},
-                   metrics={"segments": diag.segments,
-                            "steps": diag.stats.steps,
-                            "rejected": diag.stats.rejected,
-                            "integrate_s": integrate_s,
-                            "min_order": diag.min_order,
-                            "max_order": diag.max_order})
+                   metrics)
 
 
 # -- sing ---------------------------------------------------------------------
 
-def cmd_sing(args) -> int:
+def cmd_sing(args) -> Outcome:
     from . import frobenius, singularity
     subs = singularity.flat_coordinates(args.n)
     _, pot = singularity.a_n_structure(args.n)
     rep = frobenius.check_wdvv1(pot)
-    status = "PASS" if rep.passed else "FAIL"
-    return _report("sing an", {"n": args.n}, status, {
+    return Outcome("PASS" if rep.passed else "FAIL", {
         "flat_substitution": [str(s) for s in subs],
         "potential": frobenius.potential_to_dict(pot),
         "wdvv1": rep.passed,
@@ -328,12 +314,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        out = args.func(args)
+        if out.table and getattr(args, "csv", None):
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                w = csv.DictWriter(fh, fieldnames=list(out.table[0]))
+                w.writeheader()
+                w.writerows(out.table)
     except (KeyError, ValueError, OSError, ArithmeticError) as exc:
-        inputs = {key: val for key, val in vars(args).items()
-                  if key not in ("command", "action", "func")}
-        return _report(f"{args.command} {args.action}", inputs, "ERROR", {},
-                       error=str(exc))
+        return _report(args, Outcome("ERROR", {}), error=str(exc))
+    return _report(args, out)
 
 
 if __name__ == "__main__":

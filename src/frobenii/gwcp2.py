@@ -14,8 +14,6 @@ Genus one comes from the series psi = (phi''' - 27) / (8 (27 + 2 phi' -
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -261,7 +259,7 @@ def truncated_potential(K: int) -> FrobeniusPotential:
 
 
 # ---------------------------------------------------------------------------
-# reports and emitters
+# reports
 # ---------------------------------------------------------------------------
 
 def _genus0_table(rows: Sequence[Genus0Row]) -> List[dict]:
@@ -322,13 +320,4 @@ def fit_report(K: int) -> dict:
     return {"a_hat": a_hat, "b_hat": b_hat, "R_hat": r_hat,
             "tail_ratio": ratio, "ratio_test_at_log65": bound,
             "metrics": metrics}
-
-
-def rows_csv(rows: Sequence[dict]) -> str:
-    """CSV text of table rows, with the keys of the first row as header."""
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    w.writeheader()
-    w.writerows(rows)
-    return buf.getvalue()
 

@@ -63,8 +63,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     """Integrate y' = f(s, y) from s0 to s1 (real parameter, complex state).
 
     The first step is |s1 - s0| / 16.  `guard(s, y)` returning False marks
-    (s, y) as inadmissible; the step is retried with a smaller h.
+    (s, y) as inadmissible; the step is retried with a smaller h.  tol must
+    be positive; otherwise ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     y = np.array(y0, dtype=complex)
     s = float(s0)
     span = s1 - s0

@@ -239,7 +239,10 @@ def pvi_residual_on_curve(fam: AlgebraicFamily, s, mu1=None) -> complex:
 
 def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
     """Rational s-grid avoiding parametrization poles and the PVI-singular
-    values (x in {0, 1}, y in {0, 1, x}), checked exactly."""
+    values (x in {0, 1}, y in {0, 1, x}), checked exactly; a count below 1
+    raises ValueError."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     out: List[Fraction] = []
     k = 1
     while len(out) < count and k < 100 * count:
@@ -269,7 +272,7 @@ def verify_algebraic(family: str, sample_count: int = 50, mu1=None) -> float:
     """Max |PVI residual| over a pole-free rational sample grid."""
     fam = FAMILIES[family.upper()]
     rows = residual_table(fam, sample_parameters(fam, sample_count), mu1)
-    return max((row[3] for row in rows), default=0.0)
+    return max(row[3] for row in rows)
 
 
 # ---------------------------------------------------------------------------

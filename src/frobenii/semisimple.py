@@ -179,12 +179,6 @@ class IsoState:
     u: List[complex]
     V: np.ndarray
 
-    def spectrum(self) -> List[complex]:
-        return sort_spectrum(np.linalg.eigvals(self.V))
-
-    def skewness(self) -> float:
-        return float(np.abs(self.V + self.V.T).max())
-
 
 def v_matrices(frame: CanonicalFrame) -> Tuple[np.ndarray, List[np.ndarray]]:
     """V = Psi mu Psi^{-1} and the V_i solving [U, V_i] = [E_i, V] with zero

@@ -120,7 +120,7 @@ def test_gw_csv_writes_the_rows_of_the_command(capsys, tmp_path):
     run_cli(capsys, "gw", "nk", "--max", "4", "--csv", str(nk))
     lines = nk.read_text().splitlines()
     assert lines[0] == "k,N_k,A_k,ratio" and len(lines) == 5
-    assert lines[3].startswith("3,12,")
+    assert lines[1].startswith("1,1,") and lines[3].startswith("3,12,")
     run_cli(capsys, "gw", "elliptic", "--max", "4", "--csv", str(el))
     assert el.read_text().splitlines() == ["k,N1_k", "1,0", "2,0", "3,1", "4,225"]
 
@@ -147,6 +147,19 @@ def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
     assert code == 0
     assert data["inputs"]["max_size"] == 10 ** 6
     assert data["results"]["size"] == 4
+
+
+def test_stokes_orbit_report_carries_metrics(capsys):
+    from frobenii import stokes
+    code, data = run_cli(capsys, "stokes", "orbit", "CP2", "--max-size", "200")
+    assert code == 0
+    m = data["metrics"]
+    assert "metrics" not in data["results"]
+    assert set(m) == {"bfs_s", "steps", "images", "levels", "max_bits"}
+    assert m["bfs_s"] >= 0
+    res = stokes.orbit(stokes.stokes_catalog("CP2"), max_size=200)
+    assert [m["steps"], m["images"], m["levels"], m["max_bits"]] == \
+        [res.steps, res.images, res.levels, res.max_bits]
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -195,6 +208,23 @@ def test_pvi_integrate(capsys):
                          "--s0", "3/4", "--s1", "9/10", "--tol", "1e-11")
     assert code == 0
     assert data["residuals"]["endpoint_error"] < 1e-6
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_pvi_verify_without_samples_is_an_error_report(capsys, samples):
+    code, data = run_cli(capsys, "pvi", "verify", "B3", "--samples", samples)
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert f"at least 1, got {samples}" in data["error"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_pvi_integrate_tol_not_positive_is_an_error_report(capsys, tol):
+    code, data = run_cli(capsys, "pvi", "integrate", "B3",
+                         "--s0", "3/4", "--s1", "9/10", "--tol", tol)
+    assert code == 2
+    assert data["status"] == "ERROR"
+    assert data["error"] == f"tol must be positive, got {float(tol)}"
 
 
 def test_pvi_integrate_step_underflow_is_an_error_report(capsys):
@@ -461,3 +491,64 @@ def test_exact_commands_run_without_numpy():
     assert out["codes"] == [0] * len(_EXACT_COMMANDS) + [2]
     assert not out["imported"] and not out["exact"]
     assert out["integrate"] == 0 and out["numeric"]
+
+
+# Every report has one schema: the keys below, "error" on ERROR alone, and
+# the parsed arguments as inputs (the orbit cap resolved to its default).
+# The metrics block is empty on ERROR and where a command measures nothing.
+_REPORT_KEYS = {"command", "inputs", "status", "results", "residuals", "metrics"}
+_MEASURED = {"wdvv check", "gw nk", "gw elliptic", "gw fit", "stokes orbit",
+             "pvi verify", "iso integrate"}
+
+
+def _parsed_inputs(argv):
+    from frobenii import cli, stokes
+    args = vars(cli.build_parser().parse_args(argv))
+    if args["action"] == "orbit" and args["max_size"] is None:
+        args["max_size"] = stokes.DEFAULT_ORBIT_CAP
+    return {key: val for key, val in args.items()
+            if key not in ("command", "action", "func")}
+
+
+@pytest.mark.parametrize("argv, status", [
+    *[(argv, "PASS") for argv in _EXACT_COMMANDS],
+    (["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10"], "PASS"),
+    (["catalog", "show", "CP2", "--order", "3"], "PASS"),
+    (["pvi", "verify", "B3", "--samples", "7"], "FAIL"),
+    (["stokes", "orbit", "A3-graph", "--max-size", "0"], "ERROR"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_every_report_has_one_schema(capsys, monkeypatch, argv, status):
+    import dataclasses
+    from fractions import Fraction
+    from frobenii import painleve
+    if status == "FAIL":
+        fam = dataclasses.replace(painleve.FAMILIES["B3"], mu1=Fraction(-1, 4))
+        monkeypatch.setitem(painleve.FAMILIES, "B3", fam)
+    code, data = run_cli(capsys, *argv)
+    assert data["status"] == status and code == {"PASS": 0, "FAIL": 1, "ERROR": 2}[status]
+    assert set(data) == _REPORT_KEYS | ({"error"} if status == "ERROR" else set())
+    assert data["command"] == " ".join(argv[:2])
+    assert data["inputs"] == _parsed_inputs(argv)
+    assert (data["metrics"] != {}) == (status != "ERROR" and data["command"] in _MEASURED)
+    if argv[:2] == ["catalog", "show"]:
+        assert data["inputs"]["order"] == (3 if "--order" in argv else 5)
+    if status == "FAIL":
+        assert data["inputs"]["samples"] == 7 and data["metrics"]["samples"] == 7
+
+
+def test_readme_commands_parse():
+    # parsed, not run: a renamed flag or subcommand fails here
+    import shlex
+    from frobenii import cli
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("frobenii ")]
+    assert len(lines) >= 14
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert [args.command, args.action] == argv[:2]

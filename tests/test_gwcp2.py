@@ -13,7 +13,7 @@ from frobenii.gwcp2 import (
     IntegralityError, _ode_next, _ratio_test, elliptic_invariants,
     elliptic_report, elliptic_series, fit_report, genus0_coefficients,
     genus0_coefficients_pde, genus0_invariants, genus0_numbers,
-    kontsevich_numbers, nk_report, rows_csv, asymptotic_fit,
+    kontsevich_numbers, nk_report, asymptotic_fit,
     truncated_potential,
 )
 
@@ -179,13 +179,15 @@ def test_cp2_origin_monodromy_example():
 
 
 def test_csv_table():
-    lines = rows_csv(nk_report(4)[1]).strip().splitlines()
-    assert lines[0] == "k,N_k,A_k,ratio"
-    assert len(lines) == 5
-    assert lines[1].split(",")[1] == "1"
-    assert lines[3].split(",")[1] == "12"
-    lines = rows_csv(elliptic_report(4)[1]).strip().splitlines()
-    assert lines == ["k,N1_k", "1,0", "2,0", "3,1", "4,225"]
+    # the rows `gw nk` and `gw elliptic` hand to `--csv`, one dict per line
+    rows = nk_report(4)[1]
+    assert list(rows[0]) == ["k", "N_k", "A_k", "ratio"]
+    assert len(rows) == 4
+    assert rows[0]["N_k"] == 1 and rows[0]["ratio"] == ""
+    assert rows[2]["N_k"] == 12
+    rows = elliptic_report(4)[1]
+    assert [(r["k"], r["N1_k"]) for r in rows] == [(1, 0), (2, 0), (3, 1), (4, 225)]
+    assert all(list(r) == ["k", "N1_k"] for r in rows)
 
 
 def test_cp2_truncated_grading_and_quasihomogeneity():

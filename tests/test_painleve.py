@@ -250,6 +250,15 @@ def test_grid_skips_singular_and_pole_values(y):
     assert sample_parameters(fam, 2) == [F(3, 8), F(5, 8)]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_grid_of_no_samples_is_refused(count):
+    # an empty grid would make verify_algebraic report 0.0 on no evidence
+    with pytest.raises(ValueError, match=f"at least 1, got {count}"):
+        sample_parameters(FAMILIES["B3"], count)
+    with pytest.raises(ValueError, match=f"at least 1, got {count}"):
+        verify_algebraic("B3", count)
+
+
 def test_residual_table_is_exact_and_cleared():
     fam = FAMILIES["B3"]
     grid = sample_parameters(fam, 6)
