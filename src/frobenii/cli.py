@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 _EXIT_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
+_NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 @dataclass
@@ -54,7 +55,9 @@ def _report(args, out: Outcome, error: str | None = None) -> int:
     }
     if error is not None:
         report["error"] = error
-    print(json.dumps(report, indent=2, default=str))
+    # strict JSON: a non-finite float is written as "nan", "inf" or "-inf"
+    report = json.loads(json.dumps(report, default=str), parse_constant=_NON_FINITE.get)
+    print(json.dumps(report, indent=2))
     return _EXIT_CODES[out.status]
 
 
@@ -66,20 +69,13 @@ def _timed(metrics: dict, key: str, fn, *args):
     return out
 
 
-def _load_potential(token: str):
-    from . import frobenius
+def _load(token: str, from_json, from_catalog):
+    """The object in the JSON file `token` if it is a path, otherwise the
+    catalog entry `token`."""
     if os.path.exists(token):
         with open(token, "r", encoding="utf-8") as fh:
-            return frobenius.potential_from_json(fh.read())
-    return frobenius.catalog(token)
-
-
-def _load_stokes(token: str):
-    from . import stokes
-    if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            return stokes.stokes_from_json(fh.read())
-    return stokes.stokes_catalog(token)
+            return from_json(fh.read())
+    return from_catalog(token)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -88,7 +84,7 @@ def cmd_catalog(args) -> Outcome:
     from . import frobenius
     if args.action == "list":
         return Outcome("PASS", {"potentials": frobenius.CATALOG_NAMES})
-    P = frobenius.catalog(args.name, order=args.order)
+    P = frobenius.catalog(args.name)
     return Outcome("PASS", frobenius.potential_to_dict(P))
 
 
@@ -96,7 +92,7 @@ def cmd_catalog(args) -> Outcome:
 
 def cmd_wdvv_check(args) -> Outcome:
     from . import frobenius
-    P = _load_potential(args.target)
+    P = _load(args.target, frobenius.potential_from_json, frobenius.catalog)
     metrics = {}
     _timed(metrics, "tensors_s", lambda: P.tensors)
     rep = _timed(metrics, "wdvv1_s", frobenius.check_wdvv1, P)
@@ -138,28 +134,27 @@ def cmd_gw(args) -> Outcome:
 
 def cmd_stokes(args) -> Outcome:
     from . import stokes
+    if args.action == "cp2-monodromy":
+        rep = stokes.cp2_modular_check()
+        return Outcome("PASS" if rep.passed else "FAIL", {
+            "T0^3 = -1": rep.t0_cubed_is_minus_one,
+            "conjugation identities": rep.conjugation_identities,
+            "quadratic form preserved": rep.form_preserved,
+            "B^3 = 1": rep.b_cubed_is_one})
+    S = _load(args.target, stokes.stokes_from_json, stokes.stokes_catalog)
     if args.action == "orbit":
-        S = _load_stokes(args.target)
         if args.max_size is None:
             args.max_size = stokes.DEFAULT_ORBIT_CAP
         results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
                                       args.max_size)
         return Outcome("PASS", results, metrics=results.pop("metrics"))
-    if args.action == "braid":
-        S = _load_stokes(args.target)
-        img = stokes.braid_apply(S, stokes.BraidWord.parse(args.word))
-        can = stokes.canonical_form(img)
-        results = {"image": stokes.stokes_to_dict(img),
-                   "canonical": stokes.stokes_to_dict(can)}
-        if S.n == 3:
-            results["canonical_triple"] = [str(v) for v in can.triple()]
-        return Outcome("PASS", results)
-    rep = stokes.cp2_modular_check()
-    return Outcome("PASS" if rep.passed else "FAIL", {
-        "T0^3 = -1": rep.t0_cubed_is_minus_one,
-        "conjugation identities": rep.conjugation_identities,
-        "quadratic form preserved": rep.form_preserved,
-        "B^3 = 1": rep.b_cubed_is_one})
+    img = stokes.braid_apply(S, stokes.BraidWord.parse(args.word))
+    can = stokes.canonical_form(img)
+    results = {"image": stokes.stokes_to_dict(img),
+               "canonical": stokes.stokes_to_dict(can)}
+    if S.n == 3:
+        results["canonical_triple"] = [str(v) for v in can.triple()]
+    return Outcome("PASS", results)
 
 
 # -- pvi ----------------------------------------------------------------------
@@ -168,6 +163,8 @@ def cmd_pvi(args) -> Outcome:
     from . import painleve
     fam = painleve.FAMILIES[args.family.upper()]
     if args.action == "verify":
+        if not args.tol > 0:
+            raise ValueError(f"tol must be positive, got {args.tol}")
         metrics = {}
         grid = _timed(metrics, "grid_s", painleve.sample_parameters, fam, args.samples)
         rows = _timed(metrics, "residual_s", painleve.residual_table, fam, grid)
@@ -244,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="action", required=True)
     ps.add_parser("list").set_defaults(func=cmd_catalog)
     q = ps.add_parser("show")
-    q.add_argument("name")
-    q.add_argument("--order", type=int, default=5,
-                   help="truncation order for CP2")
+    q.add_argument("name", help="catalog name; CP2(K) is CP2 truncated at order K")
     q.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("wdvv", help="WDVV checks")

@@ -272,50 +272,32 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
 
 
 def check_quasihomogeneity(P: FrobeniusPotential):
-    """L_E F - (3-d) F must be at most quadratic; extract and normalize the
-    quadratic data (A, B, C) per the standard normalization: killable parts
-    (non-resonant in the grading) are removed by adding a quadratic to F."""
+    """L_E F - (3-d) F must be a polynomial of degree at most 2 (t1^3/t2 is
+    not one); extract and normalize the quadratic data (A, B, C): a
+    quadratic g added to F shifts the remainder by (L_E - (3-d)) g, so it
+    kills every term t^a whose Euler eigenvalue sum_i a_i (1 - q_i) is not
+    3 - d, and only these resonant terms stay."""
     n = P.n
-    rem = P.lie_euler(P.F) - P.F.scale(3 - P.d)
-    rem = P._truncate(rem)
-    ok = (not rem.has_exp()) and rem.total_degree() <= 2
+    rem = P._truncate(P.lie_euler(P.F) - P.F.scale(3 - P.d))
+    ok = not rem.has_exp() and all(min(pw) >= 0 and sum(pw) <= 2 for pw, _ in rem.terms)
     A = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
     C = Fraction(0)
     if ok:
-        for (pows, exps), coeff in rem.terms.items():
-            if any(exps) or sum(pows) > 2:
-                continue
+        for (pows, _), coeff in rem.terms.items():
             if not coeff.is_rational():
                 ok = False
                 break
-            val = coeff.a
+            if sum(a * (1 - qa) for a, qa in zip(pows, P.q)) != 3 - P.d:
+                continue
             idx = [i for i, p in enumerate(pows) for _ in range(p)]
             if len(idx) == 0:
-                C = val
+                C = coeff.a
             elif len(idx) == 1:
-                B[idx[0]] = val
+                B[idx[0]] = coeff.a
             else:
                 i, j = idx
-                if i == j:
-                    A[i][i] = 2 * val
-                else:
-                    A[i][j] = A[j][i] = val
-    if ok:
-        # normalization: a quadratic g added to F shifts the remainder by
-        # (L_E - (3-d)) g; kill every component whose grading eigenvalue
-        # is nonzero
-        for i in range(n):
-            for j in range(i, n):
-                lam = P.q[i] + P.q[j] - (P.d - 1)
-                if A[i][j] and lam:
-                    A[i][j] = A[j][i] = Fraction(0)
-        for i in range(n):
-            lam = P.q[i] - (P.d - 2)
-            if B[i] and lam:
-                B[i] = Fraction(0)
-        if C and P.d != 3:
-            C = Fraction(0)
+                A[i][j] = A[j][i] = coeff.a * (2 if i == j else 1)
     report = ResidualReport(ok, "quasihomogeneity",
                             {(0,): rem} if not ok else {},
                             details="" if ok else f"remainder {rem} is not quadratic")
@@ -547,8 +529,6 @@ def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
     Fhat = that_n_sq * (Fsub - corr)
     dhat = 2 - P.d
     qhat = [Fraction(0)] + [1 - P.d + P.q[s] for s in range(1, n - 1)] + [Fraction(2) - P.d]
-    if n == 2:
-        qhat = [Fraction(0), Fraction(2) - P.d]
     if any(qa == 1 for qa in qhat[1:]):
         raise NotClosedFormError("inversion image has a marginal direction; "
                                  "r-shifts for it are not determined here")
@@ -679,11 +659,12 @@ def _coxeter_entry(name: str, n: int, h: int, degrees: Sequence[int],
                               r=tuple(Fraction(0) for _ in range(n)), name=name)
 
 
-def catalog(name: str, order: int = 5) -> FrobeniusPotential:
+def catalog(name: str) -> FrobeniusPotential:
     """Embedded catalog of WDVV solutions.
 
-    Names: I2(k) for k >= 3, A3, B3, H3, A4, B4, D4, F4, H4, CP1, CP2
-    (CP2 takes the truncation order argument)."""
+    Names: I2(k) for k >= 3, A3, B3, H3, A4, B4, D4, F4, H4, CP1, and
+    CP2(K), the CP2 potential truncated at order K in e^{t2}; a bare CP2 is
+    CP2(5)."""
     key = name.strip().upper().replace(" ", "")
     if key.startswith("I2(") and key.endswith(")"):
         k = int(key[3:-1])
@@ -756,11 +737,9 @@ def catalog(name: str, order: int = 5) -> FrobeniusPotential:
         return FrobeniusPotential(n=2, F=F, d=Fraction(1),
                                   q=(Fraction(0), Fraction(1)),
                                   r=(Fraction(0), Fraction(2)), name="CP1")
-    if key == "CP2" or key.startswith("CP2("):
-        if key.startswith("CP2("):
-            order = int(key[4:-1])
+    if key == "CP2" or key.startswith("CP2(") and key.endswith(")"):
         from .gwcp2 import truncated_potential
-        return truncated_potential(order)
+        return truncated_potential(int(key[4:-1]) if key != "CP2" else 5)
     raise KeyError(f"unknown catalog entry {name!r}")
 
 

@@ -71,8 +71,6 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     y = np.array(y0, dtype=complex)
     s = float(s0)
     span = s1 - s0
-    if span == 0:
-        return y, IntegrationStats()
     direction = 1.0 if span > 0 else -1.0
     h = abs(span) / 16
     stats = IntegrationStats()

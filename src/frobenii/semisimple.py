@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -115,7 +115,6 @@ class CanonicalFrame:
     mu_float: np.ndarray  # mu as floats, read-only and shared per potential
     eta: np.ndarray
     c_residual: float = 0.0
-    branch_note: str = field(default="principal branch of eigenvector phases")
 
 
 def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
@@ -380,11 +379,14 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     stay at least collision_margin * max(1, max |u_k|) over both endpoints
     (|u| is convex along the segment, so every point of it passes the
     pointwise test); otherwise CoalescingEigenvaluesError names the segment
-    and the pair, raised when the integration reaches that segment.  The
-    start point gets the same test, as a segment of length zero.  A segment
-    that runs out of its MAX_SEGMENT_STEPS step attempts, or whose step
-    falls below ode.MIN_STEP, raises StepUnderflowError naming the segment
-    and the s reached.  The spectral and skewness drifts are read from one
+    and the pair, raised when the integration reaches that segment.  Vertex
+    0 is the start and vertex k is path[k - 1]; the start point is segment
+    0, of length zero, certified like every segment (the error names "the
+    start point"), and a repeated vertex, the start included, is a segment
+    of length zero that moves nothing.  A segment that runs out of its
+    MAX_SEGMENT_STEPS step attempts, or whose step falls below
+    ode.MIN_STEP, raises StepUnderflowError naming the segment and the s
+    reached.  The spectral and skewness drifts are read from one
     eigensolve of the V at every vertex reached.  V must be n x n, every
     vertex must have n entries (n = len(u)) and tol must be positive;
     otherwise ValueError."""
@@ -398,14 +400,9 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
                              f"but u has {n}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    u_start = np.array(state0.u, dtype=complex)
-    verts = np.array(path, dtype=complex).reshape(-1, n)
-    if len(verts) and np.abs(verts[0] - u_start).max() <= 1e-12 * max(1.0, np.abs(u_start).max()):
-        verts[0] = u_start
-    else:
-        verts = np.concatenate([u_start[None], verts])
-    # segment k runs from starts[k] to verts[k]; row 0 is the start point as
-    # a segment of length zero
+    # segment k runs from starts[k] to verts[k]; row 0 is the start point
+    verts = np.concatenate([np.array([state0.u], dtype=complex),
+                            np.array(path, dtype=complex).reshape(-1, n)])
     starts = np.concatenate([verts[:1], verts[:-1]])
     dus = verts - starts
     margins = collision_margin * np.maximum(
@@ -413,27 +410,23 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     gaps, pa, pb, ps = (x.tolist() for x in _closest_approach(starts, dus))
     margins = margins.tolist()
     moving = (dus != 0).any(axis=1).tolist()
-    if gaps[0] < margins[0]:
-        raise CoalescingEigenvaluesError(
-            f"start point violates collision margin: "
-            f"|u_{pa[0] + 1} - u_{pb[0] + 1}| = {gaps[0]:.3e}")
     total_stats = IntegrationStats()
     orders: List[int] = []
     logtau = 0j
     Vs = [V]
-    for k in range(1, len(verts)):
-        if not moving[k]:
-            continue
+    for k in range(len(verts)):
+        where = f"segment {k} (vertex {k - 1} to vertex {k})" if k else "the start point"
         if gaps[k] < margins[k]:
             raise CoalescingEigenvaluesError(
-                f"segment {k} (vertex {k - 1} to vertex {k}) brings u_{pa[k] + 1} "
-                f"and u_{pb[k] + 1} within {gaps[k]:.3e} of each other at "
-                f"s = {ps[k]:.6g}, below the collision margin {margins[k]:.3e}")
+                f"{where} brings u_{pa[k] + 1} and u_{pb[k] + 1} within {gaps[k]:.3e} "
+                f"of each other at s = {ps[k]:.6g}, below the collision margin "
+                f"{margins[k]:.3e}")
+        if not moving[k]:
+            continue
         try:
             V, dlogtau, stats, seg_orders = _taylor_segment(V, starts[k], dus[k], tol)
         except StepUnderflowError as exc:
-            raise StepUnderflowError(
-                f"segment {k} (vertex {k - 1} to vertex {k}): {exc}") from None
+            raise StepUnderflowError(f"{where}: {exc}") from None
         logtau += dlogtau
         total_stats.steps += stats.steps
         total_stats.rejected += stats.rejected

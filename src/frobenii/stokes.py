@@ -163,9 +163,6 @@ class BraidWord:
 
     @staticmethod
     def parse(text: str) -> "BraidWord":
-        text = text.strip()
-        if not text:
-            return BraidWord(())
         return BraidWord(tuple(int(tok) for tok in text.replace(",", " ").split()))
 
 

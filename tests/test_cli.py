@@ -25,6 +25,27 @@ def test_catalog_list(capsys):
     assert "A3" in data["results"]["potentials"]
 
 
+@pytest.mark.parametrize("name, shown", [("CP2(3)", "CP2(3)"), ("cp2(4)", "CP2(4)"),
+                                         ("CP2", "CP2(5)")])
+def test_catalog_show_cp2_is_spelled_with_its_order(capsys, name, shown):
+    code, data = run_cli(capsys, "catalog", "show", name)
+    assert code == 0
+    assert data["results"]["name"] == shown
+    assert data["results"]["exp_truncation"] == [1, int(shown[4:-1])]
+
+
+@pytest.mark.parametrize("name", ["CP2(35", "CP2(", "CP2()", "CP2(x)", "CP2(0)"])
+def test_catalog_show_malformed_cp2_is_an_error_report(capsys, name):
+    code, data = run_cli(capsys, "catalog", "show", name)
+    assert code == 2
+    assert data["status"] == "ERROR"
+
+
+def test_catalog_show_order_flag_is_a_usage_error(capsys):
+    assert main(["catalog", "show", "CP2", "--order", "3"]) == 2
+    assert "unrecognized arguments: --order 3" in capsys.readouterr().err
+
+
 def test_catalog_show_roundtrips(capsys, tmp_path):
     code, data = run_cli(capsys, "catalog", "show", "A3")
     assert code == 0
@@ -220,8 +241,19 @@ def test_pvi_verify_without_samples_is_an_error_report(capsys, samples):
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_pvi_integrate_tol_not_positive_is_an_error_report(capsys, tol):
-    code, data = run_cli(capsys, "pvi", "integrate", "B3",
-                         "--s0", "3/4", "--s1", "9/10", "--tol", tol)
+    # also on a segment of length zero, which integrates nothing
+    for s1 in ("9/10", "3/4"):
+        code, data = run_cli(capsys, "pvi", "integrate", "B3",
+                             "--s0", "3/4", "--s1", s1, "--tol", tol)
+        assert code == 2
+        assert data["status"] == "ERROR"
+        assert data["error"] == f"tol must be positive, got {float(tol)}"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_pvi_verify_tol_not_positive_is_an_error_report(capsys, tol):
+    # at tol 0 an exact zero residual would FAIL, at nan every family would
+    code, data = run_cli(capsys, "pvi", "verify", "B3", "--samples", "3", "--tol", tol)
     assert code == 2
     assert data["status"] == "ERROR"
     assert data["error"] == f"tol must be positive, got {float(tol)}"
@@ -510,13 +542,17 @@ def _parsed_inputs(argv):
             if key not in ("command", "action", "func")}
 
 
-@pytest.mark.parametrize("argv, status", [
+_SCHEMA_CASES = [
     *[(argv, "PASS") for argv in _EXACT_COMMANDS],
     (["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10"], "PASS"),
-    (["catalog", "show", "CP2", "--order", "3"], "PASS"),
+    (["catalog", "show", "CP2(3)"], "PASS"),
     (["pvi", "verify", "B3", "--samples", "7"], "FAIL"),
     (["stokes", "orbit", "A3-graph", "--max-size", "0"], "ERROR"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+]
+
+
+@pytest.mark.parametrize("argv, status", _SCHEMA_CASES,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_every_report_has_one_schema(capsys, monkeypatch, argv, status):
     import dataclasses
     from fractions import Fraction
@@ -531,9 +567,33 @@ def test_every_report_has_one_schema(capsys, monkeypatch, argv, status):
     assert data["inputs"] == _parsed_inputs(argv)
     assert (data["metrics"] != {}) == (status != "ERROR" and data["command"] in _MEASURED)
     if argv[:2] == ["catalog", "show"]:
-        assert data["inputs"]["order"] == (3 if "--order" in argv else 5)
+        assert data["results"]["name"] == argv[2]
     if status == "FAIL":
         assert data["inputs"]["samples"] == 7 and data["metrics"]["samples"] == 7
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("argv, status", _SCHEMA_CASES + [
+    (["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10", f"--tol={tol}"], "ERROR")
+    for tol in ("nan", "-inf")
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_every_report_is_strict_json(capsys, monkeypatch, argv, status):
+    # NaN, Infinity and -Infinity are not JSON: a non-finite float is
+    # written as the string "nan", "inf" or "-inf"
+    import dataclasses
+    from fractions import Fraction
+    from frobenii import painleve
+    if status == "FAIL":
+        fam = dataclasses.replace(painleve.FAMILIES["B3"], mu1=Fraction(-1, 4))
+        monkeypatch.setitem(painleve.FAMILIES, "B3", fam)
+    main(argv)
+    data = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert data["status"] == status
+    if argv[-1].startswith("--tol="):
+        assert data["inputs"]["tol"] == argv[-1][len("--tol="):]
 
 
 def test_readme_commands_parse():

@@ -1,6 +1,8 @@
 """WDVV potentials: checks, tensors, monodromy, deformed coordinates,
 symmetries, tensor locus, catalog and serialization."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +128,74 @@ def test_cp1_quasihomogeneity_A_matches_r():
     assert B == [0, 0] and C == 0
 
 
+def _reference_quasihomogeneity(P):
+    """(passed, A, B, C) with the normalization as three formulas, one per
+    degree: A_ij stays where q_i + q_j = d - 1, B_i where q_i = d - 2 and C
+    where d = 3."""
+    n = P.n
+    rem = P._truncate(P.lie_euler(P.F) - P.F.scale(3 - P.d))
+    ok = (not rem.has_exp()) and rem.total_degree() <= 2
+    A = [[F(0)] * n for _ in range(n)]
+    B = [F(0)] * n
+    C = F(0)
+    for (pows, _), coeff in rem.terms.items() if ok else ():
+        assert coeff.is_rational()
+        idx = [i for i, p in enumerate(pows) for _ in range(p)]
+        if len(idx) == 0:
+            C = coeff.a
+        elif len(idx) == 1:
+            B[idx[0]] = coeff.a
+        else:
+            i, j = idx
+            A[i][j] = A[j][i] = coeff.a * (2 if i == j else 1)
+    for i in range(n):
+        for j in range(i, n):
+            if P.q[i] + P.q[j] != P.d - 1:
+                A[i][j] = A[j][i] = F(0)
+        if P.q[i] != P.d - 2:
+            B[i] = F(0)
+    if P.d != 3:
+        C = F(0)
+    return ok, A, B, C
+
+
+def _seeded_quadratic(n, rng):
+    """A random rational combination of 1, t^i and t^i t^j."""
+    g = ExpPolynomial.zero(n)
+    for pows in itertools.product(range(3), repeat=n):
+        if sum(pows) <= 2 and rng.random() < 0.5:
+            g = g + ExpPolynomial.monomial(n, F(rng.randint(-9, 9), rng.randint(1, 5)), pows)
+    return g
+
+
+def _quasihomogeneity_cases():
+    from dataclasses import replace
+    rng = random.Random(25)
+    pots = [catalog(name) for name in ALL_NAMES + ["CP2(3)"]]
+    pots += [apply_symmetry(catalog(name), "inversion_type2") for name in ("I2(4)", "A3")]
+    # a bare quadratic F on a grading where every degree has a resonant
+    # direction for some charge d
+    for d in (F(1), F(2), F(5, 2), F(3)):
+        pots.append(FrobeniusPotential(3, ExpPolynomial.zero(3), d,
+                                       (F(0), F(1, 2), F(1)), (F(0), F(0), F(2))))
+    return [replace(P, F=P.F + _seeded_quadratic(P.n, rng))
+            for P in pots for _ in range(3)] + pots
+
+
+def test_one_resonance_test_matches_the_three_formulas():
+    # a term t^a of L_E F - (3 - d) F stays iff its Euler eigenvalue
+    # sum_i a_i (1 - q_i) is 3 - d: at degrees 2, 1 and 0 that is
+    # q_i + q_j = d - 1, q_i = d - 2 and d = 3
+    kept = [0, 0, 0]
+    for P in _quasihomogeneity_cases():
+        qrep, A, B, C = check_quasihomogeneity(P)
+        assert (qrep.passed, A, B, C) == _reference_quasihomogeneity(P), P.name
+        kept[0] += any(x for row in A for x in row)
+        kept[1] += any(B)
+        kept[2] += C != 0
+    assert min(kept) > 0  # each degree keeps a resonant term somewhere
+
+
 def test_perturbed_a3_fails():
     P = catalog("A3")
     bad = P.F + ExpPolynomial.monomial(3, F(1, 961) - F(1, 960), (0, 0, 5))
@@ -202,6 +272,15 @@ def test_quasihomogeneity_failure_reports_remainder():
     qrep, *_ = check_quasihomogeneity(Q)
     assert not qrep.passed
     assert qrep.residuals[(0,)] == ExpPolynomial.monomial(3, F(-1, 2), (0, 0, 4))
+
+
+def test_laurent_remainder_of_degree_two_fails_quasihomogeneity():
+    # L_E F - (3-d) F = t1^3/t2 / 2 has total degree 2 but is no quadratic
+    P = FrobeniusPotential(2, ExpPolynomial.monomial(2, 1, (3, -1)), F(1),
+                           (F(0), F(1, 2)), (F(0), F(0)))
+    qrep, A, B, C = check_quasihomogeneity(P)
+    assert not qrep.passed
+    assert qrep.residuals[(0,)] == ExpPolynomial.monomial(2, F(1, 2), (3, -1))
 
 
 def test_wrong_charge_fails_quasihomogeneity():

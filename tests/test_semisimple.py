@@ -460,6 +460,42 @@ def test_stacked_drift_equals_the_chained_segments():
     assert diag.skewness_drift == skew
 
 
+def test_a_first_vertex_at_the_start_is_a_segment_of_length_zero():
+    # vertex 0 is the start, so repeating it moves nothing: same V, tau,
+    # steps and segment count as the path without it
+    st = _random_state(seed=23)
+    path = [[0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j], [-0.1 + 0.2j, 1.3 + 0.1j, 1.9 + 0.4j]]
+    fin, diag = integrate_isomonodromic(st, path)
+    fin2, diag2 = integrate_isomonodromic(st, [list(st.u)] + path)
+    assert np.array_equal(fin.V, fin2.V) and fin.u == fin2.u
+    assert diag2.segments == diag.segments == 2
+    assert (diag2.dlog_tau, diag2.stats) == (diag.dlog_tau, diag.stats)
+    # a point near the start, not on it, is a segment of its own
+    near = [z + 1e-13 for z in st.u]
+    assert integrate_isomonodromic(st, [near] + path)[1].segments == 3
+
+
+def test_collision_messages_number_vertex_k_as_path_k_minus_1():
+    V = _random_state().V
+    start, tilt = [0j, 1 + 0j, 3 + 0j], [0j, 1 + 0.1j, 3 + 0j]
+    # u_1 and u_2 meet halfway along each swap
+    swap, tilted_swap = [1 + 0j, 0j, 3 + 0j], [1 + 0.1j, 0j, 3 + 0j]
+    for path, k in (([swap], 1), ([start, swap], 2), ([tilt, tilted_swap], 2),
+                    ([start, tilt, tilted_swap], 3)):
+        with pytest.raises(CoalescingEigenvaluesError,
+                           match=rf"^segment {k} \(vertex {k - 1} to vertex {k}\) "
+                                 r"brings u_1 and u_2"):
+            integrate_isomonodromic(IsoState(u=start, V=V), path)
+
+
+@pytest.mark.parametrize("path", [[], [[0j, 1 + 0j, 3 + 0j]]])
+def test_a_start_point_collision_names_the_start_point(path):
+    st = IsoState(u=[0j, 1e-9 + 0j, 3 + 0j], V=_random_state().V)
+    with pytest.raises(CoalescingEigenvaluesError,
+                       match=r"^the start point brings u_1 and u_2 within 1\.000e-09"):
+        integrate_isomonodromic(st, path)
+
+
 def test_state_json_roundtrip():
     st = _random_state(seed=17)
     st2 = state_from_dict(state_to_dict(st))
