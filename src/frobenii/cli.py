@@ -141,10 +141,10 @@ def cmd_stokes(args) -> Outcome:
             "conjugation identities": rep.conjugation_identities,
             "quadratic form preserved": rep.form_preserved,
             "B^3 = 1": rep.b_cubed_is_one})
+    if args.action == "orbit" and args.max_size is None:
+        args.max_size = stokes.DEFAULT_ORBIT_CAP    # stated by every report
     S = _load(args.target, stokes.stokes_from_json, stokes.stokes_catalog)
     if args.action == "orbit":
-        if args.max_size is None:
-            args.max_size = stokes.DEFAULT_ORBIT_CAP
         results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
                                       args.max_size)
         return Outcome("PASS", results, metrics=results.pop("metrics"))
@@ -161,7 +161,7 @@ def cmd_stokes(args) -> Outcome:
 
 def cmd_pvi(args) -> Outcome:
     from . import painleve
-    fam = painleve.FAMILIES[args.family.upper()]
+    fam = painleve.FAMILIES[args.family]
     if args.action == "verify":
         if not args.tol > 0:
             raise ValueError(f"tol must be positive, got {args.tol}")
@@ -181,7 +181,7 @@ def cmd_pvi(args) -> Outcome:
     s0, s1 = Fraction(args.s0), Fraction(args.s1)
     x0, xs0, _ = fam.x.jet(s0)
     y0, ys0, _ = fam.y.jet(s0)
-    x1, y1 = painleve.algebraic_solution(args.family, s1)
+    x1, y1 = fam.x(s1), fam.y(s1)
     pt = painleve.PviPoint(fam.mu1, complex(x0), complex(y0), complex(ys0 / xs0))
     end = painleve.pvi_integrate(pt, complex(x1), tol=args.tol)
     err = abs(end.y - complex(y1))
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     for act in ("nk", "elliptic", "fit"):
         q = ps.add_parser(act)
         q.add_argument("--max", type=int, required=True)
-        q.add_argument("--csv")
+        if act != "fit":        # the fit has no table
+            q.add_argument("--csv")
         q.set_defaults(func=cmd_gw)
 
     p = sub.add_parser("stokes", help="Stokes matrices and braid orbits")
@@ -273,14 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pvi", help="Painleve VI")
     ps = p.add_subparsers(dest="action", required=True)
+    family = {"type": str.upper, "choices": ("A3", "B3", "H3")}
     q = ps.add_parser("verify")
-    q.add_argument("family", choices=["A3", "B3", "H3", "a3", "b3", "h3"])
+    q.add_argument("family", **family)
     q.add_argument("--samples", type=int, default=50)
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--csv")
     q.set_defaults(func=cmd_pvi)
     q = ps.add_parser("integrate")
-    q.add_argument("family", choices=["A3", "B3", "H3", "a3", "b3", "h3"])
+    q.add_argument("family", **family)
     q.add_argument("--s0", required=True)
     q.add_argument("--s1", required=True)
     q.add_argument("--tol", type=float, default=1e-10)
@@ -316,7 +318,9 @@ def main(argv=None) -> int:
                 w.writeheader()
                 w.writerows(out.table)
     except (KeyError, ValueError, OSError, ArithmeticError) as exc:
-        return _report(args, Outcome("ERROR", {}), error=str(exc))
+        # str() of a KeyError is the repr of its argument: report the message
+        error = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+        return _report(args, Outcome("ERROR", {}), error=error)
     return _report(args, out)
 
 

@@ -1,5 +1,5 @@
 from .scalars import DiscriminantMismatch, QuadScalar, Rational, parse_quad
-from .exppoly import ExpPolynomial, NotClosedFormError, poly_diff
+from .exppoly import ExpPolynomial, NotClosedFormError
 from .series import GWSeries
 from .linalg import (
     ExactMatrix,
@@ -16,7 +16,6 @@ __all__ = [
     "parse_quad",
     "ExpPolynomial",
     "NotClosedFormError",
-    "poly_diff",
     "GWSeries",
     "ExactMatrix",
     "SingularMatrixError",

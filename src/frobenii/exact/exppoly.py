@@ -140,6 +140,8 @@ class ExpPolynomial:
     # -- calculus ---------------------------------------------------------
     def diff(self, var: int) -> "ExpPolynomial":
         """d/dt_var; exp factors obey d(t^a e^{kt}) = (a t^{a-1} + k t^a) e^{kt}."""
+        if not 0 <= var < self.nvars:
+            raise ValueError(f"variable index {var} is outside 0..{self.nvars - 1}")
         acc: Dict[Key, QuadScalar] = {}
         for (pows, exps), c in self.terms.items():
             a, k = pows[var], exps[var]
@@ -166,8 +168,10 @@ class ExpPolynomial:
 
         For k == 0 this is t^{a+1}/(a+1); for k != 0 integration by parts gives
         e^{kt} sum_j (-1)^(a-j) a!/j! t^j / k^{a-j+1}, minus its value at 0.
-        Requires a >= 0 (and a != -1 when k == 0).
+        Requires 0 <= var < nvars and a >= 0 (and a != -1 when k == 0).
         """
+        if not 0 <= var < self.nvars:
+            raise ValueError(f"variable index {var} is outside 0..{self.nvars - 1}")
         acc: Dict[Key, QuadScalar] = {}
 
         def add(key: Key, c: QuadScalar):
@@ -363,9 +367,3 @@ def dot(nvars: int, pairs: Iterable[Tuple[ExpPolynomial, ExpPolynomial]],
                 else:
                     del out[key]
     return ExpPolynomial._wrap(nvars, out), formed - skipped, skipped
-
-
-def poly_diff(p: ExpPolynomial, var: int) -> ExpPolynomial:
-    if not 0 <= var < p.nvars:
-        raise ValueError("variable index out of range")
-    return p.diff(var)

@@ -125,17 +125,7 @@ class QuadScalar:
         return _make(-self.p, -self.q, self.d, self.m)
 
     def __sub__(self, other):
-        if type(other) is not QuadScalar:
-            other = QuadScalar.coerce(other)
-        m = self.m if self.m == other.m else _field_of((self, other))
-        d, od = self.d, other.d
-        if d == od:
-            p, q = self.p - other.p, self.q - other.q
-            if d == 1:
-                return _make(p, q, 1, m if q else 1)
-        else:
-            p, q, d = self.p * od - other.p * d, self.q * od - other.q * d, d * od
-        return _norm(p, q, d, m)
+        return self + (-QuadScalar.coerce(other))
 
     def __rsub__(self, other):
         return QuadScalar.coerce(other) - self

@@ -43,13 +43,20 @@ class FrobeniusPotential:
     r: Tuple[Fraction, ...]
     unity_index: int = 0
     name: str = ""
-    # (variable index, max exp order) for series potentials truncated in one
-    # exponential direction; exact checks then work modulo e^{(K+1) t_var}
+    # (variable index, max exp order) of a series potential truncated in one
+    # exponential direction: F lies inside it, products work modulo e^{(K+1) t_var}
     exp_truncation: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if self.F.nvars != self.n:
             raise ValueError("F arity does not match n")
+        if self.exp_truncation is not None:
+            var, order = self.exp_truncation
+            if not 0 <= var < self.n:
+                raise ValueError(f"truncation variable {var} is outside 0..{self.n - 1}")
+            if any(exps[var] > order for _, exps in self.F.terms):
+                raise ValueError(f"F has an exp weight above {order} in t{var + 1}, "
+                                 "outside its window")
         if len(self.q) != self.n or len(self.r) != self.n:
             raise ValueError("grading data arity mismatch")
         if self.q[self.unity_index] != 0:
@@ -85,12 +92,6 @@ class FrobeniusPotential:
 
     def mu(self) -> List[Fraction]:
         return [qa - self.d / 2 for qa in self.q]
-
-    def _truncate(self, p: ExpPolynomial) -> ExpPolynomial:
-        if self.exp_truncation is None:
-            return p
-        var, order = self.exp_truncation
-        return p.truncate_exp(var, order)
 
 
 @dataclass
@@ -278,7 +279,7 @@ def check_quasihomogeneity(P: FrobeniusPotential):
     kills every term t^a whose Euler eigenvalue sum_i a_i (1 - q_i) is not
     3 - d, and only these resonant terms stay."""
     n = P.n
-    rem = P._truncate(P.lie_euler(P.F) - P.F.scale(3 - P.d))
+    rem = P.lie_euler(P.F) - P.F.scale(3 - P.d)
     ok = not rem.has_exp() and all(min(pw) >= 0 and sum(pw) <= 2 for pw, _ in rem.terms)
     A = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
@@ -324,8 +325,8 @@ def intersection_form(P: FrobeniusPotential):
     # tensor for both g and Gamma
     c_raised = [[[_lincomb(n, eta_inv.rows[a], [c[e][b] for c in c_up])
                   for b in range(n)] for a in range(n)] for e in range(n)]
-    g = [[P._truncate(P.contract_euler([c[a][b] for c in c_raised]))
-          for b in range(n)] for a in range(n)]
+    g = [[P.contract_euler([c[a][b] for c in c_raised]) for b in range(n)]
+         for a in range(n)]
     gamma = [[[c_raised[gg][a][b].scale(Fraction(P.d + 1, 2) - P.q[b])
                for b in range(n)] for a in range(n)] for gg in range(n)]
     return g, gamma
@@ -335,8 +336,8 @@ def euler_multiplication_symbolic(P: FrobeniusPotential) -> List[List[ExpPolynom
     """U^a_b(t) = E^e c_{e b}^a as exact exp-polynomials."""
     n = P.n
     c_up = P.tensors.c_up
-    return [[P._truncate(P.contract_euler([c[b][a] for c in c_up]))
-             for b in range(n)] for a in range(n)]
+    return [[P.contract_euler([c[b][a] for c in c_up]) for b in range(n)]
+            for a in range(n)]
 
 
 @dataclass
@@ -449,7 +450,7 @@ def _normalize_level(P: FrobeniusPotential, h: ExpPolynomial, a: int, level: int
     n = P.n
     deg = Fraction(level + 1) - P.d / 2 + mu[a]
     rterm = _lincomb(n, [R1[e, a] for e in range(n)], levels[level - 1])
-    D = P._truncate(P.lie_euler(h) - h.scale(deg) - rterm)
+    D = P.lie_euler(h) - h.scale(deg) - rterm
     if D.has_exp() or D.total_degree() > 1:
         raise NotClosedFormError(
             f"quasihomogeneity defect of h_({a + 1},{level}) is not affine: {D}")
@@ -467,7 +468,7 @@ def _normalize_level(P: FrobeniusPotential, h: ExpPolynomial, a: int, level: int
         if shift[e]:
             h = h + ExpPolynomial.variable(n, e).scale(shift[e])
     # re-evaluate the constant part and absorb it when the degree allows
-    D = P._truncate(P.lie_euler(h) - h.scale(deg) - rterm)
+    D = P.lie_euler(h) - h.scale(deg) - rterm
     c0 = D.constant_term()
     if c0 and deg != 0:
         h = h + ExpPolynomial.constant(n, c0 / QuadScalar(deg))
@@ -675,10 +676,6 @@ def catalog(name: str) -> FrobeniusPotential:
         return FrobeniusPotential(n=2, F=F, d=Fraction(k - 2, k),
                                   q=(Fraction(0), Fraction(k - 2, k)),
                                   r=(Fraction(0), Fraction(0)), name=f"I2({k})")
-    if key == "A2":
-        return catalog("I2(3)")
-    if key == "B2":
-        return catalog("I2(4)")
     if key == "A3":
         return _coxeter_entry("A3", 3, 4, (4, 3, 2), {
             (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
@@ -787,7 +784,7 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
         r=tuple(Fraction(x) for x in data["r"]),
         unity_index=int(data.get("unity_index", 0)),
         name=data.get("name", ""),
-        exp_truncation=tuple(trunc) if trunc else None)
+        exp_truncation=tuple(map(int, trunc)) if trunc else None)
 
 
 def potential_to_json(P: FrobeniusPotential) -> str:

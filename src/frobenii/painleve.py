@@ -22,9 +22,10 @@ the numeric functions that use them (`pvi_integrate`, `log_k_increment`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import truediv
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import upoly
@@ -104,17 +105,11 @@ class RationalFunction:
         return Fraction(n, d) if isinstance(s, (int, Fraction)) else n / d
 
     def jet(self, s) -> Tuple:
-        """(r, r', r'') at s: Fractions for rational s, from `_cleared_jet`;
-        for float or complex s the quotient rule on the six values."""
-        if isinstance(s, (int, Fraction)):
-            a, a1, a2, b = self._cleared_jet(s)
-            return Fraction(a, b), Fraction(a1, b * b), Fraction(a2, b ** 3)
-        n, n1, n2, d, d1, d2 = (_hval(c, s, 1) for c in self._jet_polys)
-        if d == 0:
-            raise ParametrizationPoleError(f"s = {s} is a pole")
-        r = n / d
-        r1 = (n1 - r * d1) / d
-        return r, r1, (n2 - 2 * r1 * d1 - r * d2) / d
+        """(r, r', r'') at s from `_cleared_jet`: Fractions for rational s,
+        floats or complex numbers otherwise."""
+        a, a1, a2, b = self._cleared_jet(s)
+        div = Fraction if isinstance(s, (int, Fraction)) else truediv
+        return div(a, b), div(a1, b * b), div(a2, b ** 3)
 
     def den_nonzero(self, s) -> bool:
         return _hval(self._jet_polys[3], *_ratio(s)) != 0
@@ -189,9 +184,9 @@ def pvi_rhs(mu1, x, y, yp):
     return A - B + C
 
 
-def _residual(fam: AlgebraicFamily, s, mu1) -> Tuple:
+def _residual(fam: AlgebraicFamily, s) -> Tuple:
     """(a, b, c, e, N, D): x(s) = a/b, y(s) = c/e and the PVI residual
-    y''(x) - rhs = N/D, with mu = fam.mu1 unless mu1 (rational) is given.
+    y''(x) - rhs = N/D, with mu = fam.mu1 (rational).
 
     `_cleared_jet` gives x' = X1/b^2, x'' = X2/b^3, y' = Y1/e^2 and
     y'' = Y2/e^3, so dy/dx = Y1 b^2/(X1 e^2) and
@@ -210,7 +205,7 @@ def _residual(fam: AlgebraicFamily, s, mu1) -> Tuple:
     parametrization raises ParametrizationPoleError."""
     a, X1, X2, b = fam.x._cleared_jet(s)
     c, Y1, Y2, e = fam.y._cleared_jet(s)
-    m = 2 * Fraction(fam.mu1 if mu1 is None else mu1) - 1
+    m = 2 * Fraction(fam.mu1) - 1
     mn, md2 = m.numerator, m.denominator ** 2
     aa, cc = a * (a - b), c * (c - e)
     W = c * b - a * e                      # (y - x) b e
@@ -231,10 +226,11 @@ def _quotient(num, den):
     return num / den if num else 0.0
 
 
-def pvi_residual_on_curve(fam: AlgebraicFamily, s, mu1=None) -> complex:
+def pvi_residual_on_curve(fam: AlgebraicFamily, s) -> complex:
     """y''(x) - rhs along the parametrized curve; exact for rational s, the
-    residual is returned as a complex number."""
-    return complex(_quotient(*_residual(fam, s, mu1)[4:]))
+    residual is returned as a complex number.  Another mu is the family
+    `dataclasses.replace(fam, mu1=...)`."""
+    return complex(_quotient(*_residual(fam, s)[4:]))
 
 
 def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
@@ -258,20 +254,23 @@ def sample_parameters(fam: AlgebraicFamily, count: int) -> List[Fraction]:
     return out
 
 
-def residual_table(fam: AlgebraicFamily, grid: Sequence[Fraction], mu1=None) -> List[Tuple]:
+def residual_table(fam: AlgebraicFamily, grid: Sequence[Fraction]) -> List[Tuple]:
     """(s, x, y, |PVI residual|, N, D) with exact x, y at each s of the
     grid, the residual being N/D (see `_residual`)."""
     rows = []
     for s in grid:
-        a, b, c, e, num, den = _residual(fam, s, mu1)
+        a, b, c, e, num, den = _residual(fam, s)
         rows.append((s, Fraction(a, b), Fraction(c, e), abs(_quotient(num, den)), num, den))
     return rows
 
 
 def verify_algebraic(family: str, sample_count: int = 50, mu1=None) -> float:
-    """Max |PVI residual| over a pole-free rational sample grid."""
+    """Max |PVI residual| over a pole-free rational sample grid, at mu1 in
+    place of the family's mu when it is given."""
     fam = FAMILIES[family.upper()]
-    rows = residual_table(fam, sample_parameters(fam, sample_count), mu1)
+    if mu1 is not None:
+        fam = replace(fam, mu1=mu1)
+    rows = residual_table(fam, sample_parameters(fam, sample_count))
     return max(row[3] for row in rows)
 
 

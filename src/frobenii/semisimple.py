@@ -43,7 +43,9 @@ from .exact.linalg import eigen_small, sort_spectrum
 from .frobenius import FrobeniusPotential
 from .ode import MIN_STEP, IntegrationStats, StepUnderflowError
 
-DEFAULT_COLLISION_MARGIN = 1e-6
+# u_a and u_b collide when |u_a - u_b| < COLLISION_MARGIN * max(1, max_k |u_k|):
+# a frame refuses such a point, a path a segment that comes that close.
+COLLISION_MARGIN = 1e-6
 # Taylor step attempts, accepted or rejected, allowed on one segment; one
 # more raises StepUnderflowError.  The largest counts seen on one segment are
 # 25 in the test suite and 3 in the chart benchmark's loops (seeds 1-10).
@@ -118,9 +120,7 @@ class CanonicalFrame:
 
 
 def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
-                          tol: float = 1e-9,
-                          collision_margin: float = DEFAULT_COLLISION_MARGIN
-                          ) -> CanonicalFrame:
+                          tol: float = 1e-9) -> CanonicalFrame:
     """Canonical coordinates u_i (sorted by (Re, Im)) and the Psi matrix.
 
     Idempotents are eigenvectors of U normalized by pi.pi = pi in the
@@ -133,7 +133,7 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     ua = np.array(u)
     # gaps[i, j] = |u_i - u_j|, the diagonal excluded
     gaps = np.abs(ua[:, None] - ua[None, :]) + np.diag(np.full(n, np.inf))
-    close = np.argwhere(gaps <= collision_margin * max(1.0, float(np.abs(ua).max())))
+    close = np.argwhere(gaps < COLLISION_MARGIN * max(1.0, float(np.abs(ua).max())))
     if close.size:
         # the first pair in row-major order has i < j and is the least such
         i, j = close[0]
@@ -366,9 +366,7 @@ def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
 
 
 def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
-                            tol: float = 1e-10,
-                            collision_margin: float = DEFAULT_COLLISION_MARGIN,
-                            ) -> Tuple[IsoState, IsoDiagnostics]:
+                            tol: float = 1e-10) -> Tuple[IsoState, IsoDiagnostics]:
     """Integrate dV/du_i = [V_i, V] along a polyline in u-space.
 
     Each straight segment is integrated by Taylor steps in its parameter s
@@ -376,7 +374,7 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     the same coefficients.  Every segment is certified before the first is
     integrated, in one stacked computation: the exact closest approach
     min_s |u_a(s) - u_b(s)| of every pair along the straight segment must
-    stay at least collision_margin * max(1, max |u_k|) over both endpoints
+    stay at least COLLISION_MARGIN * max(1, max |u_k|) over both endpoints
     (|u| is convex along the segment, so every point of it passes the
     pointwise test); otherwise CoalescingEigenvaluesError names the segment
     and the pair, raised when the integration reaches that segment.  Vertex
@@ -405,7 +403,7 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
                             np.array(path, dtype=complex).reshape(-1, n)])
     starts = np.concatenate([verts[:1], verts[:-1]])
     dus = verts - starts
-    margins = collision_margin * np.maximum(
+    margins = COLLISION_MARGIN * np.maximum(
         1.0, np.maximum(np.abs(starts).max(axis=1), np.abs(verts).max(axis=1)))
     gaps, pa, pb, ps = (x.tolist() for x in _closest_approach(starts, dus))
     margins = margins.tolist()

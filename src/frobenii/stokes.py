@@ -599,11 +599,11 @@ def stokes_catalog(name: str) -> StokesMatrix:
         return StokesMatrix.from_upper(4, {
             (0, 1): -1, (0, 3): phi_conj, (1, 2): -phi_conj, (1, 3): -phi_conj,
             (2, 3): 1})
-    if key in ("A3", "A3-GRAPH"):
+    if key == "A3-GRAPH":
         return coxeter_stokes([(1, 2, 3), (2, 3, 3)])
-    if key in ("B3", "B3-GRAPH"):
+    if key == "B3-GRAPH":
         return coxeter_stokes([(1, 2, 4), (2, 3, 3)])
-    if key in ("H3", "H3-GRAPH"):
+    if key == "H3-GRAPH":
         return coxeter_stokes([(1, 2, 5), (2, 3, 3)])
     if key == "B2":
         return coxeter_stokes([(1, 2, 4)])

@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, JSON shape, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -46,6 +47,25 @@ def test_catalog_show_order_flag_is_a_usage_error(capsys):
     assert "unrecognized arguments: --order 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["catalog", "show", "A2"], ["catalog", "show", "B2"],
+                                  ["stokes", "orbit", "A3"], ["stokes", "orbit", "B3"],
+                                  ["stokes", "orbit", "H3"]], ids=" ".join)
+def test_removed_catalog_spellings_are_error_reports(capsys, argv):
+    # I2(3), I2(4) and the *-graph Stokes entries are the one spelling each
+    code, data = run_cli(capsys, *argv)
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["error"].startswith("unknown ")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["catalog", "show", "CP2(35"], "unknown catalog entry 'CP2(35'"),
+    (["stokes", "orbit", "NOPE"], "unknown Stokes catalog entry 'NOPE'"),
+])
+def test_unknown_entry_error_is_the_message_not_its_repr(capsys, argv, error):
+    code, data = run_cli(capsys, *argv)
+    assert code == 2 and data["error"] == error
+
+
 def test_catalog_show_roundtrips(capsys, tmp_path):
     code, data = run_cli(capsys, "catalog", "show", "A3")
     assert code == 0
@@ -75,6 +95,26 @@ def test_wdvv_check_file_and_failure(capsys, tmp_path):
     assert code == 1
     assert data["status"] == "FAIL"
     assert data["residuals"]["wdvv1_nonzero"] != "0"
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("terms", {"coeff": "1000", "powers": [0, 0, 0], "exps": [0, 7, 0]}, "outside its window"),
+    ("exp_truncation", [3, 3], "outside 0..2"),
+    ("exp_truncation", [1, "x"], "invalid literal for int()"),
+], ids=["term beyond the window", "window variable 3", "window order x"])
+def test_wdvv_check_of_a_malformed_window_is_an_error_report(capsys, tmp_path, key, value,
+                                                             error):
+    from frobenii.frobenius import catalog, potential_to_dict
+    data = potential_to_dict(catalog("CP2(3)"))
+    if key == "terms":
+        data["terms"].append(value)
+    else:
+        data[key] = value
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_cli(capsys, "wdvv", "check", str(path))
+    assert code == 2 and report["status"] == "ERROR"
+    assert error in report["error"]
 
 
 @pytest.mark.parametrize("target", ["A3", "CP2"])
@@ -146,10 +186,49 @@ def test_gw_csv_writes_the_rows_of_the_command(capsys, tmp_path):
     assert el.read_text().splitlines() == ["k,N1_k", "1,0", "2,0", "3,1", "4,225"]
 
 
+# A small input for each subcommand that takes --csv.
+_CSV_INPUTS = {"gw nk": ["--max", "4"], "gw elliptic": ["--max", "4"],
+               "pvi verify": ["B3", "--samples", "3"]}
+
+
+def _subcommands():
+    """(command action, parser) for every subcommand of the CLI."""
+    from frobenii import cli
+
+    def children(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, p in children(cli.build_parser()).items():
+        for action, q in children(p).items():
+            yield f"{command} {action}", q
+
+
+def test_every_csv_flag_writes_a_table(capsys, tmp_path):
+    # a flag that is accepted but writes nothing (as `gw fit --csv` once
+    # was) fails here; a new --csv needs a small input in _CSV_INPUTS
+    taking = [name for name, q in _subcommands()
+              if any("--csv" in a.option_strings for a in q._actions)]
+    assert sorted(taking) == sorted(_CSV_INPUTS)
+    for name in taking:
+        path = tmp_path / (name.replace(" ", "_") + ".csv")
+        assert main([*name.split(), *_CSV_INPUTS[name], "--csv", str(path)]) == 0
+        capsys.readouterr()
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert rows and all(col[:1].isalpha() for col in header.split(","))
+
+
 def test_gw_fit(capsys):
     code, data = run_cli(capsys, "gw", "fit", "--max", "24")
     assert code == 0
     assert 0.1 < data["results"]["a_hat"] < 0.2
+
+
+def test_gw_fit_csv_is_a_usage_error(capsys, tmp_path):
+    # the fit has no table, so it takes no --csv
+    path = tmp_path / "fit.csv"
+    assert main(["gw", "fit", "--max", "24", "--csv", str(path)]) == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_stokes_braid_word(capsys):
@@ -168,6 +247,12 @@ def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
     assert code == 0
     assert data["inputs"]["max_size"] == 10 ** 6
     assert data["results"]["size"] == 4
+
+
+def test_stokes_orbit_error_report_states_the_cap(capsys):
+    code, data = run_cli(capsys, "stokes", "orbit", "NOPE")
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["inputs"]["max_size"] == 10 ** 6
 
 
 def test_stokes_orbit_report_carries_metrics(capsys):
@@ -229,6 +314,15 @@ def test_pvi_integrate(capsys):
                          "--s0", "3/4", "--s1", "9/10", "--tol", "1e-11")
     assert code == 0
     assert data["residuals"]["endpoint_error"] < 1e-6
+
+
+@pytest.mark.parametrize("action", [["verify", "--samples", "3"],
+                                    ["integrate", "--s0", "3/4", "--s1", "9/10"]])
+def test_pvi_family_is_stated_by_its_canonical_name(capsys, action):
+    code, data = run_cli(capsys, "pvi", action[0], "b3", *action[1:])
+    assert code == 0 and data["inputs"]["family"] == "B3"
+    assert main(["pvi", action[0], "X3", *action[1:]]) == 2
+    assert "invalid choice: 'X3'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from frobenii.exact import (
     DiscriminantMismatch, ExactMatrix, ExpPolynomial, GWSeries, QuadScalar,
     SingularMatrixError, eigen_small, exact_solve, parse_quad,
-    poly_diff, sort_spectrum,
+    sort_spectrum,
 )
 from frobenii.exact.exppoly import dot
 from frobenii.exact.linalg import _divide, polynomial_roots
@@ -216,7 +216,7 @@ def test_scale():
 def test_diff_examples():
     # d3 (t1^2 t3 / 2) = t1^2/2
     p = ExpPolynomial.monomial(3, F(1, 2), (2, 0, 1))
-    assert poly_diff(p, 2) == ExpPolynomial.monomial(3, F(1, 2), (2, 0, 0))
+    assert p.diff(2) == ExpPolynomial.monomial(3, F(1, 2), (2, 0, 0))
     # d2 e^{t2} = e^{t2}
     e = ExpPolynomial.monomial(2, 1, (0, 0), (0, 1))
     assert e.diff(1) == e
@@ -225,6 +225,16 @@ def test_diff_examples():
     want = (ExpPolynomial.monomial(2, 2, (0, 1), (0, 3))
             + ExpPolynomial.monomial(2, 3, (0, 2), (0, 3)))
     assert p.diff(1) == want
+
+
+@pytest.mark.parametrize("var", [-1, 3])
+def test_diff_and_integrate_refuse_a_variable_out_of_range(var):
+    # -1 would index t3 and 3 would raise IndexError
+    p = ExpPolynomial.monomial(3, F(1, 2), (2, 0, 1), (0, 1, 0))
+    with pytest.raises(ValueError, match="outside 0..2"):
+        p.diff(var)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        p.integrate(var)
 
 
 def test_exppoly_op_results_hold_no_zero_coefficients():

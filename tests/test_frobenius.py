@@ -2,6 +2,7 @@
 symmetries, tensor locus, catalog and serialization."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,12 @@ from frobenii.frobenius import (
     potential_from_json, potential_to_dict, potential_to_json, structure_constants,
     tensor_locus,
 )
+
+
+def _window(P, p):
+    """p truncated to the exp window of P, if P has one."""
+    return p if P.exp_truncation is None else p.truncate_exp(*P.exp_truncation)
+
 
 ALL_NAMES = ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
              "A4", "B4", "D4", "F4", "H4", "CP1"]
@@ -133,7 +140,7 @@ def _reference_quasihomogeneity(P):
     degree: A_ij stays where q_i + q_j = d - 1, B_i where q_i = d - 2 and C
     where d = 3."""
     n = P.n
-    rem = P._truncate(P.lie_euler(P.F) - P.F.scale(3 - P.d))
+    rem = _window(P, P.lie_euler(P.F) - P.F.scale(3 - P.d))
     ok = (not rem.has_exp()) and rem.total_degree() <= 2
     A = [[F(0)] * n for _ in range(n)]
     B = [F(0)] * n
@@ -218,7 +225,7 @@ def _wdvv_by_double_contraction(P):
                 if eta_inv[l, m]:
                     acc = acc + (c_low[a][b][l] * c_low[m][g][d]).scale(eta_inv[l, m])
         return acc
-    return {(a, b, g, d): P._truncate(pairing(a, b, g, d) - pairing(d, b, g, a))
+    return {(a, b, g, d): _window(P, pairing(a, b, g, d) - pairing(d, b, g, a))
             for a in range(n) for d in range(a + 1, n)
             for b in range(n) for g in range(b, n)}
 
@@ -487,7 +494,7 @@ def test_intersection_form_matches_double_contraction(name):
                 lin, shift = 1 - P.q[e], P.r[e]
                 want = want + ExpPolynomial.variable(n, e) * ce[e][a][b].scale(lin)
                 want = want + ce[e][a][b].scale(shift)
-            assert g[a][b] == P._truncate(want)
+            assert g[a][b] == _window(P, want)
             for e in range(n):
                 assert gamma[e][a][b] == ce[e][a][b].scale(F(P.d + 1, 2) - P.q[b])
 
@@ -610,7 +617,7 @@ def test_exercise_2_8(name, depth):
                                 inner = inner + (f.diff(aa) * g_.diff(bb)
                                                  ).scale(eta_inv[l, aa] * eta_inv[m, bb])
                 acc = acc + c_low[gam][l][m] * inner
-        return P._truncate(acc)
+        return _window(P, acc)
 
     for a in range(n):
         for b in range(n):
@@ -625,7 +632,7 @@ def test_exercise_2_8(name, depth):
                             rhs = rhs + prod_component(h[p - 1][a], h[q][b], gam)
                         if q >= 1:
                             rhs = rhs + prod_component(h[p][a], h[q - 1][b], gam)
-                        assert P._truncate(lhs_scal.diff(gam) - rhs).is_zero()
+                        assert _window(P, lhs_scal.diff(gam) - rhs).is_zero()
     # <grad h_a(z), grad h_b(-z)> does not depend on t
     for a in range(n):
         for b in range(n):
@@ -765,7 +772,6 @@ def test_catalog_i2_3_is_a2():
     P = catalog("I2(3)")
     assert P.F.coefficient((0, 4)) == QuadScalar(1)
     assert P.d == F(1, 3)
-    assert catalog("A2").F == P.F
 
 
 def test_catalog_charges_match_coxeter_numbers():
@@ -810,6 +816,53 @@ def test_potential_json_discriminant_is_the_one_field():
     mixed = ExpPolynomial(2, {((3, 0), (0, 0)): rt2, ((0, 3), (0, 0)): rt5})
     with pytest.raises(DiscriminantMismatch):
         potential_to_dict(FrobeniusPotential(2, mixed, F(0), (F(0), F(0)), (F(0), F(0))))
+
+
+def test_a_term_beyond_the_window_is_refused():
+    # CP2(3) plus 1000 e^{7 t2}: every check that truncated after the fact
+    # passed it, while its numeric frames read the extra term
+    data = potential_to_dict(catalog("CP2(3)"))
+    data["terms"].append({"coeff": "1000", "powers": [0, 0, 0], "exps": [0, 7, 0]})
+    with pytest.raises(ValueError, match="exp weight above 3 in t2"):
+        potential_from_dict(data)
+    with pytest.raises(ValueError, match="outside its window"):
+        potential_from_json(json.dumps(data))
+    P = catalog("CP2(3)")
+    F7 = P.F + ExpPolynomial.monomial(3, 1000, (0, 0, 0), (0, 7, 0))
+    with pytest.raises(ValueError, match="outside its window"):
+        FrobeniusPotential(3, F7, P.d, P.q, P.r, exp_truncation=(1, 3))
+    # the same F is a potential in its own right once the window admits it
+    assert FrobeniusPotential(3, F7, P.d, P.q, P.r, exp_truncation=(1, 7)).F == F7
+
+
+@pytest.mark.parametrize("var", [-1, 3])
+def test_a_window_variable_out_of_range_is_refused(var):
+    P = catalog("CP2(3)")
+    with pytest.raises(ValueError, match="outside 0..2"):
+        FrobeniusPotential(3, P.F, P.d, P.q, P.r, exp_truncation=(var, 3))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(3)", "CP2(6)", "CP2(8)"])
+def test_euler_contractions_stay_inside_the_window(name, monkeypatch):
+    # each Euler contraction truncated to the window, as the checks, the
+    # intersection form, U and the deformed coordinates once did, drops
+    # nothing and changes no result
+    P = catalog(name)
+
+    def results():
+        return (check_quasihomogeneity(P), intersection_form(P),
+                euler_multiplication_symbolic(P), deformed_flat_coords(P, 2))
+    plain = results()
+    contract = FrobeniusPotential.contract_euler
+    dropped = []
+
+    def truncated(self, fields):
+        out = contract(self, fields)
+        dropped.append(_window(self, out) != out)
+        return _window(self, out)
+    monkeypatch.setattr(FrobeniusPotential, "contract_euler", truncated)
+    assert results() == plain
+    assert dropped and not any(dropped)
 
 
 def test_deformed_coords_reject_non_wdvv_input():

@@ -181,7 +181,7 @@ def _fraction_residual(fam, s, mu1):
 
 def _cleared_residual(fam, s, mu1):
     try:
-        return pvi_residual_on_curve(fam, s, mu1)
+        return pvi_residual_on_curve(fam if mu1 is None else replace(fam, mu1=mu1), s)
     except ZeroDivisionError as exc:
         return type(exc)
 
@@ -262,7 +262,7 @@ def test_grid_of_no_samples_is_refused(count):
 def test_residual_table_is_exact_and_cleared():
     fam = FAMILIES["B3"]
     grid = sample_parameters(fam, 6)
-    for s, x, y, res, num, den in residual_table(fam, grid, F(1, 7)):
+    for s, x, y, res, num, den in residual_table(replace(fam, mu1=F(1, 7)), grid):
         assert (x, y) == algebraic_solution("B3", s)
         assert type(num) is int and type(den) is int and abs(num / den) == res
         assert res == abs(_fraction_residual(fam, s, F(1, 7)))

@@ -306,13 +306,15 @@ def test_interior_collision_is_refused_before_integrating(shift):
 
 def test_collision_certificate_is_exact_at_the_margin():
     # the gap u_1 - u_2 runs from -1 - 2i to 1 - 2i: closest 2 at s = 1/2,
-    # every other gap stays above 3, the scale is |u_3| = 4; so the segment
-    # is refused just above the margin 1/2
+    # every other gap is far larger, the scale is |u_3|; so with the margin
+    # 1e-6 the segment passes at |u_3| = 1.96e6 and is refused at 2.04e6
     V = _random_state().V
-    start, end = [0j, 1 + 2j, 4 + 0j], [1 + 0j, 2j, 4 + 0j]
-    integrate_isomonodromic(IsoState(u=start, V=V), [end], collision_margin=0.49)
+
+    def segment(u3):
+        return IsoState(u=[0j, 1 + 2j, u3], V=V), [[1 + 0j, 2j, u3]]
+    integrate_isomonodromic(*segment(1.96e6 + 0j))
     with pytest.raises(CoalescingEigenvaluesError, match="u_1 and u_2 .* s = 0.5"):
-        integrate_isomonodromic(IsoState(u=start, V=V), [end], collision_margin=0.51)
+        integrate_isomonodromic(*segment(2.04e6 + 0j))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
