@@ -69,13 +69,22 @@ def _timed(metrics: dict, key: str, fn, *args):
     return out
 
 
+def _read_json(path: str, from_json):
+    """from_json of the file's text: a missing field (KeyError) or a malformed
+    one (TypeError, AttributeError) is a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return from_json(fh.read())
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed field: {exc}") from None
+
+
 def _load(token: str, from_json, from_catalog):
     """The object in the JSON file `token` if it is a path, otherwise the
     catalog entry `token`."""
-    if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
-    return from_catalog(token)
+    return _read_json(token, from_json) if os.path.exists(token) else from_catalog(token)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -148,7 +157,7 @@ def cmd_stokes(args) -> Outcome:
         results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
                                       args.max_size)
         return Outcome("PASS", results, metrics=results.pop("metrics"))
-    img = stokes.braid_apply(S, stokes.BraidWord.parse(args.word))
+    img = stokes.braid_apply(S, args.word)
     can = stokes.canonical_form(img)
     results = {"image": stokes.stokes_to_dict(img),
                "canonical": stokes.stokes_to_dict(can)}
@@ -196,10 +205,8 @@ def cmd_pvi(args) -> Outcome:
 
 def cmd_iso(args) -> Outcome:
     from . import semisimple
-    with open(args.state, "r", encoding="utf-8") as fh:
-        state = semisimple.state_from_dict(json.load(fh))
-    with open(args.path, "r", encoding="utf-8") as fh:
-        path = semisimple.path_from_json(fh.read())
+    state = _read_json(args.state, lambda text: semisimple.state_from_dict(json.loads(text)))
+    path = _read_json(args.path, semisimple.path_from_json)
     metrics = {}
     final, diag = _timed(metrics, "integrate_s", semisimple.integrate_isomonodromic,
                          state, path, args.tol)

@@ -769,22 +769,29 @@ def potential_to_dict(P: FrobeniusPotential) -> dict:
     return out
 
 
+def _integer(x, name: str) -> int:
+    """The value x of the integer field `name`: an int or an integral float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
+        raise ValueError(f"field {name!r} must be an integer, got {x!r}")
+    return int(x)
+
+
 def potential_from_dict(data: dict) -> FrobeniusPotential:
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     terms = {}
     for t in data["terms"]:
-        key = (tuple(int(x) for x in t["powers"]), tuple(int(x) for x in t["exps"]))
+        key = tuple(tuple(_integer(x, f) for x in t[f]) for f in ("powers", "exps"))
         terms[key] = parse_quad(str(t["coeff"]))
     _field_of(terms.values(), data.get("discriminant"))
     F = ExpPolynomial(n, terms)
-    trunc = data.get("exp_truncation")
+    trunc = data.get("exp_truncation") or ()
     return FrobeniusPotential(
         n=n, F=F, d=Fraction(data["d"]),
         q=tuple(Fraction(x) for x in data["q"]),
         r=tuple(Fraction(x) for x in data["r"]),
-        unity_index=int(data.get("unity_index", 0)),
+        unity_index=_integer(data.get("unity_index", 0), "unity_index"),
         name=data.get("name", ""),
-        exp_truncation=tuple(map(int, trunc)) if trunc else None)
+        exp_truncation=tuple(_integer(x, "exp_truncation") for x in trunc) or None)
 
 
 def potential_to_json(P: FrobeniusPotential) -> str:

@@ -4,6 +4,8 @@ isomonodromic deformation system.
 At a semisimple point the eigenvalues u_i of multiplication by the Euler
 field serve as local coordinates; the matrix Psi = (psi_{i alpha}) rotates
 flat coordinates into normalized idempotents and satisfies Psi^T Psi = eta.
+Its rows come from the eigenvectors v_i of U and the pairing alone:
+psi_i = eta v_i / sqrt<v_i, v_i>, since <v, v> = <v o v, e> = lambda <v, e>.
 V = Psi mu Psi^{-1} is skew and evolves isospectrally along u by
 dV/du_i = [V_i, V]; the flow is Hamiltonian with quadratic Hamiltonians
 H_i = 1/2 sum_{j != i} V_ij^2/(u_i - u_j) whose 1-form sum H_i du_i is
@@ -123,9 +125,10 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
                           tol: float = 1e-9) -> CanonicalFrame:
     """Canonical coordinates u_i (sorted by (Re, Im)) and the Psi matrix.
 
-    Idempotents are eigenvectors of U normalized by pi.pi = pi in the
-    algebra; rows of Psi get the phase of psi_{i1} into (-pi/2, pi/2], the
-    tie at -pi/2 flipped.  Verifies Psi^T Psi = eta and the reconstruction
+    Row i of Psi is psi_i = eta v_i / sqrt<v_i, v_i> for the eigenvector v_i
+    of U (a multiple of the idempotent pi_i; the multiple cancels), with the
+    phase of psi_{i1} put into (-pi/2, pi/2], the tie at -pi/2 flipped.
+    Verifies Psi^T Psi = eta and the reconstruction
     c_{abg} = sum_i psi_{ia} psi_{ib} psi_{ig} / psi_{i1} within tol."""
     n = P.n
     c_up, c_low, eta = _numeric_tensors(P, t)
@@ -139,17 +142,12 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
         i, j = close[0]
         raise CoalescingEigenvaluesError(
             f"u_{i + 1} and u_{j + 1} within margin at this point")
-    # idempotent normalization of each column v: v.v = lambda v in the algebra
-    w = np.einsum("abg,ai,bi->gi", c_up, vecs, vecs)
-    lam_alg = (w * vecs.conj()).sum(axis=0) / (vecs * vecs.conj()).sum(axis=0)
-    if (np.abs(lam_alg) < 1e-13).any():
-        raise CoalescingEigenvaluesError("eigenvector is nilpotent-like; "
-                                         "point is not semisimple")
-    pi = vecs / lam_alg
-    norm2 = np.einsum("ai,ab,bi->i", pi, eta, pi)
+    # <v, v> = <v o v, e> vanishes exactly when v o v = 0
+    ev = eta @ vecs
+    norm2 = (vecs * ev).sum(axis=0)
     if (np.abs(norm2) < 1e-13).any():
-        raise CoalescingEigenvaluesError("idempotent with <pi,pi> = 0")
-    Psi = (eta @ (pi / np.sqrt(norm2))).T
+        raise CoalescingEigenvaluesError("<v, v> = 0, so v o v = 0: not semisimple")
+    Psi = (ev / np.sqrt(norm2)).T
     p1 = Psi[:, P.unity_index]
     if (np.abs(p1) < tol).any():
         raise CoalescingEigenvaluesError("psi_{i1} = 0: outside the "

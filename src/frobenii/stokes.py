@@ -151,21 +151,6 @@ class StokesMatrix:
 # braid action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidWord:
-    """Sequence of signed generator indices: +i means sigma_i (1-based),
-    -i its inverse."""
-    letters: Tuple[int, ...]
-
-    def __post_init__(self):
-        if any(ell == 0 for ell in self.letters):
-            raise ValueError("generator indices are nonzero signed integers")
-
-    @staticmethod
-    def parse(text: str) -> "BraidWord":
-        return BraidWord(tuple(int(tok) for tok in text.replace(",", " ").split()))
-
-
 @lru_cache(maxsize=None)
 def _flat_plan(n: int, letter: int):
     """Where S -> K S K changes the flat (p, q, d) ints of the upper entries.
@@ -270,12 +255,13 @@ def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
     return _wrap(S.n, tuple(_step(S.flat, _flat_plan(S.n, letter), S.m)), S.m)
 
 
-def braid_apply(S: StokesMatrix, word: BraidWord | Sequence[int] | str) -> StokesMatrix:
+def braid_apply(S: StokesMatrix, word: Sequence[int] | str) -> StokesMatrix:
+    """S under a word of signed generators, +i for sigma_i (1-based) and -i
+    for its inverse: a sequence, or text such as "1 -2" or "1,-2"."""
     if isinstance(word, str):
-        word = BraidWord.parse(word)
-    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
+        word = [int(tok) for tok in word.replace(",", " ").split()]
     n, t, m = S.n, S.flat, S.m
-    for letter in letters:
+    for letter in word:
         t = _step(t, _flat_plan(n, letter), m)
     return _wrap(n, tuple(t), m)
 

@@ -100,7 +100,7 @@ def test_wdvv_check_file_and_failure(capsys, tmp_path):
 @pytest.mark.parametrize("key, value, error", [
     ("terms", {"coeff": "1000", "powers": [0, 0, 0], "exps": [0, 7, 0]}, "outside its window"),
     ("exp_truncation", [3, 3], "outside 0..2"),
-    ("exp_truncation", [1, "x"], "invalid literal for int()"),
+    ("exp_truncation", [1, "x"], "must be an integer, got 'x'"),
 ], ids=["term beyond the window", "window variable 3", "window order x"])
 def test_wdvv_check_of_a_malformed_window_is_an_error_report(capsys, tmp_path, key, value,
                                                              error):
@@ -235,6 +235,13 @@ def test_stokes_braid_word(capsys):
     code, data = run_cli(capsys, "stokes", "braid", "CP2", "--word", "1")
     assert code == 0
     assert data["results"]["canonical_triple"] == ["3", "3", "6"]
+
+
+def test_stokes_braid_word_with_a_zero_letter_is_an_error_report(capsys):
+    # a text word is checked where a list is: by the generator's range
+    code, data = run_cli(capsys, "stokes", "braid", "CP2", "--word", "0")
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["error"] == "generator 0 out of range for n = 3"
 
 
 def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
@@ -373,6 +380,55 @@ def test_pvi_integrate_grazing_the_guard_margin_is_an_error_report(capsys):
     assert data["status"] == "ERROR"
     assert f"{MAX_ATTEMPTS} step attempts" in data["error"]
     assert "s=0.4207" in data["error"]
+
+
+def _json_inputs(kind):
+    """A valid input of `kind` as JSON data: its argv head and the data."""
+    from frobenii.frobenius import catalog, potential_to_dict
+    from frobenii.semisimple import IsoState, state_to_dict
+    from frobenii.stokes import stokes_catalog, stokes_to_dict
+    if kind == "potential":
+        return ["wdvv", "check"], potential_to_dict(catalog("A3"))
+    if kind == "stokes":
+        return ["stokes", "orbit"], stokes_to_dict(stokes_catalog("A3-graph"))
+    W = np.arange(9.0).reshape(3, 3)
+    return ["iso", "integrate"], state_to_dict(IsoState(u=[0j, 1 + 0j, 2 + 0j], V=W - W.T))
+
+
+@pytest.mark.parametrize("kind, key, value, error", [
+    ("potential", "q", None, "{path}: malformed field"),
+    ("potential", "terms", None, "{path}: malformed field"),
+    ("potential", "d", None, "{path}: malformed field"),
+    ("potential", "n", None, "field 'n' must be an integer"),
+    ("potential", "terms", [{"coeff": "1", "exps": [0, 0, 0]}],
+     "{path}: missing field 'powers'"),
+    ("stokes", "rows", None, "{path}: malformed field"),
+    ("stokes", "rows", KeyError, "{path}: missing field 'rows'"),
+    ("state", "u", None, "{path}: malformed field"),
+    ("state", "V", KeyError, "{path}: missing field 'V'"),
+], ids=["potential q null", "potential terms null", "potential d null",
+        "potential n null", "potential term without powers", "stokes rows null",
+        "stokes without rows", "state u null", "state without V"])
+def test_a_malformed_json_field_is_an_error_report(capsys, tmp_path, kind, key, value,
+                                                   error):
+    # each of these escaped as a traceback with exit 1
+    argv, data = _json_inputs(kind)
+    if value is KeyError:
+        del data[key]
+    else:
+        data[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    if kind == "state":
+        vpath = tmp_path / "path.json"
+        vpath.write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]]),
+                         encoding="utf-8")
+        argv = [*argv, "--state", str(path), "--path", str(vpath)]
+    else:
+        argv = [*argv, str(path)]
+    code, report = run_cli(capsys, *argv)
+    assert code == 2 and report["status"] == "ERROR"
+    assert report["error"].startswith(error.format(path=path))
 
 
 def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):

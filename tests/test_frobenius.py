@@ -818,6 +818,30 @@ def test_potential_json_discriminant_is_the_one_field():
         potential_to_dict(FrobeniusPotential(2, mixed, F(0), (F(0), F(0)), (F(0), F(0))))
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda d: d["terms"][0].update(exps=[0, 1.5]), "exps"),
+    (lambda d: d["terms"][1].update(powers=[2, True]), "powers"),
+    (lambda d: d.update(n=2.7), "n"),
+    (lambda d: d.update(n=True), "n"),
+    (lambda d: d.update(unity_index="0"), "unity_index"),
+    (lambda d: d.update(exp_truncation=[1, 2.5]), "exp_truncation"),
+], ids=["exps 1.5", "powers true", "n 2.7", "n true", "unity_index '0'",
+        "exp_truncation 2.5"])
+def test_integer_fields_are_read_strictly(edit, name):
+    # int() floored these: CP1 with exps [0, 1.5] was read as e^{t2}, n 2.7 as 2
+    data = potential_to_dict(catalog("CP1"))
+    edit(data)
+    with pytest.raises(ValueError, match=f"field '{name}' must be an integer"):
+        potential_from_dict(data)
+
+
+def test_integral_floats_are_integers():
+    data = potential_to_dict(catalog("CP1"))
+    data.update(n=2.0, unity_index=0.0)
+    data["terms"][0].update(exps=[0.0, 1.0])
+    assert potential_from_dict(data) == catalog("CP1")
+
+
 def test_a_term_beyond_the_window_is_refused():
     # CP2(3) plus 1000 e^{7 t2}: every check that truncated after the fact
     # passed it, while its numeric frames read the extra term

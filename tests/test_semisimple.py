@@ -6,14 +6,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from frobenii.exact import sort_spectrum
-from frobenii.frobenius import catalog
+from frobenii.exact import eigen_small, sort_spectrum
+from frobenii.frobenius import CATALOG_NAMES, catalog
 from frobenii.gwcp2 import truncated_potential
 from frobenii.semisimple import (
     CoalescingEigenvaluesError, IllConditionedFrameError, IsoState,
     canonical_coordinates,
     euler_multiplication, hamiltonians, integrate_isomonodromic,
-    _lie_poisson, poisson_commutation_check, state_from_dict, state_to_dict,
+    _euler_matrix, _lie_poisson, _numeric_tensors, poisson_commutation_check,
+    state_from_dict, state_to_dict,
     v_components, v_matrices,
 )
 
@@ -509,7 +510,6 @@ def test_psi_orthogonality_across_catalog():
     # Psi^T Psi = eta and the c-reconstruction at a semisimple sample point
     # of every catalog entry (generic complex points keep eigenvalues apart;
     # the truncated CP2 entry is sampled inside its convergence domain)
-    from frobenii.frobenius import CATALOG_NAMES
     base = [0.31 + 0.11j, 0.77 - 0.23j, 1.13 + 0.41j, 0.53 + 0.29j]
     special = {
         "H4": [1.1 + 0.3j, 0.5 - 0.7j, 0.9 + 0.9j, 1.3 - 0.4j],
@@ -523,12 +523,51 @@ def test_psi_orthogonality_across_catalog():
         assert fr.c_residual < 1e-8
 
 
+def _idempotent_frame(P, t):
+    """The frame by idempotent normalization, the reference for
+    `canonical_coordinates`: lambda_i from v_i o v_i = lambda_i v_i through
+    c_ab^g, pi_i = v_i / lambda_i, psi_i = eta pi_i / sqrt<pi_i, pi_i>, and
+    the same sign rule for psi_{i1}.  Returns Psi, lambda, the v_i and eta."""
+    c_up, _, eta = _numeric_tensors(P, t)
+    _, vecs = eigen_small(_euler_matrix(P, t, c_up))
+    w = np.einsum("abg,ai,bi->gi", c_up, vecs, vecs)
+    lam = (w * vecs.conj()).sum(axis=0) / (vecs * vecs.conj()).sum(axis=0)
+    pi = vecs / lam
+    norm2 = np.einsum("ai,ab,bi->i", pi, eta, pi)
+    Psi = (eta @ (pi / np.sqrt(norm2))).T
+    p1 = Psi[:, P.unity_index]
+    Psi[~((p1.real > 0) | ((p1.real == 0) & (p1.imag > 0)))] *= -1
+    return Psi, lam, vecs, eta
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(8)"])
+def test_frame_from_the_pairing_matches_the_idempotent_normalization(name):
+    # psi_i = eta v_i / sqrt<v_i, v_i> is the normalized idempotent, because
+    # <v, v> = <v o v, e> = lambda <v, e>; the CP2 entries are sampled where
+    # their truncation holds (t1 = 0, Re t2 <= 0, |t3| <= 0.05)
+    P = catalog(name)
+    rng = np.random.default_rng(27)
+    for _ in range(8):
+        if name.startswith("CP2"):
+            r = 0.05 * np.sqrt(rng.uniform())
+            t = [0j, complex(-rng.uniform(0, 1), rng.uniform(-1, 1)),
+                 complex(r * np.exp(2j * np.pi * rng.uniform()))]
+        else:
+            t = list(rng.uniform(-1, 1, P.n) + 1j * rng.uniform(-1, 1, P.n))
+        Psi, lam, vecs, eta = _idempotent_frame(P, t)
+        fr = canonical_coordinates(P, t)
+        assert np.abs(fr.Psi - Psi).max() <= 1e-12 * np.abs(Psi).max(), (name, t)
+        vv = np.einsum("ai,ab,bi->i", vecs, eta, vecs)
+        ve = (eta @ vecs)[P.unity_index]
+        assert np.abs(vv - lam * ve).max() <= 1e-12 * np.abs(vv).max(), (name, t)
+
+
 # ---------------------------------------------------------------------------
 # numeric tensors against the exact oracle
 # ---------------------------------------------------------------------------
 
 def test_numeric_u_matches_symbolic_on_catalog():
-    from frobenii.frobenius import CATALOG_NAMES, euler_multiplication_symbolic
+    from frobenii.frobenius import euler_multiplication_symbolic
     rng = np.random.default_rng(5)
     for name in CATALOG_NAMES:
         P = catalog(name)

@@ -9,7 +9,7 @@ import pytest
 
 from frobenii.exact import DiscriminantMismatch, ExactMatrix, QuadScalar
 from frobenii.stokes import (
-    BraidWord, StokesMatrix, braid_apply, braid_generator, canonical_form,
+    StokesMatrix, braid_apply, braid_generator, canonical_form,
     coxeter_stokes, cp2_modular_check, gram_and_reflections, is_markoff_times3,
     is_reducible, markoff_form, orbit, orbit_report, stokes_catalog, stokes_from_dict,
     stokes_from_json, stokes_to_dict, stokes_to_json, tensor, unipotency_charpoly,
