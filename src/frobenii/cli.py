@@ -228,13 +228,16 @@ def cmd_iso(args) -> Outcome:
 def cmd_sing(args) -> Outcome:
     from . import frobenius, singularity
     subs = singularity.flat_coordinates(args.n)
-    _, pot = singularity.a_n_structure(args.n)
-    rep = frobenius.check_wdvv1(pot)
+    metrics = {}
+    _, pot = _timed(metrics, "structure_s", singularity.a_n_structure, args.n)
+    rep = _timed(metrics, "wdvv1_s", frobenius.check_wdvv1, pot)
+    metrics.update(F_terms=len(pot.F.terms), wdvv1_entries=rep.entries,
+                   wdvv1_products=rep.products)
     return Outcome("PASS" if rep.passed else "FAIL", {
         "flat_substitution": [str(s) for s in subs],
         "potential": frobenius.potential_to_dict(pot),
         "wdvv1": rep.passed,
-    })
+    }, metrics=metrics)
 
 
 @functools.lru_cache(maxsize=None)

@@ -489,16 +489,7 @@ def gradient_pairing(P: FrobeniusPotential, f: ExpPolynomial, g: ExpPolynomial
 # symmetries
 # ---------------------------------------------------------------------------
 
-def apply_symmetry(P: FrobeniusPotential, kind: str, kappa: int | None = None
-                   ) -> FrobeniusPotential:
-    if kind == "inversion_type2":
-        return _inversion(P)
-    if kind == "permutation_type1":
-        return _legendre(P, P.n - 1 if kappa is None else kappa)
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
-def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
+def inversion(P: FrobeniusPotential) -> FrobeniusPotential:
     """The special-conformal symmetry: that^n = -1/t^n, that^mid = t^mid/t^n,
     that^1 = (1/2) t_s t^s / t^n, Fhat = (t^n)^{-2} [F - (1/2) t^1 t_s t^s].
 
@@ -538,7 +529,7 @@ def _inversion(P: FrobeniusPotential) -> FrobeniusPotential:
                               unity_index=0, name=(P.name + "^" if P.name else ""))
 
 
-def _legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
+def legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
     """Type-1 symmetry that_a = d_a d_kappa F, implemented for the affine case
     (all d_a d_b d_kappa F constant), which keeps the image in the ring.
 
@@ -776,6 +767,18 @@ def _integer(x, name: str) -> int:
     return int(x)
 
 
+def _rational(x, name: str) -> Fraction:
+    """The value x of the rational field `name`: a string such as "1/2", an
+    int or an integral float.  A bool, a non-integral float or a string that
+    is no rational number is refused."""
+    if not (isinstance(x, bool) or isinstance(x, float) and x % 1):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"field {name!r} must be a rational string or an integer, got {x!r}")
+
+
 def potential_from_dict(data: dict) -> FrobeniusPotential:
     n = _integer(data["n"], "n")
     terms = {}
@@ -786,9 +789,9 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
     F = ExpPolynomial(n, terms)
     trunc = data.get("exp_truncation") or ()
     return FrobeniusPotential(
-        n=n, F=F, d=Fraction(data["d"]),
-        q=tuple(Fraction(x) for x in data["q"]),
-        r=tuple(Fraction(x) for x in data["r"]),
+        n=n, F=F, d=_rational(data["d"], "d"),
+        q=tuple(_rational(x, "q") for x in data["q"]),
+        r=tuple(_rational(x, "r") for x in data["r"]),
         unity_index=_integer(data.get("unity_index", 0), "unity_index"),
         name=data.get("name", ""),
         exp_truncation=tuple(_integer(x, "exp_truncation") for x in trunc) or None)

@@ -198,6 +198,8 @@ def elliptic_invariants(K: int) -> List[EllipticRow]:
 
 def _fit(A: Sequence[Fraction]) -> Tuple[float, float, float]:
     K = len(A)
+    if K < 20:
+        raise ValueError("asymptotic fit needs K >= 20")
     ks = list(range(K // 2, K + 1))
     # log A_k + 3.5 log k = k log a + log b
     xs, ys = [], []
@@ -219,8 +221,6 @@ def _fit(A: Sequence[Fraction]) -> Tuple[float, float, float]:
 def asymptotic_fit(K: int) -> Tuple[float, float, float]:
     """Fit A_k ~ a^k b k^{-7/2} by least squares on log A_k over k in
     [K/2, K]; returns (a_hat, b_hat, R_hat) with R_hat = -log a_hat."""
-    if K < 20:
-        raise ValueError("asymptotic fit needs K >= 20")
     return _fit(genus0_coefficients(K))
 
 
@@ -306,8 +306,6 @@ def fit_report(K: int) -> dict:
     """Results of `gw fit`: asymptotic fit, tail ratio and ratio test on one
     computation of A_1..A_K, with the seconds of the genus-0 route and of
     the fit and the bit length of the largest N_k."""
-    if K < 20:
-        raise ValueError("asymptotic fit needs K >= 20")
     metrics: Dict[str, float] = {}
     N = _timed(metrics, "ode_s", genus0_numbers, K)
     t0 = time.perf_counter()

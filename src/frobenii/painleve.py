@@ -22,7 +22,7 @@ the numeric functions that use them (`pvi_integrate`, `log_k_increment`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import truediv
@@ -162,13 +162,6 @@ def _families() -> Dict[str, AlgebraicFamily]:
 FAMILIES = _families()
 
 
-def algebraic_solution(family: str, s) -> Tuple:
-    """(x, y) of the printed parametric solution at parameter s (exact for
-    int or Fraction input); a pole raises ParametrizationPoleError."""
-    fam = FAMILIES[family.upper()]
-    return fam.x(s), fam.y(s)
-
-
 # ---------------------------------------------------------------------------
 # the equation
 # ---------------------------------------------------------------------------
@@ -264,12 +257,8 @@ def residual_table(fam: AlgebraicFamily, grid: Sequence[Fraction]) -> List[Tuple
     return rows
 
 
-def verify_algebraic(family: str, sample_count: int = 50, mu1=None) -> float:
-    """Max |PVI residual| over a pole-free rational sample grid, at mu1 in
-    place of the family's mu when it is given."""
-    fam = FAMILIES[family.upper()]
-    if mu1 is not None:
-        fam = replace(fam, mu1=mu1)
+def verify_algebraic(fam: AlgebraicFamily, sample_count: int = 50) -> float:
+    """Max |PVI residual| over a pole-free rational sample grid."""
     rows = residual_table(fam, sample_parameters(fam, sample_count))
     return max(row[3] for row in rows)
 
@@ -301,7 +290,7 @@ def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10,
     if x1 == x0:
         return PviPoint(pt0.mu1, pt0.x, pt0.y, pt0.yprime)
     dx = x1 - x0
-    mu1 = float(pt0.mu1) if isinstance(pt0.mu1, Fraction) else pt0.mu1
+    mu1 = float(pt0.mu1)
 
     def guard(sig: float, state: np.ndarray) -> bool:
         x = x0 + sig * dx
@@ -366,22 +355,21 @@ def y_to_qp(y, yprime, x, u: Sequence[complex]) -> QpkState:
     return QpkState(u=u, q=q, p=p)
 
 
-def qp_from_family(family: str, s) -> QpkState:
+def qp_from_family(fam: AlgebraicFamily, s) -> QpkState:
     """(q, p) along an algebraic family at parameter s, in the normalization
     u = (0, 1, x(s))."""
-    fam = FAMILIES[family.upper()]
     x, xs, _ = fam.x.jet(s)
     y, ys, _ = fam.y.jet(s)
     return y_to_qp(y, ys / xs, x, (0.0, 1.0, x))
 
 
-def qp_flow_check(family: str, s0) -> Tuple[float, float]:
+def qp_flow_check(fam: AlgebraicFamily, s0) -> Tuple[float, float]:
     """Check of the isomonodromic flow equations
 
         d_i q = P(q)/P'(u_i) (2p + 1/(q - u_i))
         d_i p = -(P'(q) p^2 + (2q + u_i - sum u_j) p + mu(1 - mu)) / P'(u_i)
 
-    at the point u = (0, 1, x(s0)) of the named family, by the chain rule
+    at the point u = (0, 1, x(s0)) of the family, by the chain rule
     through s on the jets of x(s) and y(s): exact at rational s0.  q and p
     are those of `y_to_qp`, q = u1 + (u2 - u1) y and
     p = A dy/dx - 1/(2 (q - u3)) with A = P'(u3)/(2 P(q)), as functions of
@@ -389,7 +377,6 @@ def qp_flow_check(family: str, s0) -> Tuple[float, float]:
     the q equation holds for any curve y(x); only the p equation tests
     PVI(mu).  Mismatches are measured relative to max(1, |rhs|).  Returns
     (max q-mismatch, max p-mismatch)."""
-    fam = FAMILIES[family.upper()]
     mu = fam.mu1
     x, xs, xss = fam.x.jet(s0)
     y, ys, yss = fam.y.jet(s0)
@@ -417,15 +404,14 @@ def qp_flow_check(family: str, s0) -> Tuple[float, float]:
     return float(worst_q), float(worst_p)
 
 
-def log_k_increment(family: str, s_from, s_to) -> complex:
+def log_k_increment(fam: AlgebraicFamily, s_from, s_to) -> complex:
     """d_i log k = (2 mu - 1)(q - u_i)/P'(u_i) integrated along the curve
     slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start), by
     the adaptive integrator of `ode` on the straight s-segment at tolerance
     LOG_K_TOL."""
     import numpy as np
     from .ode import integrate
-    fam = FAMILIES[family.upper()]
-    mu1 = complex(Fraction(fam.mu1))
+    mu1 = complex(fam.mu1)
     s0 = complex(s_from)
     ds = complex(s_to) - s0
 
@@ -450,7 +436,7 @@ def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:
     and the middle column from the +i cross-product convention."""
     import numpy as np
     u = state.u
-    mu1 = complex(Fraction(mu1)) if isinstance(mu1, Fraction) else complex(mu1)
+    mu1 = complex(mu1)
     k = np.exp(state.logk)
     P, Pp = _cubic(u)
     q, p = state.q, state.p

@@ -7,6 +7,7 @@ the stated tolerance.  Everything here runs on a laptop in minutes.
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -191,15 +192,16 @@ def test_criterion_08_cp2_monodromy():
 
 def test_criterion_09_pvi():
     ok = True
-    for fam, mu in (("A3", F(-1, 4)), ("B3", F(-1, 3)), ("H3", F(-2, 5))):
-        worst = painleve.verify_algebraic(fam, sample_count=50)
+    for name, mu in (("A3", F(-1, 4)), ("B3", F(-1, 3)), ("H3", F(-2, 5))):
+        worst = painleve.verify_algebraic(painleve.FAMILIES[name], sample_count=50)
         ok &= worst < 1e-8
-        ok &= painleve.FAMILIES[fam].mu1 == mu
+        ok &= painleve.FAMILIES[name].mu1 == mu
     swapped = {"A3": F(-1, 3), "B3": F(-2, 5), "H3": F(-1, 4)}
-    for fam, wrong in swapped.items():
-        ok &= painleve.verify_algebraic(fam, sample_count=20, mu1=wrong) > 1e-2
-    for fam, s0 in (("A3", 0.21), ("B3", 0.8), ("H3", 0.15)):
-        dq, dp = painleve.qp_flow_check(fam, s0)
+    for name, wrong in swapped.items():
+        fam = replace(painleve.FAMILIES[name], mu1=wrong)
+        ok &= painleve.verify_algebraic(fam, sample_count=20) > 1e-2
+    for name, s0 in (("A3", 0.21), ("B3", 0.8), ("H3", 0.15)):
+        dq, dp = painleve.qp_flow_check(painleve.FAMILIES[name], s0)
         ok &= dq < 1e-6 and dp < 1e-6
     _report(9, ok, "all three algebraic families: residual < 1e-8 over 50 "
                    "samples with mu = -1/4, -1/3, -2/5; swapped-mu control "

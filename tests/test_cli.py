@@ -431,6 +431,25 @@ def test_a_malformed_json_field_is_an_error_report(capsys, tmp_path, kind, key, 
     assert report["error"].startswith(error.format(path=path))
 
 
+@pytest.mark.parametrize("key, value, status", [
+    ("q", ["0", "1/4", 0.1], "ERROR"),
+    ("q", [0, "1/4", "1/2"], "PASS"),
+    ("d", True, "ERROR"),
+    ("d", "1/2", "PASS"),
+], ids=["q 0.1", "q ints and strings", "d true", "d 1/2"])
+def test_wdvv_check_reads_rationals_strictly(capsys, tmp_path, key, value, status):
+    # Fraction() read 0.1 as its binary value and true as 1: each gave a
+    # FAIL report with exit 1 where the input, not the potential, is wrong
+    argv, data = _json_inputs("potential")
+    data[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_cli(capsys, *argv, str(path))
+    assert (code, report["status"]) == ({"PASS": 0, "ERROR": 2}[status], status)
+    if status == "ERROR":
+        assert report["error"].startswith(f"field {key!r} must be a rational string")
+
+
 def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):
     from frobenii.semisimple import IsoState, state_to_dict
     W = np.arange(9.0).reshape(3, 3)
@@ -537,6 +556,20 @@ def test_sing_an(capsys):
     code, data = run_cli(capsys, "sing", "an", "--n", "3")
     assert code == 0
     assert any("1/8" in s for s in data["results"]["flat_substitution"])
+
+
+def test_sing_an_states_its_metrics(capsys):
+    # the A3 chain gives the catalog's A3, so its check counts what wdvv
+    # check counts on A3
+    _, sing = run_cli(capsys, "sing", "an", "--n", "3")
+    _, wdvv = run_cli(capsys, "wdvv", "check", "A3")
+    m = sing["metrics"]
+    assert set(m) == {"structure_s", "wdvv1_s", "F_terms", "wdvv1_entries",
+                      "wdvv1_products"}
+    assert m["structure_s"] >= 0 and m["wdvv1_s"] >= 0
+    assert m["F_terms"] == len(sing["results"]["potential"]["terms"])
+    for key in ("wdvv1_entries", "wdvv1_products"):
+        assert m[key] == wdvv["metrics"][key] > 0
 
 
 def test_usage_error_exit_code(capsys):
@@ -680,7 +713,7 @@ def test_exact_commands_run_without_numpy():
 # The metrics block is empty on ERROR and where a command measures nothing.
 _REPORT_KEYS = {"command", "inputs", "status", "results", "residuals", "metrics"}
 _MEASURED = {"wdvv check", "gw nk", "gw elliptic", "gw fit", "stokes orbit",
-             "pvi verify", "iso integrate"}
+             "pvi verify", "iso integrate", "sing an"}
 
 
 def _parsed_inputs(argv):

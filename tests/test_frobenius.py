@@ -11,11 +11,11 @@ import pytest
 from frobenii.exact import ExactMatrix, ExpPolynomial, QuadScalar
 from frobenii.frobenius import (
     CATALOG_NAMES, DegenerateMetricError, FrobeniusPotential,
-    NonConstantMetricError, apply_symmetry,
+    NonConstantMetricError,
     catalog, check_grading_eta, check_quasihomogeneity, check_wdvv1,
     deformed_flat_coords, euler_multiplication_symbolic, gradient_pairing,
-    intersection_form, metric_eta, origin_monodromy, potential_from_dict,
-    potential_from_json, potential_to_dict, potential_to_json, structure_constants,
+    intersection_form, inversion, legendre, metric_eta, origin_monodromy,
+    potential_from_dict, potential_from_json, potential_to_dict, potential_to_json, structure_constants,
     tensor_locus,
 )
 
@@ -179,7 +179,7 @@ def _quasihomogeneity_cases():
     from dataclasses import replace
     rng = random.Random(25)
     pots = [catalog(name) for name in ALL_NAMES + ["CP2(3)"]]
-    pots += [apply_symmetry(catalog(name), "inversion_type2") for name in ("I2(4)", "A3")]
+    pots += [inversion(catalog(name)) for name in ("I2(4)", "A3")]
     # a bare quadratic F on a grading where every degree has a resonant
     # direction for some charge d
     for d in (F(1), F(2), F(5, 2), F(3)):
@@ -653,7 +653,7 @@ def test_exercise_2_8(name, depth):
 
 def test_inversion_preserves_wdvv_a3():
     P = catalog("A3")
-    Q = apply_symmetry(P, "inversion_type2")
+    Q = inversion(P)
     assert any(p[0][2] < 0 for p in Q.F.terms)   # genuinely Laurent
     assert check_wdvv1(Q).passed
     assert metric_eta(Q) == metric_eta(P)
@@ -661,14 +661,14 @@ def test_inversion_preserves_wdvv_a3():
 
 def test_inversion_involution_on_i2():
     P = catalog("I2(5)")
-    Q = apply_symmetry(apply_symmetry(P, "inversion_type2"), "inversion_type2")
+    Q = inversion(inversion(P))
     diff = Q.F - P.F
     assert all(sum(k[0]) <= 2 for k in diff.terms)
 
 
 def test_inversion_squared_a3_is_t2_flip():
     P = catalog("A3")
-    Q = apply_symmetry(apply_symmetry(P, "inversion_type2"), "inversion_type2")
+    Q = inversion(inversion(P))
     # the double image equals F(t1, -t2, t3); A3 is even in t2, so equality
     diff = Q.F - P.F
     assert all(sum(k[0]) <= 2 for k in diff.terms)
@@ -681,7 +681,7 @@ def test_legendre_on_cubic():
     F_ = (t1 ** 3 + t2 ** 3 + t3 ** 3).scale(F(1, 6)) + t1 * t2 * t3
     P = FrobeniusPotential(3, F_, F(0), (F(0), F(0), F(0)), (F(0),) * 3)
     assert check_wdvv1(P).passed
-    Q = apply_symmetry(P, "permutation_type1", kappa=1)
+    Q = legendre(P, 1)
     assert Q.unity_index == 1
     assert check_wdvv1(Q).passed
     assert metric_eta(Q) == metric_eta(P)
@@ -691,7 +691,7 @@ def test_unity_index_survives_json_roundtrip():
     t1, t2, t3 = (ExpPolynomial.variable(3, i) for i in range(3))
     F_ = (t1 ** 3 + t2 ** 3 + t3 ** 3).scale(F(1, 6)) + t1 * t2 * t3
     P = FrobeniusPotential(3, F_, F(0), (F(0), F(0), F(0)), (F(0),) * 3)
-    Q = apply_symmetry(P, "permutation_type1", kappa=1)
+    Q = legendre(P, 1)
     R = potential_from_json(potential_to_json(Q))
     assert R.unity_index == Q.unity_index == 1
     assert metric_eta(R) == metric_eta(Q)
@@ -840,6 +840,29 @@ def test_integral_floats_are_integers():
     data.update(n=2.0, unity_index=0.0)
     data["terms"][0].update(exps=[0.0, 1.0])
     assert potential_from_dict(data) == catalog("CP1")
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda d: d["q"].__setitem__(2, 0.1), "q"),
+    (lambda d: d["r"].__setitem__(0, 0.5), "r"),
+    (lambda d: d.update(d=True), "d"),
+    (lambda d: d.update(d="1/0"), "d"),
+    (lambda d: d["q"].__setitem__(1, "a/4"), "q"),
+], ids=["q 0.1", "r 0.5", "d true", "d 1/0", "q a/4"])
+def test_rational_fields_are_read_strictly(edit, name):
+    # Fraction() read q3 = 0.1 as 3602879701896397/36028797018963968 and
+    # d = true as 1, and its errors on a bad string named no field
+    data = potential_to_dict(catalog("A3"))
+    edit(data)
+    with pytest.raises(ValueError,
+                       match=f"field '{name}' must be a rational string or an integer"):
+        potential_from_dict(data)
+
+
+def test_rational_fields_take_strings_ints_and_integral_floats():
+    data = potential_to_dict(catalog("A3"))
+    data.update(d="1/2", q=[0, "1/4", "0.5"], r=[0.0, 0, "0"])
+    assert potential_from_dict(data) == catalog("A3")
 
 
 def test_a_term_beyond_the_window_is_refused():

@@ -84,6 +84,13 @@ def test_genus0_built_once_per_call(monkeypatch):
         assert calls == [24], build.__name__
 
 
+@pytest.mark.parametrize("build", [asymptotic_fit, fit_report])
+def test_fit_needs_twenty_coefficients(build):
+    # both callers reach the one check in the fit itself
+    with pytest.raises(ValueError, match=r"asymptotic fit needs K >= 20"):
+        build(19)
+
+
 def test_integrality_to_40():
     for row in genus0_invariants(40):
         assert row.N > 0

@@ -8,7 +8,7 @@ import pytest
 
 from frobenii import ode, painleve
 from frobenii.ode import IntegrationStats, StepUnderflowError, integrate
-from frobenii.painleve import FAMILIES, PviPoint, algebraic_solution, pvi_integrate
+from frobenii.painleve import FAMILIES, PviPoint, pvi_integrate
 
 _A = [
     [],
@@ -85,20 +85,20 @@ def _recording(integrator, log):
 
 def _b3_point(s0):
     fam = FAMILIES["B3"]
-    x0, y0 = algebraic_solution("B3", s0)
+    x0, y0 = fam.x(s0), fam.y(s0)
     yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     return PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
 
 
 def _b3_segment_and_reverse():
-    x1, _ = algebraic_solution("B3", F(9, 10))
+    x1 = FAMILIES["B3"].x(F(9, 10))
     pt = _b3_point(F(3, 4))
     end = pvi_integrate(pt, complex(x1), tol=1e-11, margin=1e-4)
     pvi_integrate(end, pt.x, tol=1e-11, margin=1e-4)
 
 
 def _b3_detour():
-    x1, _ = algebraic_solution("B3", F(3, 5))
+    x1 = FAMILIES["B3"].x(F(3, 5))
     mid = pvi_integrate(_b3_point(F(2, 5)), 1.1 + 0.25j, tol=1e-11, margin=1e-6)
     pvi_integrate(mid, complex(x1), tol=1e-11, margin=1e-6)
 

@@ -9,10 +9,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from frobenii import painleve
 from frobenii.painleve import (
     FAMILIES, H3_DEGREE9, AlgebraicFamily, ParametrizationPoleError, PviPoint, QpkState,
-    RationalFunction, algebraic_solution, log_k_increment, pvi_integrate, pvi_residual_on_curve,
+    RationalFunction, log_k_increment, pvi_integrate, pvi_residual_on_curve,
     pvi_rhs, qp_flow_check, qp_from_family, reconstruct_psi, residual_table,
     sample_parameters, verify_algebraic, y_to_qp,
 )
@@ -63,7 +62,7 @@ def test_rhs_overflows_to_a_non_finite_value_on_python_complex():
 
 @pytest.mark.parametrize("family", ["A3", "B3", "H3"])
 def test_residual_vanishes_exactly_on_rational_grid(family):
-    assert verify_algebraic(family, sample_count=50) == 0.0
+    assert verify_algebraic(FAMILIES[family], sample_count=50) == 0.0
 
 
 @pytest.mark.parametrize("family,mu", [("A3", F(-1, 4)), ("B3", F(-1, 3)),
@@ -75,11 +74,12 @@ def test_family_mu_values(family, mu):
 @pytest.mark.parametrize("family,wrong", [("A3", F(-1, 3)), ("B3", F(-1, 4)),
                                           ("H3", F(-1, 4))])
 def test_negative_control_swapped_mu(family, wrong):
-    assert verify_algebraic(family, sample_count=20, mu1=wrong) > 1e-2
+    assert verify_algebraic(replace(FAMILIES[family], mu1=wrong), sample_count=20) > 1e-2
 
 
 def test_b3_sample_point():
-    x, y = algebraic_solution("B3", F(1, 2))
+    fam = FAMILIES["B3"]
+    x, y = fam.x(F(1, 2)), fam.y(F(1, 2))
     assert x == F(27, 25)
     assert y == F(1089, 1090)
 
@@ -87,7 +87,7 @@ def test_b3_sample_point():
 def test_a3_denominator_evaluates_exactly():
     # y-denominator (1+s)(25 - 207 s^2 + 1539 s^4 + 243 s^6) at s = 1/5
     s = F(1, 5)
-    x, y = algebraic_solution("A3", s)
+    x, y = FAMILIES["A3"].x(s), FAMILIES["A3"].y(s)
     den = (1 + s) * (25 - 207 * s ** 2 + 1539 * s ** 4 + 243 * s ** 6)
     num = (s - 1) ** 2 * (1 + 3 * s) * (9 * s ** 2 - 5) ** 2
     assert y == num / den
@@ -163,7 +163,7 @@ def test_pole_is_reported_by_jet():
 
 def test_pole_is_reported():
     with pytest.raises(ParametrizationPoleError):
-        algebraic_solution("A3", F(1, 3))    # x-pole at 3s = 1
+        FAMILIES["A3"].x(F(1, 3))    # x-pole at 3s = 1
 
 
 def _fraction_residual(fam, s, mu1):
@@ -256,14 +256,14 @@ def test_grid_of_no_samples_is_refused(count):
     with pytest.raises(ValueError, match=f"at least 1, got {count}"):
         sample_parameters(FAMILIES["B3"], count)
     with pytest.raises(ValueError, match=f"at least 1, got {count}"):
-        verify_algebraic("B3", count)
+        verify_algebraic(FAMILIES["B3"], count)
 
 
 def test_residual_table_is_exact_and_cleared():
     fam = FAMILIES["B3"]
     grid = sample_parameters(fam, 6)
     for s, x, y, res, num, den in residual_table(replace(fam, mu1=F(1, 7)), grid):
-        assert (x, y) == algebraic_solution("B3", s)
+        assert (x, y) == (fam.x(s), fam.y(s))
         assert type(num) is int and type(den) is int and abs(num / den) == res
         assert res == abs(_fraction_residual(fam, s, F(1, 7)))
 
@@ -287,8 +287,8 @@ def test_zero_length_path():
 def test_integrate_b3_segment_and_reverse():
     fam = FAMILIES["B3"]
     s0, s1 = F(3, 4), F(9, 10)
-    x0, y0 = algebraic_solution("B3", s0)
-    x1, y1 = algebraic_solution("B3", s1)
+    x0, y0 = fam.x(s0), fam.y(s0)
+    x1, y1 = fam.x(s1), fam.y(s1)
     yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     end = pvi_integrate(pt, complex(x1), tol=1e-11, margin=1e-4)
@@ -302,8 +302,8 @@ def test_integrate_b3_around_apparent_singularity():
     # singularity); a two-leg complex detour reaches the exact endpoint
     fam = FAMILIES["B3"]
     s0, s1 = F(2, 5), F(3, 5)
-    x0, y0 = algebraic_solution("B3", s0)
-    x1, y1 = algebraic_solution("B3", s1)
+    x0, y0 = fam.x(s0), fam.y(s0)
+    x1, y1 = fam.x(s1), fam.y(s1)
     yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     mid = pvi_integrate(pt, 1.1 + 0.25j, tol=1e-11, margin=1e-6)
@@ -315,7 +315,7 @@ def test_guard_refuses_singular_straight_path():
     from frobenii.ode import StepUnderflowError
     fam = FAMILIES["B3"]
     s0 = F(2, 5)
-    x0, y0 = algebraic_solution("B3", s0)
+    x0, y0 = fam.x(s0), fam.y(s0)
     yp0 = fam.y.jet(s0)[1] / fam.x.jet(s0)[1]
     pt = PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
     # straight segment hits y = 1: margin forces the step size to collapse
@@ -329,8 +329,8 @@ def test_guard_refuses_singular_straight_path():
 
 def test_y_to_qp_normalized_triple():
     # with u = (0, 1, x): q = y
-    st = qp_from_family("B3", 0.8)
     fam = FAMILIES["B3"]
+    st = qp_from_family(fam, 0.8)
     assert abs(st.q - complex(fam.y(0.8))) < 1e-14
 
 
@@ -359,7 +359,7 @@ def test_p_rejected_at_root_of_P():
 
 @pytest.mark.parametrize("family,s0", [("B3", 0.8), ("A3", 0.21), ("H3", 0.15)])
 def test_qp_flow_equations(family, s0):
-    dq, dp = qp_flow_check(family, s0)
+    dq, dp = qp_flow_check(FAMILIES[family], s0)
     assert dq < 1e-6
     assert dp < 1e-6
 
@@ -369,12 +369,12 @@ RATIONAL_POINTS = [("A3", F(21, 100)), ("B3", F(4, 5)), ("H3", F(3, 20))]
 
 @pytest.mark.parametrize("family,s0", RATIONAL_POINTS)
 def test_qp_flow_exact_at_rational_s(family, s0):
-    assert qp_flow_check(family, s0) == (0.0, 0.0)
+    assert qp_flow_check(FAMILIES[family], s0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("family,s0", RATIONAL_POINTS)
 @pytest.mark.parametrize("change", ["mu", "curve"])
-def test_qp_flow_controls_break_p_only(monkeypatch, family, s0, change):
+def test_qp_flow_controls_break_p_only(family, s0, change):
     # p is built from q and dy/dx, so the q equation holds on any curve;
     # a wrong mu, or y(s) of another family, breaks the p equation alone
     fam = FAMILIES[family]
@@ -382,21 +382,20 @@ def test_qp_flow_controls_break_p_only(monkeypatch, family, s0, change):
         bad = replace(fam, mu1=fam.mu1 + F(1, 7))
     else:
         bad = replace(fam, y=FAMILIES["B3" if family == "A3" else "A3"].y)
-    monkeypatch.setitem(painleve.FAMILIES, family, bad)
-    dq, dp = qp_flow_check(family, s0)
+    dq, dp = qp_flow_check(bad, s0)
     assert dq == 0.0
     assert dp > 0
 
 
 def test_log_k_quadrature_runs():
-    val = log_k_increment("B3", 0.75, 0.85)
+    val = log_k_increment(FAMILIES["B3"], 0.75, 0.85)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
 def test_reconstruct_psi_invariants():
     fam = FAMILIES["B3"]
     base_s = 0.75
-    st0 = qp_from_family("B3", base_s)
+    st0 = qp_from_family(fam, base_s)
     st0.logk = 0j
     Psi0 = reconstruct_psi(st0, fam.mu1)
     G0 = Psi0.T @ Psi0
@@ -418,16 +417,28 @@ def test_psi_gram_constant_along_curve():
     # Psi^T Psi stays constant when log k follows the quadrature (5.23)
     fam = FAMILIES["B3"]
     s0 = 0.75
-    st0 = qp_from_family("B3", s0)
+    st0 = qp_from_family(fam, s0)
     st0.logk = 0j
     G0 = reconstruct_psi(st0, fam.mu1).T @ reconstruct_psi(st0, fam.mu1)
     worst = 0.0
     for s1 in (0.78, 0.82, 0.86):
-        st1 = qp_from_family("B3", s1)
-        st1.logk = log_k_increment("B3", s0, s1)
+        st1 = qp_from_family(fam, s1)
+        st1.logk = log_k_increment(fam, s0, s1)
         G1 = reconstruct_psi(st1, fam.mu1).T @ reconstruct_psi(st1, fam.mu1)
         worst = max(worst, float(np.abs(G1 - G0).max()))
     assert worst < 1e-6
+
+
+def test_an_unregistered_family_gives_the_registered_values():
+    # the functions act on the family value: a copy outside FAMILIES under
+    # another name gives what B3 gives
+    fam = FAMILIES["B3"]
+    copy = replace(fam, name="B3*")
+    assert "B3*" not in FAMILIES
+    assert verify_algebraic(copy, sample_count=10) == verify_algebraic(fam, sample_count=10)
+    assert qp_from_family(copy, 0.8) == qp_from_family(fam, 0.8)
+    assert qp_flow_check(copy, F(4, 5)) == qp_flow_check(fam, F(4, 5))
+    assert log_k_increment(copy, 0.75, 0.85) == log_k_increment(fam, 0.75, 0.85)
 
 
 def test_qp_roundtrip_to_y():

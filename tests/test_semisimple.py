@@ -584,8 +584,8 @@ def test_frame_at_a_pole_of_a_laurent_potential_is_a_typed_error():
     # the inversion of A3 has negative powers of t3: the frame is fine away
     # from t3 = 0 and raises ZeroDivisionError on it
     import warnings
-    from frobenii.frobenius import apply_symmetry
-    P = apply_symmetry(catalog("A3"), "inversion_type2")
+    from frobenii.frobenius import inversion
+    P = inversion(catalog("A3"))
     canonical_coordinates(P, [0.3, 0.2, 0.1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
