@@ -7,9 +7,8 @@ constants, WDVV residuals, intersection form, monodromy data at the origin,
 deformed flat coordinates, inversion symmetry, tensor locus -- is computed
 exactly in the coefficient field.  eta, eta^{-1} and the structure constants
 are derived once per potential and cached on it as ``P.tensors``; their
-numeric lowering (eta, mu, the Euler field and every monomial of the c_abg,
-with eta^{-1} folded into the raising scatter, as read-only arrays) is
-cached as ``P.numeric``.
+numeric lowering (eta, mu, and one monomial table with one scatter matrix
+onto the c_abg and U = E o, as read-only arrays) is cached as ``P.numeric``.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ class FrobeniusPotential:
     def __post_init__(self):
         if self.F.nvars != self.n:
             raise ValueError("F arity does not match n")
+        if not 0 <= self.unity_index < self.n:
+            raise ValueError(f"unity_index {self.unity_index} is outside 0..{self.n - 1}")
         if self.exp_truncation is not None:
             var, order = self.exp_truncation
             if not 0 <= var < self.n:
@@ -126,21 +127,16 @@ class Tensors(NamedTuple):
 
 class Numeric(NamedTuple):
     """A potential in floating point, as read-only arrays: eta; mu_a =
-    q_a - d/2 exact and as floats; the Euler field E^e(t) =
-    euler_scale[e] t_e + euler_shift[e]; and every monomial
-    coeffs[k] t^powers[k] exp(weights[k] . t) of every c_abg with
-    a <= b <= g, which the (n^3, T) matrices scatter_low and scatter_up
-    (eta^{-1} folded in) sum into c_abg and c_ab^g, flattened in (a, b, g)."""
+    q_a - d/2 exact and as floats; and the distinct monomials
+    t^powers[k] exp(weights[k] . t) of the c_abg and of U^a_b = E^e c_eb^a,
+    which the (n^3 + n^2, T) matrix scatter, the exact coefficients in place,
+    sums into c_abg flattened in (a, b, g) followed by U flattened in (a, b)."""
     eta: np.ndarray
     mu: Tuple[Fraction, ...]
     mu_float: np.ndarray
-    euler_scale: np.ndarray
-    euler_shift: np.ndarray
-    coeffs: np.ndarray
     powers: np.ndarray
     weights: np.ndarray
-    scatter_low: np.ndarray
-    scatter_up: np.ndarray
+    scatter: np.ndarray
 
 
 def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
@@ -201,29 +197,21 @@ def structure_constants(P: FrobeniusPotential) -> Tensors:
 def numeric_lowering(P: FrobeniusPotential) -> Numeric:
     """Lowers P from scratch; callers read the cached ``P.numeric``."""
     import numpy as np
-    n = P.n
-    c_low, _, eta, eta_inv = P.tensors
-    coeffs, powers, weights, columns = [], [], [], []
-    for abg in itertools.combinations_with_replacement(range(n), 3):
-        col = np.zeros((n, n, n), dtype=complex)
-        for ijk in itertools.permutations(abg):
-            col[ijk] = 1
-        for (pows, exps), c in c_low[abg[0]][abg[1]][abg[2]].terms.items():
-            coeffs.append(complex(c))
-            powers.append(pows)
-            weights.append(exps)
-            columns.append(col)
-    low = np.stack(columns, axis=-1)
-
-    def lowered(m: ExactMatrix) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in m.rows])
-    up = np.einsum("ge,eabk->abgk", lowered(eta_inv), low)
+    entries = [c for plane in P.tensors.c_low for row in plane for c in row]
+    entries += [u for row in euler_multiplication_symbolic(P) for u in row]
+    column: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    for f in entries:
+        for key in f.terms:
+            column.setdefault(key, len(column))
+    scatter = np.zeros((len(entries), len(column)), dtype=complex)
+    for i, f in enumerate(entries):
+        for key, c in f.terms.items():
+            scatter[i, column[key]] = complex(c)
     mu = tuple(P.mu())
-    arrays = [lowered(eta), np.array([float(m) for m in mu]),
-              np.array([float(1 - q) for q in P.q]),
-              np.array([float(r) for r in P.r]),
-              np.array(coeffs), np.array(powers), np.array(weights, dtype=float),
-              low.reshape(n ** 3, -1), up.reshape(n ** 3, -1)]
+    arrays = [np.array([[complex(x) for x in row] for row in P.tensors.eta.rows]),
+              np.array([float(m) for m in mu]),
+              np.array([pows for pows, _ in column]),
+              np.array([exps for _, exps in column], dtype=float), scatter]
     for arr in arrays:
         arr.flags.writeable = False
     return Numeric(arrays[0], mu, *arrays[1:])

@@ -64,10 +64,12 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
 
     The first step is |s1 - s0| / 16.  `guard(s, y)` returning False marks
     (s, y) as inadmissible; the step is retried with a smaller h.  tol must
-    be positive; otherwise ValueError.
+    be positive and finite; otherwise ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite, got inf")
     y = np.array(y0, dtype=complex)
     s = float(s0)
     span = s1 - s0

@@ -279,10 +279,12 @@ def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10,
                   margin: float = 1e-4) -> PviPoint:
     """Integrate PVI along the straight segment from pt0.x to x1 with an
     embedded adaptive Runge-Kutta; refuses to approach y in {0, 1, x} or
-    x in {0, 1} closer than `margin`.  tol must be positive, also on a
-    segment of length zero; otherwise ValueError."""
+    x in {0, 1} closer than `margin`.  tol must be positive and finite,
+    also on a segment of length zero; otherwise ValueError."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite, got inf")
     import numpy as np
     from .ode import integrate
     x0 = complex(pt0.x)

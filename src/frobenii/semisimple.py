@@ -12,9 +12,9 @@ H_i = 1/2 sum_{j != i} V_ij^2/(u_i - u_j) whose 1-form sum H_i du_i is
 closed (d log tau).
 
 The numerics at a point read the table ``P.numeric`` lowers once per
-potential: every monomial of every c_abg as coefficient, powers and exp
-weights, with two scatter matrices onto c_abg and c_ab^g, so a frame
-evaluates all c_abg in one numpy expression and two mat-vecs.
+potential: every distinct monomial of the c_abg and of U as powers and exp
+weights, with one scatter matrix of exact coefficients onto both, so a
+frame evaluates all monomials in one numpy expression and one mat-vec.
 
 Along a straight segment u(s) = u0 + s du of a path the flow is one
 commutator, dV/ds = sum_i du_i [V_i, V] = [A, V] with
@@ -77,32 +77,23 @@ class IllConditionedFrameError(ArithmeticError):
 
 def _numeric_tensors(P: FrobeniusPotential, t: Sequence[complex]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_{ab}^g, c_{abg}, eta) at t from the lowered table ``P.numeric``:
-    every monomial evaluated in one expression, then two scatter mat-vecs,
-    the raised index last on the first."""
+    """(c_{abg}, U^a_b, eta) at t from the lowered table ``P.numeric``:
+    every monomial evaluated in one expression, then one scatter mat-vec."""
     num = P.numeric
     n = P.n
     t = np.asarray(t, dtype=complex)
-    mono = num.coeffs * np.prod(t ** num.powers, axis=1) * np.exp(num.weights @ t)
+    mono = np.prod(t ** num.powers, axis=1) * np.exp(num.weights @ t)
     if not np.isfinite(mono).all():
         # a negative power of a zero coordinate (Laurent potentials) or an
         # exp overflow
         raise ZeroDivisionError("a c_abg has a pole or overflows at this point")
-    return ((num.scatter_up @ mono).reshape(n, n, n),
-            (num.scatter_low @ mono).reshape(n, n, n), num.eta)
-
-
-def _euler_matrix(P: FrobeniusPotential, t: Sequence[complex],
-                  c_up: np.ndarray) -> np.ndarray:
-    """U^a_b = E^e(t) c_{eb}^a with E^e(t) = (1 - q_e) t_e + r_e."""
-    num = P.numeric
-    E = num.euler_scale * np.asarray(t, dtype=complex) + num.euler_shift
-    return np.einsum("e,eba->ab", E, c_up)
+    out = num.scatter @ mono
+    return out[:n ** 3].reshape(n, n, n), out[n ** 3:].reshape(n, n), num.eta
 
 
 def euler_multiplication(P: FrobeniusPotential, t: Sequence[complex]) -> np.ndarray:
     """U^a_b(t) = E^e(t) c_{e b}^a, numerically."""
-    return _euler_matrix(P, t, _numeric_tensors(P, t)[0])
+    return _numeric_tensors(P, t)[1]
 
 
 def _ill_conditioned(message: str, gaps: np.ndarray,
@@ -131,8 +122,8 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     Verifies Psi^T Psi = eta and the reconstruction
     c_{abg} = sum_i psi_{ia} psi_{ib} psi_{ig} / psi_{i1} within tol."""
     n = P.n
-    c_up, c_low, eta = _numeric_tensors(P, t)
-    u, vecs = eigen_small(_euler_matrix(P, t, c_up), tol=tol)
+    c_low, U, eta = _numeric_tensors(P, t)
+    u, vecs = eigen_small(U, tol=tol)
     ua = np.array(u)
     # gaps[i, j] = |u_i - u_j|, the diagonal excluded
     gaps = np.abs(ua[:, None] - ua[None, :]) + np.diag(np.full(n, np.inf))
@@ -384,8 +375,8 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     ode.MIN_STEP, raises StepUnderflowError naming the segment and the s
     reached.  The spectral and skewness drifts are read from one
     eigensolve of the V at every vertex reached.  V must be n x n, every
-    vertex must have n entries (n = len(u)) and tol must be positive;
-    otherwise ValueError."""
+    vertex must have n entries (n = len(u)) and tol must be positive and
+    finite; otherwise ValueError."""
     n = len(state0.u)
     V = np.array(state0.V, dtype=complex)
     if V.shape != (n, n):
@@ -396,6 +387,8 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
                              f"but u has {n}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite, got inf")
     # segment k runs from starts[k] to verts[k]; row 0 is the start point
     verts = np.concatenate([np.array([state0.u], dtype=complex),
                             np.array(path, dtype=complex).reshape(-1, n)])

@@ -117,6 +117,21 @@ def test_wdvv_check_of_a_malformed_window_is_an_error_report(capsys, tmp_path, k
     assert error in report["error"]
 
 
+@pytest.mark.parametrize("name, index", [("A3", 7), ("I2(3)", -2)])
+def test_wdvv_check_of_a_unity_index_out_of_range_is_an_error_report(capsys, tmp_path,
+                                                                      name, index):
+    # refused when the file is read, by its field name, not at first use
+    from frobenii.frobenius import catalog, potential_to_dict
+    P = catalog(name)
+    data = potential_to_dict(P)
+    data["unity_index"] = index
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_cli(capsys, "wdvv", "check", str(path))
+    assert code == 2 and report["status"] == "ERROR"
+    assert f"unity_index {index} is outside 0..{P.n - 1}" in report["error"]
+
+
 @pytest.mark.parametrize("target", ["A3", "CP2"])
 def test_wdvv_check_reports_metrics(capsys, target):
     from frobenii.frobenius import catalog, check_wdvv1
@@ -358,6 +373,23 @@ def test_pvi_verify_tol_not_positive_is_an_error_report(capsys, tol):
     assert code == 2
     assert data["status"] == "ERROR"
     assert data["error"] == f"tol must be positive, got {float(tol)}"
+
+
+def test_tol_inf_is_an_error_report(capsys, tmp_path):
+    # no residual or step error can fail an infinite tolerance, so a PASS or
+    # FAIL report would be misleading; each command refuses it instead
+    argv, state = _json_inputs("iso")
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps(state), encoding="utf-8")
+    ppath.write_text(json.dumps([[[0.1, 0.0], [1.0, 0.0], [2.0, 0.0]]]), encoding="utf-8")
+    for args in (["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10"],
+                 ["pvi", "verify", "B3", "--samples", "3"],
+                 [*argv, "--state", str(spath), "--path", str(ppath)]):
+        code, data = run_cli(capsys, *args, "--tol", "inf")
+        assert code == 2
+        assert data["status"] == "ERROR"
+        assert data["error"] == "tol must be finite, got inf"
 
 
 def test_pvi_integrate_step_underflow_is_an_error_report(capsys):
@@ -761,7 +793,7 @@ def _refuse_constant(name):
 
 @pytest.mark.parametrize("argv, status", _SCHEMA_CASES + [
     (["pvi", "integrate", "B3", "--s0", "3/4", "--s1", "9/10", f"--tol={tol}"], "ERROR")
-    for tol in ("nan", "-inf")
+    for tol in ("nan", "-inf", "inf")
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_every_report_is_strict_json(capsys, monkeypatch, argv, status):
     # NaN, Infinity and -Infinity are not JSON: a non-finite float is

@@ -527,8 +527,7 @@ def test_numeric_lowering_is_cached_and_read_only():
     assert np.array_equal(num.eta, [[complex(x) for x in r] for r in P.tensors.eta.rows])
     assert num.mu == tuple(P.mu())
     assert num.mu_float.tolist() == [float(m) for m in P.mu()]
-    assert num.euler_scale.tolist() == [float(1 - q) for q in P.q]
-    assert num.euler_shift.tolist() == [float(r) for r in P.r]
+    assert num._fields == ("eta", "mu", "mu_float", "powers", "weights", "scatter")
     for arr in num:
         if isinstance(arr, np.ndarray):
             with pytest.raises(ValueError):
@@ -537,7 +536,8 @@ def test_numeric_lowering_is_cached_and_read_only():
 
 def test_lowered_table_equals_eval_complex_of_every_c_abg():
     # on every catalog entry and CP2(8), at seeded complex points, one with
-    # t1 = 0; CP1, CP2 and CP2(8) carry the e^{k t2} terms
+    # t1 = 0; CP1, CP2 and CP2(8) carry the e^{k t2} terms.  U is checked
+    # against E^e c_eb^a formed in numpy from eta^{-1} and the c_abg
     import numpy as np
     from frobenii.gwcp2 import truncated_potential
     from frobenii.semisimple import _numeric_tensors
@@ -553,10 +553,33 @@ def test_lowered_table_equals_eval_complex_of_every_c_abg():
         for t in points:
             want = np.array([[[c_low[a][b][g].eval_complex(t) for g in range(n)]
                               for b in range(n)] for a in range(n)])
-            want_up = np.einsum("ge,eab->abg", eta_inv, want)
-            got_up, got, _ = _numeric_tensors(P, t)
-            for x, y in ((got, want), (got_up, want_up)):
+            E = (np.array([float(1 - q) for q in P.q]) * np.array(t)
+                 + np.array([float(r) for r in P.r]))
+            want_U = np.einsum("e,al,leb->ab", E, eta_inv, want)
+            got, got_U, _ = _numeric_tensors(P, t)
+            for x, y in ((got, want), (got_U, want_U)):
                 assert np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max()), P.name
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(8)", "inversion(A3)"])
+def test_scatter_rows_hold_the_exact_coefficients(name):
+    # one row per c_abg, flattened in (a, b, g), then one per U^a_b: each
+    # holds the coefficients of its exact entry in the columns of its
+    # monomials and zero elsewhere; no (powers, weights) column repeats
+    import numpy as np
+    P = inversion(catalog("A3")) if name == "inversion(A3)" else catalog(name)
+    num = P.numeric
+    keys = [(tuple(p), tuple(int(w) for w in ws))
+            for p, ws in zip(num.powers.tolist(), num.weights.tolist())]
+    assert len(set(keys)) == len(keys)
+    assert num.weights.tolist() == [list(w) for _, w in keys]
+    entries = [c for plane in P.tensors.c_low for row in plane for c in row]
+    entries += [u for row in euler_multiplication_symbolic(P) for u in row]
+    assert num.scatter.shape == (P.n ** 3 + P.n ** 2, len(keys))
+    assert (num.scatter != 0).any(axis=0).all()
+    for row, f in zip(num.scatter, entries):
+        assert ({key: x for key, x in zip(keys, row.tolist()) if x}
+                == {key: complex(c) for key, c in f.terms.items()}), name
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +910,13 @@ def test_a_window_variable_out_of_range_is_refused(var):
     P = catalog("CP2(3)")
     with pytest.raises(ValueError, match="outside 0..2"):
         FrobeniusPotential(3, P.F, P.d, P.q, P.r, exp_truncation=(var, 3))
+
+
+@pytest.mark.parametrize("name, index", [("A3", 7), ("A3", 3), ("I2(3)", -2)])
+def test_a_unity_index_out_of_range_is_refused(name, index):
+    P = catalog(name)
+    with pytest.raises(ValueError, match=rf"unity_index {index} is outside 0\.\.{P.n - 1}"):
+        FrobeniusPotential(P.n, P.F, P.d, P.q, P.r, unity_index=index)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(3)", "CP2(6)", "CP2(8)"])

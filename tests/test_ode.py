@@ -143,3 +143,20 @@ def test_attempt_cap_ends_a_run_that_never_underflows(monkeypatch):
     y, stats = integrate(lambda s, y: np.array([np.cos(s)], dtype=complex),
                          np.zeros(1, dtype=complex), 0.0, 1.0, tol=1e-6)
     assert stats.steps + stats.rejected < 10 and abs(y[0] - np.sin(1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("tol, message", [
+    (0.0, "tol must be positive, got 0.0"),
+    (float("nan"), "tol must be positive, got nan"),
+    (float("inf"), "tol must be finite, got inf"),
+])
+def test_a_tolerance_not_positive_and_finite_is_refused(tol, message):
+    # by the integrator and by pvi_integrate, also on a segment of length zero
+    with pytest.raises(ValueError) as info:
+        integrate(lambda s, y: y, np.ones(1, dtype=complex), 0.0, 1.0, tol=tol)
+    assert str(info.value) == message
+    pt = _b3_point(F(3, 4))
+    for x1 in (pt.x, pt.x + 0.05):
+        with pytest.raises(ValueError) as info:
+            pvi_integrate(pt, x1, tol=tol)
+        assert str(info.value) == message
