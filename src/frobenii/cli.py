@@ -194,13 +194,18 @@ def cmd_pvi(args) -> Outcome:
     y0, ys0, _ = fam.y.jet(s0)
     x1, y1 = fam.x(s1), fam.y(s1)
     pt = painleve.PviPoint(fam.mu1, complex(x0), complex(y0), complex(ys0 / xs0))
-    end = painleve.pvi_integrate(pt, complex(x1), tol=args.tol)
+    from . import semisimple  # noqa: F401  (loaded before the clock starts, as in cmd_iso)
+    metrics = {}
+    end, diag = _timed(metrics, "integrate_s", painleve.pvi_integrate,
+                       pt, complex(x1), args.tol)
+    metrics.update(steps=diag.stats.steps, rejected=diag.stats.rejected,
+                   min_order=diag.min_order, max_order=diag.max_order)
     err = abs(end.y - complex(y1))
     return Outcome("PASS" if err < 1e-6 else "FAIL",
                    {"x1": [end.x.real, end.x.imag],
                     "y_numeric": [end.y.real, end.y.imag],
                     "y_exact": [complex(y1).real, complex(y1).imag]},
-                   {"endpoint_error": err})
+                   {"endpoint_error": err}, metrics)
 
 
 # -- iso ----------------------------------------------------------------------

@@ -1,21 +1,20 @@
 """Adaptive embedded Runge-Kutta (Cash-Karp 5(4)) for complex vector fields.
 
-Used by the Painleve-VI integrator and the log k increment of `painleve`;
-the isomonodromic flow of `semisimple` takes Taylor steps instead.  The
+Used by the log k increment of `painleve` alone; the isomonodromic flow
+of `semisimple`, and PVI as that flow, take Taylor steps instead.  The
 state is a flat complex numpy array.  The six stages of a step are the rows
 of one (6, m) array K: stage i evaluates f at y + h (A_i @ K[:i]), and the
 fifth-order solution and the error estimate are y + h (B5 @ K) and
-h ((B5 - B4) @ K), both from one (2, 6) @ K product.  A guard callback can
-reject steps that enter a forbidden region (singularity margins), which
-triggers step-size reduction and ultimately a StepUnderflowError, as does
-running out of the MAX_ATTEMPTS step attempts of one call.
+h ((B5 - B4) @ K), both from one (2, 6) @ K product.  A step below MIN_STEP,
+or running out of the MAX_ATTEMPTS step attempts of one call, raises
+StepUnderflowError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,11 +33,11 @@ _B5E = np.array([_B5, _B5 - _B4])  # fifth-order weights and the error row
 _C = [0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8]
 MIN_STEP = 1e-14  # a step below this raises StepUnderflowError
 # Step attempts, accepted or rejected, allowed in one call; one more raises
-# StepUnderflowError.  A guard margin that the solution grazes can reject and
-# regrow h forever without h falling below MIN_STEP.  The largest counts seen
-# in one call are 502 in the test suite (the tol-1e-12 reference for the
-# isomonodromic Taylor segments) and 41 in the chart benchmark's
-# `pvi integrate` segments (seeds 1-10).
+# StepUnderflowError naming the s reached, also where h never falls below
+# MIN_STEP.  The largest count seen in one call is 502 in the test suite (the
+# tol-1e-12 reference for the isomonodromic Taylor segments);
+# `log_k_increment`, the one caller in the package, is not run by the
+# benchmark.
 MAX_ATTEMPTS = 2000
 
 
@@ -58,13 +57,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
               s0: float,
               s1: float,
               tol: float = 1e-10,
-              guard: Optional[Callable[[float, np.ndarray], bool]] = None,
               ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate y' = f(s, y) from s0 to s1 (real parameter, complex state).
 
-    The first step is |s1 - s0| / 16.  `guard(s, y)` returning False marks
-    (s, y) as inadmissible; the step is retried with a smaller h.  tol must
-    be positive and finite; otherwise ValueError.
+    The first step is |s1 - s0| / 16.  tol must be positive and finite;
+    otherwise ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -88,23 +85,15 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 f"without reaching s={s1}; stuck at s={s}")
         hs = direction * h
         hA = hs * _A
-        failed = False
         for i in range(6):
             # the slice keeps stale rows of K, possibly non-finite, out
             yi = y + hA[i, :i] @ K[:i] if i else y
-            if guard is not None and not guard(s + _C[i] * hs, yi):
-                failed = True
-                break
             K[i] = f(s + _C[i] * hs, yi)
-        if not failed:
-            step, delta = (hs * _B5E) @ K
-            y5 = y + step
-            err = float(np.abs(delta).max())
-            scale = max(scale0, float(np.abs(y5).max()))
-            failed = err > tol * scale or not math.isfinite(err)
-            if guard is not None and not failed:
-                failed = not guard(s + hs, y5)
-        if failed:
+        step, delta = (hs * _B5E) @ K
+        y5 = y + step
+        err = float(np.abs(delta).max())
+        scale = max(scale0, float(np.abs(y5).max()))
+        if err > tol * scale or not math.isfinite(err):
             stats.rejected += 1
             h *= 0.35
             continue

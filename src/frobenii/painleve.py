@@ -15,9 +15,12 @@ forms were re-derived from the corresponding Frobenius manifolds and
 verified to make the PVI residual vanish identically.  Rational s is
 evaluated exactly, in ints: `RationalFunction._cleared_jet` gives the
 derivatives, and the PVI residual is one integer numerator over one
-integer denominator.  numpy and the integrator of `ode` are imported by
-the numeric functions that use them (`pvi_integrate`, `log_k_increment`,
-`reconstruct_psi`), so the exact half loads without numpy.
+integer denominator.  A solution is continued in x as the isomonodromic
+flow of the 3x3 skew V at u = (0, 1, x) (`pvi_integrate`, by the Taylor
+steps of `semisimple`), which is regular where y meets 0, 1 or x; V and
+(q, p) convert in closed form (`v_from_qp`, `qp_from_v`).  numpy,
+`semisimple` and `ode` are imported by the numeric functions that use them,
+so the exact half loads without numpy.
 """
 
 from __future__ import annotations
@@ -170,10 +173,8 @@ def pvi_rhs(mu1, x, y, yp):
     """y'' from PVI(mu); raises ZeroDivisionError at singular configurations."""
     A = (1 / y + 1 / (y - 1) + 1 / (y - x)) * yp * yp / 2
     B = (1 / x + 1 / (x - 1) + 1 / (y - x)) * yp
-    # (y - x) squared as a product: on a Python complex, ** 2 raises
-    # OverflowError where the product overflows to inf and the step is retried
     C = (y * (y - 1) * (y - x) / (x * x * (x - 1) ** 2)
-         * ((2 * mu1 - 1) ** 2 + x * (x - 1) / ((y - x) * (y - x)))) / 2
+         * ((2 * mu1 - 1) ** 2 + x * (x - 1) / (y - x) ** 2)) / 2
     return A - B + C
 
 
@@ -275,46 +276,32 @@ class PviPoint:
     yprime: complex
 
 
-def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10,
-                  margin: float = 1e-4) -> PviPoint:
-    """Integrate PVI along the straight segment from pt0.x to x1 with an
-    embedded adaptive Runge-Kutta; refuses to approach y in {0, 1, x} or
-    x in {0, 1} closer than `margin`.  tol must be positive and finite,
-    also on a segment of length zero; otherwise ValueError."""
+def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10
+                  ) -> Tuple[PviPoint, "IsoDiagnostics"]:
+    """Continue a solution of PVI(mu) from pt0 along the straight segment to
+    x1 as the isomonodromic flow of V at u = (0, 1, x): `v_from_qp`, then
+    `semisimple.integrate_isomonodromic` at tol, then `qp_from_v`.  y meeting
+    0, 1 or x is no singularity of that flow; x meeting 0 or 1 raises
+    CoalescingEigenvaluesError.  Returns the end point (the start itself on
+    a segment of length zero) and the IsoDiagnostics.  tol must be positive
+    and finite and mu nonzero; otherwise ValueError."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if tol == float("inf"):
         raise ValueError("tol must be finite, got inf")
-    import numpy as np
-    from .ode import integrate
-    x0 = complex(pt0.x)
-    x1 = complex(x1)
-    if x1 == x0:
-        return PviPoint(pt0.mu1, pt0.x, pt0.y, pt0.yprime)
-    dx = x1 - x0
-    mu1 = float(pt0.mu1)
-
-    def guard(sig: float, state: np.ndarray) -> bool:
-        x = x0 + sig * dx
-        y = state[0]
-        if abs(x) < margin or abs(x - 1) < margin:
-            return False
-        return (abs(y) > margin and abs(y - 1) > margin and abs(y - x) > margin)
-
-    # the state carries (y, dy/dsigma) with sigma the segment parameter; the
-    # field reads it as Python complex, on which pvi_rhs is cheaper than on
-    # numpy scalars.  (The guard keeps the numpy scalar: abs of a Python
-    # complex raises OverflowError above the largest float, numpy's is inf.)
-    def f(sig: float, state: np.ndarray) -> np.ndarray:
-        x = x0 + sig * dx
-        y, dyds = state.tolist()
-        yp = dyds / dx
-        ypp = pvi_rhs(mu1, x, y, yp)
-        return np.array([dyds, ypp * dx * dx], dtype=complex)
-
-    y0 = np.array([pt0.y, pt0.yprime * dx], dtype=complex)
-    yend, _ = integrate(f, y0, 0.0, 1.0, tol=tol, guard=guard)
-    return PviPoint(pt0.mu1, x1, yend[0], yend[1] / dx)
+    if pt0.mu1 == 0:
+        raise ValueError("mu must be nonzero: at mu = 0, V = 0 carries no (y, y')")
+    from .semisimple import IsoState, integrate_isomonodromic
+    x0, x1 = complex(pt0.x), complex(x1)
+    u0 = (0j, 1 + 0j, x0)
+    V0 = v_from_qp(y_to_qp(pt0.y, pt0.yprime, x0, u0), pt0.mu1)
+    end, diag = integrate_isomonodromic(IsoState(list(u0), V0), [(0, 1, x1)], tol)
+    if x1 == x0:    # nothing moved: the start itself, not its round trip
+        return PviPoint(pt0.mu1, pt0.x, pt0.y, pt0.yprime), diag
+    st = qp_from_v(x1, end.V, pt0.mu1)
+    # y = q and, inverting y_to_qp, y' = (p + 1/(2(q - x))) 2 P(q)/P'(x)
+    yprime = (2 * st.p * (st.q - x1) + 1) * st.q * (st.q - 1) / (x1 * (x1 - 1))
+    return PviPoint(pt0.mu1, x1, st.q, yprime), diag
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +448,32 @@ def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:
         psi1[0] * psi3[1] - psi3[0] * psi1[1],
     ])
     return np.column_stack([psi1, psi2, psi3])
+
+
+def v_from_qp(state: QpkState, mu1) -> np.ndarray:
+    """V = Psi diag(mu, 0, -mu) Psi^{-1} for the Psi of `reconstruct_psi`.
+    Psi^T Psi = eta = antidiag(1, 1, 1) gives Psi^{-1} = eta Psi^T, so
+    V = mu (psi_1 psi_3^T - psi_3 psi_1^T) from the first and third columns;
+    k drops out."""
+    import numpy as np
+    psi = reconstruct_psi(state, mu1)
+    half = complex(mu1) * np.outer(psi[:, 0], psi[:, 2])
+    return half - half.T
+
+
+def qp_from_v(x, V: np.ndarray, mu1) -> QpkState:
+    """(q, p) at u = (0, 1, x) from the V of `v_from_qp`, with log k = 0
+    (k drops out of V).  psi_1 and psi_3 are multiples of the eigenvectors
+    e_+ and e_- of V for +mu and -mu.  q: e_{-i}^2 P'(u_i) = a u_i - b with
+    q = b/a, read at u_1 = 0 and u_2 = 1.  p: psi_1 . psi_3 = 1 gives
+    psi_{i1} psi_{i3} = e_{+i} e_{-i}/(e_+ . e_-), hence B_i of
+    `reconstruct_psi`, and B_1 - B_2 = -2 mu ((q - x) p + mu)."""
+    import numpy as np
+    x, mu = complex(x), complex(mu1)
+    w, vecs = np.linalg.eig(V)
+    ep, em = (vecs[:, np.abs(w - m).argmin()] for m in (mu, -mu))
+    b = -em[0] ** 2 * x                     # P'(0) = x, P'(1) = 1 - x
+    q = complex(b / (em[1] ** 2 * (1 - x) + b))
+    r = ep * em / (ep @ em)
+    dB = 2 * mu ** 2 * ((1 - x) * r[1] / (q - 1) - x * r[0] / q)
+    return QpkState(u=(0j, 1 + 0j, x), q=q, p=complex(-(dB + 2 * mu ** 2) / (2 * mu * (q - x))))

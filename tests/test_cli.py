@@ -336,6 +336,12 @@ def test_pvi_integrate(capsys):
                          "--s0", "3/4", "--s1", "9/10", "--tol", "1e-11")
     assert code == 0
     assert data["residuals"]["endpoint_error"] < 1e-6
+    # the keys of iso integrate, segments aside: one straight segment
+    m = data["metrics"]
+    assert set(m) == {"integrate_s", "steps", "rejected", "min_order", "max_order"}
+    assert m["integrate_s"] >= 0 and m["steps"] >= 1 and m["rejected"] >= 0
+    # at tol 1e-11 a step starts at order 14 and stops by order 28
+    assert 14 <= m["min_order"] <= m["max_order"] <= 28
 
 
 @pytest.mark.parametrize("action", [["verify", "--samples", "3"],
@@ -392,26 +398,37 @@ def test_tol_inf_is_an_error_report(capsys, tmp_path):
         assert data["error"] == "tol must be finite, got inf"
 
 
-def test_pvi_integrate_step_underflow_is_an_error_report(capsys):
-    # the segment runs into a singular value of the A3 solution
-    code, data = run_cli(capsys, "pvi", "integrate", "A3",
-                         "--s0", "1/2", "--s1", "9/10")
-    assert code == 2
-    assert data["status"] == "ERROR"
-    assert "underflow" in data["error"]
+@pytest.mark.parametrize("family, s0, s1", [
+    # the straight segment passes |y - 1| = 1e-4 near sigma = 0.4208
+    ("B3", "7/20", "2/5"),
+    # y has a double zero at s = sqrt(5)/3 on the segment
+    ("A3", "1/2", "9/10"),
+    # the segment meets y = 1 at s = sqrt(2) - 1
+    ("B3", "2/5", "3/5"),
+])
+def test_pvi_integrate_runs_through_singular_values_of_y(capsys, family, s0, s1):
+    # y meeting 0, 1 or x is no singularity of the isomonodromic flow of V
+    code, data = run_cli(capsys, "pvi", "integrate", family, "--s0", s0, "--s1", s1)
+    assert code == 0 and data["status"] == "PASS"
+    assert data["residuals"]["endpoint_error"] < 1e-10
 
 
-def test_pvi_integrate_grazing_the_guard_margin_is_an_error_report(capsys):
-    # y stays on the guard margin |y - 1| = 1e-4 near sigma = 0.4208, where
-    # guard rejections and accepted steps keep h above MIN_STEP; the attempt
-    # cap ends the run
-    from frobenii.ode import MAX_ATTEMPTS
+def test_pvi_integrate_onto_another_branch_fails(capsys):
+    # the straight x-segment winds onto another branch of B3's solution: it
+    # ends on a branch over x(s1), but not on s1's (tests/test_painleve.py)
     code, data = run_cli(capsys, "pvi", "integrate", "B3",
-                         "--s0", "7/20", "--s1", "2/5")
+                         "--s0", "797/400", "--s1", "831/400")
+    assert code == 1 and data["status"] == "FAIL"
+    assert data["residuals"]["endpoint_error"] > 1e-3
+
+
+def test_pvi_integrate_across_x_0_is_a_collision_error_report(capsys):
+    # x(s) of A3 passes 0 at s = 1, a fixed singularity of PVI
+    code, data = run_cli(capsys, "pvi", "integrate", "A3",
+                         "--s0", "1/2", "--s1", "11/10")
     assert code == 2
     assert data["status"] == "ERROR"
-    assert f"{MAX_ATTEMPTS} step attempts" in data["error"]
-    assert "s=0.4207" in data["error"]
+    assert "collision margin" in data["error"]
 
 
 def _json_inputs(kind):
@@ -745,7 +762,7 @@ def test_exact_commands_run_without_numpy():
 # The metrics block is empty on ERROR and where a command measures nothing.
 _REPORT_KEYS = {"command", "inputs", "status", "results", "residuals", "metrics"}
 _MEASURED = {"wdvv check", "gw nk", "gw elliptic", "gw fit", "stokes orbit",
-             "pvi verify", "iso integrate", "sing an"}
+             "pvi verify", "pvi integrate", "iso integrate", "sing an"}
 
 
 def _parsed_inputs(argv):
