@@ -18,9 +18,11 @@ derivatives, and the PVI residual is one integer numerator over one
 integer denominator.  A solution is continued in x as the isomonodromic
 flow of the 3x3 skew V at u = (0, 1, x) (`pvi_integrate`, by the Taylor
 steps of `semisimple`), which is regular where y meets 0, 1 or x; V and
-(q, p) convert in closed form (`v_from_qp`, `qp_from_v`).  numpy,
-`semisimple` and `ode` are imported by the numeric functions that use them,
-so the exact half loads without numpy.
+(q, p) convert in closed form (`v_from_qp`, `qp_from_v`).  Along a family
+d log k/ds is rational in s with simple poles, so log k is a sum of
+logarithms read off its exact residues (`log_k_increment`).  numpy and
+`semisimple` are imported by the numeric functions that use them, so the
+exact half loads without numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .exact import upoly
 
 Poly = Tuple[int, ...]
 
-# Tolerance of the adaptive integration in log_k_increment.
-LOG_K_TOL = 1e-12
+# A segment in the s-plane meets a pole of d log k/ds when it passes within
+# this distance of it (`log_k_increment`).
+POLE_MARGIN = 1e-9
 
 
 def _factored(*factors: Tuple[Poly, int]) -> Poly:
@@ -124,6 +127,32 @@ class AlgebraicFamily:
     mu1: Fraction
     x: RationalFunction
     y: RationalFunction
+
+    @cached_property
+    def _log_k_residues(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The poles r of d log k/ds along u = (0, 1, x(s)) and the residues
+        N(r)/D'(r) there, where d log k/ds = (2 mu - 1)(q - x) x'/(x (x - 1))
+        is (2 mu - 1) N/D with x = a/b, y = q = c/e,
+        N = (c b - a e)(a' b - a b') and D = a (a - b) b e, put in lowest
+        terms by their exact gcd.  A D that is not square-free, or
+        deg N >= deg D, leaves log k no sum of logarithms: ValueError."""
+        import numpy as np
+        a, b, c, e = self.x.num, self.x.den, self.y.num, self.y.den
+        mul, sub, deriv = upoly.mul, upoly.sub, upoly.deriv
+        N = mul(sub(mul(c, b), mul(a, e)), sub(mul(deriv(a), b), mul(a, deriv(b))))
+        D = mul(mul(a, sub(a, b)), mul(b, e))
+        g = upoly.gcd(D, N)
+        N, D = upoly.quotient(N, g), upoly.quotient(D, g)
+        if len(upoly.gcd(D, deriv(D))) > 1:
+            raise ValueError(f"{self.name}: d log k/ds has a multiple pole, "
+                             f"so log k is no sum of logarithms")
+        if len(N) >= len(D):
+            raise ValueError(f"{self.name}: d log k/ds has deg N = {len(N) - 1} >= "
+                             f"deg D = {len(D) - 1}, so log k is no sum of logarithms")
+        D = [float(v) for v in reversed(D)]
+        poles = np.roots(D)
+        return poles, np.polyval([float(v) for v in reversed(N)], poles) / \
+            np.polyval(np.polyder(D), poles)
 
 
 H3_DEGREE9 = (49, -2133, 34308, -259044, 1642878, -7616646,
@@ -395,23 +424,24 @@ def qp_flow_check(fam: AlgebraicFamily, s0) -> Tuple[float, float]:
 
 def log_k_increment(fam: AlgebraicFamily, s_from, s_to) -> complex:
     """d_i log k = (2 mu - 1)(q - u_i)/P'(u_i) integrated along the curve
-    slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start), by
-    the adaptive integrator of `ode` on the straight s-segment at tolerance
-    LOG_K_TOL."""
+    slice u = (0, 1, x(s)) from s_from to s_to (log k = 0 at the start), in
+    closed form: (2 mu - 1) sum_r c_r Log((s_to - r)/(s_from - r)) over the
+    poles r and residues c_r of `AlgebraicFamily._log_k_residues`.  On a
+    straight s-segment clear of r the principal Log is the continuous branch.
+    A segment, or an endpoint, within POLE_MARGIN of a pole raises
+    ParametrizationPoleError."""
     import numpy as np
-    from .ode import integrate
-    mu1 = complex(fam.mu1)
-    s0 = complex(s_from)
-    ds = complex(s_to) - s0
-
-    def f(sig: float, y: np.ndarray) -> np.ndarray:
-        s = s0 + sig * ds
-        x, xs, _ = fam.x.jet(s)
-        q = fam.y(s)  # u = (0, 1, x): q = y and P'(u3) = x (x - 1)
-        return np.array([(2 * mu1 - 1) * (q - x) / (x * (x - 1)) * xs * ds])
-
-    total, _ = integrate(f, np.zeros(1, dtype=complex), 0.0, 1.0, tol=LOG_K_TOL)
-    return complex(total[0])
+    poles, res = fam._log_k_residues
+    s0, s1 = complex(s_from), complex(s_to)
+    ds = s1 - s0
+    # the point of the segment nearest each pole
+    t = np.clip(((poles - s0) * ds.conjugate()).real / abs(ds) ** 2, 0, 1) if ds else 0
+    near = np.abs(s0 + t * ds - poles)
+    if near.size and near.min() < POLE_MARGIN:
+        raise ParametrizationPoleError(
+            f"the segment from s = {s_from} to s = {s_to} meets the pole "
+            f"s = {complex(poles[near.argmin()]):.6g} of d log k/ds")
+    return float(2 * fam.mu1 - 1) * complex(res @ np.log((s1 - poles) / (s0 - poles)))
 
 
 def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:

@@ -43,11 +43,11 @@ import numpy as np
 
 from .exact.linalg import eigen_small, sort_spectrum
 from .frobenius import FrobeniusPotential
-from .ode import MIN_STEP, IntegrationStats, StepUnderflowError
 
 # u_a and u_b collide when |u_a - u_b| < COLLISION_MARGIN * max(1, max_k |u_k|):
 # a frame refuses such a point, a path a segment that comes that close.
 COLLISION_MARGIN = 1e-6
+MIN_STEP = 1e-14  # a Taylor step below this raises StepUnderflowError
 # Taylor step attempts, accepted or rejected, allowed on one segment; one
 # more raises StepUnderflowError.  The largest counts seen on one segment are
 # 25 in the test suite and 3 in the chart benchmark's loops (seeds 1-10).
@@ -56,6 +56,17 @@ MAX_SEGMENT_STEPS = 1000
 
 class CoalescingEigenvaluesError(ArithmeticError):
     pass
+
+
+class StepUnderflowError(ArithmeticError):
+    """The integration cannot proceed: a numerical failure, reported by the
+    CLI like any other ArithmeticError."""
+
+
+@dataclass
+class IntegrationStats:
+    steps: int = 0
+    rejected: int = 0
 
 
 class IllConditionedFrameError(ArithmeticError):
@@ -372,7 +383,7 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     start point"), and a repeated vertex, the start included, is a segment
     of length zero that moves nothing.  A segment that runs out of its
     MAX_SEGMENT_STEPS step attempts, or whose step falls below
-    ode.MIN_STEP, raises StepUnderflowError naming the segment and the s
+    MIN_STEP, raises StepUnderflowError naming the segment and the s
     reached.  The spectral and skewness drifts are read from one
     eigensolve of the V at every vertex reached.  V must be n x n, every
     vertex must have n entries (n = len(u)) and tol must be positive and

@@ -1,5 +1,6 @@
-"""The dependency rule: the package imports nothing at run time beyond the
-standard library and numpy."""
+"""The dependency rules: the package imports nothing at run time beyond the
+standard library and numpy, and each of its modules is imported by
+another."""
 
 import ast
 import sys
@@ -28,3 +29,38 @@ def test_every_absolute_import_is_stdlib_numpy_or_frobenii():
                     stray.append(f"{path.relative_to(ROOT)}:{node.lineno} imports {name}")
     assert not stray, stray
     assert "numpy" in seen
+
+
+def _imported_modules(path):
+    """The frobenii modules that the file at path imports, as dotted names:
+    for `from X import a, b` both X and X.a, X.b, since a name may be a
+    submodule."""
+    package = ["frobenii", *path.relative_to(ROOT).parent.parts]
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            base = ".".join(base + (node.module.split(".") if node.module else []))
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_every_module_is_imported_by_another():
+    # a module no other package module imports is dead code; cli is the
+    # entry point and a package's __init__ is imported through its package
+    modules = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        parts = ["frobenii", *path.relative_to(ROOT).with_suffix("").parts]
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    orphans = []
+    for name, path in modules.items():
+        if path.stem in ("cli", "__init__"):
+            continue
+        if not any(name in _imported_modules(other)
+                   for other_name, other in modules.items() if other_name != name):
+            orphans.append(name)
+    assert len(modules) > 5
+    assert not orphans, orphans

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from rk_reference import rk_integrate
 
 from frobenii.painleve import (
     FAMILIES, H3_DEGREE9, AlgebraicFamily, ParametrizationPoleError, PviPoint, QpkState,
@@ -290,6 +291,20 @@ def _family_point(fam, s0):
     return PviPoint(fam.mu1, complex(x0), complex(y0), complex(yp0))
 
 
+@pytest.mark.parametrize("tol, message", [
+    (0.0, "tol must be positive, got 0.0"),
+    (float("nan"), "tol must be positive, got nan"),
+    (float("inf"), "tol must be finite, got inf"),
+])
+def test_a_tolerance_not_positive_and_finite_is_refused(tol, message):
+    # also on a segment of length zero
+    pt = _family_point(FAMILIES["B3"], F(3, 4))
+    for x1 in (pt.x, pt.x + 0.05):
+        with pytest.raises(ValueError) as info:
+            pvi_integrate(pt, x1, tol=tol)
+        assert str(info.value) == message
+
+
 def test_integrate_b3_segment_and_reverse():
     fam = FAMILIES["B3"]
     s0, s1 = F(3, 4), F(9, 10)
@@ -436,41 +451,100 @@ def test_log_k_quadrature_runs():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def _log_k_by_runge_kutta(fam, s_from, s_to):
+    """d log k/ds = (2 mu - 1)(q - x) x'/(x (x - 1)) on u = (0, 1, x(s))
+    integrated along the straight s-segment at tol 1e-12."""
+    mu1 = complex(fam.mu1)
+    s0 = complex(s_from)
+    ds = complex(s_to) - s0
+
+    def f(sig, y):
+        s = s0 + sig * ds
+        x, xs, _ = fam.x.jet(s)
+        return np.array([(2 * mu1 - 1) * (fam.y(s) - x) / (x * (x - 1)) * xs * ds])
+
+    return complex(rk_integrate(f, np.zeros(1, dtype=complex), 0.0, 1.0, tol=1e-12)[0])
+
+
+@pytest.mark.parametrize("family", ["A3", "B3", "H3"])
+def test_log_k_closed_form_against_runge_kutta(family):
+    fam = FAMILIES[family]
+    segments = [(F(3, 4), F(17, 20)), (F(17, 20), F(3, 4)), (F(2, 5), 0.5 + 0.1j),
+                (0.5 + 0.1j, F(3, 5)), (0.3 + 0.2j, 1.7 - 0.3j)]
+    for s0, s1 in segments:
+        ref = _log_k_by_runge_kutta(fam, s0, s1)
+        assert abs(log_k_increment(fam, s0, s1) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("family, want", [
+    ("A3", {F(3), F(1), F(-2, 3)}),
+    ("B3", {F(1), F(2), F(-3, 5)}),
+    ("H3", {F(5), F(3), F(1), F(-5, 9)}),
+])
+def test_log_k_residues_are_the_factor_coefficients(family, want):
+    # d log k/ds = (2 mu - 1) sum_f c_f f'/f over the factors f of x and y
+    # (ROADMAP item 3): every pole of N/D has one of the c_f as its residue
+    _, res = FAMILIES[family]._log_k_residues
+    got = {min(want, key=lambda c: abs(r - c)) for r in res}
+    assert got == want
+    assert all(min(abs(r - float(c)) for c in want) < 1e-9 for r in res)
+
+
+def test_log_k_round_a_pole_and_round_none():
+    # a triangle round A3's pole s = 1/3 (residue 1) gains 2 pi i (2 mu - 1);
+    # a square that encloses no pole gains nothing, on every family
+    fam = FAMILIES["A3"]
+    loop = [0.3 - 0.05j, 0.4 + 0j, 0.3 + 0.05j]
+    total = sum(log_k_increment(fam, a, b) for a, b in zip(loop, loop[1:] + loop[:1]))
+    assert abs(total - 2j * np.pi * (2 * float(fam.mu1) - 1)) < 1e-12
+    square = [0.6 + 0j, 0.9 + 0j, 0.9 + 0.2j, 0.6 + 0.2j]
+    for fam in FAMILIES.values():
+        total = sum(log_k_increment(fam, a, b)
+                    for a, b in zip(square, square[1:] + square[:1]))
+        assert abs(total) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["A3", "H3"])
+def test_log_k_segment_through_a_pole_is_refused(family):
+    # 0.2 -> 0.4 crosses the pole s = 1/3; an endpoint on it is refused too
+    fam = FAMILIES[family]
+    with pytest.raises(ParametrizationPoleError, match=r"from s = 0\.2 to s = 0\.4 meets"):
+        log_k_increment(fam, 0.2, 0.4)
+    with pytest.raises(ParametrizationPoleError, match=r"from s = 1/3 to s = 1/2 meets"):
+        log_k_increment(fam, F(1, 3), F(1, 2))
+
+
+@pytest.mark.parametrize("family, other, why", [
+    ("B3", "A3", "multiple pole"),
+    ("A3", "B3", "deg N = 9 >= deg D = 9"),
+])
+def test_log_k_refuses_a_family_without_a_closed_form(family, other, why):
+    # with another family's y, log k is no sum of logarithms
+    fam = replace(FAMILIES[family], name=f"{family} with {other}'s y",
+                  y=FAMILIES[other].y)
+    with pytest.raises(ValueError, match=f"^{family} with {other}'s y: .*{why}"):
+        log_k_increment(fam, F(3, 4), F(17, 20))
+
+
 def test_reconstruct_psi_invariants():
+    # at every s and k: Psi^T Psi = eta = antidiag(1, 1, 1), V = Psi mu Psi^-1
+    # is skew and c from (3.17) is totally symmetric; c itself depends on k
     fam = FAMILIES["B3"]
-    base_s = 0.75
-    st0 = qp_from_family(fam, base_s)
-    st0.logk = 0j
-    Psi0 = reconstruct_psi(st0, fam.mu1)
-    G0 = Psi0.T @ Psi0
-    # eta_33 = 0 by the Lagrange interpolation identity
-    assert abs(G0[2, 2]) < 1e-10
     mu = np.diag([float(fam.mu1), 0.0, -float(fam.mu1)]).astype(complex)
-    V = Psi0 @ mu @ np.linalg.inv(Psi0)
-    assert np.abs(V + V.T).max() < 1e-10
-    # c from (3.17) is totally symmetric
-    c = np.einsum("ia,ib,ig,i->abg", Psi0, Psi0, Psi0, 1.0 / Psi0[:, 0])
-    for a in range(3):
-        for b in range(3):
-            for g in range(3):
-                assert abs(c[a, b, g] - c[b, a, g]) < 1e-10
-                assert abs(c[a, b, g] - c[g, b, a]) < 1e-10
-
-
-def test_psi_gram_constant_along_curve():
-    # Psi^T Psi stays constant when log k follows the quadrature (5.23)
-    fam = FAMILIES["B3"]
-    s0 = 0.75
-    st0 = qp_from_family(fam, s0)
-    st0.logk = 0j
-    G0 = reconstruct_psi(st0, fam.mu1).T @ reconstruct_psi(st0, fam.mu1)
-    worst = 0.0
-    for s1 in (0.78, 0.82, 0.86):
-        st1 = qp_from_family(fam, s1)
-        st1.logk = log_k_increment(fam, s0, s1)
-        G1 = reconstruct_psi(st1, fam.mu1).T @ reconstruct_psi(st1, fam.mu1)
-        worst = max(worst, float(np.abs(G1 - G0).max()))
-    assert worst < 1e-6
+    eta = np.eye(3)[::-1]
+    cs = []
+    for s, logk in [(0.75, 0j), (0.75, 0.37 + 0.2j), (0.75, 5 + 0j), (0.86, 0.37 + 0.2j)]:
+        st = qp_from_family(fam, s)
+        st.logk = logk
+        Psi = reconstruct_psi(st, fam.mu1)
+        assert np.abs(Psi.T @ Psi - eta).max() < 1e-10
+        V = Psi @ mu @ np.linalg.inv(Psi)
+        assert np.abs(V + V.T).max() < 1e-10
+        c = np.einsum("ia,ib,ig,i->abg", Psi, Psi, Psi, 1.0 / Psi[:, 0])
+        assert np.abs(c - c.transpose(1, 0, 2)).max() < 1e-10
+        assert np.abs(c - c.transpose(2, 1, 0)).max() < 1e-10
+        cs.append(c)
+    assert np.abs(cs[1] - cs[0]).max() > 1e-3
 
 
 def test_an_unregistered_family_gives_the_registered_values():

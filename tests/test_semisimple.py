@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from rk_reference import rk_integrate
 
 from frobenii.exact import eigen_small, sort_spectrum
 from frobenii.frobenius import CATALOG_NAMES, catalog
@@ -361,7 +362,7 @@ def test_segment_field_on_a_non_skew_v(n):
 
 
 def _commutator_field(u0, du):
-    """The flow on u(s) = u0 + s du as one commutator, for `ode.integrate`:
+    """The flow on u(s) = u0 + s du as one commutator, for `rk_integrate`:
     sum_i du_i [V_i, V] = [A, V] with A_ab = V_ab (du_a - du_b)/(u_a - u_b);
     the last component is the tau integrand sum_i du_i H_i."""
     n = len(u0)
@@ -388,7 +389,6 @@ def test_taylor_segment_against_runge_kutta(n):
     # tol 1e-10 and 1e-12, on segments where u_1 ends 0.1 from u_0, with
     # |V| = 1 and 10; for n > 2 (at n = 2 V is constant) some step must add
     # orders beyond the starting order p = _taylor_order(tol)
-    from frobenii.ode import integrate
     from frobenii.semisimple import _taylor_order
     rng = np.random.default_rng(100 + n)
     extended = False
@@ -400,7 +400,7 @@ def test_taylor_segment_against_runge_kutta(n):
         u1[1] = u1[0] + 0.1 * np.exp(1j * (theta + rng.uniform(-1, 1)))
         W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         V = (W - W.T) * (size / np.abs(W - W.T).max())
-        y, _ = integrate(_commutator_field(u0, u1 - u0),
+        y = rk_integrate(_commutator_field(u0, u1 - u0),
                          np.concatenate([V.reshape(-1), [0j]]), 0.0, 1.0, tol=1e-12)
         scale = max(1.0, float(np.abs(y[:-1]).max()))
         for tol in (1e-10, 1e-12):
@@ -430,7 +430,7 @@ def test_step_failure_on_an_earlier_segment_wins_over_a_later_collision(monkeypa
     # collision is raised only when the integration reaches its segment: here
     # segment 1 runs out of step attempts first
     from frobenii import semisimple
-    from frobenii.ode import StepUnderflowError
+    from frobenii.semisimple import StepUnderflowError
     monkeypatch.setattr(semisimple, "MAX_SEGMENT_STEPS", 2)
     V = np.array([[0, 5, 5], [-5, 0, 5], [-5, -5, 0]], dtype=complex)
     mid = [0j, 0.2 + 0.1j, 2 + 0j]
