@@ -547,6 +547,22 @@ def test_reconstruct_psi_invariants():
     assert np.abs(cs[1] - cs[0]).max() > 1e-3
 
 
+def test_psi_gram_constant_along_curve():
+    # Psi^T Psi stays constant when log k follows the quadrature (5.23)
+    fam = FAMILIES["B3"]
+    s0 = 0.75
+    st0 = qp_from_family(fam, s0)
+    st0.logk = 0j
+    G0 = reconstruct_psi(st0, fam.mu1).T @ reconstruct_psi(st0, fam.mu1)
+    worst = 0.0
+    for s1 in (0.78, 0.82, 0.86):
+        st1 = qp_from_family(fam, s1)
+        st1.logk = log_k_increment(fam, s0, s1)
+        G1 = reconstruct_psi(st1, fam.mu1).T @ reconstruct_psi(st1, fam.mu1)
+        worst = max(worst, float(np.abs(G1 - G0).max()))
+    assert worst < 1e-6
+
+
 def test_an_unregistered_family_gives_the_registered_values():
     # the functions act on the family value: a copy outside FAMILIES under
     # another name gives what B3 gives
