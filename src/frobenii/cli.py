@@ -172,10 +172,8 @@ def cmd_pvi(args) -> Outcome:
     from . import painleve
     fam = painleve.FAMILIES[args.family]
     if args.action == "verify":
-        if not args.tol > 0:
-            raise ValueError(f"tol must be positive, got {args.tol}")
-        if args.tol == float("inf"):
-            raise ValueError("tol must be finite, got inf")
+        from .exact.linalg import check_tol
+        check_tol(args.tol)
         metrics = {}
         grid = _timed(metrics, "grid_s", painleve.sample_parameters, fam, args.samples)
         rows = _timed(metrics, "residual_s", painleve.residual_table, fam, grid)

@@ -398,13 +398,22 @@ def sort_spectrum(values: Sequence[complex]) -> List[complex]:
     return [z[k] for k in _spectrum_order(z)]
 
 
+def check_tol(tol: float) -> None:
+    """A tolerance must be positive and finite; otherwise ValueError."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite, got inf")
+
+
 def eigen_small(M: np.ndarray, tol: float = 1e-9) -> Tuple[List[complex], np.ndarray]:
     """Eigenvalues and eigenvectors of a small complex matrix.
 
     LAPACK (np.linalg.eig); returns the eigenvalues in the order of
     sort_spectrum and the matching unit eigenvectors as columns.  Raises if a
-    residual ||Mv - lambda v|| exceeds tol * max(1, max |M_ij|).
-    """
+    residual ||Mv - lambda v|| exceeds tol * max(1, max |M_ij|), and
+    ValueError unless tol passes `check_tol`."""
+    check_tol(tol)
     import numpy as np
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]

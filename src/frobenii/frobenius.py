@@ -5,10 +5,11 @@ t1..tn), the charge d, grading degrees q_alpha, shifts r_alpha and the unity
 coordinate.  Everything downstream -- the constant metric eta, structure
 constants, WDVV residuals, intersection form, monodromy data at the origin,
 deformed flat coordinates, inversion symmetry, tensor locus -- is computed
-exactly in the coefficient field.  eta, eta^{-1} and the structure constants
-are derived once per potential and cached on it as ``P.tensors``; their
-numeric lowering (eta, mu, and one monomial table with one scatter matrix
-onto the c_abg and U = E o, as read-only arrays) is cached as ``P.numeric``.
+exactly in the coefficient field.  The c_abg are derived once per potential,
+eta is read from their unity plane c_1ab and inverted once, and all are
+cached on it as ``P.tensors``; their numeric lowering (eta, mu, and one
+monomial table with one scatter matrix onto the c_abg and U = E o, as
+read-only arrays) is cached as ``P.numeric``.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class ResidualReport:
     entries it formed, the term products it formed and those it skipped
     because the truncation would drop them."""
     passed: bool
-    label: str
     residuals: Dict[Tuple[int, ...], ExpPolynomial] = field(default_factory=dict)
     details: str = ""
     entries: int = 0
@@ -139,23 +139,40 @@ class Numeric(NamedTuple):
     scatter: np.ndarray
 
 
-def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
-    """eta_ab = d_1 d_a d_b F.  Checks only that eta is constant; the one
-    elimination in ``structure_constants`` rejects a degenerate eta."""
-    n = P.n
-    Fu = P.F.diff(P.unity_index)
-    rows = []
+def _symmetric_fill(n: int, pair, entry):
+    """The symmetric tensor T_abg = entry(pair(a, b), g) as nested tuples:
+    pair is formed once per a <= b and entry once per a <= b <= g."""
+    T = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        Fua = Fu.diff(a)
-        row = []
-        for b in range(n):
-            e = Fua.diff(b)
+        for b in range(a, n):
+            ab = pair(a, b)
+            for g in range(b, n):
+                val = entry(ab, g)
+                for i, j, k in {(a, b, g), (a, g, b), (b, a, g),
+                                (b, g, a), (g, a, b), (g, b, a)}:
+                    T[i][j][k] = val
+    return tuple(tuple(map(tuple, plane)) for plane in T)
+
+
+def _third_derivatives(P: FrobeniusPotential):
+    """c_abg = d_a d_b d_g F, one derivative per a <= b <= g, and eta_ab =
+    c_1ab read from its unity plane, which must be constant."""
+    first = [P.F.diff(a) for a in range(P.n)]
+    c_low = _symmetric_fill(P.n, lambda a, b: first[a].diff(b), lambda ab, g: ab.diff(g))
+    unity = c_low[P.unity_index]
+    for a, plane in enumerate(unity):
+        for b, e in enumerate(plane):
             if not e.is_constant():
                 raise NonConstantMetricError(
                     f"d1 d{a + 1} d{b + 1} F is not constant: {e}")
-            row.append(e.constant_term())
-        rows.append(row)
-    return ExactMatrix(rows)
+    return c_low, ExactMatrix([[e.constant_term() for e in plane] for plane in unity])
+
+
+def metric_eta(P: FrobeniusPotential) -> ExactMatrix:
+    """eta_ab = d_1 d_a d_b F, the unity plane of c_abg.  Checks only that
+    eta is constant: a degenerate eta is returned as it is, and the one
+    elimination in ``structure_constants`` rejects it."""
+    return _third_derivatives(P)[1]
 
 
 def _lincomb(n: int, coefs: Sequence[QuadScalar],
@@ -167,25 +184,15 @@ def _lincomb(n: int, coefs: Sequence[QuadScalar],
 
 
 def structure_constants(P: FrobeniusPotential) -> Tensors:
-    """Builds the tensors of P from scratch; callers read the cached
-    ``P.tensors`` instead."""
+    """Builds the tensors of P from scratch, c_abg and eta from one
+    differentiation of F and eta^{-1} from one elimination; callers read
+    the cached ``P.tensors`` instead."""
     n = P.n
-    eta = metric_eta(P)
+    c_low, eta = _third_derivatives(P)
     try:
         eta_inv = eta.inverse()
     except SingularMatrixError as exc:
         raise DegenerateMetricError("eta is degenerate") from exc
-    first = [P.F.diff(a) for a in range(n)]
-    c_low = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            dab = first[a].diff(b)
-            for g in range(b, n):
-                val = dab.diff(g)
-                for i, j, k in {(a, b, g), (a, g, b), (b, a, g),
-                                (b, g, a), (g, a, b), (g, b, a)}:
-                    c_low[i][j][k] = val
-    c_low = tuple(tuple(map(tuple, plane)) for plane in c_low)
 
     def raised(a: int, b: int) -> Tuple[ExpPolynomial, ...]:
         c_ab = [c[a][b] for c in c_low]  # c_{e a b} over e
@@ -232,7 +239,7 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
     try:
         c_low, c_up, _, _ = P.tensors
     except (NonConstantMetricError, DegenerateMetricError) as exc:
-        return ResidualReport(False, "wdvv1", details=str(exc))
+        return ResidualReport(False, details=str(exc))
 
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     X: Dict[Tuple[int, ...], ExpPolynomial] = {}
@@ -256,7 +263,7 @@ def check_wdvv1(P: FrobeniusPotential) -> ResidualReport:
             x, y = X[a, b, g, dd], X[dd, b, g, a]
             residuals[(a, b, g, dd)] = ExpPolynomial.zero(n) if x.terms == y.terms else x - y
     ok = all(r.is_zero() for r in residuals.values())
-    return ResidualReport(ok, "wdvv1", residuals, entries=entries, products=products,
+    return ResidualReport(ok, residuals, entries=entries, products=products,
                           skipped=skipped)
 
 
@@ -287,8 +294,7 @@ def check_quasihomogeneity(P: FrobeniusPotential):
             else:
                 i, j = idx
                 A[i][j] = A[j][i] = coeff.a * (2 if i == j else 1)
-    report = ResidualReport(ok, "quasihomogeneity",
-                            {(0,): rem} if not ok else {},
+    report = ResidualReport(ok, {(0,): rem} if not ok else {},
                             details="" if ok else f"remainder {rem} is not quadratic")
     return report, A, B, C
 
@@ -383,6 +389,12 @@ def _potential_from_gradient(fields: Sequence[ExpPolynomial]) -> ExpPolynomial:
     return h
 
 
+def _potential_from_hessian(H: Sequence[Sequence[ExpPolynomial]]) -> ExpPolynomial:
+    """Scalar h with Hessian H, h(0) = grad h(0) = 0: each row integrated to
+    a gradient component, then the gradient to h."""
+    return _potential_from_gradient([_potential_from_gradient(row) for row in H])
+
+
 def _set_var_zero(p: ExpPolynomial, var: int) -> ExpPolynomial:
     out: Dict = {}
     for (pows, exps), c in p.terms.items():
@@ -414,13 +426,10 @@ def deformed_flat_coords(P: FrobeniusPotential, depth: int) -> List[List[ExpPoly
         grads = [[prev[a].diff(e) for e in range(n)] for a in range(n)]
         lvl = []
         for a in range(n):
-            # gradient of h_{a,p+1}: integrate RHS_bg = c_{bg}^e d_e h_{a,p}
-            xi = []
-            for b in range(n):
-                comps = [dot(n, zip(c_up[b][g], grads[a]), P.exp_truncation)[0]
-                         for g in range(n)]
-                xi.append(_potential_from_gradient(comps))
-            h = _potential_from_gradient(xi)
+            # h_{a,p+1} has Hessian RHS_bg = c_{bg}^e d_e h_{a,p}
+            h = _potential_from_hessian(
+                [[dot(n, zip(c_up[b][g], grads[a]), P.exp_truncation)[0]
+                  for g in range(n)] for b in range(n)])
             h = _normalize_level(P, h, a, p + 1, mu, mono.R1, levels)
             lvl.append(h)
         levels.append(lvl)
@@ -549,8 +558,7 @@ def legendre(P: FrobeniusPotential, kappa: int) -> FrobeniusPotential:
     hess_L = [[_lincomb(n, Lt[g], hess[a]) for g in range(n)] for a in range(n)]
     H = [[_lincomb(n, Lt[e], [row[g] for row in hess_L]) for g in range(n)]
          for e in range(n)]
-    xi = [_potential_from_gradient(H[e]) for e in range(n)]
-    G = _potential_from_gradient(xi)
+    G = _potential_from_hessian(H)
     shifted = [ExpPolynomial.variable(n, a) - ExpPolynomial.constant(n, shift_up[a])
                for a in range(n)]
     mapping = [_lincomb(n, L_inv.rows[e], shifted) for e in range(n)]

@@ -313,11 +313,8 @@ def pvi_integrate(pt0: PviPoint, x1: complex, tol: float = 1e-10
     0, 1 or x is no singularity of that flow; x meeting 0 or 1 raises
     CoalescingEigenvaluesError.  Returns the end point (the start itself on
     a segment of length zero) and the IsoDiagnostics.  tol must be positive
-    and finite and mu nonzero; otherwise ValueError."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if tol == float("inf"):
-        raise ValueError("tol must be finite, got inf")
+    and finite (`integrate_isomonodromic` checks it) and mu nonzero;
+    otherwise ValueError."""
     if pt0.mu1 == 0:
         raise ValueError("mu must be nonzero: at mu = 0, V = 0 carries no (y, y')")
     from .semisimple import IsoState, integrate_isomonodromic

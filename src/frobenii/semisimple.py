@@ -41,7 +41,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .exact.linalg import eigen_small, sort_spectrum
+from .exact.linalg import check_tol, eigen_small, sort_spectrum
 from .frobenius import FrobeniusPotential
 
 # u_a and u_b collide when |u_a - u_b| < COLLISION_MARGIN * max(1, max_k |u_k|):
@@ -396,10 +396,7 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
         if len(vert) != n:
             raise ValueError(f"path vertex {i} has {len(vert)} entries, "
                              f"but u has {n}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if tol == float("inf"):
-        raise ValueError("tol must be finite, got inf")
+    check_tol(tol)
     # segment k runs from starts[k] to verts[k]; row 0 is the start point
     verts = np.concatenate([np.array([state0.u], dtype=complex),
                             np.array(path, dtype=complex).reshape(-1, n)])

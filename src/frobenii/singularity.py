@@ -25,7 +25,8 @@ from typing import List, Tuple
 from .exact import upoly
 from .exact.exppoly import ExpPolynomial
 from .exact.upoly import residue_at_infinity
-from .frobenius import FrobeniusPotential, _potential_from_gradient
+from .frobenius import (FrobeniusPotential, _potential_from_gradient,
+                        _potential_from_hessian, _symmetric_fill)
 
 # Largest n of the A_n constructions (metric, flat coordinates, potential).
 # Budget: a_n_structure(n) plus check_wdvv1 of its potential within 0.5 s of
@@ -104,33 +105,21 @@ def flat_coordinates(n: int) -> Tuple[ExpPolynomial, ...]:
     return tuple(subs)
 
 
-def a_n_structure(n: int) -> Tuple[List[List[List[ExpPolynomial]]], FrobeniusPotential]:
+def a_n_structure(n: int) -> Tuple[Tuple[Tuple[Tuple[ExpPolynomial, ...], ...], ...],
+                                   FrobeniusPotential]:
     """c_abc(t) = -(n+1) res_inf [d_a P d_b P d_c P / d_x P] with
     P_t(x) = f_{s(t)}(x), integrated exactly to the Frobenius potential
     (no quadratic part).  The charge is d = (n-1)/(n+1) with
-    q_a = (a-1)/(n+1)."""
+    q_a = (a-1)/(n+1).  c_abc is returned as nested tuples."""
     subs = flat_coordinates(n)
     P = [coef.substitute(subs) for coef in _versal(n)]  # x-coefficients, in t now
     Pp = _monic_derivative(P)
-    dP = []
-    for a in range(n):
-        dP.append([c.diff(a) for c in P])
-    zero = ExpPolynomial.zero(n)
-    c_low = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            ab = upoly.mul(dP[a], dP[b])
-            for g in range(b, n):
-                val = -residue_at_infinity(upoly.mul(ab, dP[g]), Pp)
-                for i, j, k in {(a, b, g), (a, g, b), (b, a, g),
-                                (b, g, a), (g, a, b), (g, b, a)}:
-                    c_low[i][j][k] = val
-    # integrate c to F: first to the Hessian, then twice more
-    xi = []
-    for a in range(n):
-        grads = [_potential_from_gradient(c_low[a][b]) for b in range(n)]
-        xi.append(_potential_from_gradient(grads))
-    F = _potential_from_gradient(xi)
+    dP = [[c.diff(a) for c in P] for a in range(n)]
+    c_low = _symmetric_fill(
+        n, lambda a, b: upoly.mul(dP[a], dP[b]),
+        lambda ab, g: -residue_at_infinity(upoly.mul(ab, dP[g]), Pp))
+    # integrate c to F: plane a is the Hessian of d_a F, the d_a F the gradient of F
+    F = _potential_from_gradient([_potential_from_hessian(plane) for plane in c_low])
     # strip any quadratic-or-lower part
     F = ExpPolynomial(n, {key: c for key, c in F.terms.items() if sum(key[0]) >= 3})
     d = Fraction(n - 1, n + 1)

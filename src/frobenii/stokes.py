@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _matmul, _matrix,
                            _pairs, polynomial_roots, sort_spectrum)
-from .exact.scalars import ONE, ZERO, QuadScalar, _make, parse_quad
+from .exact.scalars import ONE, ZERO, QuadScalar, _field_of, _make, parse_quad
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 KEEP_REPRESENTATIVES = 16  # orbit nodes kept in OrbitResult.representatives
@@ -472,13 +472,11 @@ _COS_VALUES = {
 }
 
 
-def coxeter_stokes(graph: Iterable[Tuple[int, int, int]], n: int | None = None
-                   ) -> StokesMatrix:
-    """S_{ij} = -2 cos(pi/m_ij) on edges (1-based nodes), 0 otherwise; exact
-    values exist for m in {3, 4, 5, 6}."""
+def coxeter_stokes(graph: Iterable[Tuple[int, int, int]]) -> StokesMatrix:
+    """S_{ij} = -2 cos(pi/m_ij) on edges (1-based nodes), 0 otherwise, of
+    size the largest node; exact values exist for m in {3, 4, 5, 6}."""
     edges = list(graph)
-    if n is None:
-        n = max(max(i, j) for i, j, _ in edges)
+    n = max(max(i, j) for i, j, _ in edges)
     upper: Dict[Tuple[int, int], QuadScalar] = {}
     for i, j, m in edges:
         if i == j:
@@ -614,7 +612,11 @@ def stokes_to_dict(S: StokesMatrix) -> dict:
 
 
 def stokes_from_dict(data: dict) -> StokesMatrix:
+    """The matrix of `rows`, whose size and field Q(sqrt m) must match `n`, `m` if stated."""
     rows = [[parse_quad(str(x)) for x in row] for row in data["rows"]]
+    if "n" in data and data["n"] != len(rows):
+        raise ValueError(f"stated n = {data['n']!r}, but there are {len(rows)} rows")
+    _field_of(chain.from_iterable(rows), data.get("m"))
     return StokesMatrix(rows)
 
 

@@ -259,6 +259,24 @@ def test_stokes_braid_word_with_a_zero_letter_is_an_error_report(capsys):
     assert data["error"] == "generator 0 out of range for n = 3"
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("n", 5, "stated n = 5, but there are 3 rows"),
+    ("m", 2, "stated sqrt(2) vs sqrt(5)"),
+])
+def test_stokes_file_stating_a_wrong_n_or_m_is_an_error_report(capsys, tmp_path, field,
+                                                              value, error):
+    # a 3 x 3 matrix over Q(sqrt 5): its file is read as written, and refused
+    # when it states another size or field
+    data = {"n": 3, "m": 5, "rows": [["1", "1+1√5", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    path = tmp_path / "S.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli(capsys, "stokes", "braid", str(path), "--word", "1")[0] == 0
+    path.write_text(json.dumps({**data, field: value}), encoding="utf-8")
+    code, out = run_cli(capsys, "stokes", "braid", str(path), "--word", "1")
+    assert code == 2 and out["status"] == "ERROR"
+    assert out["error"] == error
+
+
 def test_stokes_orbit_cap_and_env(capsys, monkeypatch):
     code, data = run_cli(capsys, "stokes", "orbit", "CP2", "--max-size", "200")
     assert code == 0

@@ -1,9 +1,12 @@
 """The dependency rules: the package imports nothing at run time beyond the
-standard library and numpy, and each of its modules is imported by
-another."""
+standard library and numpy, each of its modules is imported by another, and
+each of its top-level functions and classes is named outside its own
+definition."""
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1] / "src" / "frobenii"
@@ -64,3 +67,25 @@ def test_every_module_is_imported_by_another():
             orphans.append(name)
     assert len(modules) > 5
     assert not orphans, orphans
+
+
+def test_every_top_level_definition_is_named_outside_itself():
+    # a function or class that nothing in src/, tests/ or perfbench/ names,
+    # by a word search that skips the lines of its own definition, is dead
+    # code
+    repo = ROOT.parents[1]
+    words = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (repo / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unnamed = []
+    for path in sorted(ROOT.rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, defs):
+                own = lines[node.lineno - 1:node.end_lineno]
+                inside = sum(re.findall(r"\w+", line).count(node.name) for line in own)
+                if words[node.name] == inside:
+                    unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unnamed, unnamed

@@ -54,6 +54,19 @@ def test_metric_nonconstant_rejected():
         metric_eta(P)
 
 
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "CP2(6)", "A3 residues",
+                                  "A4 residues", "A5 residues"])
+def test_eta_is_the_unity_plane_of_c(name):
+    # eta is read from c_1ab, not derived a second time: the cached eta,
+    # metric_eta and the unity plane of the cached c_abg agree
+    from frobenii.singularity import a_n_structure
+    P = a_n_structure(int(name[1]))[1] if name.endswith("residues") else catalog(name)
+    T = P.tensors
+    assert T.eta == metric_eta(P)
+    plane = T.c_low[P.unity_index]
+    assert all(plane[a][b] == T.eta[a, b] for a in range(P.n) for b in range(P.n))
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -376,7 +389,7 @@ def test_origin_monodromy_matches_the_full_cubic_build(name):
 def test_origin_monodromy_without_shifts_builds_nothing(monkeypatch):
     from frobenii import frobenius
     P = catalog("H4")
-    for name in ("structure_constants", "metric_eta"):
+    for name in ("structure_constants", "_third_derivatives"):
         monkeypatch.setattr(frobenius, name, lambda *a: pytest.fail(name))
     mono = origin_monodromy(P)
     assert mono.R1 == ExactMatrix.zeros(4)

@@ -598,12 +598,28 @@ def test_frame_at_a_pole_of_a_laurent_potential_is_a_typed_error():
             canonical_coordinates(P, [0.3, 0.2, 0.0])
 
 
+@pytest.mark.parametrize("tol, message", [
+    (float("nan"), "tol must be positive, got nan"),
+    (0, "tol must be positive, got 0"),
+    (-1, "tol must be positive, got -1"),
+    (float("inf"), "tol must be finite, got inf"),
+])
+def test_a_frame_refuses_a_tolerance_not_positive_and_finite(tol, message):
+    # nan would skip every check and inf or -1 would fail the wrong one
+    with pytest.raises(ValueError) as info:
+        canonical_coordinates(catalog("B3"), [0.1, 0.2, 0.3], tol=tol)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        eigen_small(np.eye(2), tol=tol)
+    assert str(info.value) == message
+
+
 def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
     # every derived-tensor consumer reads the cached P.tensors and every
-    # frame the cached P.numeric, so one potential builds eta and c once and
-    # lowers them once whatever is called on it
+    # frame the cached P.numeric, so one potential differentiates F into c
+    # once, reads eta from it and lowers them once whatever is called on it
     from frobenii import frobenius
-    calls = {"structure_constants": 0, "metric_eta": 0, "numeric_lowering": 0}
+    calls = {"structure_constants": 0, "_third_derivatives": 0, "numeric_lowering": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -613,8 +629,8 @@ def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
 
     monkeypatch.setattr(frobenius, "structure_constants",
                         counted("structure_constants", frobenius.structure_constants))
-    monkeypatch.setattr(frobenius, "metric_eta",
-                        counted("metric_eta", frobenius.metric_eta))
+    monkeypatch.setattr(frobenius, "_third_derivatives",
+                        counted("_third_derivatives", frobenius._third_derivatives))
     monkeypatch.setattr(frobenius, "numeric_lowering",
                         counted("numeric_lowering", frobenius.numeric_lowering))
     P = catalog("H4")
@@ -625,7 +641,8 @@ def test_canonical_coordinates_derives_structure_constants_once(monkeypatch):
     assert frobenius.check_grading_eta(P)
     frobenius.intersection_form(P)
     frobenius.gradient_pairing(P, P.F, P.F)
-    assert calls == {"structure_constants": 1, "metric_eta": 1, "numeric_lowering": 1}
+    assert calls == {"structure_constants": 1, "_third_derivatives": 1,
+                     "numeric_lowering": 1}
 
 
 @pytest.mark.parametrize("name, t", [
