@@ -69,22 +69,23 @@ def _timed(metrics: dict, key: str, fn, *args):
     return out
 
 
-def _read_json(path: str, from_json):
-    """from_json of the file's text: a missing field (KeyError) or a malformed
-    one (TypeError, AttributeError) is a ValueError that names the file."""
+def _read_json(path: str, from_dict):
+    """from_dict of the file's parsed JSON: a missing field (KeyError) or a
+    malformed one (TypeError, AttributeError) is a ValueError that names the
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return from_json(fh.read())
+            return from_dict(json.load(fh))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed field: {exc}") from None
 
 
-def _load(token: str, from_json, from_catalog):
+def _load(token: str, from_dict, from_catalog):
     """The object in the JSON file `token` if it is a path, otherwise the
     catalog entry `token`."""
-    return _read_json(token, from_json) if os.path.exists(token) else from_catalog(token)
+    return _read_json(token, from_dict) if os.path.exists(token) else from_catalog(token)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -101,7 +102,7 @@ def cmd_catalog(args) -> Outcome:
 
 def cmd_wdvv_check(args) -> Outcome:
     from . import frobenius
-    P = _load(args.target, frobenius.potential_from_json, frobenius.catalog)
+    P = _load(args.target, frobenius.potential_from_dict, frobenius.catalog)
     metrics = {}
     _timed(metrics, "tensors_s", lambda: P.tensors)
     rep = _timed(metrics, "wdvv1_s", frobenius.check_wdvv1, P)
@@ -152,7 +153,7 @@ def cmd_stokes(args) -> Outcome:
             "B^3 = 1": rep.b_cubed_is_one})
     if args.action == "orbit" and args.max_size is None:
         args.max_size = stokes.DEFAULT_ORBIT_CAP    # stated by every report
-    S = _load(args.target, stokes.stokes_from_json, stokes.stokes_catalog)
+    S = _load(args.target, stokes.stokes_from_dict, stokes.stokes_catalog)
     if args.action == "orbit":
         results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
                                       args.max_size)
@@ -210,8 +211,8 @@ def cmd_pvi(args) -> Outcome:
 
 def cmd_iso(args) -> Outcome:
     from . import semisimple
-    state = _read_json(args.state, lambda text: semisimple.state_from_dict(json.loads(text)))
-    path = _read_json(args.path, semisimple.path_from_json)
+    state = _read_json(args.state, semisimple.state_from_dict)
+    path = _read_json(args.path, semisimple.path_from_list)
     metrics = {}
     final, diag = _timed(metrics, "integrate_s", semisimple.integrate_isomonodromic,
                          state, path, args.tol)

@@ -15,7 +15,6 @@ read-only arrays) is cached as ``P.numeric``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -639,8 +638,11 @@ def _poly(n: int, terms: Dict[Tuple[int, ...], Fraction]) -> ExpPolynomial:
                              for pows, c in terms.items()})
 
 
-def _coxeter_entry(name: str, n: int, h: int, degrees: Sequence[int],
+def _coxeter_entry(name: str, degrees: Sequence[int],
                    terms: Dict[Tuple[int, ...], Fraction]) -> FrobeniusPotential:
+    """The entry of rank len(degrees) whose Coxeter number h is the largest
+    degree, degrees[0]."""
+    n, h = len(degrees), degrees[0]
     d = Fraction(h - 2, h)
     q = tuple(Fraction(h - dg, h) for dg in degrees)
     return FrobeniusPotential(n=n, F=_poly(n, terms), d=d, q=q,
@@ -664,27 +666,27 @@ def catalog(name: str) -> FrobeniusPotential:
                                   q=(Fraction(0), Fraction(k - 2, k)),
                                   r=(Fraction(0), Fraction(0)), name=f"I2({k})")
     if key == "A3":
-        return _coxeter_entry("A3", 3, 4, (4, 3, 2), {
+        return _coxeter_entry("A3", (4, 3, 2), {
             (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
             (0, 2, 2): Fraction(-1, 16), (0, 0, 5): Fraction(1, 960)})
     if key == "B3":
-        return _coxeter_entry("B3", 3, 6, (6, 4, 2), {
+        return _coxeter_entry("B3", (6, 4, 2), {
             (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
             (0, 3, 1): Fraction(1, 6), (0, 2, 3): Fraction(1, 6),
             (0, 0, 7): Fraction(1, 210)})
     if key == "H3":
-        return _coxeter_entry("H3", 3, 10, (10, 6, 2), {
+        return _coxeter_entry("H3", (10, 6, 2), {
             (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
             (0, 3, 2): Fraction(1, 6), (0, 2, 5): Fraction(1, 20),
             (0, 0, 11): Fraction(1, 3960)})
     if key == "A4":
-        return _coxeter_entry("A4", 4, 5, (5, 4, 3, 2), {
+        return _coxeter_entry("A4", (5, 4, 3, 2), {
             (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
             (0, 3, 0, 0): Fraction(1, 2), (0, 0, 4, 0): Fraction(1, 3),
             (0, 1, 2, 1): Fraction(6), (0, 2, 0, 2): Fraction(9),
             (0, 0, 2, 3): Fraction(24), (0, 0, 0, 6): Fraction(216, 5)})
     if key == "B4":
-        return _coxeter_entry("B4", 4, 8, (8, 6, 4, 2), {
+        return _coxeter_entry("B4", (8, 6, 4, 2), {
             (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
             (0, 3, 0, 0): Fraction(1), (0, 1, 3, 0): Fraction(1, 3),
             (0, 2, 1, 1): Fraction(3), (0, 0, 4, 1): Fraction(1, 4),
@@ -692,19 +694,19 @@ def catalog(name: str) -> FrobeniusPotential:
             (0, 0, 3, 3): Fraction(1), (0, 0, 2, 5): Fraction(18, 5),
             (0, 0, 0, 9): Fraction(18, 7)})
     if key == "D4":
-        return _coxeter_entry("D4", 4, 6, (6, 4, 4, 2), {
+        return _coxeter_entry("D4", (6, 4, 4, 2), {
             (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
             (0, 3, 0, 1): Fraction(1), (0, 0, 3, 1): Fraction(1),
             (0, 1, 1, 3): Fraction(6), (0, 0, 0, 7): Fraction(54, 35)})
     if key == "F4":
-        return _coxeter_entry("F4", 4, 12, (12, 8, 6, 2), {
+        return _coxeter_entry("F4", (12, 8, 6, 2), {
             (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
             (0, 3, 0, 1): Fraction(1, 18), (0, 0, 4, 1): Fraction(3, 4),
             (0, 1, 2, 3): Fraction(1, 2), (0, 2, 0, 5): Fraction(1, 60),
             (0, 0, 2, 7): Fraction(1, 28),
             (0, 0, 0, 13): Fraction(1, 2 ** 4 * 3 ** 2 * 11 * 13)})
     if key == "H4":
-        return _coxeter_entry("H4", 4, 30, (30, 20, 12, 2), {
+        return _coxeter_entry("H4", (30, 20, 12, 2), {
             (1, 1, 1, 0): Fraction(1), (2, 0, 0, 1): Fraction(1, 2),
             (0, 3, 0, 1): Fraction(2, 3), (0, 0, 5, 1): Fraction(1, 240),
             (0, 1, 3, 3): Fraction(1, 18), (0, 2, 1, 5): Fraction(1, 15),
@@ -791,11 +793,3 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
         unity_index=_integer(data.get("unity_index", 0), "unity_index"),
         name=data.get("name", ""),
         exp_truncation=tuple(_integer(x, "exp_truncation") for x in trunc) or None)
-
-
-def potential_to_json(P: FrobeniusPotential) -> str:
-    return json.dumps(potential_to_dict(P), indent=2)
-
-
-def potential_from_json(text: str) -> FrobeniusPotential:
-    return potential_from_dict(json.loads(text))

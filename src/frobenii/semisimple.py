@@ -25,16 +25,18 @@ system has the Painleve property), so a segment is integrated by Taylor
 steps in s: the coefficients of (du_a - du_b)/(u_a - u_b) are geometric,
 those of V follow from a recursion of Cauchy products that costs six numpy
 calls per order, and each step's length is read off the last two
-coefficients (Jorba-Zou).  The order follows the tolerance: a step starts
-at p = ceil(-ln(tol) / 2) + 1 and adds orders, up to 2p, while the length
-read off V falls short of the rest of the segment.  The tau increment comes
-from the same coefficients, and the spectral and skewness drifts from one
-eigensolve of the V at every vertex.
+coefficients (Jorba-Zou).  That length meets the error bound by
+construction, so every step is taken as sized and none is retried.  The
+order follows the tolerance: a step starts at p = ceil(-ln(tol) / 2) + 1
+and adds orders, up to 2p, while the length read off V falls short of the
+rest of the segment.  The tau increment comes from the same coefficients,
+and the spectral and skewness drifts from one eigensolve of the V at every
+vertex.  V, u and the path must be finite; the integration refuses them
+otherwise before its first step.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -48,9 +50,10 @@ from .frobenius import FrobeniusPotential
 # a frame refuses such a point, a path a segment that comes that close.
 COLLISION_MARGIN = 1e-6
 MIN_STEP = 1e-14  # a Taylor step below this raises StepUnderflowError
-# Taylor step attempts, accepted or rejected, allowed on one segment; one
-# more raises StepUnderflowError.  The largest counts seen on one segment are
-# 25 in the test suite and 3 in the chart benchmark's loops (seeds 1-10).
+# Taylor steps allowed on one segment; one more raises StepUnderflowError.
+# No step is retried, so this counts every step sized.  The largest counts
+# seen on one segment are 25 in the test suite and 3 in the chart benchmark's
+# loops (seeds 1-10).
 MAX_SEGMENT_STEPS = 1000
 
 
@@ -66,7 +69,7 @@ class StepUnderflowError(ArithmeticError):
 @dataclass
 class IntegrationStats:
     steps: int = 0
-    rejected: int = 0
+    rejected: int = 0  # no Taylor step is retried, so 0 by construction
 
 
 class IllConditionedFrameError(ArithmeticError):
@@ -317,52 +320,47 @@ def _taylor_order(tol: float) -> int:
 
 
 def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
-                    ) -> Tuple[np.ndarray, complex, IntegrationStats, List[int]]:
+                    ) -> Tuple[np.ndarray, complex, List[int]]:
     """V and the tau increment at the end of u(s) = u0 + s du, s in [0, 1],
-    by Taylor steps of variable order, and the order of each accepted step.
+    by Taylor steps of variable order, and the order of each step.
 
     A step from s starts at Jorba-Zou's order p = ceil(-ln(tol) / 2) + 1 and
     adds orders, up to 2p, while the step length read off V's last two
-    coefficients falls short of what is left of the segment (or of the cap
-    a rejection set); see `_segment_series`.  At the order K reached its
-    length comes from the last two coefficients of V and of tau:
-    c_j = max(|V_j|, |tau_j|) and
-    h = min over j in {K - 1, K} of (tol max(1, |V|) / c_j)^(1/j).  It is
-    accepted when c_K h^K <= tol max(1, |V|) and the end value is finite;
-    otherwise h is halved and the attempt counts as rejected."""
+    coefficients falls short of what is left of the segment; see
+    `_segment_series`.  At the order K reached its length comes from the
+    last two coefficients of V and of tau: c_j = max(|V_j|, |tau_j|) and
+    h = min over j in {K - 1, K} of (tol max(1, |V|) / c_j)^(1/j), capped
+    by 1 - s.  So c_K h^K <= tol max(1, |V|) holds by construction and
+    every step is taken as sized; none is retried.  A step below MIN_STEP,
+    a non-finite end value or one step more than MAX_SEGMENT_STEPS raises
+    StepUnderflowError."""
     n = len(V)
     p = _taylor_order(tol)
     powers = np.arange(2 * p + 1)
-    stats = IntegrationStats()
     orders: List[int] = []
-    s, logtau, cap = 0.0, 0j, math.inf
+    s, logtau = 0.0, 0j
     while 1.0 - s > MIN_STEP:
-        if stats.steps + stats.rejected == MAX_SEGMENT_STEPS:
-            raise StepUnderflowError(
-                f"{MAX_SEGMENT_STEPS} Taylor step attempts ({stats.rejected} "
-                f"rejected) without reaching s=1; stuck at s={s}")
+        if len(orders) == MAX_SEGMENT_STEPS:
+            raise StepUnderflowError(f"{MAX_SEGMENT_STEPS} Taylor steps without "
+                                     f"reaching s=1; stuck at s={s}")
         bound = tol * max(1.0, float(np.abs(V).max()))
-        Vb, T = _segment_series(V, u0 + s * du, du, p, bound, min(1.0 - s, cap))
+        Vb, T = _segment_series(V, u0 + s * du, du, p, bound, 1.0 - s)
         K = len(T)
         # c_K and c_{K-1}; tau_{m+1} = T_m / (m + 1)
         last = np.maximum(np.abs(Vb[:2]).reshape(2, -1).max(axis=1),
                           np.abs(T[:-3:-1]) / (K, K - 1))
-        h = min([1.0 - s, cap] + [(bound / c) ** (1 / j)
-                                  for j, c in zip((K, K - 1), last) if c > 0])
+        h = min([1.0 - s] + [(bound / c) ** (1 / j)
+                             for j, c in zip((K, K - 1), last) if c > 0])
         if h < MIN_STEP:
             raise StepUnderflowError(f"Taylor step size underflow at s={s}")
-        Vh = (h ** powers[K::-1]) @ Vb.reshape(K + 1, n * n)
-        if last[0] * h ** K <= bound and np.isfinite(Vh).all():
-            V = Vh.reshape(n, n)
-            logtau += T @ (h ** powers[1:K + 1] / powers[1:K + 1])
-            s += h
-            stats.steps += 1
-            orders.append(K)
-            cap = math.inf
-        else:
-            stats.rejected += 1
-            cap = h / 2
-    return V, logtau, stats, orders
+        V = ((h ** powers[K::-1]) @ Vb.reshape(K + 1, n * n)).reshape(n, n)
+        if not np.isfinite(V).all():
+            raise StepUnderflowError(f"the Taylor step from s={s} ends at a "
+                                     f"non-finite V")
+        logtau += T @ (h ** powers[1:K + 1] / powers[1:K + 1])
+        s += h
+        orders.append(K)
+    return V, logtau, orders
 
 
 def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
@@ -381,17 +379,20 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     0 is the start and vertex k is path[k - 1]; the start point is segment
     0, of length zero, certified like every segment (the error names "the
     start point"), and a repeated vertex, the start included, is a segment
-    of length zero that moves nothing.  A segment that runs out of its
-    MAX_SEGMENT_STEPS step attempts, or whose step falls below
-    MIN_STEP, raises StepUnderflowError naming the segment and the s
-    reached.  The spectral and skewness drifts are read from one
-    eigensolve of the V at every vertex reached.  V must be n x n, every
-    vertex must have n entries (n = len(u)) and tol must be positive and
-    finite; otherwise ValueError."""
+    of length zero that moves nothing.  A segment that needs more than
+    MAX_SEGMENT_STEPS Taylor steps, whose step falls below MIN_STEP or
+    whose step ends at a non-finite V raises StepUnderflowError naming the
+    segment and the s reached.  The spectral and skewness drifts are read
+    from one eigensolve of the V at every vertex reached.  V must be n x n,
+    every vertex must have n entries (n = len(u)), every entry of V, u and
+    the path must be finite, and tol must be positive and finite; otherwise
+    ValueError, before the first step."""
     n = len(state0.u)
     V = np.array(state0.V, dtype=complex)
     if V.shape != (n, n):
         raise ValueError(f"V has shape {V.shape}, but u has {n} entries")
+    if not np.isfinite(V).all():
+        raise ValueError("V has a non-finite entry")
     for i, vert in enumerate(path):
         if len(vert) != n:
             raise ValueError(f"path vertex {i} has {len(vert)} entries, "
@@ -400,6 +401,11 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     # segment k runs from starts[k] to verts[k]; row 0 is the start point
     verts = np.concatenate([np.array([state0.u], dtype=complex),
                             np.array(path, dtype=complex).reshape(-1, n)])
+    finite = np.isfinite(verts).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"path vertex {k - 1} has a non-finite entry" if k
+                         else "u has a non-finite entry")
     starts = np.concatenate([verts[:1], verts[:-1]])
     dus = verts - starts
     margins = COLLISION_MARGIN * np.maximum(
@@ -407,7 +413,6 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     gaps, pa, pb, ps = (x.tolist() for x in _closest_approach(starts, dus))
     margins = margins.tolist()
     moving = (dus != 0).any(axis=1).tolist()
-    total_stats = IntegrationStats()
     orders: List[int] = []
     logtau = 0j
     Vs = [V]
@@ -421,12 +426,10 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
         if not moving[k]:
             continue
         try:
-            V, dlogtau, stats, seg_orders = _taylor_segment(V, starts[k], dus[k], tol)
+            V, dlogtau, seg_orders = _taylor_segment(V, starts[k], dus[k], tol)
         except StepUnderflowError as exc:
             raise StepUnderflowError(f"{where}: {exc}") from None
         logtau += dlogtau
-        total_stats.steps += stats.steps
-        total_stats.rejected += stats.rejected
         orders += seg_orders
         Vs.append(V)
     stack = np.array(Vs)
@@ -437,7 +440,8 @@ def integrate_isomonodromic(state0: IsoState, path: Sequence[Sequence[complex]],
     final = IsoState(u=list(verts[-1]), V=V)
     diag = IsoDiagnostics(spectral_drift=spectral_drift,
                           skewness_drift=float(np.abs(skews - skews[0]).max()),
-                          stats=total_stats, dlog_tau=logtau, segments=len(Vs) - 1,
+                          stats=IntegrationStats(steps=len(orders)), dlog_tau=logtau,
+                          segments=len(Vs) - 1,
                           min_order=min(orders, default=0),
                           max_order=max(orders, default=0))
     return final, diag
@@ -482,6 +486,5 @@ def state_from_dict(data: dict) -> IsoState:
     return IsoState(u=u, V=V)
 
 
-def path_from_json(text: str) -> List[List[complex]]:
-    data = json.loads(text)
+def path_from_list(data: list) -> List[List[complex]]:
     return [[complex(re, im) for re, im in vert] for vert in data]

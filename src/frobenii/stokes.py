@@ -17,7 +17,6 @@ QuadScalars appear only in `S[i, j]`, `upper()` and `triple()`.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -618,14 +617,6 @@ def stokes_from_dict(data: dict) -> StokesMatrix:
         raise ValueError(f"stated n = {data['n']!r}, but there are {len(rows)} rows")
     _field_of(chain.from_iterable(rows), data.get("m"))
     return StokesMatrix(rows)
-
-
-def stokes_to_json(S: StokesMatrix) -> str:
-    return json.dumps(stokes_to_dict(S), indent=2)
-
-
-def stokes_from_json(text: str) -> StokesMatrix:
-    return stokes_from_dict(json.loads(text))
 
 
 def orbit_report(result: OrbitResult, cap: int) -> dict:

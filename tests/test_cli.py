@@ -12,6 +12,7 @@ import pytest
 
 import frobenii
 from frobenii.cli import main
+from frobenii.frobenius import CATALOG_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -84,17 +85,30 @@ def test_wdvv_check_catalog_passes(capsys):
 def test_wdvv_check_file_and_failure(capsys, tmp_path):
     from fractions import Fraction as F
     from frobenii.exact import ExpPolynomial
-    from frobenii.frobenius import (FrobeniusPotential, catalog,
-                                    potential_to_json)
+    from frobenii.frobenius import FrobeniusPotential, catalog, potential_to_dict
     P = catalog("A3")
     bad = P.F + ExpPolynomial.monomial(3, F(1, 961) - F(1, 960), (0, 0, 5))
     Q = FrobeniusPotential(3, bad, P.d, P.q, P.r, name="A3-broken")
     path = tmp_path / "bad.json"
-    path.write_text(potential_to_json(Q), encoding="utf-8")
+    path.write_text(json.dumps(potential_to_dict(Q)), encoding="utf-8")
     code, data = run_cli(capsys, "wdvv", "check", str(path))
     assert code == 1
     assert data["status"] == "FAIL"
     assert data["residuals"]["wdvv1_nonzero"] != "0"
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["CP2(3)"])
+def test_wdvv_check_of_a_shown_entry_equals_the_check_by_name(capsys, tmp_path, name):
+    # the report of `catalog show NAME` is a potential file: checked from
+    # that file it gives the results and residuals of the check by name
+    _, shown = run_cli(capsys, "catalog", "show", name)
+    path = tmp_path / "shown.json"
+    path.write_text(json.dumps(shown["results"]), encoding="utf-8")
+    by_file = run_cli(capsys, "wdvv", "check", str(path))
+    by_name = run_cli(capsys, "wdvv", "check", name)
+    assert by_file[0] == by_name[0] == 0
+    for key in ("results", "residuals"):
+        assert by_file[1][key] == by_name[1][key]
 
 
 @pytest.mark.parametrize("key, value, error", [
@@ -541,7 +555,19 @@ def test_iso_integrate_colliding_start_is_an_error_report(capsys, tmp_path):
       "V": [[[0, 0], [1, 0], [0, 0]], [[-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]},
      [[[0.1, 0], [1, 0], [2, 0]], [[0.2, 0], [1, 0]]],
      "path vertex 1 has 2 entries, but u has 3"),
-], ids=["V-shape", "vertex-length"])
+    # NaN and Infinity, which JSON files may spell out, are refused before
+    # the first step, not reported as a step-size underflow
+    ({"u": [[0, 0], [1, 0], [2, 0]],
+      "V": [[[0, 0], [np.nan, 0], [0, 0]], [[-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]},
+     [[[0.1, 0], [1, 0], [2, 0]]], "V has a non-finite entry"),
+    ({"u": [[0, 0], [1, 0], [2, 0]],
+      "V": [[[0, 0], [1, 0], [0, 0]], [[-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]},
+     [[[0.1, 0], [1, 0], [2, np.nan]]], "path vertex 0 has a non-finite entry"),
+    ({"u": [[0, 0], [1, 0], [2, 0]],
+      "V": [[[0, 0], [1, 0], [0, 0]], [[-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]},
+     [[[0.1, 0], [1, 0], [2, 0]], [[0.1, 0], [np.inf, 0], [2, 0]]],
+     "path vertex 1 has a non-finite entry"),
+], ids=["V-shape", "vertex-length", "V-NaN", "vertex-NaN", "vertex-Infinity"])
 def test_iso_integrate_malformed_input_is_an_error_report(capsys, tmp_path, state, path,
                                                           message):
     spath = tmp_path / "state.json"
@@ -583,7 +609,7 @@ def test_iso_integrate(capsys, tmp_path):
 
 
 def test_iso_integrate_out_of_taylor_steps_is_an_error_report(capsys, tmp_path, monkeypatch):
-    # a cap of two step attempts per segment, below what the second segment
+    # a cap of two Taylor steps per segment, below what the second segment
     # needs: the report names the segment and the s reached
     from frobenii import semisimple
     monkeypatch.setattr(semisimple, "MAX_SEGMENT_STEPS", 2)
@@ -599,7 +625,7 @@ def test_iso_integrate_out_of_taylor_steps_is_an_error_report(capsys, tmp_path, 
                          "--path", str(ppath))
     assert code == 2
     assert data["status"] == "ERROR"
-    assert data["error"].startswith("segment 2 (vertex 1 to vertex 2): 2 Taylor step attempts")
+    assert data["error"].startswith("segment 2 (vertex 1 to vertex 2): 2 Taylor steps")
     assert "stuck at s=0." in data["error"]
 
 

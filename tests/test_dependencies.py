@@ -1,7 +1,7 @@
 """The dependency rules: the package imports nothing at run time beyond the
-standard library and numpy, each of its modules is imported by another, and
-each of its top-level functions and classes is named outside its own
-definition."""
+standard library and numpy, only the cli imports json, each of its modules
+is imported by another, and each of its top-level functions and classes is
+named outside its own definition."""
 
 import ast
 import re
@@ -13,25 +13,34 @@ ROOT = Path(__file__).resolve().parents[1] / "src" / "frobenii"
 ALLOWED = {"numpy", "frobenii"}
 
 
+def _absolute_imports(path):
+    """(line, top-level package) of every absolute import in the file at path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
 def test_every_absolute_import_is_stdlib_numpy_or_frobenii():
     files = sorted(ROOT.rglob("*.py"))
     assert len(files) > 5
     seen, stray = set(), []
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                seen.add(top)
-                if top not in sys.stdlib_module_names and top not in ALLOWED:
-                    stray.append(f"{path.relative_to(ROOT)}:{node.lineno} imports {name}")
+        for line, top in _absolute_imports(path):
+            seen.add(top)
+            if top not in sys.stdlib_module_names and top not in ALLOWED:
+                stray.append(f"{path.relative_to(ROOT)}:{line} imports {top}")
     assert not stray, stray
     assert "numpy" in seen
+
+
+def test_only_the_cli_imports_json():
+    # JSON text is read and written by the command line alone; the modules
+    # convert to and from parsed dicts and lists
+    importers = [str(path.relative_to(ROOT)) for path in sorted(ROOT.rglob("*.py"))
+                 if any(top == "json" for _, top in _absolute_imports(path))]
+    assert importers == ["cli.py"], importers
 
 
 def _imported_modules(path):

@@ -441,6 +441,80 @@ def test_step_failure_on_an_earlier_segment_wins_over_a_later_collision(monkeypa
         integrate_isomonodromic(IsoState(u=[0j, 1 + 0j, 2 + 0j], V=V), path)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("V", np.nan, "V has a non-finite entry"),
+    ("u", np.nan, "u has a non-finite entry"),
+    ("vertex", np.nan, "path vertex 1 has a non-finite entry"),
+    ("vertex", np.inf, "path vertex 1 has a non-finite entry"),
+    ("vertex", complex(0, -np.inf), "path vertex 1 has a non-finite entry"),
+])
+def test_non_finite_input_is_refused_before_the_first_step(where, value, message):
+    # a NaN vertex would pass the closest-approach certificate (nan < margin
+    # is false) and end in a step-size underflow; it is refused up front
+    st = _random_state()
+    path = [[0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j], [-0.1 + 0.2j, 1.3 + 0.1j, 1.9 + 0.4j]]
+    if where == "V":
+        st.V[0, 2] = value
+    elif where == "u":
+        st.u[1] = value
+    else:
+        path[1][2] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate_isomonodromic(st, path)
+
+
+def test_a_non_finite_series_ends_the_first_step(monkeypatch):
+    # a step is taken as sized, so a series that is not finite ends the
+    # segment at its first step, not after a run of halvings
+    from frobenii import semisimple
+    from frobenii.semisimple import StepUnderflowError
+    calls = []
+
+    def nan_series(V, u, du, p, bound, reach):
+        calls.append(reach)
+        return np.full((p + 1, len(V), len(V)), np.nan + 0j), np.full(p, np.nan + 0j)
+    monkeypatch.setattr(semisimple, "_segment_series", nan_series)
+    st = _random_state()
+    with pytest.raises(StepUnderflowError,
+                       match=r"^segment 1 \(vertex 0 to vertex 1\): the Taylor step "
+                             r"from s=0\.0 ends at a non-finite V$"):
+        integrate_isomonodromic(st, [[0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j]])
+    assert calls == [1.0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_steps_are_the_orders_taken_and_none_is_rejected(monkeypatch, seed):
+    # every series computed is one step taken: the step count is the number
+    # of orders the segments return, and the rejection count stays 0
+    from frobenii import semisimple
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 3
+    u0 = np.arange(n) + 0.45 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V0 = (W - W.T) / 2 * rng.uniform(0.1, 5)
+    path = [list(u0 + rng.uniform(0.1, 1) * (rng.standard_normal(n)
+                                             + 1j * rng.standard_normal(n)))
+            for _ in range(3)]
+    orders, series = [], []
+    taylor_segment, segment_series = semisimple._taylor_segment, semisimple._segment_series
+
+    def counted_segment(*args):
+        out = taylor_segment(*args)
+        orders.extend(out[-1])
+        return out
+
+    def counted_series(*args):
+        series.append(1)
+        return segment_series(*args)
+    monkeypatch.setattr(semisimple, "_taylor_segment", counted_segment)
+    monkeypatch.setattr(semisimple, "_segment_series", counted_series)
+    tol = 10.0 ** -(6 + seed)
+    _, diag = integrate_isomonodromic(IsoState(list(u0), V0), path, tol=tol)
+    assert diag.stats.steps == len(orders) == len(series) >= 3
+    assert diag.stats.rejected == 0
+    assert (diag.min_order, diag.max_order) == (min(orders), max(orders))
+
+
 def test_stacked_drift_equals_the_chained_segments():
     # the drifts are read from one eigensolve of every vertex's V; run as
     # one-segment paths chained by hand, the same vertices give the same
