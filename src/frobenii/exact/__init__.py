@@ -1,4 +1,4 @@
-from .scalars import DiscriminantMismatch, QuadScalar, Rational, parse_quad
+from .scalars import DiscriminantMismatch, QuadScalar, parse_quad
 from .exppoly import ExpPolynomial, NotClosedFormError
 from .series import GWSeries
 from .linalg import (
@@ -12,7 +12,6 @@ from .linalg import (
 __all__ = [
     "DiscriminantMismatch",
     "QuadScalar",
-    "Rational",
     "parse_quad",
     "ExpPolynomial",
     "NotClosedFormError",

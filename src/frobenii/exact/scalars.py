@@ -31,8 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-Rational = Fraction
-
 ScalarLike = Union["QuadScalar", Fraction, int]
 
 

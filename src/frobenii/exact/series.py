@@ -57,10 +57,8 @@ class GWSeries:
 
     @classmethod
     def _make(cls, order: int, num: List[int], c0: int, den: int) -> "GWSeries":
-        """Series num/den, c0/den (den != 0) brought to canonical form by one
+        """Series num/den, c0/den (den > 0) brought to canonical form by one
         gcd chain over the denominator, c0 and the numerators."""
-        if den < 0:
-            num, c0, den = [-x for x in num], -c0, -den
         g = math.gcd(den, c0)
         for x in num:
             if g == 1:

@@ -638,15 +638,53 @@ def _poly(n: int, terms: Dict[Tuple[int, ...], Fraction]) -> ExpPolynomial:
                              for pows, c in terms.items()})
 
 
-def _coxeter_entry(name: str, degrees: Sequence[int],
-                   terms: Dict[Tuple[int, ...], Fraction]) -> FrobeniusPotential:
-    """The entry of rank len(degrees) whose Coxeter number h is the largest
-    degree, degrees[0]."""
-    n, h = len(degrees), degrees[0]
-    d = Fraction(h - 2, h)
-    q = tuple(Fraction(h - dg, h) for dg in degrees)
-    return FrobeniusPotential(n=n, F=_poly(n, terms), d=d, q=q,
-                              r=tuple(Fraction(0) for _ in range(n)), name=name)
+# Coxeter entries: the degrees of the invariants, largest (the Coxeter number
+# h) first, and the coefficients of F; d = (h - 2)/h and q_a = (h - deg_a)/h.
+_COXETER = {
+    "A3": ((4, 3, 2), {
+        (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
+        (0, 2, 2): Fraction(-1, 16), (0, 0, 5): Fraction(1, 960)}),
+    "B3": ((6, 4, 2), {
+        (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
+        (0, 3, 1): Fraction(1, 6), (0, 2, 3): Fraction(1, 6),
+        (0, 0, 7): Fraction(1, 210)}),
+    "H3": ((10, 6, 2), {
+        (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
+        (0, 3, 2): Fraction(1, 6), (0, 2, 5): Fraction(1, 20),
+        (0, 0, 11): Fraction(1, 3960)}),
+    "A4": ((5, 4, 3, 2), {
+        (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
+        (0, 3, 0, 0): Fraction(1, 2), (0, 0, 4, 0): Fraction(1, 3),
+        (0, 1, 2, 1): Fraction(6), (0, 2, 0, 2): Fraction(9),
+        (0, 0, 2, 3): Fraction(24), (0, 0, 0, 6): Fraction(216, 5)}),
+    "B4": ((8, 6, 4, 2), {
+        (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
+        (0, 3, 0, 0): Fraction(1), (0, 1, 3, 0): Fraction(1, 3),
+        (0, 2, 1, 1): Fraction(3), (0, 0, 4, 1): Fraction(1, 4),
+        (0, 1, 2, 2): Fraction(3), (0, 2, 0, 3): Fraction(6),
+        (0, 0, 3, 3): Fraction(1), (0, 0, 2, 5): Fraction(18, 5),
+        (0, 0, 0, 9): Fraction(18, 7)}),
+    "D4": ((6, 4, 4, 2), {
+        (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
+        (0, 3, 0, 1): Fraction(1), (0, 0, 3, 1): Fraction(1),
+        (0, 1, 1, 3): Fraction(6), (0, 0, 0, 7): Fraction(54, 35)}),
+    "F4": ((12, 8, 6, 2), {
+        (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
+        (0, 3, 0, 1): Fraction(1, 18), (0, 0, 4, 1): Fraction(3, 4),
+        (0, 1, 2, 3): Fraction(1, 2), (0, 2, 0, 5): Fraction(1, 60),
+        (0, 0, 2, 7): Fraction(1, 28),
+        (0, 0, 0, 13): Fraction(1, 2 ** 4 * 3 ** 2 * 11 * 13)}),
+    "H4": ((30, 20, 12, 2), {
+        (1, 1, 1, 0): Fraction(1), (2, 0, 0, 1): Fraction(1, 2),
+        (0, 3, 0, 1): Fraction(2, 3), (0, 0, 5, 1): Fraction(1, 240),
+        (0, 1, 3, 3): Fraction(1, 18), (0, 2, 1, 5): Fraction(1, 15),
+        (0, 0, 4, 7): Fraction(1, 2 ** 3 * 3 ** 3 * 5),
+        (0, 1, 2, 9): Fraction(1, 2 * 3 ** 4 * 5),
+        (0, 2, 0, 11): Fraction(8, 3 ** 4 * 5 ** 2 * 11),
+        (0, 0, 3, 13): Fraction(1, 2 ** 2 * 3 ** 6 * 5 ** 2),
+        (0, 0, 2, 19): Fraction(2, 3 ** 8 * 5 ** 3 * 19),
+        (0, 0, 0, 31): Fraction(32, 3 ** 13 * 5 ** 6 * 29 * 31)}),
+}
 
 
 def catalog(name: str) -> FrobeniusPotential:
@@ -654,68 +692,15 @@ def catalog(name: str) -> FrobeniusPotential:
 
     Names: I2(k) for k >= 3, A3, B3, H3, A4, B4, D4, F4, H4, CP1, and
     CP2(K), the CP2 potential truncated at order K in e^{t2}; a bare CP2 is
-    CP2(5)."""
+    CP2(5).  Case and spaces are ignored; a NAME(k) whose k is no integer is
+    an unknown entry."""
     key = name.strip().upper().replace(" ", "")
-    if key.startswith("I2(") and key.endswith(")"):
-        k = int(key[3:-1])
-        if k < 3:
-            raise KeyError("I2(k) needs k >= 3")
-        # F = 1/2 t1^2 t2 + t2^{k+1}; d = (k-2)/k
-        F = _poly(2, {(2, 1): Fraction(1, 2), (0, k + 1): Fraction(1)})
-        return FrobeniusPotential(n=2, F=F, d=Fraction(k - 2, k),
-                                  q=(Fraction(0), Fraction(k - 2, k)),
-                                  r=(Fraction(0), Fraction(0)), name=f"I2({k})")
-    if key == "A3":
-        return _coxeter_entry("A3", (4, 3, 2), {
-            (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
-            (0, 2, 2): Fraction(-1, 16), (0, 0, 5): Fraction(1, 960)})
-    if key == "B3":
-        return _coxeter_entry("B3", (6, 4, 2), {
-            (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
-            (0, 3, 1): Fraction(1, 6), (0, 2, 3): Fraction(1, 6),
-            (0, 0, 7): Fraction(1, 210)})
-    if key == "H3":
-        return _coxeter_entry("H3", (10, 6, 2), {
-            (2, 0, 1): Fraction(1, 2), (1, 2, 0): Fraction(1, 2),
-            (0, 3, 2): Fraction(1, 6), (0, 2, 5): Fraction(1, 20),
-            (0, 0, 11): Fraction(1, 3960)})
-    if key == "A4":
-        return _coxeter_entry("A4", (5, 4, 3, 2), {
-            (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
-            (0, 3, 0, 0): Fraction(1, 2), (0, 0, 4, 0): Fraction(1, 3),
-            (0, 1, 2, 1): Fraction(6), (0, 2, 0, 2): Fraction(9),
-            (0, 0, 2, 3): Fraction(24), (0, 0, 0, 6): Fraction(216, 5)})
-    if key == "B4":
-        return _coxeter_entry("B4", (8, 6, 4, 2), {
-            (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
-            (0, 3, 0, 0): Fraction(1), (0, 1, 3, 0): Fraction(1, 3),
-            (0, 2, 1, 1): Fraction(3), (0, 0, 4, 1): Fraction(1, 4),
-            (0, 1, 2, 2): Fraction(3), (0, 2, 0, 3): Fraction(6),
-            (0, 0, 3, 3): Fraction(1), (0, 0, 2, 5): Fraction(18, 5),
-            (0, 0, 0, 9): Fraction(18, 7)})
-    if key == "D4":
-        return _coxeter_entry("D4", (6, 4, 4, 2), {
-            (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
-            (0, 3, 0, 1): Fraction(1), (0, 0, 3, 1): Fraction(1),
-            (0, 1, 1, 3): Fraction(6), (0, 0, 0, 7): Fraction(54, 35)})
-    if key == "F4":
-        return _coxeter_entry("F4", (12, 8, 6, 2), {
-            (2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1),
-            (0, 3, 0, 1): Fraction(1, 18), (0, 0, 4, 1): Fraction(3, 4),
-            (0, 1, 2, 3): Fraction(1, 2), (0, 2, 0, 5): Fraction(1, 60),
-            (0, 0, 2, 7): Fraction(1, 28),
-            (0, 0, 0, 13): Fraction(1, 2 ** 4 * 3 ** 2 * 11 * 13)})
-    if key == "H4":
-        return _coxeter_entry("H4", (30, 20, 12, 2), {
-            (1, 1, 1, 0): Fraction(1), (2, 0, 0, 1): Fraction(1, 2),
-            (0, 3, 0, 1): Fraction(2, 3), (0, 0, 5, 1): Fraction(1, 240),
-            (0, 1, 3, 3): Fraction(1, 18), (0, 2, 1, 5): Fraction(1, 15),
-            (0, 0, 4, 7): Fraction(1, 2 ** 3 * 3 ** 3 * 5),
-            (0, 1, 2, 9): Fraction(1, 2 * 3 ** 4 * 5),
-            (0, 2, 0, 11): Fraction(8, 3 ** 4 * 5 ** 2 * 11),
-            (0, 0, 3, 13): Fraction(1, 2 ** 2 * 3 ** 6 * 5 ** 2),
-            (0, 0, 2, 19): Fraction(2, 3 ** 8 * 5 ** 3 * 19),
-            (0, 0, 0, 31): Fraction(32, 3 ** 13 * 5 ** 6 * 29 * 31)})
+    if key in _COXETER:
+        degrees, terms = _COXETER[key]
+        n, h = len(degrees), degrees[0]
+        return FrobeniusPotential(n=n, F=_poly(n, terms), d=Fraction(h - 2, h),
+                                  q=tuple(Fraction(h - dg, h) for dg in degrees),
+                                  r=(Fraction(0),) * n, name=key)
     if key == "CP1":
         F = ExpPolynomial(2, {
             ((2, 1), (0, 0)): QuadScalar(Fraction(1, 2)),
@@ -723,14 +708,29 @@ def catalog(name: str) -> FrobeniusPotential:
         return FrobeniusPotential(n=2, F=F, d=Fraction(1),
                                   q=(Fraction(0), Fraction(1)),
                                   r=(Fraction(0), Fraction(2)), name="CP1")
-    if key == "CP2" or key.startswith("CP2(") and key.endswith(")"):
+    unknown = KeyError(f"unknown catalog entry {name!r}")
+    head, k = key, None
+    if key.endswith(")") and "(" in key:
+        head, arg = key[:-1].split("(", 1)
+        try:
+            k = int(arg)
+        except ValueError:
+            raise unknown from None
+    if head == "I2" and k is not None:
+        if k < 3:
+            raise KeyError("I2(k) needs k >= 3")
+        # F = 1/2 t1^2 t2 + t2^{k+1}; d = (k-2)/k
+        F = _poly(2, {(2, 1): Fraction(1, 2), (0, k + 1): Fraction(1)})
+        return FrobeniusPotential(n=2, F=F, d=Fraction(k - 2, k),
+                                  q=(Fraction(0), Fraction(k - 2, k)),
+                                  r=(Fraction(0), Fraction(0)), name=f"I2({k})")
+    if head == "CP2":
         from .gwcp2 import truncated_potential
-        return truncated_potential(int(key[4:-1]) if key != "CP2" else 5)
-    raise KeyError(f"unknown catalog entry {name!r}")
+        return truncated_potential(5 if k is None else k)
+    raise unknown
 
 
-CATALOG_NAMES = ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
-                 "A4", "B4", "D4", "F4", "H4", "CP1", "CP2"]
+CATALOG_NAMES = ["I2(3)", "I2(4)", "I2(5)", *_COXETER, "CP1", "CP2"]
 
 
 # ---------------------------------------------------------------------------

@@ -469,12 +469,7 @@ def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:
             raise ArithmeticError("inconsistent squares in the psi reconstruction")
         psi3[i] = np.sqrt(sq3)
         psi1[i] = pr13 / psi3[i] if psi3[i] != 0 else np.sqrt(sq1)
-    psi2 = 1j * np.array([
-        psi1[1] * psi3[2] - psi3[1] * psi1[2],
-        psi3[0] * psi1[2] - psi1[0] * psi3[2],
-        psi1[0] * psi3[1] - psi3[0] * psi1[1],
-    ])
-    return np.column_stack([psi1, psi2, psi3])
+    return np.column_stack([psi1, 1j * np.cross(psi1, psi3), psi3])
 
 
 def v_from_qp(state: QpkState, mu1) -> np.ndarray:

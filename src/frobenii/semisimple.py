@@ -308,9 +308,11 @@ def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray, p: int,
     # zero-padded copy read with rows of 2K - 1, row j is shifted by j, so
     # M[j, l] lands in column j + l.  (A 0/1 matrix-vector product would do
     # the same, but OpenBLAS spreads one of that size over its threads, whose
-    # idle spinning then doubles the process time.)
+    # idle spinning then doubles the process time.)  Near a pole of V the
+    # products with j + l >= K, which are dropped, may overflow.
     Z = np.zeros((K, 2 * K), dtype=complex)
-    Z[:, :K] = (Vb[:0:-1] * (0.5 * du[:, None])).reshape(K, n * n) @ B.reshape(K, n * n).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z[:, :K] = (Vb[:0:-1] * (0.5 * du[:, None])).reshape(K, n * n) @ B.reshape(K, n * n).T
     return Vb, Z.reshape(-1)[:K * (2 * K - 1)].reshape(K, 2 * K - 1)[:, :K].sum(axis=0)
 
 
@@ -332,8 +334,8 @@ def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
     h = min over j in {K - 1, K} of (tol max(1, |V|) / c_j)^(1/j), capped
     by 1 - s.  So c_K h^K <= tol max(1, |V|) holds by construction and
     every step is taken as sized; none is retried.  A step below MIN_STEP,
-    a non-finite end value or one step more than MAX_SEGMENT_STEPS raises
-    StepUnderflowError."""
+    a non-finite end V or tau increment, or one step more than
+    MAX_SEGMENT_STEPS raises StepUnderflowError."""
     n = len(V)
     p = _taylor_order(tol)
     powers = np.arange(2 * p + 1)
@@ -357,7 +359,11 @@ def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
         if not np.isfinite(V).all():
             raise StepUnderflowError(f"the Taylor step from s={s} ends at a "
                                      f"non-finite V")
-        logtau += T @ (h ** powers[1:K + 1] / powers[1:K + 1])
+        dtau = T @ (h ** powers[1:K + 1] / powers[1:K + 1])
+        if not np.isfinite(dtau):
+            raise StepUnderflowError(f"the Taylor step from s={s} ends at a "
+                                     f"non-finite tau increment")
+        logtau += dtau
         s += h
         orders.append(K)
     return V, logtau, orders

@@ -550,52 +550,45 @@ def cp2_modular_check() -> Cp2ModularReport:
 # catalog
 # ---------------------------------------------------------------------------
 
+_PHI = QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)     # (1+sqrt5)/2
+_PHI_CONJ = 1 - _PHI                                      # (1-sqrt5)/2
+_RT2 = QuadScalar(0, 1, 2)
+
+# Each entry is (n, upper entries) or a Coxeter graph (see `coxeter_stokes`).
+_STOKES = {
+    "CP1": (2, {(0, 1): 2}),
+    "CP2": (3, {(0, 1): 3, (0, 2): 3, (1, 2): 3}),
+    # the sign-equivalent representative whose Gram matrix carries the
+    # printed reflection/rotation matrices: (x, y, z) = (3, -3, -3)
+    "CP2-monodromy": (3, {(0, 1): 3, (0, 2): -3, (1, 2): -3}),
+    "D4-nonstd": (4, {(0, 1): -1, (0, 3): 1, (1, 2): -1, (1, 3): -1, (2, 3): 1}),
+    "F4-nonstd": (4, {(0, 1): -1, (0, 3): _RT2, (1, 2): -_RT2, (1, 3): -_RT2,
+                      (2, 3): 1}),
+    "H4-nonstd-1": (4, {(0, 1): -1, (0, 3): _PHI, (1, 2): -1, (1, 3): -_PHI,
+                        (2, 3): _PHI - 1}),
+    "H4-nonstd-2": (4, {(0, 1): -1, (0, 3): _PHI, (1, 2): -_PHI, (1, 3): -_PHI,
+                        (2, 3): 1}),
+    "H4-nonstd-3": (4, {(0, 1): -1, (0, 3): _PHI_CONJ, (1, 2): -_PHI_CONJ,
+                        (1, 3): -_PHI_CONJ, (2, 3): 1}),
+    "A3-graph": [(1, 2, 3), (2, 3, 3)],
+    "B3-graph": [(1, 2, 4), (2, 3, 3)],
+    "H3-graph": [(1, 2, 5), (2, 3, 3)],
+    "B2": [(1, 2, 4)],
+}
+_STOKES_BY_KEY = {name.upper(): entry for name, entry in _STOKES.items()}
+
+
 def stokes_catalog(name: str) -> StokesMatrix:
-    key = name.strip().upper().replace(" ", "")
-    phi_plus = QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)     # (1+sqrt5)/2
-    phi_minus = QuadScalar(Fraction(-1, 2), Fraction(1, 2), 5)   # (-1+sqrt5)/2
-    phi_conj = QuadScalar(Fraction(1, 2), Fraction(-1, 2), 5)    # (1-sqrt5)/2
-    if key == "CP1":
-        return StokesMatrix.from_upper(2, {(0, 1): 2})
-    if key == "CP2":
-        return StokesMatrix.from_triple(3, 3, 3)
-    if key == "CP2-MONODROMY":
-        # the sign-equivalent representative whose Gram matrix carries the
-        # printed reflection/rotation matrices: (x, y, z) = (3, -3, -3)
-        return StokesMatrix.from_triple(3, -3, -3)
-    if key == "D4-NONSTD":
-        return StokesMatrix.from_upper(4, {
-            (0, 1): -1, (0, 3): 1, (1, 2): -1, (1, 3): -1, (2, 3): 1})
-    if key == "F4-NONSTD":
-        rt2 = QuadScalar(0, 1, 2)
-        return StokesMatrix.from_upper(4, {
-            (0, 1): -1, (0, 3): rt2, (1, 2): -rt2, (1, 3): -rt2, (2, 3): 1})
-    if key == "H4-NONSTD-1":
-        return StokesMatrix.from_upper(4, {
-            (0, 1): -1, (0, 3): phi_plus, (1, 2): -1, (1, 3): -phi_plus,
-            (2, 3): phi_minus})
-    if key == "H4-NONSTD-2":
-        return StokesMatrix.from_upper(4, {
-            (0, 1): -1, (0, 3): phi_plus, (1, 2): -phi_plus, (1, 3): -phi_plus,
-            (2, 3): 1})
-    if key == "H4-NONSTD-3":
-        return StokesMatrix.from_upper(4, {
-            (0, 1): -1, (0, 3): phi_conj, (1, 2): -phi_conj, (1, 3): -phi_conj,
-            (2, 3): 1})
-    if key == "A3-GRAPH":
-        return coxeter_stokes([(1, 2, 3), (2, 3, 3)])
-    if key == "B3-GRAPH":
-        return coxeter_stokes([(1, 2, 4), (2, 3, 3)])
-    if key == "H3-GRAPH":
-        return coxeter_stokes([(1, 2, 5), (2, 3, 3)])
-    if key == "B2":
-        return coxeter_stokes([(1, 2, 4)])
-    raise KeyError(f"unknown Stokes catalog entry {name!r}")
+    """The catalog entry `name`, its case and spaces ignored."""
+    entry = _STOKES_BY_KEY.get(name.strip().upper().replace(" ", ""))
+    if entry is None:
+        raise KeyError(f"unknown Stokes catalog entry {name!r}")
+    if isinstance(entry, tuple):
+        return StokesMatrix.from_upper(*entry)
+    return coxeter_stokes(entry)
 
 
-STOKES_CATALOG_NAMES = ["CP1", "CP2", "CP2-monodromy", "D4-nonstd", "F4-nonstd",
-                        "H4-nonstd-1", "H4-nonstd-2", "H4-nonstd-3",
-                        "A3-graph", "B3-graph", "H3-graph", "B2"]
+STOKES_CATALOG_NAMES = list(_STOKES)
 
 
 # ---------------------------------------------------------------------------

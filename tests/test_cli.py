@@ -67,6 +67,45 @@ def test_unknown_entry_error_is_the_message_not_its_repr(capsys, argv, error):
     assert code == 2 and data["error"] == error
 
 
+def test_catalog_name_lists_are_pinned():
+    # the benchmark's `exact` workload iterates CATALOG_NAMES in this order
+    from frobenii.stokes import STOKES_CATALOG_NAMES
+    assert CATALOG_NAMES == ["I2(3)", "I2(4)", "I2(5)", "A3", "B3", "H3",
+                             "A4", "B4", "D4", "F4", "H4", "CP1", "CP2"]
+    assert STOKES_CATALOG_NAMES == ["CP1", "CP2", "CP2-monodromy", "D4-nonstd",
+                                    "F4-nonstd", "H4-nonstd-1", "H4-nonstd-2",
+                                    "H4-nonstd-3", "A3-graph", "B3-graph", "H3-graph",
+                                    "B2"]
+
+
+def test_every_catalog_name_loads_in_any_case_and_padding():
+    from frobenii.frobenius import catalog, potential_to_dict
+    from frobenii.stokes import STOKES_CATALOG_NAMES, stokes_catalog, stokes_to_dict
+    for load, names, dump in [(catalog, CATALOG_NAMES, potential_to_dict),
+                              (stokes_catalog, STOKES_CATALOG_NAMES, stokes_to_dict)]:
+        for name in names:
+            want = dump(load(name))
+            for spelling in (name.lower(), f" {name} ", f" {name.lower()} "):
+                assert dump(load(spelling)) == want, spelling
+
+
+@pytest.mark.parametrize("name, error", [
+    # a k that int() refuses is an unknown entry, named as typed
+    ("CP2(x)", "unknown catalog entry 'CP2(x)'"),
+    ("I2()", "unknown catalog entry 'I2()'"),
+    ("CP2()", "unknown catalog entry 'CP2()'"),
+    # an integer k keeps the refusal of its entry
+    ("I2(2)", "I2(k) needs k >= 3"),
+    ("CP2(0)", "K must be >= 1"),
+    ("CP2(-1)", "K must be >= 1"),
+    ("CP2(35", "unknown catalog entry 'CP2(35'"),
+])
+def test_catalog_show_of_a_bad_name_k_is_an_error_report(capsys, name, error):
+    code, data = run_cli(capsys, "catalog", "show", name)
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["error"] == error
+
+
 def test_catalog_show_roundtrips(capsys, tmp_path):
     code, data = run_cli(capsys, "catalog", "show", "A3")
     assert code == 0
@@ -129,6 +168,30 @@ def test_wdvv_check_of_a_malformed_window_is_an_error_report(capsys, tmp_path, k
     code, report = run_cli(capsys, "wdvv", "check", str(path))
     assert code == 2 and report["status"] == "ERROR"
     assert error in report["error"]
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("powers", [1, 1], "term arity does not match nvars"),
+    ("q", ["0", "1/4"], "grading data arity mismatch"),
+    ("r", ["0", "0", "0", "0"], "grading data arity mismatch"),
+    ("q", ["1/4", "1/4", "1/2"], "q must vanish at the unity coordinate"),
+    ("r", ["0", "1", "0"], "r_alpha may be nonzero only where q_alpha = 1"),
+], ids=["F arity", "q arity", "r arity", "q at unity", "r where q is not 1"])
+def test_wdvv_check_of_inconsistent_grading_is_an_error_report(capsys, tmp_path, key,
+                                                               value, error):
+    # the refusals of FrobeniusPotential, met when an A3 file is read; a term
+    # of the wrong arity is refused by F itself, before the potential is built
+    from frobenii.frobenius import catalog, potential_to_dict
+    data = potential_to_dict(catalog("A3"))
+    if key == "powers":
+        data["terms"][0]["powers"] = value
+    else:
+        data[key] = value
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_cli(capsys, "wdvv", "check", str(path))
+    assert code == 2 and report["status"] == "ERROR"
+    assert report["error"] == error
 
 
 @pytest.mark.parametrize("name, index", [("A3", 7), ("I2(3)", -2)])
@@ -627,6 +690,22 @@ def test_iso_integrate_out_of_taylor_steps_is_an_error_report(capsys, tmp_path, 
     assert data["status"] == "ERROR"
     assert data["error"].startswith("segment 2 (vertex 1 to vertex 2): 2 Taylor steps")
     assert "stuck at s=0." in data["error"]
+
+
+def test_iso_integrate_of_a_v_that_is_not_skew_fails(capsys, tmp_path):
+    # the flow keeps the spectrum of any V, but only a skew V stays skew
+    V = [[0, 1, 2], [0, 0, 1], [0, 0, 0]]
+    spath = tmp_path / "state.json"
+    ppath = tmp_path / "path.json"
+    spath.write_text(json.dumps({"u": [[0, 0], [1, 0], [2, 0]],
+                                 "V": [[[x, 0] for x in row] for row in V]}),
+                     encoding="utf-8")
+    ppath.write_text(json.dumps([[[0.1, 0], [1.2, 0.1], [2, 0.3]]]), encoding="utf-8")
+    code, data = run_cli(capsys, "iso", "integrate", "--state", str(spath),
+                         "--path", str(ppath))
+    assert code == 1 and data["status"] == "FAIL"
+    assert data["residuals"]["spectral_drift"] < 1e-8
+    assert data["residuals"]["skewness_drift"] > 0.1
 
 
 def test_iso_integrate_interior_collision_is_an_error_report(capsys, tmp_path):

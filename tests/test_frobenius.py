@@ -728,6 +728,48 @@ def test_legendre_on_cubic():
     assert metric_eta(Q) == metric_eta(P)
 
 
+def test_legendre_refusals():
+    from frobenii.exact.exppoly import NotClosedFormError
+    A3 = catalog("A3")
+    for kappa in (-1, 3):
+        with pytest.raises(ValueError, match="^kappa out of range$"):
+            legendre(A3, kappa)
+    assert legendre(A3, 0) is A3
+    with pytest.raises(NotClosedFormError, match="with r-shifts is not implemented"):
+        legendre(catalog("CP1"), 1)
+    # d_3 d_3 d_3 F of A3 carries t3^2
+    with pytest.raises(NotClosedFormError, match="only when d_a d_b d_kappa F is constant"):
+        legendre(A3, 2)
+    # F = t1^2 t2 / 2: that = (d_2 d_2 F, d_1 d_2 F) = (0, t1) is not invertible
+    t1, t2 = (ExpPolynomial.variable(2, i) for i in range(2))
+    P = FrobeniusPotential(2, (t1 * t1 * t2).scale(F(1, 2)), F(1), (F(0), F(1)), (F(0),) * 2)
+    with pytest.raises(NotClosedFormError, match="^type-1 transformation is not invertible$"):
+        legendre(P, 1)
+
+
+def test_inversion_refusals():
+    from frobenii.exact.exppoly import NotClosedFormError
+    with pytest.raises(NotClosedFormError, match="^inversion of exp-potentials"):
+        inversion(catalog("CP1"))
+    # the group-algebra cubic has eta_11 = eta_23 = 1
+    t = [ExpPolynomial.variable(3, i) for i in range(3)]
+    cubic = (t[0] ** 3 + t[1] ** 3 + t[2] ** 3).scale(F(1, 6)) + t[0] * t[1] * t[2]
+    P = FrobeniusPotential(3, cubic, F(0), (F(0),) * 3, (F(0),) * 3)
+    with pytest.raises(NotClosedFormError, match=r"^inversion requires eta = antidiag"):
+        inversion(P)
+    # d = 1 gives the image the degree 2 - d = 1 in its last coordinate
+    t1, t2 = (ExpPolynomial.variable(2, i) for i in range(2))
+    Q = FrobeniusPotential(2, (t1 * t1 * t2).scale(F(1, 2)), F(1), (F(0), F(1)), (F(0),) * 2)
+    with pytest.raises(NotClosedFormError, match="^inversion image has a marginal direction"):
+        inversion(Q)
+
+
+def test_potential_refuses_an_f_of_another_arity():
+    A3 = catalog("A3")
+    with pytest.raises(ValueError, match="^F arity does not match n$"):
+        FrobeniusPotential(4, A3.F, A3.d, A3.q + (F(0),), A3.r + (F(0),))
+
+
 def test_unity_index_survives_json_roundtrip():
     t1, t2, t3 = (ExpPolynomial.variable(3, i) for i in range(3))
     F_ = (t1 ** 3 + t2 ** 3 + t3 ** 3).scale(F(1, 6)) + t1 * t2 * t3

@@ -482,6 +482,42 @@ def test_a_non_finite_series_ends_the_first_step(monkeypatch):
     assert calls == [1.0]
 
 
+def test_a_non_finite_tau_increment_ends_the_first_step(monkeypatch):
+    # V stays finite (constant), but the tau coefficients are NaN
+    from frobenii import semisimple
+    from frobenii.semisimple import StepUnderflowError
+
+    def nan_tau_series(V, u, du, p, bound, reach):
+        Vb = np.zeros((p + 1, len(V), len(V)), dtype=complex)
+        Vb[p] = V
+        return Vb, np.full(p, np.nan + 0j)
+    monkeypatch.setattr(semisimple, "_segment_series", nan_tau_series)
+    with pytest.raises(StepUnderflowError,
+                       match=r"^segment 1 \(vertex 0 to vertex 1\): the Taylor step "
+                             r"from s=0\.0 ends at a non-finite tau increment$"):
+        integrate_isomonodromic(_random_state(), [[0.2 + 0.1j, 1.1 - 0.1j, 2.1 + 0.3j]])
+
+
+def test_a_path_near_a_pole_of_v_raises_no_overflow_warning():
+    # path 716 of 3000 seeded random paths passes near a pole of V, where the
+    # tau products that the series drops overflow; under the suite's
+    # filterwarnings = error a numpy warning would fail this test
+    rng = np.random.default_rng(0)
+    for _ in range(717):
+        n = int(rng.integers(3, 7))
+        u0 = np.arange(n) + 0.45 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        V0 = (W - W.T) / 2 * rng.uniform(0.1, 5)
+        path = [u0 + rng.uniform(0.1, 3) * (rng.standard_normal(n)
+                                            + 1j * rng.standard_normal(n))
+                for _ in range(3)]
+        tol = 10 ** rng.uniform(-13, -4)
+    assert n == 6 and abs(tol / 1.3e-11 - 1) < 0.01
+    _, diag = integrate_isomonodromic(IsoState(list(u0), V0), path, tol=tol)
+    assert diag.stats.steps == 295
+    assert diag.dlog_tau == -16.892396539060755 - 93.7038772758829j
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_steps_are_the_orders_taken_and_none_is_rejected(monkeypatch, seed):
     # every series computed is one step taken: the step count is the number

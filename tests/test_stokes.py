@@ -705,6 +705,15 @@ def test_coxeter_rejects_non_quadratic_label():
         coxeter_stokes([(1, 2, 7)])
 
 
+@pytest.mark.parametrize("graph, error", [
+    ([(1, 2, 3), (2, 2, 3)], "no loops in a Coxeter graph"),
+    ([(1, 2, 2)], "edge labels must be >= 3"),
+], ids=["loop", "label 2"])
+def test_coxeter_rejects_a_loop_and_a_label_below_3(graph, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        coxeter_stokes(graph)
+
+
 def test_reflections_involutive_and_form_preserving():
     for name in ("CP2-monodromy", "H4-nonstd-1", "F4-nonstd"):
         S = stokes_catalog(name)
