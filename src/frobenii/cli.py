@@ -12,7 +12,8 @@ status ERROR, empty results, residuals and metrics, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
 
 Each `cmd_*` returns an `Outcome`; `main` alone turns it into the report
-and writes its table to `--csv`.
+and writes its table to `--csv`.  The parser is built from the one table
+`COMMANDS`, so a new command is one `COMMANDS` row plus one `cmd_*`.
 """
 
 from __future__ import annotations
@@ -246,77 +247,68 @@ def cmd_sing(args) -> Outcome:
     }, metrics=metrics)
 
 
+# -- the command table --------------------------------------------------------
+# Each command maps to its help and its rows (action, handler, arguments); an
+# argument is the name or flag and the keywords of one add_argument call.
+
+_TOL = ("--tol", {"type": float, "default": 1e-10})
+_CSV = ("--csv", {})
+_MAX = ("--max", {"type": int, "required": True})
+# the literal, not tuple(painleve.FAMILIES): reading that here would import
+# painleve for every command (the test suite pins the two equal)
+_FAMILY = ("family", {"type": str.upper, "choices": ("A3", "B3", "H3")})
+_TARGET = ("target", {})
+
+COMMANDS = {
+    "catalog": ("embedded WDVV solutions", [
+        ("list", cmd_catalog, []),
+        ("show", cmd_catalog,
+         [("name", {"help": "catalog name; CP2(K) is CP2 truncated at order K"})]),
+    ]),
+    "wdvv": ("WDVV checks", [
+        ("check", cmd_wdvv_check,
+         [("target", {"help": "catalog name or potential JSON file"})]),
+    ]),
+    "gw": ("Gromov-Witten tables", [
+        ("nk", cmd_gw, [_MAX, _CSV]),
+        ("elliptic", cmd_gw, [_MAX, _CSV]),
+        ("fit", cmd_gw, [_MAX]),        # the fit has no table
+    ]),
+    "stokes": ("Stokes matrices and braid orbits", [
+        ("orbit", cmd_stokes, [_TARGET, ("--max-size", {"type": int})]),
+        ("braid", cmd_stokes, [_TARGET, ("--word", {"required": True})]),
+        ("cp2-monodromy", cmd_stokes, []),
+    ]),
+    "pvi": ("Painleve VI", [
+        ("verify", cmd_pvi,
+         [_FAMILY, ("--samples", {"type": int, "default": 50}), _TOL, _CSV]),
+        ("integrate", cmd_pvi,
+         [_FAMILY, ("--s0", {"required": True}), ("--s1", {"required": True}), _TOL]),
+    ]),
+    "iso": ("isomonodromic integration", [
+        ("integrate", cmd_iso,
+         [("--state", {"required": True}), ("--path", {"required": True}), _TOL]),
+    ]),
+    "sing": ("singularity constructions", [
+        ("an", cmd_sing, [("--n", {"type": int, "required": True})]),
+    ]),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call."""
+    """The argument parser of COMMANDS, built on first use and shared by every call."""
     ap = argparse.ArgumentParser(prog="frobenii",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="embedded WDVV solutions")
-    ps = p.add_subparsers(dest="action", required=True)
-    ps.add_parser("list").set_defaults(func=cmd_catalog)
-    q = ps.add_parser("show")
-    q.add_argument("name", help="catalog name; CP2(K) is CP2 truncated at order K")
-    q.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("wdvv", help="WDVV checks")
-    ps = p.add_subparsers(dest="action", required=True)
-    q = ps.add_parser("check")
-    q.add_argument("target", help="catalog name or potential JSON file")
-    q.set_defaults(func=cmd_wdvv_check)
-
-    p = sub.add_parser("gw", help="Gromov-Witten tables")
-    ps = p.add_subparsers(dest="action", required=True)
-    for act in ("nk", "elliptic", "fit"):
-        q = ps.add_parser(act)
-        q.add_argument("--max", type=int, required=True)
-        if act != "fit":        # the fit has no table
-            q.add_argument("--csv")
-        q.set_defaults(func=cmd_gw)
-
-    p = sub.add_parser("stokes", help="Stokes matrices and braid orbits")
-    ps = p.add_subparsers(dest="action", required=True)
-    q = ps.add_parser("orbit")
-    q.add_argument("target")
-    q.add_argument("--max-size", type=int, default=None)
-    q.set_defaults(func=cmd_stokes)
-    q = ps.add_parser("braid")
-    q.add_argument("target")
-    q.add_argument("--word", required=True)
-    q.set_defaults(func=cmd_stokes)
-    q = ps.add_parser("cp2-monodromy")
-    q.set_defaults(func=cmd_stokes)
-
-    p = sub.add_parser("pvi", help="Painleve VI")
-    ps = p.add_subparsers(dest="action", required=True)
-    family = {"type": str.upper, "choices": ("A3", "B3", "H3")}
-    q = ps.add_parser("verify")
-    q.add_argument("family", **family)
-    q.add_argument("--samples", type=int, default=50)
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.add_argument("--csv")
-    q.set_defaults(func=cmd_pvi)
-    q = ps.add_parser("integrate")
-    q.add_argument("family", **family)
-    q.add_argument("--s0", required=True)
-    q.add_argument("--s1", required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.set_defaults(func=cmd_pvi)
-
-    p = sub.add_parser("iso", help="isomonodromic integration")
-    ps = p.add_subparsers(dest="action", required=True)
-    q = ps.add_parser("integrate")
-    q.add_argument("--state", required=True)
-    q.add_argument("--path", required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("sing", help="singularity constructions")
-    ps = p.add_subparsers(dest="action", required=True)
-    q = ps.add_parser("an")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=cmd_sing)
+    for command, (help_, rows) in COMMANDS.items():
+        actions = sub.add_parser(command, help=help_).add_subparsers(dest="action",
+                                                                      required=True)
+        for action, handler, arguments in rows:
+            q = actions.add_parser(action)
+            for name, keywords in arguments:
+                q.add_argument(name, **keywords)
+            q.set_defaults(func=handler)
     return ap
 
 

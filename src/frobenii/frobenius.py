@@ -785,11 +785,14 @@ def potential_from_dict(data: dict) -> FrobeniusPotential:
         terms[key] = parse_quad(str(t["coeff"]))
     _field_of(terms.values(), data.get("discriminant"))
     F = ExpPolynomial(n, terms)
-    trunc = data.get("exp_truncation") or ()
+    trunc = tuple(_integer(x, "exp_truncation") for x in data.get("exp_truncation") or ())
+    if trunc and len(trunc) != 2:
+        raise ValueError("field 'exp_truncation' must be a pair [variable, order], "
+                         f"got {list(trunc)}")
     return FrobeniusPotential(
         n=n, F=F, d=_rational(data["d"], "d"),
         q=tuple(_rational(x, "q") for x in data["q"]),
         r=tuple(_rational(x, "r") for x in data["r"]),
         unity_index=_integer(data.get("unity_index", 0), "unity_index"),
         name=data.get("name", ""),
-        exp_truncation=tuple(_integer(x, "exp_truncation") for x in trunc) or None)
+        exp_truncation=trunc or None)

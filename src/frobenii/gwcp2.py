@@ -15,6 +15,7 @@ Genus one comes from the series psi = (phi''' - 27) / (8 (27 + 2 phi' -
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,22 +201,12 @@ def _fit(A: Sequence[Fraction]) -> Tuple[float, float, float]:
     K = len(A)
     if K < 20:
         raise ValueError("asymptotic fit needs K >= 20")
-    ks = list(range(K // 2, K + 1))
+    ks = range(K // 2, K + 1)
     # log A_k + 3.5 log k = k log a + log b
-    xs, ys = [], []
-    for k in ks:
-        a = A[k - 1]
-        logA = math.log(a.numerator) - math.log(a.denominator)
-        xs.append(float(k))
-        ys.append(logA + 3.5 * math.log(k))
-    n = len(xs)
-    sx = sum(xs); sy = sum(ys)
-    sxx = sum(x * x for x in xs); sxy = sum(x * y for x, y in zip(xs, ys))
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = (sy - slope * sx) / n
-    a_hat = math.exp(slope)
-    b_hat = math.exp(intercept)
-    return a_hat, b_hat, -slope
+    ys = [math.log(A[k - 1].numerator) - math.log(A[k - 1].denominator) + 3.5 * math.log(k)
+          for k in ks]
+    slope, intercept = statistics.linear_regression(ks, ys)
+    return math.exp(slope), math.exp(intercept), -slope
 
 
 def asymptotic_fit(K: int) -> Tuple[float, float, float]:

@@ -486,11 +486,19 @@ def state_to_dict(state: IsoState) -> dict:
     }
 
 
+def _complex(pair, name: str) -> complex:
+    """re + i im of the JSON pair [re, im] in field `name`; any other shape
+    is a TypeError, which the command line reports as a malformed field."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TypeError(f"{name} entry {pair!r} is not a pair [re, im]")
+    return complex(*pair)
+
+
 def state_from_dict(data: dict) -> IsoState:
-    u = [complex(re, im) for re, im in data["u"]]
-    V = np.array([[complex(re, im) for re, im in row] for row in data["V"]])
+    u = [_complex(z, "u") for z in data["u"]]
+    V = np.array([[_complex(z, "V") for z in row] for row in data["V"]])
     return IsoState(u=u, V=V)
 
 
 def path_from_list(data: list) -> List[List[complex]]:
-    return [[complex(re, im) for re, im in vert] for vert in data]
+    return [[_complex(z, f"path vertex {k}") for z in vert] for k, vert in enumerate(data)]

@@ -1,6 +1,5 @@
 """The command-line surface: exit codes, JSON shape, determinism."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -284,22 +283,18 @@ _CSV_INPUTS = {"gw nk": ["--max", "4"], "gw elliptic": ["--max", "4"],
 
 
 def _subcommands():
-    """(command action, parser) for every subcommand of the CLI."""
+    """(command action, arguments) for every row of the command table."""
     from frobenii import cli
-
-    def children(parser):
-        return next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    for command, p in children(cli.build_parser()).items():
-        for action, q in children(p).items():
-            yield f"{command} {action}", q
+    for command, (_, rows) in cli.COMMANDS.items():
+        for action, _, arguments in rows:
+            yield f"{command} {action}", arguments
 
 
 def test_every_csv_flag_writes_a_table(capsys, tmp_path):
     # a flag that is accepted but writes nothing (as `gw fit --csv` once
     # was) fails here; a new --csv needs a small input in _CSV_INPUTS
-    taking = [name for name, q in _subcommands()
-              if any("--csv" in a.option_strings for a in q._actions)]
+    taking = [name for name, arguments in _subcommands()
+              if any(flag == "--csv" for flag, _ in arguments)]
     assert sorted(taking) == sorted(_CSV_INPUTS)
     for name in taking:
         path = tmp_path / (name.replace(" ", "_") + ".csv")
@@ -535,6 +530,8 @@ def _json_inputs(kind):
         return ["wdvv", "check"], potential_to_dict(catalog("A3"))
     if kind == "stokes":
         return ["stokes", "orbit"], stokes_to_dict(stokes_catalog("A3-graph"))
+    if kind == "path":
+        return ["iso", "integrate"], [[[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]]
     W = np.arange(9.0).reshape(3, 3)
     return ["iso", "integrate"], state_to_dict(IsoState(u=[0j, 1 + 0j, 2 + 0j], V=W - W.T))
 
@@ -550,9 +547,18 @@ def _json_inputs(kind):
     ("stokes", "rows", KeyError, "{path}: missing field 'rows'"),
     ("state", "u", None, "{path}: malformed field"),
     ("state", "V", KeyError, "{path}: missing field 'V'"),
+    # [a, b] pairs of another length, which gave bare unpacking messages
+    ("state", "u", [[0], [1, 0], [2, 0]], "{path}: malformed field: u entry [0]"),
+    ("state", "u", "abc", "{path}: malformed field: u entry 'a'"),
+    ("state", "V", [[[0, 0, 0]] * 3] * 3, "{path}: malformed field: V entry [0, 0, 0]"),
+    ("path", 0, [[1], [1, 0], [2.5, 0]], "{path}: malformed field: path vertex 0 entry [1]"),
+    ("potential", "exp_truncation", [1], "field 'exp_truncation' must be a pair"),
+    ("potential", "exp_truncation", [1, 2, 3], "field 'exp_truncation' must be a pair"),
 ], ids=["potential q null", "potential terms null", "potential d null",
         "potential n null", "potential term without powers", "stokes rows null",
-        "stokes without rows", "state u null", "state without V"])
+        "stokes without rows", "state u null", "state without V", "state u entry [0]",
+        "state u abc", "state V entry of three", "path vertex entry [1]",
+        "potential exp_truncation [1]", "potential exp_truncation [1, 2, 3]"])
 def test_a_malformed_json_field_is_an_error_report(capsys, tmp_path, kind, key, value,
                                                    error):
     # each of these escaped as a traceback with exit 1
@@ -563,11 +569,12 @@ def test_a_malformed_json_field_is_an_error_report(capsys, tmp_path, kind, key, 
         data[key] = value
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    if kind == "state":
-        vpath = tmp_path / "path.json"
-        vpath.write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]]),
-                         encoding="utf-8")
-        argv = [*argv, "--state", str(path), "--path", str(vpath)]
+    if argv[0] == "iso":
+        # the other file of iso integrate is valid
+        other = "path" if kind == "state" else "state"
+        files = {kind: path, other: tmp_path / "other.json"}
+        files[other].write_text(json.dumps(_json_inputs(other)[1]), encoding="utf-8")
+        argv = [*argv, "--state", str(files["state"]), "--path", str(files["path"])]
     else:
         argv = [*argv, str(path)]
     code, report = run_cli(capsys, *argv)
@@ -951,14 +958,19 @@ def test_every_report_is_strict_json(capsys, monkeypatch, argv, status):
         assert data["inputs"]["tol"] == argv[-1][len("--tol="):]
 
 
+def _readme_commands():
+    """The `frobenii` lines of README's command-line block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("frobenii ")]
+
+
 def test_readme_commands_parse():
     # parsed, not run: a renamed flag or subcommand fails here
     import shlex
     from frobenii import cli
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("frobenii ")]
+    lines = _readme_commands()
     assert len(lines) >= 14
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
@@ -967,3 +979,20 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert [args.command, args.action] == argv[:2]
+
+
+def test_every_command_has_a_readme_line():
+    # the reverse of test_readme_commands_parse: a new row of the command
+    # table needs a line in README's block
+    stated = {" ".join(line.split()[1:3]) for line in _readme_commands()}
+    assert {name for name, _ in _subcommands()} <= stated
+
+
+def test_pvi_family_choices_are_the_families():
+    # the parser states the families as a literal, so that building it does
+    # not import painleve; a new family must be added there too
+    from frobenii import cli, painleve
+    _, rows = cli.COMMANDS["pvi"]
+    choices = {keywords["choices"] for _, _, arguments in rows
+               for name, keywords in arguments if name == "family"}
+    assert choices == {tuple(painleve.FAMILIES)}
