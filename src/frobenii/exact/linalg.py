@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from operator import add, itemgetter, neg, sub
 from typing import List, Sequence, Tuple
 
@@ -420,13 +420,15 @@ def eigen_small(M: np.ndarray, tol: float = 1e-9) -> Tuple[List[complex], np.nda
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     lam, vecs = np.linalg.eig(M)
+    # the squared residual norm of each eigenpair against the squared bound;
+    # the square root is taken for the message only
+    R = M @ vecs - vecs * lam
+    resid2 = (R.conj() * R).real.sum(axis=0).tolist()
+    bound = tol * max(1.0, float(np.abs(M).max()))
+    lam = lam.tolist()
     order = _spectrum_order(lam)
-    lam = [complex(lam[k]) for k in order]
-    vecs = vecs[:, order]
-    scale = max(1.0, float(np.abs(M).max()))
-    resid = np.linalg.norm(M @ vecs - vecs * np.array(lam), axis=0)
-    for l, r in zip(lam, resid):
-        if r > tol * scale:
-            raise ArithmeticError(
-                f"eigenpair residual {r:.3e} exceeds tolerance for lambda={l}")
-    return lam, vecs
+    for k in order:
+        if resid2[k] > bound * bound:
+            raise ArithmeticError(f"eigenpair residual {sqrt(resid2[k]):.3e} "
+                                  f"exceeds tolerance for lambda={lam[k]}")
+    return [lam[k] for k in order], vecs.take(order, axis=1)

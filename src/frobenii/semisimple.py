@@ -116,6 +116,14 @@ def _ill_conditioned(message: str, gaps: np.ndarray,
                                     float(np.linalg.cond(vecs)))
 
 
+def _reconstructed_c(Psi: np.ndarray, unity: int) -> np.ndarray:
+    """c_{abg} = sum_i psi_ia psi_ib psi_ig / psi_i1 (3.17), as one matmul:
+    the products psi_ia psi_ib as an (n^2, n) matrix times psi_ig / psi_i1."""
+    n = len(Psi)
+    return ((Psi[:, :, None] * Psi[:, None, :]).reshape(n, n * n).T
+            @ (Psi / Psi[:, unity, None])).reshape(n, n, n)
+
+
 @dataclass
 class CanonicalFrame:
     u: List[complex]
@@ -135,36 +143,36 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
     phase of psi_{i1} put into (-pi/2, pi/2], the tie at -pi/2 flipped.
     Verifies Psi^T Psi = eta and the reconstruction
     c_{abg} = sum_i psi_{ia} psi_{ib} psi_{ig} / psi_{i1} within tol."""
-    n = P.n
     c_low, U, eta = _numeric_tensors(P, t)
     u, vecs = eigen_small(U, tol=tol)
     ua = np.array(u)
     # gaps[i, j] = |u_i - u_j|, the diagonal excluded
-    gaps = np.abs(ua[:, None] - ua[None, :]) + np.diag(np.full(n, np.inf))
-    close = np.argwhere(gaps < COLLISION_MARGIN * max(1.0, float(np.abs(ua).max())))
-    if close.size:
+    gaps = np.abs(ua[:, None] - ua[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    margin = COLLISION_MARGIN * max(1.0, float(np.abs(ua).max()))
+    if gaps.min() < margin:
         # the first pair in row-major order has i < j and is the least such
-        i, j = close[0]
+        i, j = np.argwhere(gaps < margin)[0]
         raise CoalescingEigenvaluesError(
             f"u_{i + 1} and u_{j + 1} within margin at this point")
     # <v, v> = <v o v, e> vanishes exactly when v o v = 0
     ev = eta @ vecs
     norm2 = (vecs * ev).sum(axis=0)
-    if (np.abs(norm2) < 1e-13).any():
+    if any(abs(z) < 1e-13 for z in norm2.tolist()):
         raise CoalescingEigenvaluesError("<v, v> = 0, so v o v = 0: not semisimple")
-    Psi = (ev / np.sqrt(norm2)).T
-    p1 = Psi[:, P.unity_index]
-    if (np.abs(p1) < tol).any():
+    # column i is psi_i before the phase of psi_{i1} is fixed; a flip
+    # multiplies by -1.0, which is exact
+    cols = ev / np.sqrt(norm2)
+    p1 = cols[P.unity_index].tolist()
+    if any(abs(z) < tol for z in p1):
         raise CoalescingEigenvaluesError("psi_{i1} = 0: outside the "
                                          "semisimple chart")
-    Psi[~((p1.real > 0) | ((p1.real == 0) & (p1.imag > 0)))] *= -1
+    Psi = (cols * [1.0 if z.real > 0 or (z.real == 0 and z.imag > 0) else -1.0
+                   for z in p1]).T
     ortho = np.abs(Psi.T @ Psi - eta).max()
     if ortho > tol * max(1.0, np.abs(eta).max()):
         raise _ill_conditioned(f"Psi^T Psi differs from eta by {ortho:.3e}", gaps, vecs)
-    # c reconstruction (3.17): c_{abg} = sum_i psi_ia psi_ib psi_ig / psi_i1
-    crec = np.einsum("ia,ib,ig,i->abg", Psi, Psi, Psi,
-                     1.0 / Psi[:, P.unity_index])
-    cres = float(np.abs(crec - c_low).max())
+    cres = float(np.abs(_reconstructed_c(Psi, P.unity_index) - c_low).max())
     if cres > tol * max(1.0, float(np.abs(c_low).max())):
         raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", gaps, vecs)
     num = P.numeric
@@ -192,8 +200,11 @@ def v_matrices(frame: CanonicalFrame) -> Tuple[np.ndarray, List[np.ndarray]]:
 
 def _inverse_gaps(u: np.ndarray) -> np.ndarray:
     """G_ab = 1/(u_a - u_b) off the diagonal, G_aa = 0."""
-    eye = np.eye(len(u))
-    return (1 - eye) / (u[:, None] - u[None, :] + eye)
+    G = u[:, None] - u[None, :]
+    np.fill_diagonal(G, 1)
+    G = 1 / G
+    np.fill_diagonal(G, 0)
+    return G
 
 
 def _closest_approach(u0: np.ndarray, du: np.ndarray
@@ -246,12 +257,14 @@ class IsoDiagnostics:
     max_order: int  # 0 when the path has no segment of nonzero length
 
 
-def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray, p: int,
-                    bound: float, reach: float) -> Tuple[np.ndarray, np.ndarray]:
+def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray, dg: np.ndarray,
+                    p: int, bound: float, reach: float
+                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients in sigma of V along u + sigma du from V at u, and
     of the tau integrand sum_i du_i H_i, to an order K between p and 2p.
 
     Off the diagonal the gaps G_ab = u_a - u_b move by dg_ab = du_a - du_b,
+    which the caller forms once per segment,
     so 1/(G + sigma dg) has the geometric coefficients rho^k / G with
     rho = -dg/G, and B = V o (1/(G + sigma dg)) (zero on the diagonal) has
     B_k = V_k / G + rho o B_{k-1}.  With A = dg o B this is B_k = D_k / G and
@@ -269,7 +282,6 @@ def _segment_series(V: np.ndarray, u: np.ndarray, du: np.ndarray, p: int,
     coefficients of the tau integrand."""
     n = len(V)
     top = 2 * p
-    dg = du[:, None] - du[None, :]
     inv = _inverse_gaps(u)
     W = dg * inv
     # The commutator sum is one convolution of blocks 2n wide:
@@ -339,6 +351,7 @@ def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
     n = len(V)
     p = _taylor_order(tol)
     powers = np.arange(2 * p + 1)
+    dg = du[:, None] - du[None, :]
     orders: List[int] = []
     s, logtau = 0.0, 0j
     while 1.0 - s > MIN_STEP:
@@ -346,7 +359,7 @@ def _taylor_segment(V: np.ndarray, u0: np.ndarray, du: np.ndarray, tol: float
             raise StepUnderflowError(f"{MAX_SEGMENT_STEPS} Taylor steps without "
                                      f"reaching s=1; stuck at s={s}")
         bound = tol * max(1.0, float(np.abs(V).max()))
-        Vb, T = _segment_series(V, u0 + s * du, du, p, bound, 1.0 - s)
+        Vb, T = _segment_series(V, u0 + s * du, du, dg, p, bound, 1.0 - s)
         K = len(T)
         # c_K and c_{K-1}; tau_{m+1} = T_m / (m + 1)
         last = np.maximum(np.abs(Vb[:2]).reshape(2, -1).max(axis=1),
@@ -487,10 +500,13 @@ def state_to_dict(state: IsoState) -> dict:
 
 
 def _complex(pair, name: str) -> complex:
-    """re + i im of the JSON pair [re, im] in field `name`; any other shape
-    is a TypeError, which the command line reports as a malformed field."""
+    """re + i im of the JSON pair [re, im] in field `name`; any other shape,
+    or a bool for re or im (which complex() would read as 1 or 0), is a
+    TypeError, which the command line reports as a malformed field."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise TypeError(f"{name} entry {pair!r} is not a pair [re, im]")
+    if isinstance(pair[0], bool) or isinstance(pair[1], bool):
+        raise TypeError(f"{name} entry {pair!r} holds a bool, not a number")
     return complex(*pair)
 
 

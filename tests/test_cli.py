@@ -552,12 +552,20 @@ def _json_inputs(kind):
     ("state", "u", "abc", "{path}: malformed field: u entry 'a'"),
     ("state", "V", [[[0, 0, 0]] * 3] * 3, "{path}: malformed field: V entry [0, 0, 0]"),
     ("path", 0, [[1], [1, 0], [2.5, 0]], "{path}: malformed field: path vertex 0 entry [1]"),
+    # complex() read a JSON true or false as 1 or 0: u_1 = 1 collided with u_2
+    ("state", "u", [[True, 0], [1, 0], [2, 0]],
+     "{path}: malformed field: u entry [True, 0] holds a bool"),
+    ("state", "V", [[[0, False]] * 3] * 3, "{path}: malformed field: V entry [0, False]"),
+    ("path", 0, [[0, 0], [1, 0], [2.5, True]],
+     "{path}: malformed field: path vertex 0 entry [2.5, True]"),
     ("potential", "exp_truncation", [1], "field 'exp_truncation' must be a pair"),
     ("potential", "exp_truncation", [1, 2, 3], "field 'exp_truncation' must be a pair"),
 ], ids=["potential q null", "potential terms null", "potential d null",
         "potential n null", "potential term without powers", "stokes rows null",
         "stokes without rows", "state u null", "state without V", "state u entry [0]",
         "state u abc", "state V entry of three", "path vertex entry [1]",
+        "state u entry [true, 0]", "state V entry [0, false]",
+        "path vertex entry [2.5, true]",
         "potential exp_truncation [1]", "potential exp_truncation [1, 2, 3]"])
 def test_a_malformed_json_field_is_an_error_report(capsys, tmp_path, kind, key, value,
                                                    error):

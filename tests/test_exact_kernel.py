@@ -1,6 +1,7 @@
 """Kernel: scalars, exp-polynomials, series, exact/numeric linear algebra."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
@@ -892,6 +893,46 @@ def test_eigen_small_uses_canonical_order():
     lam, vecs = eigen_small(M)
     assert lam == sort_spectrum(lam)
     assert lam[0].imag < 0 < lam[1].imag
+
+
+def _perturbed_eig(monkeypatch, M, columns, size):
+    """np.linalg.eig as eigen_small sees it, with each named eigenvector v
+    moved along a unit w so that its residual ||M v - lambda v|| is `size`;
+    returns the eigenvalues in LAPACK's order."""
+    lam, vecs = np.linalg.eig(M)
+    for j in columns:
+        w = np.ones(len(M)) / np.sqrt(len(M))
+        drift = np.linalg.norm((M - lam[j] * np.eye(len(M))) @ w)
+        vecs[:, j] += size / drift * w
+    monkeypatch.setattr(np.linalg, "eig", lambda _: (lam, vecs))
+    return lam
+
+
+def test_eigen_small_refuses_a_residual_over_tol_and_names_its_lambda(monkeypatch):
+    # tol * max(1, max |M_ij|) = 1e-9 * 3 is the bound on each residual
+    M = np.array([[1.0, 2.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 2.0]], dtype=complex)
+    bound = 1e-9 * 3.0
+    for j in range(3):
+        lam = _perturbed_eig(monkeypatch, M, [j], 1.01 * bound)
+        with pytest.raises(ArithmeticError,
+                           match=rf"^eigenpair residual 3\.0[0-9]{{2}}e-09 exceeds "
+                                 rf"tolerance for lambda={re.escape(str(complex(lam[j])))}$"):
+            eigen_small(M)
+        monkeypatch.undo()
+        _perturbed_eig(monkeypatch, M, [j], 0.99 * bound)
+        got, _ = eigen_small(M)
+        assert got == sort_spectrum(lam)
+        monkeypatch.undo()
+
+
+def test_eigen_small_names_the_first_failing_lambda_in_canonical_order(monkeypatch):
+    # two residuals over tol: the message names the smaller lambda, whatever
+    # LAPACK's order
+    M = np.diag([3.0, 1.0, 2.0]).astype(complex)
+    lam = _perturbed_eig(monkeypatch, M, [0, 2], 1e-6)
+    assert [lam[0].real, lam[2].real] == [3.0, 2.0]
+    with pytest.raises(ArithmeticError, match=r"for lambda=\(2\+0j\)$"):
+        eigen_small(M)
 
 
 def test_polynomial_roots_exact_multiplicities():

@@ -332,7 +332,7 @@ def test_segment_field_is_the_sum_of_commutators(n):
         du = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         want = sum(d * (Vi @ V - V @ Vi) for d, Vi in zip(du, v_components(u, V)))
         want_tau = sum(d * h for d, h in zip(du, hamiltonians(IsoState(u=list(u), V=V))))
-        Vb, T = _segment_series(V, u, du, 13, 1e-10, 1.0)
+        Vb, T = _segment_series(V, u, du, du[:, None] - du[None, :], 13, 1e-10, 1.0)
         scale = max(1.0, float(np.abs(want).max()))
         assert np.array_equal(Vb[-1], V)
         assert np.abs(Vb[-2] - want).max() < 1e-12 * scale
@@ -355,7 +355,7 @@ def test_segment_field_on_a_non_skew_v(n):
         A = V * (du[:, None] - du[None, :]) * G
         want = A @ V - V @ A
         want_tau = 0.5 * du @ (V * V * G).sum(axis=1)
-        Vb, T = _segment_series(V, u, du, 13, 1e-10, 1.0)
+        Vb, T = _segment_series(V, u, du, du[:, None] - du[None, :], 13, 1e-10, 1.0)
         assert np.abs(V + V.T).max() > 0.1
         assert np.abs(Vb[-2] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
         assert abs(T[0] - want_tau) < 1e-12 * max(1.0, abs(want_tau))
@@ -470,7 +470,7 @@ def test_a_non_finite_series_ends_the_first_step(monkeypatch):
     from frobenii.semisimple import StepUnderflowError
     calls = []
 
-    def nan_series(V, u, du, p, bound, reach):
+    def nan_series(V, u, du, dg, p, bound, reach):
         calls.append(reach)
         return np.full((p + 1, len(V), len(V)), np.nan + 0j), np.full(p, np.nan + 0j)
     monkeypatch.setattr(semisimple, "_segment_series", nan_series)
@@ -487,7 +487,7 @@ def test_a_non_finite_tau_increment_ends_the_first_step(monkeypatch):
     from frobenii import semisimple
     from frobenii.semisimple import StepUnderflowError
 
-    def nan_tau_series(V, u, du, p, bound, reach):
+    def nan_tau_series(V, u, du, dg, p, bound, reach):
         Vb = np.zeros((p + 1, len(V), len(V)), dtype=complex)
         Vb[p] = V
         return Vb, np.full(p, np.nan + 0j)
@@ -799,3 +799,44 @@ def test_ill_conditioned_frame_is_a_typed_error(t):
     assert 1e-6 < err.gap < 1e-3
     assert err.condition > 100
     assert "smallest gap" in str(err) and "condition number" in str(err)
+
+
+def test_a_c_reconstruction_miss_is_an_ill_conditioned_frame(monkeypatch):
+    # Psi^T Psi = eta holds, but one c_abg off by 1e-6 misses the
+    # reconstruction (3.17) by that much, against tol * max(1, max |c|)
+    from frobenii import semisimple
+    P, t = catalog("B3"), [0.31 + 0.11j, 0.77 - 0.23j, 1.13 + 0.41j]
+    fr = canonical_coordinates(P, t)
+    numeric_tensors = semisimple._numeric_tensors
+
+    def perturbed(P, t):
+        c_low, U, eta = numeric_tensors(P, t)
+        c_low = c_low.copy()
+        c_low[0, 1, 2] += 1e-6
+        return c_low, U, eta
+    monkeypatch.setattr(semisimple, "_numeric_tensors", perturbed)
+    with pytest.raises(IllConditionedFrameError,
+                       match=r"^c reconstruction residual 1\.000e-06 \(smallest gap") as info:
+        canonical_coordinates(P, t)
+    u = np.array(fr.u)
+    gaps = np.abs(u[:, None] - u[None, :])
+    assert info.value.gap == gaps[gaps > 0].min()
+    assert 1 <= info.value.condition < 1e3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reconstructed_c_is_the_sum_over_the_frame(n):
+    # the matmul form equals sum_i psi_ia psi_ib psi_ig / psi_i1 written out,
+    # to rounding: 16 n eps of the sum of the terms' moduli
+    from frobenii.semisimple import _reconstructed_c
+    rng = np.random.default_rng(n)
+    for unity in range(n):
+        Psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = _reconstructed_c(Psi, unity)
+        for a in range(n):
+            for b in range(n):
+                for g in range(n):
+                    terms = [Psi[i, a] * Psi[i, b] * Psi[i, g] / Psi[i, unity]
+                             for i in range(n)]
+                    bound = 16 * n * np.finfo(float).eps * sum(map(abs, terms))
+                    assert abs(got[a, b, g] - sum(terms)) <= bound
