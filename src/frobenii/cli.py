@@ -11,9 +11,11 @@ measures nothing.  An input or numerical error prints the same object with
 status ERROR, empty results, residuals and metrics, and an "error" key.
 `--csv PATH` additionally writes tabular data where available.
 
-Each `cmd_*` returns an `Outcome`; `main` alone turns it into the report
-and writes its table to `--csv`.  The parser is built from the one table
-`COMMANDS`, so a new command is one `COMMANDS` row plus one `cmd_*`.
+The parser is built from the one table `COMMANDS`: a new command is one
+row (action, handler, arguments) plus its own `cmd_<command>_<action>`.
+The handler calls library functions, which return values, not reports,
+times them with `_timed`, names the results, metric keys and CSV rows
+itself and returns an `Outcome`; `main` alone writes the report and table.
 """
 
 from __future__ import annotations
@@ -91,12 +93,14 @@ def _load(token: str, from_dict, from_catalog):
 
 # -- catalog ----------------------------------------------------------------
 
-def cmd_catalog(args) -> Outcome:
+def cmd_catalog_list(args) -> Outcome:
     from . import frobenius
-    if args.action == "list":
-        return Outcome("PASS", {"potentials": frobenius.CATALOG_NAMES})
-    P = frobenius.catalog(args.name)
-    return Outcome("PASS", frobenius.potential_to_dict(P))
+    return Outcome("PASS", {"potentials": frobenius.CATALOG_NAMES})
+
+
+def cmd_catalog_show(args) -> Outcome:
+    from . import frobenius
+    return Outcome("PASS", frobenius.potential_to_dict(frobenius.catalog(args.name)))
 
 
 # -- wdvv -------------------------------------------------------------------
@@ -127,38 +131,67 @@ def cmd_wdvv_check(args) -> Outcome:
 
 # -- gw ---------------------------------------------------------------------
 
-def cmd_gw(args) -> Outcome:
+def cmd_gw_nk(args) -> Outcome:
     from . import gwcp2
-    if args.action == "nk":
-        results, table = gwcp2.nk_report(args.max)
-        status = "PASS" if results["ode_pde_agree"] else "FAIL"
-    elif args.action == "elliptic":
-        results, table = gwcp2.elliptic_report(args.max)
-        status = "PASS"
-    else:
-        results, table = gwcp2.fit_report(args.max), None
-        status = "PASS" if results["ratio_test_at_log65"] else "FAIL"
-    return Outcome(status, results, metrics=results.pop("metrics"), table=table)
+    metrics = {}
+    N = _timed(metrics, "ode_s", gwcp2.genus0_numbers, args.max)
+    M = _timed(metrics, "kontsevich_s", gwcp2.kontsevich_numbers, args.max)
+    metrics["max_bits"] = max(n.bit_length() for n in N)
+    rows = gwcp2.genus0_rows(N)
+    table = [{"k": r.k, "N_k": r.N, "A_k": f"{float(r.A):.12e}",
+              "ratio": "" if prev is None else f"{float(r.A / prev.A):.9f}"}
+             for prev, r in zip([None] + rows, rows)]
+    return Outcome("PASS" if N == M else "FAIL",
+                   {"N": {r.k: r.N for r in rows}, "ode_pde_agree": N == M,
+                    "checked_range": [1, args.max]}, metrics=metrics, table=table)
+
+
+def cmd_gw_elliptic(args) -> Outcome:
+    from . import gwcp2
+    metrics = {}
+    A = _timed(metrics, "ode_s", gwcp2.genus0_coefficients, args.max)
+    num, den = gwcp2.psi_parts(A)
+    psi = _timed(metrics, "triangular_s", num.divide_triangular, den)
+    rows = gwcp2.elliptic_rows(psi, _timed(metrics, "neumann_s", num.divide_neumann, den))
+    metrics["max_bits"] = psi.bit_height()
+    return Outcome("PASS", {"N1": {r.k: r.N1 for r in rows}, "psi_constant_term": "-1/8"},
+                   metrics=metrics, table=[{"k": r.k, "N1_k": r.N1} for r in rows])
+
+
+def cmd_gw_fit(args) -> Outcome:
+    from . import gwcp2
+    metrics = {}
+    N = _timed(metrics, "ode_s", gwcp2.genus0_numbers, args.max)
+    a_hat, b_hat, r_hat, ratio, bound = _timed(metrics, "fit_s", gwcp2.fit_values, N)
+    metrics["max_bits"] = max(n.bit_length() for n in N)
+    return Outcome("PASS" if bound else "FAIL",
+                   {"a_hat": a_hat, "b_hat": b_hat, "R_hat": r_hat,
+                    "tail_ratio": ratio, "ratio_test_at_log65": bound}, metrics=metrics)
 
 
 # -- stokes -------------------------------------------------------------------
 
-def cmd_stokes(args) -> Outcome:
+def cmd_stokes_orbit(args) -> Outcome:
     from . import stokes
-    if args.action == "cp2-monodromy":
-        rep = stokes.cp2_modular_check()
-        return Outcome("PASS" if rep.passed else "FAIL", {
-            "T0^3 = -1": rep.t0_cubed_is_minus_one,
-            "conjugation identities": rep.conjugation_identities,
-            "quadratic form preserved": rep.form_preserved,
-            "B^3 = 1": rep.b_cubed_is_one})
-    if args.action == "orbit" and args.max_size is None:
+    if args.max_size is None:
         args.max_size = stokes.DEFAULT_ORBIT_CAP    # stated by every report
     S = _load(args.target, stokes.stokes_from_dict, stokes.stokes_catalog)
-    if args.action == "orbit":
-        results = stokes.orbit_report(stokes.orbit(S, max_size=args.max_size),
-                                      args.max_size)
-        return Outcome("PASS", results, metrics=results.pop("metrics"))
+    metrics = {}
+    res = _timed(metrics, "bfs_s", stokes.orbit, S, args.max_size)
+    metrics.update(steps=res.steps, images=res.images, levels=res.levels,
+                   max_bits=res.max_bits)
+    results = {"cap": args.max_size}
+    if res.finite:
+        results["size"] = res.size
+    else:
+        results.update(exceeded=True, visited=res.size, frontier=res.frontier)
+    results["representatives"] = [stokes.stokes_to_dict(R) for R in res.representatives[:8]]
+    return Outcome("PASS", results, metrics=metrics)
+
+
+def cmd_stokes_braid(args) -> Outcome:
+    from . import stokes
+    S = _load(args.target, stokes.stokes_from_dict, stokes.stokes_catalog)
     img = stokes.braid_apply(S, args.word)
     can = stokes.canonical_form(img)
     results = {"image": stokes.stokes_to_dict(img),
@@ -168,33 +201,47 @@ def cmd_stokes(args) -> Outcome:
     return Outcome("PASS", results)
 
 
+def cmd_stokes_cp2_monodromy(args) -> Outcome:
+    from . import stokes
+    rep = stokes.cp2_modular_check()
+    return Outcome("PASS" if rep.passed else "FAIL", {
+        "T0^3 = -1": rep.t0_cubed_is_minus_one,
+        "conjugation identities": rep.conjugation_identities,
+        "quadratic form preserved": rep.form_preserved,
+        "B^3 = 1": rep.b_cubed_is_one})
+
+
 # -- pvi ----------------------------------------------------------------------
 
-def cmd_pvi(args) -> Outcome:
+def cmd_pvi_verify(args) -> Outcome:
+    from . import painleve
+    from .exact.linalg import check_tol
+    fam = painleve.FAMILIES[args.family]
+    check_tol(args.tol)
+    metrics = {}
+    grid = _timed(metrics, "grid_s", painleve.sample_parameters, fam, args.samples)
+    rows = _timed(metrics, "residual_s", painleve.residual_table, fam, grid)
+    worst = max(row[3] for row in rows)
+    metrics.update(samples=len(rows),
+                   num_bits=max(row[4].bit_length() for row in rows),
+                   den_bits=max(row[5].bit_length() for row in rows))
+    return Outcome("PASS" if worst < args.tol else "FAIL",
+                   {"family": fam.name, "mu": str(fam.mu1),
+                    "samples": args.samples, "max_residual": worst},
+                   {"max_residual": worst}, metrics,
+                   [{"s": str(s), "x": float(x), "y": float(y), "residual": r}
+                    for s, x, y, r, _, _ in rows])
+
+
+def cmd_pvi_integrate(args) -> Outcome:
     from . import painleve
     fam = painleve.FAMILIES[args.family]
-    if args.action == "verify":
-        from .exact.linalg import check_tol
-        check_tol(args.tol)
-        metrics = {}
-        grid = _timed(metrics, "grid_s", painleve.sample_parameters, fam, args.samples)
-        rows = _timed(metrics, "residual_s", painleve.residual_table, fam, grid)
-        worst = max(row[3] for row in rows)
-        metrics.update(samples=len(rows),
-                       num_bits=max(row[4].bit_length() for row in rows),
-                       den_bits=max(row[5].bit_length() for row in rows))
-        return Outcome("PASS" if worst < args.tol else "FAIL",
-                       {"family": fam.name, "mu": str(fam.mu1),
-                        "samples": args.samples, "max_residual": worst},
-                       {"max_residual": worst}, metrics,
-                       [{"s": str(s), "x": float(x), "y": float(y), "residual": r}
-                        for s, x, y, r, _, _ in rows])
     s0, s1 = Fraction(args.s0), Fraction(args.s1)
     x0, xs0, _ = fam.x.jet(s0)
     y0, ys0, _ = fam.y.jet(s0)
     x1, y1 = fam.x(s1), fam.y(s1)
     pt = painleve.PviPoint(fam.mu1, complex(x0), complex(y0), complex(ys0 / xs0))
-    from . import semisimple  # noqa: F401  (loaded before the clock starts, as in cmd_iso)
+    from . import semisimple  # noqa: F401  (loaded before the clock starts, as in cmd_iso_integrate)
     metrics = {}
     end, diag = _timed(metrics, "integrate_s", painleve.pvi_integrate,
                        pt, complex(x1), args.tol)
@@ -210,7 +257,7 @@ def cmd_pvi(args) -> Outcome:
 
 # -- iso ----------------------------------------------------------------------
 
-def cmd_iso(args) -> Outcome:
+def cmd_iso_integrate(args) -> Outcome:
     from . import semisimple
     state = _read_json(args.state, semisimple.state_from_dict)
     path = _read_json(args.path, semisimple.path_from_list)
@@ -232,7 +279,7 @@ def cmd_iso(args) -> Outcome:
 
 # -- sing ---------------------------------------------------------------------
 
-def cmd_sing(args) -> Outcome:
+def cmd_sing_an(args) -> Outcome:
     from . import frobenius, singularity
     subs = singularity.flat_coordinates(args.n)
     metrics = {}
@@ -261,8 +308,8 @@ _TARGET = ("target", {})
 
 COMMANDS = {
     "catalog": ("embedded WDVV solutions", [
-        ("list", cmd_catalog, []),
-        ("show", cmd_catalog,
+        ("list", cmd_catalog_list, []),
+        ("show", cmd_catalog_show,
          [("name", {"help": "catalog name; CP2(K) is CP2 truncated at order K"})]),
     ]),
     "wdvv": ("WDVV checks", [
@@ -270,27 +317,27 @@ COMMANDS = {
          [("target", {"help": "catalog name or potential JSON file"})]),
     ]),
     "gw": ("Gromov-Witten tables", [
-        ("nk", cmd_gw, [_MAX, _CSV]),
-        ("elliptic", cmd_gw, [_MAX, _CSV]),
-        ("fit", cmd_gw, [_MAX]),        # the fit has no table
+        ("nk", cmd_gw_nk, [_MAX, _CSV]),
+        ("elliptic", cmd_gw_elliptic, [_MAX, _CSV]),
+        ("fit", cmd_gw_fit, [_MAX]),        # the fit has no table
     ]),
     "stokes": ("Stokes matrices and braid orbits", [
-        ("orbit", cmd_stokes, [_TARGET, ("--max-size", {"type": int})]),
-        ("braid", cmd_stokes, [_TARGET, ("--word", {"required": True})]),
-        ("cp2-monodromy", cmd_stokes, []),
+        ("orbit", cmd_stokes_orbit, [_TARGET, ("--max-size", {"type": int})]),
+        ("braid", cmd_stokes_braid, [_TARGET, ("--word", {"required": True})]),
+        ("cp2-monodromy", cmd_stokes_cp2_monodromy, []),
     ]),
     "pvi": ("Painleve VI", [
-        ("verify", cmd_pvi,
+        ("verify", cmd_pvi_verify,
          [_FAMILY, ("--samples", {"type": int, "default": 50}), _TOL, _CSV]),
-        ("integrate", cmd_pvi,
+        ("integrate", cmd_pvi_integrate,
          [_FAMILY, ("--s0", {"required": True}), ("--s1", {"required": True}), _TOL]),
     ]),
     "iso": ("isomonodromic integration", [
-        ("integrate", cmd_iso,
+        ("integrate", cmd_iso_integrate,
          [("--state", {"required": True}), ("--path", {"required": True}), _TOL]),
     ]),
     "sing": ("singularity constructions", [
-        ("an", cmd_sing, [("--n", {"type": int, "required": True})]),
+        ("an", cmd_sing_an, [("--n", {"type": int, "required": True})]),
     ]),
 }
 

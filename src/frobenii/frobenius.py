@@ -125,12 +125,14 @@ class Tensors(NamedTuple):
 
 
 class Numeric(NamedTuple):
-    """A potential in floating point, as read-only arrays: eta; mu_a =
+    """A potential in floating point, as read-only arrays: eta and the scale
+    max(1, max |eta_ab|) of the frame check Psi^T Psi = eta; mu_a =
     q_a - d/2 exact and as floats; and the distinct monomials
     t^powers[k] exp(weights[k] . t) of the c_abg and of U^a_b = E^e c_eb^a,
     which the (n^3 + n^2, T) matrix scatter, the exact coefficients in place,
     sums into c_abg flattened in (a, b, g) followed by U flattened in (a, b)."""
     eta: np.ndarray
+    eta_scale: float
     mu: Tuple[Fraction, ...]
     mu_float: np.ndarray
     powers: np.ndarray
@@ -220,7 +222,8 @@ def numeric_lowering(P: FrobeniusPotential) -> Numeric:
               np.array([exps for _, exps in column], dtype=float), scatter]
     for arr in arrays:
         arr.flags.writeable = False
-    return Numeric(arrays[0], mu, *arrays[1:])
+    eta = arrays[0]
+    return Numeric(eta, max(1.0, float(np.abs(eta).max())), mu, *arrays[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact.exppoly import ExpPolynomial
 from .exact.scalars import QuadScalar
@@ -121,7 +120,8 @@ class Genus0Row:
     A: Fraction
 
 
-def _genus0_rows(N: Sequence[int]) -> List[Genus0Row]:
+def genus0_rows(N: Sequence[int]) -> List[Genus0Row]:
+    """Table of (k, N_k, A_k) for the numbers N_1..N_K."""
     return [Genus0Row(k=k, N=n, A=a)
             for k, (n, a) in enumerate(zip(N, _coefficients(N)), start=1)]
 
@@ -130,10 +130,10 @@ def genus0_invariants(K: int) -> List[Genus0Row]:
     """Table of (k, N_k, A_k) from the ODE route; raises IntegralityError if
     some N_k is not a positive integer (which would signal an
     implementation bug)."""
-    return _genus0_rows(genus0_numbers(K))
+    return genus0_rows(genus0_numbers(K))
 
 
-def _psi_parts(A: Sequence[Fraction]) -> Tuple[GWSeries, GWSeries]:
+def psi_parts(A: Sequence[Fraction]) -> Tuple[GWSeries, GWSeries]:
     """Numerator phi''' - 27 and denominator 8 (27 + 2 phi' - 3 phi'') of psi
     for phi = sum A_k e^{kx}, truncated at K = len(A)."""
     d1 = GWSeries(len(A), A).diff()
@@ -145,7 +145,7 @@ def elliptic_series(K: int, route: str = "triangular") -> GWSeries:
     """psi = (phi''' - 27) / (8 (27 + 2 phi' - 3 phi'')) truncated at K."""
     if route not in ("triangular", "neumann"):
         raise ValueError("route must be 'triangular' or 'neumann'")
-    num, den = _psi_parts(genus0_coefficients(K))
+    num, den = psi_parts(genus0_coefficients(K))
     return num.divide_triangular(den) if route == "triangular" else num.divide_neumann(den)
 
 
@@ -155,35 +155,21 @@ class EllipticRow:
     N1: int
 
 
-def _timed(metrics: Dict[str, float], key: str, fn, *args):
-    """fn(*args), its seconds stored as metrics[key]."""
-    t0 = time.perf_counter()
-    out = fn(*args)
-    metrics[key] = time.perf_counter() - t0
-    return out
-
-
-def _elliptic_rows(A: Sequence[Fraction], metrics: Dict[str, float]) -> List[EllipticRow]:
-    """N^(1)_1..N^(1)_K from the genus-0 coefficients A: psi by both division
-    routes on one numerator and denominator, cross-checked; the seconds of
-    each route and the bit height of psi go into metrics.
-
-    Unlike the exact division of the genus-0 recursion, the integrality of
-    N^(1)_k does catch a wrong genus-0 input: shifting any N_i, i <= 12, by
-    -1, +1 or +2 raises IntegralityError."""
-    num, den = _psi_parts(A)
-    psi_a = _timed(metrics, "triangular_s", num.divide_triangular, den)
-    psi_b = _timed(metrics, "neumann_s", num.divide_neumann, den)
-    if psi_a != psi_b:
+def elliptic_rows(psi: GWSeries, check: GWSeries) -> List[EllipticRow]:
+    """N^(1)_1..N^(1)_K from psi = -1/8 + sum k N_k^{(1)} / (3k)! e^{kx} as
+    divided by the triangular route (psi) and by the Neumann route (check),
+    which must agree.  Unlike the exact division of the genus-0 recursion,
+    the integrality of N^(1)_k does catch a wrong genus-0 input: shifting
+    any N_i, i <= 12, by -1, +1 or +2 raises IntegralityError."""
+    if psi != check:
         raise ArithmeticError("the two series-division routes disagree")
-    if psi_a.c0 != Fraction(-1, 8):
-        raise ArithmeticError(f"constant term of psi is {psi_a.c0}, not -1/8")
-    metrics["max_bits"] = psi_a.bit_height()
+    if psi.c0 != Fraction(-1, 8):
+        raise ArithmeticError(f"constant term of psi is {psi.c0}, not -1/8")
     rows = []
     f = 1                                   # (3k)!
-    for k in range(1, len(A) + 1):
+    for k in range(1, psi.order + 1):
         f *= (3 * k - 2) * (3 * k - 1) * 3 * k
-        val = psi_a[k] * f / k
+        val = psi[k] * f / k
         if val.denominator != 1:
             raise IntegralityError(f"N^(1)_{k} = {val} is not an integer")
         rows.append(EllipticRow(k=k, N1=int(val)))
@@ -191,10 +177,11 @@ def _elliptic_rows(A: Sequence[Fraction], metrics: Dict[str, float]) -> List[Ell
 
 
 def elliptic_invariants(K: int) -> List[EllipticRow]:
-    """Elliptic GW numbers N_k^{(1)} from
-    psi = -1/8 + sum k N_k^{(1)} / (3k)! e^{kx}; integrality enforced and the
-    two series-division routes cross-checked."""
-    return _elliptic_rows(genus0_coefficients(K), {})
+    """Elliptic GW numbers N_k^{(1)} from the genus-0 coefficients: psi by
+    both division routes on one numerator and denominator, cross-checked,
+    and integrality enforced."""
+    num, den = psi_parts(genus0_coefficients(K))
+    return elliptic_rows(num.divide_triangular(den), num.divide_neumann(den))
 
 
 def _fit(A: Sequence[Fraction]) -> Tuple[float, float, float]:
@@ -230,6 +217,14 @@ def _ratio_test(A: Sequence[Fraction], x: float | None) -> bool:
     return True
 
 
+def fit_values(N: Sequence[int]) -> Tuple[float, float, float, float, bool]:
+    """On one computation of A_1..A_K from N_1..N_K: (a_hat, b_hat, R_hat)
+    of the asymptotic fit, the tail ratio A_K/A_{K-1} and the ratio test at
+    log(6/5) - 0.01."""
+    A = _coefficients(N)
+    return (*_fit(A), float(A[-1] / A[-2]), _ratio_test(A, None))
+
+
 def truncated_potential(K: int) -> FrobeniusPotential:
     """F = 1/2 t1^2 t3 + 1/2 t1 t2^2 + sum_{k<=K} N_k/(3k-1)! t3^{3k-1} e^{k t2},
     with q = (0,1,2), r = (0,3,0), d = 2; exact checks on it run modulo
@@ -247,66 +242,3 @@ def truncated_potential(K: int) -> FrobeniusPotential:
         q=(Fraction(0), Fraction(1), Fraction(2)),
         r=(Fraction(0), Fraction(3), Fraction(0)),
         name=f"CP2({K})", exp_truncation=(1, K))
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-def _genus0_table(rows: Sequence[Genus0Row]) -> List[dict]:
-    out = []
-    prev = None
-    for row in rows:
-        out.append({
-            "k": row.k,
-            "N_k": row.N,
-            "A_k": f"{float(row.A):.12e}",
-            "ratio": "" if prev is None else f"{float(row.A / prev):.9f}",
-        })
-        prev = row.A
-    return out
-
-
-def nk_report(K: int) -> Tuple[dict, List[dict]]:
-    """Results of `gw nk` (N_k by the ODE route, every k checked against
-    Kontsevich's recursion, seconds per route, bit length of the largest
-    N_k) and the genus-0 table rows (k, N_k, A_k, ratio)."""
-    metrics: Dict[str, float] = {}
-    N = _timed(metrics, "ode_s", genus0_numbers, K)
-    M = _timed(metrics, "kontsevich_s", kontsevich_numbers, K)
-    metrics["max_bits"] = max(n.bit_length() for n in N)
-    rows = _genus0_rows(N)
-    return {"N": {r.k: r.N for r in rows},
-            "ode_pde_agree": N == M,
-            "checked_range": [1, K],
-            "metrics": metrics}, _genus0_table(rows)
-
-
-def elliptic_report(K: int) -> Tuple[dict, List[dict]]:
-    """Results of `gw elliptic` (N^(1)_k, seconds of the genus-0 route and of
-    both division routes, bit height of psi) and the rows (k, N1_k)."""
-    metrics: Dict[str, float] = {}
-    A = _timed(metrics, "ode_s", genus0_coefficients, K)
-    rows = _elliptic_rows(A, metrics)
-    return {"N1": {r.k: r.N1 for r in rows},
-            "psi_constant_term": "-1/8",
-            "metrics": metrics}, [{"k": r.k, "N1_k": r.N1} for r in rows]
-
-
-def fit_report(K: int) -> dict:
-    """Results of `gw fit`: asymptotic fit, tail ratio and ratio test on one
-    computation of A_1..A_K, with the seconds of the genus-0 route and of
-    the fit and the bit length of the largest N_k."""
-    metrics: Dict[str, float] = {}
-    N = _timed(metrics, "ode_s", genus0_numbers, K)
-    t0 = time.perf_counter()
-    A = _coefficients(N)
-    a_hat, b_hat, r_hat = _fit(A)
-    ratio = float(A[-1] / A[-2])
-    bound = _ratio_test(A, None)
-    metrics["fit_s"] = time.perf_counter() - t0
-    metrics["max_bits"] = max(n.bit_length() for n in N)
-    return {"a_hat": a_hat, "b_hat": b_hat, "R_hat": r_hat,
-            "tail_ratio": ratio, "ratio_test_at_log65": bound,
-            "metrics": metrics}
-

@@ -445,30 +445,24 @@ def reconstruct_psi(state: QpkState, mu1) -> np.ndarray:
     """Psi columns from (q, p, k): with B_i = P(q) p^2 + 2 mu P(q)/(q-u_i) p
     + mu^2 (q + 2 u_i - sum u_j),
 
-        psi_{i1} psi_{i3} = -(q - u_i) B_i / (2 mu^2 P'(u_i))
         psi_{i3}^2        = -k (q - u_i) / P'(u_i)
-        psi_{i1}^2        = -(q - u_i) B_i^2 / (4 mu^4 k P'(u_i))
+        psi_{i1} psi_{i3} = -(q - u_i) B_i / (2 mu^2 P'(u_i))
+                          = psi_{i3}^2 B_i / (2 mu^2 k),
 
-    and the middle column from the +i cross-product convention."""
+    so psi_{i1} = psi_{i3} B_i / (2 mu^2 k), and the middle column from the
+    +i cross-product convention.  At q = u_i the term P(q)/(q - u_i) of B_i
+    raises ZeroDivisionError, so psi_{i3} is never 0 here."""
     import numpy as np
     u = state.u
     mu1 = complex(mu1)
     k = np.exp(state.logk)
     P, Pp = _cubic(u)
     q, p = state.q, state.p
-    usum = sum(u)
-    psi1 = np.zeros(3, dtype=complex)
-    psi3 = np.zeros(3, dtype=complex)
-    for i in range(3):
-        B = P(q) * p * p + 2 * mu1 * P(q) / (q - u[i]) * p \
-            + mu1 ** 2 * (q + 2 * u[i] - usum)
-        pr13 = -(q - u[i]) / (2 * mu1 ** 2 * Pp(u[i])) * B
-        sq3 = -k * (q - u[i]) / Pp(u[i])
-        sq1 = -(q - u[i]) / (4 * mu1 ** 4 * k * Pp(u[i])) * B * B
-        if abs(sq1 * sq3 - pr13 ** 2) > 1e-6 * max(1.0, abs(pr13) ** 2):
-            raise ArithmeticError("inconsistent squares in the psi reconstruction")
-        psi3[i] = np.sqrt(sq3)
-        psi1[i] = pr13 / psi3[i] if psi3[i] != 0 else np.sqrt(sq1)
+    Pq, usum = P(q), sum(u)
+    B = [Pq * p * p + 2 * mu1 * Pq / (q - ui) * p + mu1 ** 2 * (q + 2 * ui - usum)
+         for ui in u]
+    psi3 = np.sqrt([-k * (q - ui) / Pp(ui) for ui in u])
+    psi1 = psi3 * B / (2 * mu1 ** 2 * k)
     return np.column_stack([psi1, 1j * np.cross(psi1, psi3), psi3])
 
 

@@ -169,13 +169,13 @@ def canonical_coordinates(P: FrobeniusPotential, t: Sequence[complex],
                                          "semisimple chart")
     Psi = (cols * [1.0 if z.real > 0 or (z.real == 0 and z.imag > 0) else -1.0
                    for z in p1]).T
+    num = P.numeric
     ortho = np.abs(Psi.T @ Psi - eta).max()
-    if ortho > tol * max(1.0, np.abs(eta).max()):
+    if ortho > tol * num.eta_scale:
         raise _ill_conditioned(f"Psi^T Psi differs from eta by {ortho:.3e}", gaps, vecs)
     cres = float(np.abs(_reconstructed_c(Psi, P.unity_index) - c_low).max())
     if cres > tol * max(1.0, float(np.abs(c_low).max())):
         raise _ill_conditioned(f"c reconstruction residual {cres:.3e}", gaps, vecs)
-    num = P.numeric
     return CanonicalFrame(u=u, Psi=Psi, mu=list(num.mu), mu_float=num.mu_float,
                           eta=eta, c_residual=cres)
 

@@ -17,7 +17,6 @@ QuadScalars appear only in `S[i, j]`, `upper()` and `triple()`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -285,7 +284,6 @@ class OrbitResult:
     frontier: int = 0
     levels: List[int] = field(default_factory=list)   # nodes first reached per BFS level
     max_bits: Dict[str, int] = field(default_factory=dict)   # of |p|, |q|, d seen
-    elapsed_s: float = 0.0
     steps: int = 0     # braid letters tried: 2(n-1) per node expanded
     images: int = 0    # braid images formed: steps minus the skipped inverses
 
@@ -310,7 +308,6 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     `images` counts the braid images formed."""
     if max_size < 1:
         raise ValueError(f"orbit cap must be at least 1, got {max_size}")
-    t0 = time.perf_counter()
     n, m = S.n, S.m
     plans = [_flat_plan(n, g * e) for g in range(1, n) for e in (1, -1)]
     # the plan index skipped on a node reached by plans[a]; -1 skips nothing
@@ -329,7 +326,7 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
         flat = list(chain.from_iterable(seen))
         bits = {f: _max_bits(flat[k::3]) for k, f in enumerate("pqd")}
         return OrbitResult(finite, size, reps, frontier_size, levels, bits,
-                           time.perf_counter() - t0, steps, steps - skipped)
+                           steps, steps - skipped)
 
     while frontier:
         nxt, nxt_skips = [], []
@@ -611,16 +608,3 @@ def stokes_from_dict(data: dict) -> StokesMatrix:
     _field_of(chain.from_iterable(rows), data.get("m"))
     return StokesMatrix(rows)
 
-
-def orbit_report(result: OrbitResult, cap: int) -> dict:
-    out: dict = {"cap": cap}
-    if result.finite:
-        out["size"] = result.size
-    else:
-        out["exceeded"] = True
-        out["visited"] = result.size
-        out["frontier"] = result.frontier
-    out["representatives"] = [stokes_to_dict(S) for S in result.representatives[:8]]
-    out["metrics"] = {"bfs_s": result.elapsed_s, "steps": result.steps,
-                      "images": result.images, "levels": result.levels, "max_bits": result.max_bits}
-    return out

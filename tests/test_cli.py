@@ -310,6 +310,12 @@ def test_gw_fit(capsys):
     assert 0.1 < data["results"]["a_hat"] < 0.2
 
 
+def test_gw_fit_needs_twenty_coefficients(capsys):
+    code, data = run_cli(capsys, "gw", "fit", "--max", "19")
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["error"] == "asymptotic fit needs K >= 20"
+
+
 def test_gw_fit_csv_is_a_usage_error(capsys, tmp_path):
     # the fit has no table, so it takes no --csv
     path = tmp_path / "fit.csv"
@@ -994,6 +1000,24 @@ def test_every_command_has_a_readme_line():
     # table needs a line in README's block
     stated = {" ".join(line.split()[1:3]) for line in _readme_commands()}
     assert {name for name, _ in _subcommands()} <= stated
+
+
+def test_every_command_row_has_its_own_handler():
+    from frobenii import cli
+    handlers = [handler for _, rows in cli.COMMANDS.values() for _, handler, _ in rows]
+    assert len(set(handlers)) == len(handlers)
+
+
+def test_only_the_report_reads_the_action():
+    # a handler serves one row of the command table, so it never switches
+    # on args.action; only _report states it
+    import ast
+    from frobenii import cli
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "action"}
+    assert readers == {"_report"}
 
 
 def test_pvi_family_choices_are_the_families():

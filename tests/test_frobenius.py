@@ -545,7 +545,9 @@ def test_numeric_lowering_is_cached_and_read_only():
     assert np.array_equal(num.eta, [[complex(x) for x in r] for r in P.tensors.eta.rows])
     assert num.mu == tuple(P.mu())
     assert num.mu_float.tolist() == [float(m) for m in P.mu()]
-    assert num._fields == ("eta", "mu", "mu_float", "powers", "weights", "scatter")
+    assert num.eta_scale == max(1.0, float(np.abs(num.eta).max()))
+    assert num._fields == ("eta", "eta_scale", "mu", "mu_float", "powers", "weights",
+                           "scatter")
     for arr in num:
         if isinstance(arr, np.ndarray):
             with pytest.raises(ValueError):

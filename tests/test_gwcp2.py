@@ -1,6 +1,8 @@
 """Gromov-Witten numbers of the plane: recursions, elliptic series,
 asymptotics, truncated potential."""
 
+import csv
+import json
 import math
 from fractions import Fraction as F
 
@@ -9,16 +11,36 @@ import pytest
 from frobenii.exact import GWSeries, QuadScalar
 from frobenii.frobenius import check_wdvv1, origin_monodromy
 from frobenii import gwcp2
+from frobenii.cli import main
 from frobenii.gwcp2 import (
     IntegralityError, _ode_next, _ratio_test, elliptic_invariants,
-    elliptic_report, elliptic_series, fit_report, genus0_coefficients,
+    elliptic_rows, elliptic_series, fit_values, genus0_coefficients,
     genus0_coefficients_pde, genus0_invariants, genus0_numbers,
-    kontsevich_numbers, nk_report, asymptotic_fit,
+    kontsevich_numbers, asymptotic_fit, psi_parts,
     truncated_potential,
 )
 
 KNOWN_N = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
 KNOWN_N1 = {1: 0, 2: 0, 3: 1, 4: 225, 5: 87192}
+
+
+def _gw(capsys, action, K, csv_path=None):
+    """The results of `gw <action> --max K` and the rows its --csv wrote."""
+    argv = ["gw", action, "--max", str(K)]
+    if csv_path is not None:
+        argv += ["--csv", str(csv_path)]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    if csv_path is None:
+        return results
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        return results, list(csv.DictReader(fh))
+
+
+def _quotients(N):
+    """psi by the triangular and the Neumann route from N_1..N_K."""
+    num, den = psi_parts(gwcp2._coefficients(N))
+    return num.divide_triangular(den), num.divide_neumann(den)
 
 
 def test_first_numbers():
@@ -73,18 +95,22 @@ def test_ode_route_rejects_a_non_positive_number():
         _ode_next([0])
 
 
-def test_genus0_built_once_per_call(monkeypatch):
+def test_genus0_built_once_per_call(capsys, monkeypatch):
     calls = []
     real = gwcp2.genus0_numbers
     monkeypatch.setattr(gwcp2, "genus0_numbers", lambda K: calls.append(K) or real(K))
-    for build in (gwcp2.elliptic_invariants, gwcp2.fit_report,
-                  gwcp2.nk_report, gwcp2.elliptic_report):
+    elliptic_invariants(24)
+    assert calls == [24]
+    for action in ("fit", "nk", "elliptic"):
         calls.clear()
-        build(24)
-        assert calls == [24], build.__name__
+        assert main(["gw", action, "--max", "24"]) == 0
+        capsys.readouterr()
+        assert calls == [24], action
 
 
-@pytest.mark.parametrize("build", [asymptotic_fit, fit_report])
+@pytest.mark.parametrize("build", [asymptotic_fit,
+                                   lambda K: fit_values(genus0_numbers(K))],
+                         ids=["asymptotic_fit", "fit_values"])
 def test_fit_needs_twenty_coefficients(build):
     # both callers reach the one check in the fit itself
     with pytest.raises(ValueError, match=r"asymptotic fit needs K >= 20"):
@@ -121,7 +147,22 @@ def test_elliptic_integrality_rejects_a_wrong_genus0_number(shift):
     for i in range(12):
         wrong = N[:i] + [N[i] + shift] + N[i + 1:]
         with pytest.raises(IntegralityError):
-            gwcp2._elliptic_rows(gwcp2._coefficients(wrong), {})
+            elliptic_rows(*_quotients(wrong))
+
+
+def test_elliptic_rows_refuse_routes_that_disagree():
+    psi, check = _quotients(genus0_numbers(6))
+    assert [r.N1 for r in elliptic_rows(psi, check)] == [0, 0, 1, 225, 87192, 57435240]
+    with pytest.raises(ArithmeticError, match="the two series-division routes disagree"):
+        elliptic_rows(psi, check + GWSeries(6, [0] * 5 + [1]))
+
+
+def test_elliptic_rows_refuse_a_constant_term_other_than_minus_one_eighth():
+    psi, _ = _quotients(genus0_numbers(6))
+    shifted = psi + F(1, 8)
+    assert shifted.c0 == 0
+    with pytest.raises(ArithmeticError, match="constant term of psi is 0, not -1/8"):
+        elliptic_rows(shifted, shifted)
 
 
 def test_division_routes_cross_check():
@@ -136,19 +177,19 @@ def test_asymptotic_fit_window():
     assert 1.8 <= r_hat <= 2.2              # R ~ 1.981 within 10%
 
 
-def test_ratio_tail_near_di_constant():
-    r = fit_report(40)["tail_ratio"]
+def test_ratio_tail_near_di_constant(capsys):
+    r = _gw(capsys, "fit", 40)["tail_ratio"]
     A = genus0_coefficients(40)
     assert r == float(A[-1] / A[-2])
     assert abs(r - 0.138) < 0.0138
 
 
-def test_convergence_bound():
+def test_convergence_bound(capsys):
     A = genus0_coefficients(30)
     assert _ratio_test(A, 0.0)
     assert _ratio_test(A, None)             # at log(6/5) - 0.01
     assert not _ratio_test(A, 2.5)          # beyond the radius
-    assert fit_report(30)["ratio_test_at_log65"] is True
+    assert _gw(capsys, "fit", 30)["ratio_test_at_log65"] is True
 
 
 def test_truncated_potential_k1_term():
@@ -185,15 +226,16 @@ def test_cp2_origin_monodromy_example():
     assert mono.R1 == ExactMatrix([[0, 0, 0], [3, 0, 0], [0, 3, 0]])
 
 
-def test_csv_table():
-    # the rows `gw nk` and `gw elliptic` hand to `--csv`, one dict per line
-    rows = nk_report(4)[1]
+def test_csv_table(capsys, tmp_path):
+    # the rows `gw nk` and `gw elliptic` write to `--csv`, one dict per line
+    _, rows = _gw(capsys, "nk", 4, tmp_path / "nk.csv")
     assert list(rows[0]) == ["k", "N_k", "A_k", "ratio"]
     assert len(rows) == 4
-    assert rows[0]["N_k"] == 1 and rows[0]["ratio"] == ""
-    assert rows[2]["N_k"] == 12
-    rows = elliptic_report(4)[1]
-    assert [(r["k"], r["N1_k"]) for r in rows] == [(1, 0), (2, 0), (3, 1), (4, 225)]
+    assert rows[0]["N_k"] == "1" and rows[0]["ratio"] == ""
+    assert rows[2]["N_k"] == "12"
+    _, rows = _gw(capsys, "elliptic", 4, tmp_path / "ell.csv")
+    assert [(r["k"], r["N1_k"]) for r in rows] == [("1", "0"), ("2", "0"), ("3", "1"),
+                                                   ("4", "225")]
     assert all(list(r) == ["k", "N1_k"] for r in rows)
 
 
@@ -205,13 +247,11 @@ def test_cp2_truncated_grading_and_quasihomogeneity():
     assert qrep.passed
 
 
-def test_table_json_mirror():
-    import json
-    nk, nk_rows = nk_report(3)
-    ell, ell_rows = elliptic_report(3)
-    assert json.loads(json.dumps(nk_rows)) == nk_rows
-    assert [r["N_k"] for r in nk_rows] == [1, 1, 12]
-    assert [r["N1_k"] for r in ell_rows] == [0, 0, 1]
+def test_table_json_mirror(capsys, tmp_path):
+    nk, nk_rows = _gw(capsys, "nk", 3, tmp_path / "nk.csv")
+    ell, ell_rows = _gw(capsys, "elliptic", 3, tmp_path / "ell.csv")
+    assert [r["N_k"] for r in nk_rows] == ["1", "1", "12"]
+    assert [r["N1_k"] for r in ell_rows] == ["0", "0", "1"]
     # the JSON results carry the same numbers as the rows
-    assert json.loads(json.dumps(nk["N"])) == {str(r["k"]): r["N_k"] for r in nk_rows}
-    assert json.loads(json.dumps(ell["N1"])) == {str(r["k"]): r["N1_k"] for r in ell_rows}
+    assert nk["N"] == {r["k"]: int(r["N_k"]) for r in nk_rows}
+    assert ell["N1"] == {r["k"]: int(r["N1_k"]) for r in ell_rows}
