@@ -13,6 +13,11 @@ entries row-major, and the one discriminant m of its field (the rule of
 BFS, ==, hash, `key()` and the reducibility scan run on `flat`; `mat`, the
 ExactMatrix lift A/D, is built from it on first read, then cached, and
 QuadScalars appear only in `S[i, j]`, `upper()` and `triple()`.
+
+Each braid move sigma_(+-i) and the sign rule are compiled per rank n on
+first use into straight-line Python over the ints of `flat` (`_braid_move`,
+`_sign_rule`), and cached; the sign rule is the greedy rule of
+`canonical_form`, its n >= 4 defect included.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact.linalg import (ExactMatrix, IntRows, _charpoly, _matmul, _matrix,
@@ -149,30 +154,95 @@ class StokesMatrix:
 # braid action
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _flat_plan(n: int, letter: int):
-    """Where S -> K S K changes the flat (p, q, d) ints of the upper entries.
+    """Which upper entries S -> K S K changes, by entry number (row-major).
 
     K is the identity outside the (i, i+1) block, which is [[0, 1], [1, -s]]
     for sigma_i and [[-s, 1], [1, 0]] for its inverse, s = S[i, i+1].  Only
     rows i, i+1 right of the block and columns i, i+1 above it change: the
     block entry becomes -s, and each pair (u, v) of partner entries becomes
-    (v, u - s * v).  The plan holds the flat index of the block entry, an
-    itemgetter swapping the partners (the whole step when s = 0) and the
-    (u, v) pairs as flat indices."""
+    (v, u - s * v), which is a swap when s = 0.  The plan holds the block
+    entry and the (u, v) pairs."""
     i = abs(letter) - 1
     if not 0 <= i < n - 1:
         raise ValueError(f"generator {letter} out of range for n = {n}")
-    at = {ij: 3 * k for k, ij in enumerate(_upper_pairs(n))}
-    idx = list(range(3 * len(at)))
-    pairs = []
+    at = {ij: k for k, ij in enumerate(_upper_pairs(n))}
     # (entry in row/column i, its partner in row/column i+1)
-    for u, v in ([((i, b), (i + 1, b)) for b in range(i + 2, n)]
-                 + [((a, i), (a, i + 1)) for a in range(i)]):
-        u, v = (at[v], at[u]) if letter < 0 else (at[u], at[v])
-        idx[u:u + 3], idx[v:v + 3] = idx[v:v + 3], idx[u:u + 3]
-        pairs.append((u, v))
-    return at[(i, i + 1)], itemgetter(*idx), tuple(pairs)
+    pairs = [(at[u], at[v]) for u, v in ([((i, b), (i + 1, b)) for b in range(i + 2, n)]
+                                         + [((a, i), (a, i + 1)) for a in range(i)])]
+    return at[(i, i + 1)], tuple((v, u) if letter < 0 else (u, v) for u, v in pairs)
+
+
+# The compiled kernels unpack a flat tuple into locals p<e>, q<e>, d<e> per
+# upper entry e.  A move sets entry v of a pair (u, v) around block entry k
+# to u - s * v over one denominator, reduced by one gcd unless that is 1; it
+# stays u (placed by the swap) when v = 0.
+_MOVE_PAIR = """
+ if p{v} or q{v}:
+  a{v} = p{k} * p{v} + q{k} * q{v} * m
+  b{v} = p{k} * q{v} + q{k} * p{v}
+  c{v} = d{k} * d{v}
+  if c{v} == d{u}: a{v}, b{v} = p{u} - a{v}, q{u} - b{v}
+  else: a{v}, b{v}, c{v} = p{u} * c{v} - a{v} * d{u}, q{u} * c{v} - b{v} * d{u}, d{u} * c{v}
+  if c{v} != 1 and (g := gcd(a{v}, b{v}, c{v})) != 1:
+   a{v}, b{v}, c{v} = a{v} // g, b{v} // g, c{v} // g
+ else:
+  a{v}, b{v}, c{v} = p{u}, q{u}, d{u}"""
+# The sign rule at entry e = (i, j): the first touched index of a component
+# gets +1, and a first sign-adjustable nonzero entry is made lex-nonnegative
+# (p > 0, or p = 0 and q >= 0) by the sign of its other index.
+_SIGN_PAIR = """
+ v = p{e} or q{e}
+ if v:
+  s = 1 if v > 0 else -1
+  if e{i}:
+   if not e{j}: e{j} = e{i} * s
+  elif e{j}: e{i} = e{j} * s
+  else: e{i}, e{j} = 1, s"""
+
+
+def _compile(name: str, lines: List[str], tag: str):
+    """The function `name` that `lines` define, in a file named by `tag` so
+    that profiles tell the kernels apart; only ints are formatted in."""
+    scope: dict = {}
+    exec(compile("\n".join(lines), f"<stokes {name} {tag}>", "exec"), {"gcd": gcd}, scope)
+    return scope[name]
+
+
+def _entries(n: int) -> List[str]:
+    return [f"p{e}, q{e}, d{e}" for e in range(n * (n - 1) // 2)]
+
+
+@lru_cache(maxsize=None)
+def _braid_move(n: int, letter: int):
+    """move(t, m): the flat tuple of K S K for sigma_letter, for the flat
+    tuple t of an n x n S over Q(sqrt m); compiled from `_flat_plan` with
+    the partner pairs unrolled, and the swap alone when s = 0."""
+    k, pairs = _flat_plan(n, letter)
+    ents = _entries(n)
+    swap, out = list(ents), list(ents)
+    out[k] = f"-p{k}, -q{k}, d{k}"
+    for u, v in pairs:
+        swap[u], swap[v], out[u], out[v] = ents[v], ents[u], ents[v], f"a{v}, b{v}, c{v}"
+    return _compile("move", [
+        "def move(t, m):", f" {', '.join(ents)}, = t",
+        f" if not (p{k} or q{k}):", f"  return ({', '.join(swap)},)",
+        *(_MOVE_PAIR.format(k=k, u=u, v=v) for u, v in pairs),
+        f" return ({', '.join(out)},)"], f"n={n} letter={letter}")
+
+
+@lru_cache(maxsize=None)
+def _sign_rule(n: int):
+    """sign(t): the flat tuple t of an n x n matrix under the sign rule of
+    `canonical_form`, with the signs e0..e{n-1} as locals; t itself when no
+    sign is -1, and always for n <= 1, which has no upper entries."""
+    ents = list(enumerate(_upper_pairs(n)))
+    flip = ", ".join(f"p{e} if e{i} == e{j} else -p{e}, q{e} if e{i} == e{j} else -q{e}, d{e}"
+                     for e, (i, j) in ents)
+    body = [f" {', '.join(_entries(n))}, = t", f" {' = '.join(f'e{i}' for i in range(n))} = 0",
+            *(_SIGN_PAIR.format(e=e, i=i, j=j) for e, (i, j) in ents),
+            f" if {' or '.join(f'e{i} < 0' for i in range(n))}:", f"  return ({flip},)"]
+    return _compile("sign", ["def sign(t):", *(body if ents else []), " return t"], f"n={n}")
 
 
 def _wrap(n: int, t: Flat, m: int) -> StokesMatrix:
@@ -185,95 +255,37 @@ def _wrap(n: int, t: Flat, m: int) -> StokesMatrix:
     return S
 
 
-def _step(t: Sequence[int], plan, m: int) -> List[int]:
-    """Apply a `_flat_plan` to a flat tuple over Q(sqrt m), returning a new
-    list that `_canonical` signs in place: each u - s * v is formed over one
-    denominator and reduced by one gcd, skipped when that denominator is 1."""
-    k, swap, pairs = plan
-    out = list(swap(t))
-    sp, sq = t[k], t[k + 1]
-    if not (sp or sq):
-        return out
-    sd = t[k + 2]
-    out[k] = -sp
-    out[k + 1] = -sq
-    for u, v in pairs:
-        vp, vq = t[v], t[v + 1]
-        if not (vp or vq):
-            continue        # u - s * 0 = u, placed by the swap
-        up, uq, ud = t[u], t[u + 1], t[u + 2]
-        p = sp * vp + sq * vq * m
-        q = sp * vq + sq * vp
-        d = sd * t[v + 2]
-        if d == ud:
-            p, q = up - p, uq - q
-        else:
-            p, q, d = up * d - p * ud, uq * d - q * ud, ud * d
-        if d != 1:
-            g = gcd(p, q, d)
-            if g != 1:
-                p, q, d = p // g, q // g, d // g
-        out[v] = p
-        out[v + 1] = q
-        out[v + 2] = d
-    return out
-
-
-def _canonical(n: int, out: List[int]) -> Flat:
-    """Row-major greedy sign normalization of a flat list, signed in place
-    and returned as a tuple: the first touched index of each component gets
-    eps = +1, and each first sign-adjustable nonzero entry is made
-    lex-nonnegative (p > 0, or p = 0 and q >= 0) by eps_j."""
-    eps = [0] * n
-    pairs = _flat_pairs(n)
-    for i, j, k in pairs:
-        v = out[k] or out[k + 1]
-        if not v:
-            continue
-        sign = 1 if v > 0 else -1
-        ei, ej = eps[i], eps[j]
-        if ei:
-            if not ej:
-                eps[j] = ei * sign
-        elif ej:
-            eps[i] = ej * sign
-        else:
-            eps[i] = 1
-            eps[j] = sign
-    if -1 in eps:
-        for i, j, k in pairs:
-            if eps[i] != eps[j]:    # a zero entry may have one eps still 0
-                out[k] = -out[k]
-                out[k + 1] = -out[k + 1]
-    return tuple(out)
-
-
 def braid_generator(S: StokesMatrix, letter: int) -> StokesMatrix:
-    """K S K for sigma_letter (a negative letter is the inverse)."""
-    return _wrap(S.n, tuple(_step(S.flat, _flat_plan(S.n, letter), S.m)), S.m)
+    """K S K for sigma_letter (a negative letter is the inverse), by its compiled move."""
+    return _wrap(S.n, _braid_move(S.n, letter)(S.flat, S.m), S.m)
 
 
 def braid_apply(S: StokesMatrix, word: Sequence[int] | str) -> StokesMatrix:
     """S under a word of signed generators, +i for sigma_i (1-based) and -i
     for its inverse: a sequence, or text such as "1 -2" or "1,-2"."""
     if isinstance(word, str):
-        word = [int(tok) for tok in word.replace(",", " ").split()]
+        text, word = word, []
+        for tok in text.replace(",", " ").split():
+            try:
+                word.append(int(tok))
+            except ValueError:
+                raise ValueError(f"braid word {text!r}: {tok!r} is not an integer") from None
     n, t, m = S.n, S.flat, S.m
     for letter in word:
-        t = _step(t, _flat_plan(n, letter), m)
-    return _wrap(n, tuple(t), m)
+        t = _braid_move(n, letter)(t, m)
+    return _wrap(n, t, m)
 
 
 def canonical_form(S: StokesMatrix) -> StokesMatrix:
     """Representative of {J S J : J = diag(+-1)}: scanning the upper entries
     row-major, greedily pick signs eps_j so each first sign-adjustable
-    nonzero entry becomes lex-nonnegative.
+    nonzero entry becomes lex-nonnegative (the sign rule compiled for S.n).
 
     It is a sign-class invariant (the same form for every J S J) for n <= 3
     only: for n >= 4 an entry can join two components whose signs are
     already set, and flips neither (the strict xfail
     `test_canonical_is_a_sign_class_invariant_on_a_sparse_matrix`)."""
-    return _wrap(S.n, _canonical(S.n, list(S.flat)), S.m)
+    return _wrap(S.n, _sign_rule(S.n)(S.flat), S.m)
 
 
 @dataclass
@@ -296,11 +308,12 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """BFS over sigma_1..sigma_{n-1} and inverses on canonical forms.
 
     Nodes are flat int tuples (`S.flat`) over the one field of S, and they
-    are their own dedup key; every step is `_step` followed by `_canonical`.
+    are their own dedup key; every step is a compiled move (`_braid_move`)
+    followed by the compiled sign rule (`_sign_rule`).
 
     For n <= 3 a node is not stepped by the inverse of the letter it was
     reached by: that image is J P J for its parent P and some J = diag(+-1),
-    and on 3 indices `_canonical` is a sign-class invariant (any two edges
+    and on 3 indices the sign rule is a sign-class invariant (any two edges
     share an index, so no entry joins two components whose signs are
     already set), so the image is P, which is already seen.  For n >= 4
     the greedy rule is not invariant (see `canonical_form`) and nothing is
@@ -309,10 +322,11 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     if max_size < 1:
         raise ValueError(f"orbit cap must be at least 1, got {max_size}")
     n, m = S.n, S.m
-    plans = [_flat_plan(n, g * e) for g in range(1, n) for e in (1, -1)]
-    # the plan index skipped on a node reached by plans[a]; -1 skips nothing
-    back = [a ^ 1 if n <= 3 else -1 for a in range(len(plans))]
-    start = _canonical(n, list(S.flat))
+    moves = [_braid_move(n, g * e) for g in range(1, n) for e in (1, -1)]
+    sign = _sign_rule(n)
+    # the move index skipped on a node reached by moves[a]; -1 skips nothing
+    back = [a ^ 1 if n <= 3 else -1 for a in range(len(moves))]
+    start = sign(S.flat)
     seen = {start}
     add = seen.add
     size = 1
@@ -331,11 +345,11 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     while frontier:
         nxt, nxt_skips = [], []
         for t, skip in zip(frontier, skips):
-            for a, plan in enumerate(plans):
+            for a, move in enumerate(moves):
                 if a == skip:
                     skipped += 1
                     continue
-                img = _canonical(n, _step(t, plan, m))
+                img = sign(move(t, m))
                 add(img)
                 if len(seen) == size:
                     continue
@@ -346,12 +360,12 @@ def orbit(S: StokesMatrix, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
                 nxt_skips.append(back[a])
                 if size > max_size:
                     levels.append(len(nxt))
-                    return result(False, len(nxt), len(plans) * expanded + a + 1)
+                    return result(False, len(nxt), len(moves) * expanded + a + 1)
             expanded += 1
         if nxt:
             levels.append(len(nxt))
         frontier, skips = nxt, nxt_skips
-    return result(True, 0, len(plans) * expanded)
+    return result(True, 0, len(moves) * expanded)
 
 
 # ---------------------------------------------------------------------------

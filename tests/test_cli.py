@@ -337,6 +337,12 @@ def test_stokes_braid_word_with_a_zero_letter_is_an_error_report(capsys):
     assert data["error"] == "generator 0 out of range for n = 3"
 
 
+def test_stokes_braid_word_with_a_non_integer_letter_is_an_error_report(capsys):
+    code, data = run_cli(capsys, "stokes", "braid", "CP2", "--word", "1 x")
+    assert code == 2 and data["status"] == "ERROR"
+    assert data["error"] == "braid word '1 x': 'x' is not an integer"
+
+
 @pytest.mark.parametrize("field, value, error", [
     ("n", 5, "stated n = 5, but there are 3 rows"),
     ("m", 2, "stated sqrt(2) vs sqrt(5)"),

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from frobenii import stokes
 from frobenii.cli import main
 from frobenii.exact import DiscriminantMismatch, ExactMatrix, QuadScalar
 from frobenii.stokes import (
@@ -71,24 +72,42 @@ def _kSk(S, letter):
 
 @pytest.mark.parametrize("ring", ["Z", "Z[sqrt2]", "Z[phi]"])
 def test_block_update_matches_full_product(ring):
+    # the compiled moves and sign rule against the full product K S K and a
+    # QuadScalar copy of the sign rule, at every rank from 0 to 6: about a
+    # third of the entries are zero (the s = 0 swap and the v = 0 skip), and
+    # denominators 2 and 3 take the other-denominator branch and the gcd
     rng = random.Random(11)
     rt2 = QuadScalar(0, 1, 2)
     phi = QuadScalar(F(1, 2), F(1, 2), 5)
     unit = {"Z": QuadScalar(0), "Z[sqrt2]": rt2, "Z[phi]": phi}[ring]
-    for n in (3, 4, 5, 6):
-        for _ in range(4):
+    for n in range(7):
+        for _ in range(6):
             S = StokesMatrix.from_upper(n, {
-                (i, j): rng.randint(-3, 3) + rng.randint(-2, 2) * unit
+                (i, j): 0 if rng.random() < 1 / 3 else
+                (rng.randint(-3, 3) + rng.randint(-2, 2) * unit) / rng.choice((1, 2, 3))
                 for i in range(n) for j in range(i + 1, n)})
+            assert canonical_form(S) == _reference_canonical(S)
             for g in range(1, n):
                 for letter in (g, -g):
-                    assert braid_generator(S, letter).mat == _kSk(S, letter)
+                    img = braid_generator(S, letter)
+                    assert img.mat == _kSk(S, letter)
+                    assert canonical_form(img) == _reference_canonical(img)
 
 
-def test_braid_letter_out_of_range():
+def test_each_move_and_sign_rule_is_compiled_once():
+    for n in range(7):
+        assert stokes._sign_rule(n) is stokes._sign_rule(n)
+        for g in range(1, n):
+            for letter in (g, -g):
+                assert stokes._braid_move(n, letter) is stokes._braid_move(n, letter)
+
+
+def test_braid_letter_out_of_range(monkeypatch):
+    # the range check comes before any code is generated
+    monkeypatch.setattr(stokes, "_compile", None)
     S = stokes_catalog("D4-nonstd")
     for letter in (0, 4, -4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"generator {letter} out of range for n = 4"):
             braid_generator(S, letter)
 
 
@@ -170,7 +189,7 @@ def test_canonical_is_sign_orbit_invariant():
             assert canonical_form(JSJ) == canonical_form(S)
 
 
-@pytest.mark.xfail(strict=True, reason="_canonical fixes each sign once: an entry "
+@pytest.mark.xfail(strict=True, reason="the sign rule fixes each sign once: an entry "
                    "that joins two already signed components flips neither")
 def test_canonical_is_a_sign_class_invariant_on_a_sparse_matrix():
     # the dense samples above never join two signed components; here (1, 3)
@@ -250,6 +269,14 @@ def test_markoff_entries_grow_monotonically():
 def test_identity_orbit_is_singleton():
     res = orbit(StokesMatrix.from_upper(3, {}), max_size=100)
     assert res.finite and res.size == 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_orbit_without_generators_is_its_start(n):
+    # no braid letters: the start alone, and no step tried
+    res = orbit(StokesMatrix.from_upper(n, {}), max_size=10)
+    assert res.finite and res.size == 1 and res.steps == res.images == 0
+    assert res.levels == [1] and res.representatives == [StokesMatrix.from_upper(n, {})]
 
 
 def _reference_canonical(M):
